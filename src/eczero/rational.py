@@ -5,6 +5,12 @@ Models are short Weierstrass y^2 = x^3 + a*x + b with exact integer
 coefficients; long models [a1, a2, a3, a4, a6] are accepted for ingestion
 and converted by completing the square and cube (valid for the supported
 primes p >= 5, which the 2- and 3-powers of the conversion never touch).
+
+The bounded point search is one pure-Python sieve after M. Stoll's
+*ratpoints*, with no size limit on the coefficients: for each denominator e,
+the numerators m of x = m/e^2 are the bits of one Python int, ANDed with
+rows marking where m^3 + a e^4 m + b e^6 is a square modulo small moduli.
+Only the survivors are tested with isqrt and then confirmed exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +23,6 @@ from math import gcd, isqrt
 from .arith import is_prime, kronecker_symbol
 from .errors import DomainError
 from .fp import FpCurve, trace_of_frobenius
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 
 @dataclass(frozen=True)
 class Curve:
@@ -225,133 +225,78 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
     return ReductionType(ReductionKind.ADDITIVE)
 
 
-def _is_square(n: int) -> tuple[bool, int]:
-    if n < 0:
-        return False, 0
-    r = isqrt(n)
-    return r * r == n, r
+# Sieve moduli: 64, 63 = 7*9, 65 = 5*13 and the primes 11 and 17..67 (65
+# covers 13).  A square is a square modulo each, so no point is sieved out.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+_SQUARES_MOD = {q: frozenset(i * i % q for i in range(q)) for q in _SIEVE_MODULI}
+
+# (q, A, B) -> lcm(q, 8) bits, as bytes, whose bit k says k^3 + A k + B is a
+# square mod q.  Keys are residues, so at most sum(q^2) ~ 40k entries of at
+# most q bytes each; the full-width rows tiled from them live for one call.
+_SIEVE_CHUNKS: dict[tuple[int, int, int], bytes] = {}
 
 
-_SEARCH_GRID_CACHE: dict = {}
-_SQUARE_MOD_TABLES: dict = {}
+def _sieve_row(q: int, A: int, B: int, height: int) -> int:
+    """Bitset whose bit j says m = j - H passes the sieve mod q; bits past 2H are junk."""
+    chunk = _SIEVE_CHUNKS.get((q, A, B))
+    if chunk is None:
+        squares = _SQUARES_MOD[q]
+        pattern = sum(1 << r for r in range(q) if (r * r * r + A * r + B) % q in squares)
+        copies = 8 // gcd(q, 8)  # q * copies = lcm(q, 8)
+        tiled = pattern * ((1 << q * copies) - 1) // ((1 << q) - 1)
+        chunk = _SIEVE_CHUNKS[q, A, B] = tiled.to_bytes(q * copies // 8, "little")
+    # bit k of the tiling stands for m = k mod q; the shift makes bit 0 stand for m = -H
+    shift = -height % q
+    return int.from_bytes(chunk * ((2 * height + shift) // (8 * len(chunk)) + 1), "little") >> shift
 
 
-def _square_table(mod: int):
-    table = _SQUARE_MOD_TABLES.get(mod)
-    if table is None:
-        table = _np.zeros(mod, dtype=bool)
-        for i in range(mod):
-            table[i * i % mod] = True
-        _SQUARE_MOD_TABLES[mod] = table
-    return table
-
-
-def _search_grid(height: int):
-    grid = _SEARCH_GRID_CACHE.get(height)
-    if grid is None:
-        ms = _np.arange(-height, height + 1, dtype=_np.int64)
-        grid = (ms, ms * ms * ms)
-        _SEARCH_GRID_CACHE.clear()  # keep at most one height resident
-        _SEARCH_GRID_CACHE[height] = grid
-    return grid
-
-
-def _icbrt(n: int) -> int:
-    # floor cube root
-    if n < 0:
-        c = _icbrt(-n)
-        return -c if c**3 == -n else -c - 1
-    r = round(n ** (1.0 / 3.0)) if n else 0
-    while r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
-
-
-def _cubic_max(a: int, ae4: int, be6: int, height: int) -> int:
-    # exact max of m^3 + ae4*m + be6 over the integer interval [-H, H]
-    candidates = [-height, height]
-    if a < 0:
-        crit = isqrt(-ae4 // 3)
-        for m in (crit, crit + 1, -crit, -crit - 1):
-            if -height <= m <= height:
-                candidates.append(m)
-    return max(m * m * m + ae4 * m + be6 for m in candidates)
-
-
-def _search_numpy(a: int, b: int, height: int):
-    # int64 is safe only while |m^3 + a m e^4 + b e^6| stays below 2^62
-    bound = height**3 * (1 + abs(a) + abs(b))
-    if bound >= 1 << 62:
-        return None
-    ms, m3 = _search_grid(height)
-    sq64 = _square_table(64)
-    sq63 = _square_table(63)
-    sq65 = _square_table(65)
-    sq11 = _square_table(11)
+def _sieve_hits(a: int, b: int, height: int) -> list[tuple[int, int, int]]:
+    """(m, e, s) with gcd(m, e) = 1 and s^2 = m^3 + a e^4 m + b e^6 in the box."""
+    rows: dict[tuple[int, int, int], int] = {}  # full-width bitsets, this call only
+    box = (1 << 2 * height + 1) - 1
     hits = []
     for e in range(1, isqrt(height) + 1):
-        ae4 = a * e**4
-        be6 = b * e**6
-        if _cubic_max(a, ae4, be6, height) < 0:
-            continue
-        lo = 0
-        if a == 0:
-            # t >= 0 iff m^3 >= -be6: slice the grid to the live range
-            mlo = _icbrt(-be6 - 1) + 1 if be6 < 0 else -_icbrt(be6) - 1
-            if mlo > height:
-                continue
-            lo = max(0, mlo + height)
-        mm, mm3 = ms[lo:], m3[lo:]
-        t = mm3 + ae4 * mm + be6 if a else mm3 + be6
-        # residue prefilters knock out non-squares before any sqrt
-        idx = _np.nonzero((t >= 0) & sq64[t & 63])[0]
-        if idx.size == 0:
-            continue
-        tt = t[idx]
-        keep = sq63[tt % 63] & sq65[tt % 65] & sq11[tt % 11]
-        idx = idx[keep]
-        if idx.size == 0:
-            continue
-        tt = tt[keep]
-        root = _np.sqrt(tt.astype(_np.float64)).astype(_np.int64)
-        for delta in (-1, 0, 1):
-            s = root + delta
-            ok = _np.nonzero((s >= 0) & (s * s == tt))[0]
-            for i in ok.tolist():
-                hits.append((int(mm[idx[i]]), e, int(s[i])))
-    return hits
-
-
-def _search_python(a: int, b: int, height: int):
-    hits = []
-    for e in range(1, isqrt(height) + 1):
-        e4, e6 = e**4, e**6
-        for m in range(-height, height + 1):
+        ae4, be6 = a * e**4, b * e**6
+        alive = box
+        for q in _SIEVE_MODULI:
+            key = (q, ae4 % q, be6 % q)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _sieve_row(q, key[1], key[2], height)
+            alive &= row
+            if not alive:
+                break
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            m = low.bit_length() - 1 - height
             if e > 1 and gcd(m, e) != 1:
                 continue
-            t = m * m * m + a * e4 * m + b * e6
-            ok, s = _is_square(t)
-            if ok:
-                hits.append((m, e, s))
+            t = m * m * m + ae4 * m + be6
+            if t >= 0:
+                s = isqrt(t)
+                if s * s == t:
+                    hits.append((m, e, s))
     return hits
 
 
 def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
     """All rational points with x = m/e^2, |m| <= height, e <= sqrt(height).
 
-    Every candidate is verified exactly in arbitrary precision; results are
-    deduplicated and sorted by the naive height of x.
+    The box is sieved modulo 64, 63, 65 and the primes 11, 17, ..., 67, so a
+    candidate is tested with isqrt only when t = m^3 + a e^4 m + b e^6 is a
+    square modulo all of them; each hit is then confirmed exactly.  Two
+    caches serve the sieve: a module-level one of per-modulus residue
+    patterns, keyed by (q, a e^4 mod q, b e^6 mod q) and so never more than
+    sum(q^2) entries of at most q bytes, and one inside each call of the
+    full-width rows tiled from them, at most sum(q) rows of about 2*height
+    bits.  Results are deduplicated and sorted by the naive height of x.
     """
     if height < 1:
         raise DomainError("height bound must be >= 1")
-    hits = _search_numpy(curve.a, curve.b, height) if _np is not None else None
-    if hits is None:
-        hits = _search_python(curve.a, curve.b, height)
     points = []
     seen = set()
-    for m, e, s in hits:
+    for m, e, s in _sieve_hits(curve.a, curve.b, height):
         x = Fraction(m, e * e)
         if x in seen:
             continue

@@ -129,16 +129,14 @@ class IngestResult:
     rejected: tuple  # (line number, reason)
 
 
-def _parse_generator(curve: Curve, raw) -> QPoint:
+def _parse_generator(raw) -> tuple[Fraction, Fraction]:
+    """(x, y) from a raw [x_num, x_den, y_num, y_den] record field."""
     if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(t, int) for t in raw)):
         raise IngestError("gen must be [x_num, x_den, y_num, y_den] with integer entries")
     xn, xd, yn, yd = raw
     if xd <= 0 or yd <= 0:
         raise IngestError("gen denominators must be positive")
-    point = QPoint(Fraction(xn, xd), Fraction(yn, yd))
-    if not curve.contains(point):
-        raise IngestError(f"generator {point} is not on the curve")
-    return point
+    return Fraction(xn, xd), Fraction(yn, yd)
 
 
 def ingest_curves(path) -> IngestResult:
@@ -167,7 +165,7 @@ def ingest_curves(path) -> IngestResult:
                 if not isinstance(obj["A"], int) or not isinstance(obj["B"], int):
                     raise IngestError("A and B must be integers")
                 curve = Curve(obj["A"], obj["B"], label=label)
-                gen = _parse_generator(curve, obj["gen"]) if obj.get("gen") is not None else None
+                gen = QPoint(*_parse_generator(obj["gen"])) if obj.get("gen") is not None else None
             elif all(f"a{i}" in obj for i in (1, 2, 3, 4, 6)):
                 ai = [obj[f"a{i}"] for i in (1, 2, 3, 4, 6)]
                 if not all(isinstance(t, int) for t in ai):
@@ -175,17 +173,11 @@ def ingest_curves(path) -> IngestResult:
                 curve = curve_from_long_weierstrass(ai, label=label)
                 gen = None
                 if obj.get("gen") is not None:
-                    raw = obj["gen"]
-                    if not (isinstance(raw, list) and len(raw) == 4):
-                        raise IngestError("gen must be [x_num, x_den, y_num, y_den]")
-                    long_pt = long_point_to_short(
-                        ai, Fraction(raw[0], raw[1]), Fraction(raw[2], raw[3])
-                    )
-                    if not curve.contains(long_pt):
-                        raise IngestError(f"generator {long_pt} is not on the curve")
-                    gen = long_pt
+                    gen = long_point_to_short(ai, *_parse_generator(obj["gen"]))
             else:
                 raise IngestError("record needs A,B or a1..a6")
+            if gen is not None and not curve.contains(gen):
+                raise IngestError(f"generator {gen} is not on the curve")
             rank = obj.get("rank")
             if rank is not None and not isinstance(rank, int):
                 raise IngestError("rank must be an integer")

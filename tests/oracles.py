@@ -1,5 +1,6 @@
 """Independent brute-force oracles used by the test suite.
 
+The point-search oracle tries every x = m/e^2 of the search box one by one.
 The decomposition oracle classifies a global point's image in
 E(Q_p)/p = (Z/p)^2 by enumerating the classes of a*T0 + b*G1 over a
 p-torsion generator T0 and a depth-1 formal point G1, deciding membership
@@ -19,6 +20,19 @@ from eczero.localpoints import (
 )
 from eczero.rational import Curve, QPoint, _minimal_with_scale
 from fractions import Fraction
+from math import isqrt
+
+
+def point_search_oracle(curve: Curve, height: int) -> list[QPoint]:
+    """Points with x = m/e^2, |m| <= height, e <= isqrt(height), sorted by naive height."""
+    points = set()
+    for e in range(1, isqrt(height) + 1):
+        for m in range(-height, height + 1):
+            t = m**3 + curve.a * m * e**4 + curve.b * e**6
+            if t >= 0 and isqrt(t) ** 2 == t:
+                x, y = Fraction(m, e * e), Fraction(isqrt(t), e**3)
+                points.update({QPoint(x, y), QPoint(x, -y)})
+    return sorted(points, key=lambda P: (max(abs(P.x.numerator), P.x.denominator), P.x, P.y))
 
 
 def in_p_multiples(curve: Curve, D: QpPoint, p: int) -> bool:

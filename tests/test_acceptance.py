@@ -5,6 +5,7 @@ All arithmetic checks are exact; runtime budgets are asserted with
 time.monotonic around the measured work.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -168,6 +169,10 @@ def test_criterion_8_verdict_matrix():
     _ok(8, "verdict engine fires exactly on the three family triples and refuses all ablations")
 
 
+CRITERION_9_CSV_SHA256 = "d1942f4b0918ba139260d7b7d0e0300a8cdbc56679ed64b60d3e73cfe1b9f1f2"
+CRITERION_9_JSON_SHA256 = "39335264691d2aa76da62f1f18d75ea03771abe4b1c09386ff229570ee82e154"
+
+
 def test_criterion_9_desk_scale_survey():
     spec = FamilySpec(
         a_const=0, a_slope=0, b_const=-2, b_slope=7,
@@ -182,6 +187,13 @@ def test_criterion_9_desk_scale_survey():
     rows2, agg2 = scan_family(spec)
     report2 = emit_report(rows2, agg2, "csv").encode()
     assert report1 == report2  # bit-reproducible
+    # pinned bytes: any change to the search, the pipeline or the format shows here
+    assert hashlib.sha256(report1).hexdigest() == CRITERION_9_CSV_SHA256
+    json_report = emit_report(rows, agg, "json").encode()
+    assert hashlib.sha256(json_report).hexdigest() == CRITERION_9_JSON_SHA256
+    assert (agg["eligible"], agg["with_generator"], agg["nontrivial"], agg["generator_unknown"]) == (
+        401, 224, 195, 177
+    )
 
     # independent second pass: hypotheses via primitives, flags via the oracle
     eligible = with_gen = nontrivial = 0

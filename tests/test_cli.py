@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import eczero
 from eczero.cli import cli
 
 runner = CliRunner()
@@ -184,3 +188,10 @@ def test_json_flag_everywhere():
         res = run(*args)
         assert res.exit_code == 0, args
         json.loads(res.output)  # parses
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(eczero.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import eczero.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

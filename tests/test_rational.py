@@ -25,6 +25,8 @@ from eczero.rational import (
     reduction_type,
 )
 
+from oracles import point_search_oracle
+
 
 def test_curve_rejects_singular():
     with pytest.raises(DomainError):
@@ -179,15 +181,30 @@ def test_naive_point_search_exactness_and_order():
     assert heights == sorted(heights)
 
 
-def test_python_and_numpy_search_agree(monkeypatch):
-    import eczero.rational as rational
+SEARCH_CURVES = [
+    (0, -2), (-4, 0), (-1056, 13552), (-152, 722),  # the paper's CM curves
+    (-4, 1),  # points with x = 1/4
+    (0, 17),  # eight integral points up to x = 5234
+    (-1, 0), (-25, 0), (-36, 0), (0, 1),  # 2-torsion points with y = 0
+    # H^3 (1 + |a| + |b|) >= 2^62 at H = 300, past any int64 sieve
+    (10**9 + 7, -3 * 10**12), (-(10**12), 0), (10**9, 1562250312500),
+]
 
-    for E in (Curve(-4, 1), Curve(0, -2), Curve(0, 17)):
-        with_numpy = naive_point_search(E, 30)
-        monkeypatch.setattr(rational, "_np", None)
-        pure_python = naive_point_search(E, 30)
-        monkeypatch.undo()
-        assert with_numpy == pure_python
+
+def test_point_search_matches_brute_force():
+    rng = random.Random(2402)
+    curves = SEARCH_CURVES + [(rng.randrange(-300, 300), rng.randrange(-3000, 3000)) for _ in range(12)]
+    found = 0
+    for a, b in curves:
+        try:
+            E = Curve(a, b)
+        except DomainError:
+            continue
+        for height in (1, 2, 7, 30, 300):
+            got = naive_point_search(E, height)
+            assert got == point_search_oracle(E, height), (a, b, height)
+            found += len(got)
+    assert found > 100
 
 
 def test_division_polynomial_psi3():

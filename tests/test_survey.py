@@ -50,6 +50,21 @@ def test_ingest_basic(tmp_path):
     assert "parse error" in result.rejected[1][1]
 
 
+def test_ingest_long_model_bad_generator_is_rejected(tmp_path):
+    f = tmp_path / "curves.jsonl"
+    f.write_text(
+        '{"label": "zero-den", "a1": 0, "a2": 0, "a3": 0, "a4": -152, "a6": 722, "gen": [1, 0, 1, 1]}\n'
+        '{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
+        '{"label": "float", "a1": 0, "a2": -1, "a3": 1, "a4": 0, "a6": 0, "gen": [0.5, 1, 0, 1]}\n'
+        '{"label": "long", "a1": 0, "a2": -1, "a3": 1, "a4": 0, "a6": 0, "gen": [0, 1, 0, 1]}\n'
+    )
+    result = ingest_curves(f)
+    assert [rec.label for rec in result.records] == ["E0", "long"]
+    assert [ln for ln, _ in result.rejected] == [1, 3]
+    assert "denominators must be positive" in result.rejected[0][1]
+    assert "integer entries" in result.rejected[1][1]
+
+
 def test_ingest_empty_file(tmp_path):
     f = tmp_path / "empty.jsonl"
     f.write_text("")
