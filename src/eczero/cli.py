@@ -3,7 +3,8 @@ output; numeric output is exact (integers, rational strings, p-adic digit
 vectors).
 
 Exit codes: 0 success, 1 domain error (precondition violations, unsupported
-inputs), 2 usage error.
+inputs), 2 usage error, 3 internal error (a broken invariant, i.e. a bug).
+Exit codes 1 and 3 write {"error": ...} as JSON to stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 import click
 
+from . import __version__
 from .arith import cornacchia
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 from .fp import FpPoint
 from .localpoints import decompose_point, decomposition_to_dict, lift_p_torsion, qppoint_to_dict
 from .quadfields import (
@@ -41,20 +43,20 @@ from .verdicts import (
 )
 
 
-def domain_errors_to_exit_1(fn):
+def errors_to_exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DomainError as exc:
+        except (DomainError, InternalConsistencyError) as exc:
             click.echo(json.dumps({"error": str(exc)}), err=True)
-            sys.exit(1)
+            sys.exit(1 if isinstance(exc, DomainError) else 3)
 
     return wrapper
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="eczero")
+@click.version_option(version=__version__, prog_name="eczero")
 def cli():
     """Anomalous primes, reduction types, p-adic decompositions and surveys
     for CM elliptic curves."""
@@ -85,7 +87,7 @@ def _parse_gen(spec: str) -> QPoint:
 @click.option("--disc", type=int, required=True, help="field discriminant, e.g. -3")
 @click.option("--bound", type=int, required=True, help="upper bound for p")
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON array")
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
     """Primes p <= bound with 4p = 1 + |D| v^2 (trace-1 split primes)."""
     field = ImagQuadField(disc)
@@ -101,7 +103,7 @@ def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
 @cli.command("anomalous-residues")
 @click.option("--p", "p", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def anomalous_residues_cmd(p: int, as_json: bool):
     """Residues c mod p for which y^2 = x^3 + c has exactly p points."""
     residues = anomalous_residues_d3(p)
@@ -117,7 +119,7 @@ def anomalous_residues_cmd(p: int, as_json: bool):
 @click.option("--b", type=int, required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def classify_cmd(a: int, b: int, p: int, as_json: bool):
     """Reduction type of y^2 = x^3 + a x + b at p (model minimized first)."""
     r = reduction_type(Curve(a, b), p)
@@ -137,7 +139,7 @@ def classify_cmd(a: int, b: int, p: int, as_json: bool):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--disc", type=int, default=None, help="restrict the splitting report to one field")
 @click.option("--json", "as_json", is_flag=True)
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
     """Good/ordinary/anomalous report plus compatible CM splitting fields."""
     r = reduction_type(Curve(a, b), p)
@@ -183,7 +185,7 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
 @click.option("--y", "y", type=int, required=True, help="target y mod p")
 @click.option("--prec", type=int, default=16, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json: bool):
     """p-adic p-torsion point above a special-fiber point of an anomalous curve."""
     T0 = lift_p_torsion(Curve(a, b), p, FpPoint(x % p, y % p), prec)
@@ -198,7 +200,7 @@ def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json:
 @click.option("--gen", required=True, help="x_num,x_den,y_num,y_den of the global point")
 @click.option("--prec", type=int, default=16, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
     """Split a global point into formal and special-fiber components at p."""
     point = _parse_gen(gen)
@@ -232,7 +234,7 @@ def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
 @click.option("--bad-fiber-order", "bad_fiber_orders", type=int, multiple=True)
 @click.option("--prec", type=int, default=16, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def verdict_cmd(
     a,
     b,
@@ -344,7 +346,7 @@ def _write_or_echo(text: str, out: str | None):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt, out, as_json):
     """Scan the family y^2 = x^3 + (a0 + a1 n) x + (b0 + b1 n) over n."""
     generators = {}
@@ -389,7 +391,7 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
-@domain_errors_to_exit_1
+@errors_to_exit_codes
 def report_cmd(input_path, p, disc, height, prec, fmt, out, as_json):
     """Run the survey pipeline over an ingested curve file."""
     field = ImagQuadField(disc)

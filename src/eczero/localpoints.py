@@ -37,12 +37,11 @@ from .rational import (
     QPoint,
     _minimal_with_scale,
     divpoly_eval_with_derivative,
-    q_scalar_mul,
+    torsion_order,
 )
 
 _NEWTON_GUARD = 12
 _RETRY_FACTOR = 2
-_TORSION_BOUND = 12  # Mazur: rational torsion orders divide 10 or 12
 MIN_LIFT_PRECISION = 6
 
 
@@ -182,26 +181,13 @@ def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DE
     mod = p**work
     # y = p^(-3m) * sqrt(u), u = 1 + a p^(4m) + b p^(6m)
     u = (1 + curve.a * p ** (4 * m) + curve.b * p ** (6 * m)) % mod
-    y_unit = _sqrt_one_unit(u, p, work)
+    y_unit = _sqrt_matching(u, 1, p, work)
     x = PadicNumber.from_fraction(Fraction(1, p ** (2 * m)), p, precision + 2)
     y = PadicNumber(p, -3 * m, y_unit % p ** (precision + 2), precision + 2)
     point = QpPoint(x, y)
     if not on_curve(curve, point):
         raise InternalConsistencyError("formal layer point failed the curve equation")
     return point
-
-
-def _sqrt_one_unit(u: int, p: int, k: int) -> int:
-    # Newton square root of a 1-unit modulo p^k, starting from 1 (p odd)
-    if u % p != 1:
-        raise InternalConsistencyError("expected a 1-unit")
-    y = 1
-    reach = 1
-    while reach < k:
-        reach = min(2 * reach, k)
-        mod = p**reach
-        y = (y + u * pow(y, -1, mod)) * pow(2, -1, mod) % mod
-    return y
 
 
 def _sqrt_matching(g: int, y0: int, p: int, k: int) -> int:
@@ -308,6 +294,12 @@ class Decomposition:
 def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAULT_PRECISION) -> Decomposition:
     """Split a global infinite-order point locally at an anomalous prime.
 
+    The point is moved to the model minimal at p, which is integral, and
+    certified there by :func:`torsion_order`: a non-integral multiple proves
+    infinite order (Nagell-Lutz), and so do 12 integral multiples none of
+    which is O (Mazur).  A point of finite order raises DomainError naming
+    its order.
+
     On PrecisionExhaustedError the computation is retried once at doubled
     precision; a second failure propagates.
     """
@@ -327,9 +319,9 @@ def _decompose(curve: Curve, point: QPoint, p: int, precision: int) -> Decomposi
         point = QPoint(point.x * u2, point.y * u2 / p**scale)
     if not minimal.contains(point):
         raise DomainError(f"{point} is not on {minimal}")
-    for m in range(1, _TORSION_BOUND + 1):
-        if q_scalar_mul(minimal, m, point).is_identity:
-            raise DomainError(f"point has finite order {m}; decomposition needs infinite order")
+    order = torsion_order(minimal, point)
+    if order is not None:
+        raise DomainError(f"point has finite order {order}; decomposition needs infinite order")
 
     work = precision + 8
     P = embed_point(minimal, point, p, work)

@@ -120,6 +120,30 @@ def q_scalar_mul(curve: Curve, k: int, P: QPoint) -> QPoint:
     return R
 
 
+# Mazur: a rational point of finite order has order at most 12.
+_TORSION_BOUND = 12
+
+
+def torsion_order(curve: Curve, P: QPoint) -> int | None:
+    """Order of P if it is finite, None if P has infinite order.
+
+    Walks P, 2P, ..., 12P with one addition per step and returns the first
+    k with kP = O.  On an integral short model every torsion point has
+    integral coordinates (Nagell-Lutz; Silverman, AEC VIII.7), so the walk
+    stops with None at the first multiple with a non-integral coordinate;
+    by Mazur it also stops with None after 12 integral multiples none of
+    which is O.  The answer is the smallest m <= 12 with [m]P = O.
+    """
+    Q = P
+    for k in range(1, _TORSION_BOUND + 1):
+        if Q.is_identity:
+            return k
+        if Q.x.denominator != 1 or Q.y.denominator != 1:
+            return None
+        Q = q_add(curve, Q, P)
+    return None
+
+
 def curve_from_long_weierstrass(ai: list[int], label: str | None = None) -> Curve:
     """Short model integrally equivalent to y^2+a1xy+a3y = x^3+a2x^2+a4x+a6.
 
@@ -143,29 +167,14 @@ def long_point_to_short(ai: list[int], x, y) -> QPoint:
     return QPoint(36 * x + 3 * b2, 216 * y + 108 * (a1 * x + a3))
 
 
-def _val(n: int, p: int) -> int | None:
-    # p-adic valuation; None encodes +infinity (n = 0)
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _minimal_with_scale(curve: Curve, p: int) -> tuple[Curve, int]:
     a, b = curve.a, curve.b
     k = 0
-    while True:
-        va = _val(a, p)
-        vb = _val(b, p)
-        if (va is None or va >= 4) and (vb is None or vb >= 6):
-            a //= p**4
-            b //= p**6
-            k += 1
-        else:
-            return Curve(a, b, label=curve.label), k
+    while a % p**4 == 0 and b % p**6 == 0:
+        a //= p**4
+        b //= p**6
+        k += 1
+    return Curve(a, b, label=curve.label), k
 
 
 def minimal_at_p(curve: Curve, p: int) -> Curve:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError, IngestError
+from .errors import DomainError, IngestError, InternalConsistencyError
 from .localpoints import decompose_point
 from .quadfields import ImagQuadField, splits_completely
 from .rational import (
@@ -24,13 +24,12 @@ from .rational import (
     curve_from_long_weierstrass,
     long_point_to_short,
     naive_point_search,
-    q_scalar_mul,
     reduction_type,
+    torsion_order,
 )
 from .verdicts import brauer_middle_term_verdict, global_lift_verdict
 
 DEFAULT_HEIGHT = 10**4
-_TORSION_BOUND = 12
 
 PROXY_NOTE = (
     "statistic counts curves with a certified infinite-order point found by "
@@ -198,11 +197,13 @@ def ingest_curves(path) -> IngestResult:
 def find_generator(curve: Curve, height: int) -> QPoint | None:
     """Smallest-height infinite-order point from the bounded search, if any.
 
-    Non-torsion certification: no multiple [m]P with m <= 12 is the
-    identity (larger rational torsion orders do not occur).
+    Each hit is certified by :func:`torsion_order`: on the integral model a
+    torsion point is integral (Nagell-Lutz), so most hits are certified by
+    the first multiple with a non-integral coordinate, and by Mazur a point
+    none of whose first 12 multiples is the identity has infinite order.
     """
     for P in naive_point_search(curve, height):
-        if not any(q_scalar_mul(curve, m, P).is_identity for m in range(1, _TORSION_BOUND + 1)):
+        if torsion_order(curve, P) is None:
             return P
     return None
 
@@ -217,7 +218,12 @@ def build_row(
     ingested_generator: QPoint | None = None,
     precision: int = 16,
 ) -> SurveyRow:
-    """Hypotheses, generator, decomposition and verdicts for one curve."""
+    """Hypotheses, generator, decomposition and verdicts for one curve.
+
+    A DomainError becomes the row's error text; an InternalConsistencyError
+    or ArithmeticError becomes "internal error: <Type>: <message>", so a bug
+    is told apart from a bad input and never aborts the batch.
+    """
     label = label or curve.label or "?"
     base = dict(n=n, label=label, curve_a=curve.a, curve_b=curve.b)
     try:
@@ -261,6 +267,8 @@ def build_row(
         )
     except DomainError as exc:
         return SurveyRow(error=str(exc), **base)
+    except (InternalConsistencyError, ArithmeticError) as exc:
+        return SurveyRow(error=f"internal error: {type(exc).__name__}: {exc}", **base)
 
 
 def aggregate_rows(rows) -> dict:

@@ -21,7 +21,7 @@ from .arith import is_prime
 from .errors import DomainError
 from .localpoints import Decomposition
 from .quadfields import ImagQuadField, splits_completely
-from .rational import Curve, ReductionKind, ReductionType, minimal_at_p, reduction_type
+from .rational import Curve, ReductionKind, ReductionType, reduction_type
 
 VERIFIED = "verified"
 ASSERTED = "asserted"
@@ -268,9 +268,7 @@ def brauer_middle_term_verdict(
         return []
     if not splits_completely(cm_field, p):
         return []
-    minimal = minimal_at_p(curve, p)
-    if minimal.discriminant % p == 0:
-        return []
+    # reduction_type minimizes the model; anomalous implies good ordinary
     r = reduction_type(curve, p)
     if not r.anomalous:
         return []

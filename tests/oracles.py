@@ -1,6 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 The point-search oracle tries every x = m/e^2 of the search box one by one.
+The torsion-order oracle computes each multiple [m]P, m = 1..12, by its own
+double-and-add and never uses integrality.
 The decomposition oracle classifies a global point's image in
 E(Q_p)/p = (Z/p)^2 by enumerating the classes of a*T0 + b*G1 over a
 p-torsion generator T0 and a depth-1 formal point G1, deciding membership
@@ -18,7 +20,7 @@ from eczero.localpoints import (
     reduce_point,
     t_parameter,
 )
-from eczero.rational import Curve, QPoint, _minimal_with_scale
+from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from math import isqrt
 
@@ -33,6 +35,14 @@ def point_search_oracle(curve: Curve, height: int) -> list[QPoint]:
                 x, y = Fraction(m, e * e), Fraction(isqrt(t), e**3)
                 points.update({QPoint(x, y), QPoint(x, -y)})
     return sorted(points, key=lambda P: (max(abs(P.x.numerator), P.x.denominator), P.x, P.y))
+
+
+def torsion_order_oracle(curve: Curve, point: QPoint) -> int | None:
+    """Smallest m <= 12 with [m]P = O, else None (Mazur's bound)."""
+    for m in range(1, 13):
+        if q_scalar_mul(curve, m, point).is_identity:
+            return m
+    return None
 
 
 def in_p_multiples(curve: Curve, D: QpPoint, p: int) -> bool:

@@ -3,10 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import eczero
+import eczero.cli
 from eczero.cli import cli
+from eczero.errors import InternalConsistencyError
 
 runner = CliRunner()
 
@@ -172,6 +175,26 @@ def test_exit_codes():
     # success -> 0
     res = run("classify", "--a", "0", "--b", "-2", "--p", "7")
     assert res.exit_code == 0
+
+
+def test_internal_error_exits_3(monkeypatch):
+    def broken(curve, p):
+        raise InternalConsistencyError("broken invariant")
+
+    monkeypatch.setattr(eczero.cli, "reduction_type", broken)
+    res = run("classify", "--a", "0", "--b", "-2", "--p", "7")
+    assert res.exit_code == 3
+    assert json.loads(res.stderr) == {"error": "broken invariant"}
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text())["project"]["version"]
+    assert eczero.__version__ == version
+    res = run("--version")
+    assert res.exit_code == 0
+    assert res.output == f"eczero, version {version}\n"
 
 
 def test_json_flag_everywhere():

@@ -23,7 +23,7 @@ from eczero.localpoints import (
     t_parameter,
 )
 from eczero.padic import PadicNumber
-from eczero.rational import Curve, QPoint
+from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short
 
 from oracles import formal_nontrivial_oracle
 
@@ -208,6 +208,19 @@ def test_decompose_rescales_nonminimal_models():
     dec = decompose_point(E_big, P_big, 7, 16)
     assert dec.bar_point == FpPoint(3, 5)
     assert dec.formal_nontrivial is True
+
+
+def test_decompose_rejects_torsion_point_naming_its_order():
+    # (0, 0) on the Tate normal forms y^2 - y = x^3 - x^2 (order 5, anomalous
+    # at 5) and y^2 - xy - 4y = x^3 - 4x^2 (order 7, anomalous at 7)
+    for ai, p in (([0, -1, -1, 0, 0], 5), ([-1, -4, -4, 0, 0], 7)):
+        E, T = curve_from_long_weierstrass(ai), long_point_to_short(ai, 0, 0)
+        # also through a model that is not minimal at p
+        E_big = Curve(E.a * p**4, E.b * p**6)
+        T_big = QPoint(T.x * p**2, T.y * p**3)
+        for curve, point in ((E, T), (E_big, T_big)):
+            with pytest.raises(DomainError, match=f"point has finite order {p};"):
+                decompose_point(curve, point, p, 16)
 
 
 def test_decomposition_serialization():

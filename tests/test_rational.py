@@ -23,9 +23,10 @@ from eczero.rational import (
     q_neg,
     q_scalar_mul,
     reduction_type,
+    torsion_order,
 )
 
-from oracles import point_search_oracle
+from oracles import point_search_oracle, torsion_order_oracle
 
 
 def test_curve_rejects_singular():
@@ -205,6 +206,100 @@ def test_point_search_matches_brute_force():
             assert got == point_search_oracle(E, height), (a, b, height)
             found += len(got)
     assert found > 100
+
+
+def _tate_normal_form(b: int, c: int) -> tuple[Curve, QPoint]:
+    # y^2 + (1 - c)xy - by = x^3 - bx^2 with the point (0, 0), on the short model
+    ai = [1 - c, -b, -b, 0, 0]
+    return curve_from_long_weierstrass(ai), long_point_to_short(ai, 0, 0)
+
+
+# order -> an integral short model and a point of that order on it
+TORSION_EXAMPLES = {
+    1: (Curve(0, -2), QPoint.identity()),
+    2: (Curve(0, 1), QPoint.from_pair(-1, 0)),
+    3: (Curve(0, 1), QPoint.from_pair(0, 1)),
+    4: (Curve(4, 0), QPoint.from_pair(2, 4)),
+    5: _tate_normal_form(1, 1),
+    6: (Curve(0, 1), QPoint.from_pair(2, 3)),
+    7: _tate_normal_form(4, 2),
+    8: _tate_normal_form(6, -6),
+    9: _tate_normal_form(12, 4),
+    10: _tate_normal_form(24, 6),
+    12: _tate_normal_form(210, -42),
+}
+
+
+def test_torsion_order_on_points_of_every_order():
+    for order, (E, T) in TORSION_EXAMPLES.items():
+        assert E.contains(T)
+        assert torsion_order(E, T) == torsion_order_oracle(E, T) == order
+        # every multiple kT has order order / gcd(k, order)
+        Q = T
+        for k in range(1, order + 1):
+            assert torsion_order(E, Q) == torsion_order_oracle(E, Q)
+            Q = q_add(E, Q, T)
+
+
+def test_torsion_order_on_criterion_9_search_hits():
+    for n in range(-200, 201):
+        E = Curve(0, -2 + 7 * n)
+        for P in naive_point_search(E, 300):
+            assert torsion_order(E, P) == torsion_order_oracle(E, P), (n, P)
+
+
+def test_torsion_order_on_integral_twist_points():
+    # the twist of y^2 = x^3 + Ax + B by d = x0^3 + A x0 + B carries the
+    # integral point (d x0, d^2); integrality alone cannot certify it
+    rng = random.Random(43)
+    for A, B in ((-152, 722), (-1056, 13552), (0, -2), (-4, 1)):
+        for _ in range(8):
+            x0 = rng.choice((1, -1)) * rng.randrange(2, 5000)
+            d = x0**3 + A * x0 + B
+            if d == 0:
+                continue
+            E = Curve(A * d * d, B * d**3)
+            P = QPoint.from_pair(d * x0, d * d)
+            assert E.contains(P)
+            assert torsion_order(E, P) == torsion_order_oracle(E, P)
+
+
+# Tate normal forms (b(t), c(t)) whose point (0, 0) has the given order
+TATE_FAMILIES = {
+    4: lambda t: (t, 0),
+    5: lambda t: (t, t),
+    6: lambda t: (t + t * t, t),
+    7: lambda t: (t**3 - t * t, t * t - t),
+    9: lambda t: (t * t * (t - 1) * (t * t - t + 1), t * t * (t - 1)),
+}
+
+
+def test_torsion_order_on_random_curves_and_points():
+    rng = random.Random(2024)
+    cases = []
+    while len(cases) < 150:
+        # a random multiple of (0, 0) on a Tate normal form, from a torsion
+        # family or with free (b, c), which mostly gives infinite order
+        if rng.random() < 0.5:
+            b, c = rng.choice(list(TATE_FAMILIES.values()))(rng.randrange(-40, 41))
+        else:
+            b, c = rng.randrange(-40, 41), rng.randrange(-40, 41)
+        try:
+            E, T = _tate_normal_form(b, c)
+        except DomainError:
+            continue
+        cases.append((E, q_scalar_mul(E, rng.randrange(1, 13), T)))
+        # the sum of two search hits on a random short model
+        a, b = rng.randrange(-60, 61), rng.randrange(-60, 61)
+        if 4 * a**3 + 27 * b**2 == 0:
+            continue
+        E = Curve(a, b)
+        points = naive_point_search(E, 40)
+        if points:
+            cases.append((E, q_add(E, rng.choice(points), rng.choice(points))))
+    orders = [torsion_order(E, P) for E, P in cases]
+    assert orders == [torsion_order_oracle(E, P) for E, P in cases]
+    assert sum(m is None for m in orders) >= 30 and sum(m not in (None, 1) for m in orders) >= 30
 
 
 def test_division_polynomial_psi3():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from eczero.errors import DomainError
+import eczero.survey
+from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import ImagQuadField
 from eczero.rational import Curve, QPoint
 from eczero.survey import (
@@ -219,6 +220,26 @@ def test_build_row_captures_errors():
         ingested_generator=QPoint.from_pair(1, 1),
     )
     assert row.error is not None and "not on" in row.error
+
+
+@pytest.mark.parametrize("error", [InternalConsistencyError("bad lift"), ZeroDivisionError("bad lift")])
+def test_internal_error_in_one_row_does_not_abort_scan(monkeypatch, error):
+    spec = _spec(-3, 3)
+    clean, _ = scan_family(spec)
+    broken_n = next(r.n for r in clean if r.formal_nontrivial is not None)
+    real = eczero.survey.decompose_point
+
+    def decompose_or_fail(curve, point, p, precision):
+        if curve.b == -2 + 7 * broken_n:
+            raise error
+        return real(curve, point, p, precision)
+
+    monkeypatch.setattr(eczero.survey, "decompose_point", decompose_or_fail)
+    rows, agg = scan_family(spec)
+    assert [r for r in rows if r.n != broken_n] == [r for r in clean if r.n != broken_n]
+    (row,) = [r for r in rows if r.n == broken_n]
+    assert row.error == f"internal error: {type(error).__name__}: bad lift"
+    assert agg["errors"] == 1
 
 
 def test_family_spec_validation():
