@@ -18,7 +18,7 @@ import click
 
 from . import __version__
 from .arith import cornacchia
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, NoSolutionError
 from .fp import FpPoint
 from .localpoints import decompose_point, decomposition_to_dict, lift_p_torsion, qppoint_to_dict
 from .quadfields import (
@@ -26,6 +26,7 @@ from .quadfields import (
     ImagQuadField,
     anomalous_primes,
     anomalous_residues_d3,
+    frobenius_candidates,
     splits_completely,
 )
 from .rational import Curve, QPoint, reduction_type
@@ -148,14 +149,11 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
     compatible = []
     if r.trace is not None:
         for D in discs:
-            if not splits[D]:
+            try:
+                frobenius_candidates(ImagQuadField(D), p, r.trace)
+            except NoSolutionError:
                 continue
-            rest = 4 * p - r.trace**2
-            if rest % abs(D) == 0:
-                v2 = rest // abs(D)
-                v = round(v2**0.5)
-                if v * v == v2:
-                    compatible.append(D)
+            compatible.append(D)
     payload = {
         "p": p,
         "kind": r.kind.value,

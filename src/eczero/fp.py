@@ -1,22 +1,31 @@
 """Elliptic curves over prime fields: group law, point counting, traces.
 
-Counting is dual-route: a table-driven sweep for p <= 2^16 and
-baby-step/giant-step order finding (with quadratic-twist disambiguation)
-for 2^16 < p <= 2^40.  The BSGS route falls back to the naive sweep when
-the Hasse-interval candidate is not unique, so the returned order is
-always exact.
+Counting is dual-route.  For p <= 229 a table-driven sweep counts points.
+Above Mestre's bound, 229 < p <= 2^40, baby-step/giant-step order finding
+with quadratic-twist disambiguation does: there E or its twist always has
+a point whose order has a unique multiple in the Hasse interval.  If BSGS
+still finds more than one order, the sweep decides for p <= 2^16; above
+that an InternalConsistencyError is raised, so the returned order is
+always exact and no route runs a sweep of more than 2^16 steps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, lcm
 
 from .arith import is_prime, kronecker_symbol, sqrt_mod_p
-from .errors import DomainError, UnsupportedModulusError
+from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
-_NAIVE_LIMIT = 1 << 16
+# Mestre's bound (J.-F. Mestre; R. Schoof, "Counting points on elliptic
+# curves over finite fields", J. Theor. Nombres Bordeaux 7, 1995): for
+# p > 229, E or its quadratic twist has a point whose order has exactly one
+# multiple in the Hasse interval, so BSGS with the twist determines |E(F_p)|.
+_NAIVE_LIMIT = 229
+# Largest p at which an ambiguous BSGS result may fall back to the sweep
+# (about 30 ms); above it the ambiguity is raised as a bug.
+_FALLBACK_LIMIT = 1 << 16
 _BSGS_LIMIT = 1 << 40
 
 
@@ -154,8 +163,9 @@ def count_points_naive(curve: FpCurve) -> int:
     return total
 
 
-def _kill_values(curve: FpCurve, P, lo: int, width: int) -> list[int]:
-    # All n in [lo, lo + width) with [n]P = O, as multiples of ord(P).
+def _kill_values(curve: FpCurve, P, lo: int, width: int) -> range | set[int]:
+    # All n in [lo, lo + width) with [n]P = O.  A small order comes back as
+    # the progression of its multiples, which may hold millions of numbers.
     p, a = curve.p, curve.a
     m = isqrt(width) + 1
     table: dict[tuple, int] = {}
@@ -165,11 +175,10 @@ def _kill_values(curve: FpCurve, P, lo: int, width: int) -> list[int]:
             # Walk revisited a point: ord(P) = j - table[R] (= j, since R
             # first repeats at the identity).
             order = j - table[R]
-            first = lo + (-lo) % order
-            return list(range(first, lo + width, order))
+            return range(lo + (-lo) % order, lo + width, order)
         table[R] = j
         R = _add(p, a, R, P)
-    hits = []
+    hits = set()
     base = _mul(p, a, lo, P)
     stride = _mul(p, a, m, P)
     G = base
@@ -179,14 +188,25 @@ def _kill_values(curve: FpCurve, P, lo: int, width: int) -> list[int]:
         negG = (G[0], (-G[1]) % p) if G[0] is not None else G
         j = table.get(negG)
         if j is not None and i * m + j < width:
-            hits.append(lo + i * m + j)
+            hits.add(lo + i * m + j)
         G = _add(p, a, G, stride)
         i += 1
     return hits
 
 
-def _order_candidates(curve: FpCurve, lo: int, width: int, max_points: int = 24):
-    cands: set[int] | None = None
+def _intersect(u: range | set[int], v: range | set[int], lo: int, width: int) -> range | set[int]:
+    # Every range here holds all multiples of its step in [lo, lo + width).
+    if isinstance(u, range) and isinstance(v, range):
+        step = lcm(u.step, v.step)
+        return range(lo + (-lo) % step, lo + width, step)
+    small, big = (u, v) if len(u) <= len(v) else (v, u)
+    return {n for n in small if n in big}
+
+
+def _order_candidates(
+    curve: FpCurve, lo: int, width: int, max_points: int = 24
+) -> range | set[int]:
+    cands: range | set[int] | None = None
     tried = 0
     x = 0
     while tried < max_points and x < curve.p:
@@ -195,9 +215,9 @@ def _order_candidates(curve: FpCurve, lo: int, width: int, max_points: int = 24)
         if P is None:
             continue
         tried += 1
-        hits = set(_kill_values(curve, (P.x, P.y), lo, width))
-        cands = hits if cands is None else cands & hits
-        if cands is not None and len(cands) <= 1:
+        hits = _kill_values(curve, (P.x, P.y), lo, width)
+        cands = hits if cands is None else _intersect(cands, hits, lo, width)
+        if len(cands) <= 1:
             break
     return cands if cands is not None else set()
 
@@ -213,9 +233,11 @@ def _twist(curve: FpCurve) -> FpCurve:
 def count_points_bsgs(curve: FpCurve) -> int:
     """|E(F_p)| by BSGS order finding over the Hasse interval.
 
-    Ambiguities are first resolved against the quadratic twist (the two
-    orders sum to 2p + 2); if a unique order still cannot be certified the
-    naive sweep decides.
+    Ambiguities are resolved against the quadratic twist (the two orders
+    sum to 2p + 2), which always suffices above Mestre's bound p > 229 once
+    the sampled points' orders reach the group exponent.  If a unique order
+    still cannot be certified, the naive sweep decides for p <= 2^16; above
+    that an InternalConsistencyError names the curve.
     """
     p = curve.p
     s = isqrt(4 * p)
@@ -223,12 +245,19 @@ def count_points_bsgs(curve: FpCurve) -> int:
     width = 2 * s + 1
     cands = _order_candidates(curve, lo, width)
     if len(cands) == 1:
-        return cands.pop()
+        return next(iter(cands))
     twist_cands = _order_candidates(_twist(curve), lo, width)
-    pairs = [n for n in cands if 2 * p + 2 - n in twist_cands]
+    if len(cands) <= len(twist_cands):
+        pairs = [n for n in cands if 2 * p + 2 - n in twist_cands]
+    else:
+        pairs = [2 * p + 2 - n for n in twist_cands if 2 * p + 2 - n in cands]
     if len(pairs) == 1:
         return pairs[0]
-    return count_points_naive(curve)
+    if p <= _FALLBACK_LIMIT:
+        return count_points_naive(curve)
+    raise InternalConsistencyError(
+        f"BSGS left {len(pairs)} candidate orders for {curve} with its twist"
+    )
 
 
 def count_points(curve: FpCurve) -> int:

@@ -12,6 +12,7 @@ from math import isqrt
 
 from .arith import is_prime, kronecker_symbol
 from .errors import DomainError, InternalConsistencyError, NoSolutionError
+from .fp import _qr_table
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -102,11 +103,7 @@ def anomalous_residues_d3(p: int) -> list[int]:
     if p % 6 == 0 or p not in anomalous_primes(field, p):
         raise DomainError(f"p={p} is not an anomalous prime for {field}")
     cubes = [x * x % p * x % p for x in range(p)]
-    qr = bytearray(p)
-    s = 0
-    for i in range(1, (p - 1) // 2 + 1):
-        s = (s + 2 * i - 1) % p
-        qr[s] = 1
+    qr = _qr_table(p)
     residues = []
     for c in range(1, p):
         total = p + 1

@@ -245,7 +245,7 @@ def build_row(
         tval = None
         names: list[str] = []
         if eligible:
-            fired = brauer_middle_term_verdict(curve, cm_field, p, cm_asserted=True)
+            fired = brauer_middle_term_verdict(curve, cm_field, p, cm_asserted=True, reduction=r)
             names = [v.name for v in fired]
             if gen is not None:
                 dec = decompose_point(curve, gen, p, precision)

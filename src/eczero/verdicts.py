@@ -253,14 +253,20 @@ def cm_tower_verdict(curve: Curve, cm_field: ImagQuadField, p: int, n: int) -> V
 
 
 def brauer_middle_term_verdict(
-    curve: Curve, cm_field: ImagQuadField, p: int, cm_asserted: bool = False
+    curve: Curve,
+    cm_field: ImagQuadField,
+    p: int,
+    cm_asserted: bool = False,
+    reduction: ReductionType | None = None,
 ) -> list[Verdict]:
     """The (Z/p)^2 middle term and Brauer vanishing at an anomalous split prime.
 
     Machine-verified: p >= 5 prime, p splits in the CM field, the model is
     good at p (p does not divide the minimal discriminant, standing in for
     conductor coprimality) and the reduction is anomalous.  The CM
-    hypothesis itself must be asserted by the caller.
+    hypothesis itself must be asserted by the caller.  A caller that has
+    already computed ``reduction_type(curve, p)`` passes it as ``reduction``
+    so that the points at p are not counted twice.
     """
     if not cm_asserted:
         return []
@@ -269,7 +275,7 @@ def brauer_middle_term_verdict(
     if not splits_completely(cm_field, p):
         return []
     # reduction_type minimizes the model; anomalous implies good ordinary
-    r = reduction_type(curve, p)
+    r = reduction if reduction is not None else reduction_type(curve, p)
     if not r.anomalous:
         return []
     used = [

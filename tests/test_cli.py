@@ -57,6 +57,10 @@ def test_check_curve_reports_splitting():
     assert payload["trace_compatible_discs"] == [-3]
     text = run("check-curve", "--a", "0", "--b", "-2", "--p", "7")
     assert "anomalous" in text.output and "Q(sqrt(-3))" in text.output
+    # a CM curve's trace is always compatible with its own field: 4p = a_p^2 + 11 v^2
+    res = run("check-curve", "--a", "-1056", "--b", "13552", "--p", "1000033", "--json")
+    payload = json.loads(res.output)
+    assert payload["splits"]["-11"] is True and -11 in payload["trace_compatible_discs"]
 
 
 def test_lift_torsion_json():

@@ -1,10 +1,13 @@
 import random
+import re
+import tracemalloc
 from math import isqrt
 
 import pytest
 
+import eczero.fp
 from eczero.arith import is_prime, kronecker_symbol
-from eczero.errors import DomainError, UnsupportedModulusError
+from eczero.errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 from eczero.fp import (
     FpCurve,
     FpPoint,
@@ -205,3 +208,117 @@ def test_associativity_sampled():
         lhs = fp_add(curve, fp_add(curve, P, Q), R)
         rhs = fp_add(curve, P, fp_add(curve, Q, R))
         assert lhs == rhs
+
+
+# The paper's four CM curves and two without CM.
+SWEEP_CURVES = ((0, -2), (-4, 0), (-1056, 13552), (-152, 722), (-1, 1), (3, 7))
+
+
+def _naive_must_not_run(curve):
+    raise AssertionError(f"naive sweep ran for {curve}")
+
+
+def _random_curve(rng, p):
+    while True:
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b**2) % p:
+            return FpCurve(p, a, b)
+
+
+def test_bsgs_alone_matches_naive_above_mestre_bound(monkeypatch):
+    # Above p = 229 BSGS with the twist decides every order by itself: the
+    # naive sweep is neither the route nor a fallback.
+    naive = count_points_naive
+    monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
+    rng = random.Random(230)
+    classes = set()
+    for i in range(48):
+        # log-uniform in [230, 2^16], cycling through the four classes of
+        # ((-2|p), (-3|p)), which fix the small torsion of y^2 = x^3 - 2 and
+        # y^2 = x^3 - 4x at x = 0
+        want = ((1, 1), (1, -1), (-1, 1), (-1, -1))[i % 4]
+        p = int(230 * (2**16 / 230) ** rng.random())
+        while not (is_prime(p) and (kronecker_symbol(-2, p), kronecker_symbol(-3, p)) == want):
+            p += 1
+        classes.add(want)
+        curves = [FpCurve(p, a, b) for a, b in SWEEP_CURVES if (4 * a**3 + 27 * b**2) % p]
+        curves.append(_random_curve(rng, p))
+        for curve in curves:
+            assert count_points(curve) == naive(curve), curve
+    assert len(classes) == 4
+
+
+def test_router_switches_at_mestre_bound(monkeypatch):
+    E229 = FpCurve(229, 1, 1)
+    expected = count_points_naive(E229)
+    calls = []
+    monkeypatch.setattr(eczero.fp, "count_points_naive", lambda c: calls.append(c) or expected)
+    assert count_points(E229) == expected
+    assert calls == [E229]
+    monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
+    for p in (233, 239, 20011, (1 << 20) + 7, (1 << 40) - 87):
+        assert is_prime(p)
+        for a, b in SWEEP_CURVES:
+            if (4 * a**3 + 27 * b**2) % p:
+                count_points(FpCurve(p, a, b))
+
+
+def _twist_of(curve):
+    p = curve.p
+    g = next(g for g in range(2, p) if kronecker_symbol(g, p) == -1)
+    return FpCurve(p, curve.a * g * g, curve.b * g**3)
+
+
+@pytest.mark.parametrize("ab", [(0, -2), (-4, 0)])
+def test_small_order_points_near_2_40_stay_small(ab):
+    # At this p, x = 0 gives y^2 = x^3 - 2 a point of order 3 and
+    # y^2 = x^3 - 4x one of order 2: their multiples in the Hasse interval
+    # number in the millions and must not be listed.
+    p = 1099511627609
+    curve = FpCurve(p, *ab)
+    tracemalloc.start()
+    try:
+        n = count_points(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert abs(p + 1 - n) <= isqrt(4 * p)
+    twist = _twist_of(curve)
+    for E, order in ((curve, n), (twist, 2 * p + 2 - n)):
+        for x in range(40):
+            P = point_at_x(E, x)
+            if P is not None:
+                assert fp_scalar_mul(E, order, P).is_identity
+
+
+def test_kill_set_intersection_matches_set_intersection():
+    # A small order's kill set is kept as the progression of its multiples
+    # in [lo, lo + width); intersecting must agree with the sets it stands for.
+    lo, width = 1000, 127
+    rng = random.Random(4)
+    for _ in range(300):
+        steps = (rng.randint(1, 40), rng.randint(1, 40))
+        u, v = (range(lo + (-lo) % k, lo + width, k) for k in steps)
+        hits = set(rng.sample(range(lo, lo + width), rng.randint(0, 12)))
+        for x, y in ((u, v), (u, hits), (hits, v), (hits, set(v))):
+            assert set(eczero.fp._intersect(x, y, lo, width)) == set(x) & set(y)
+
+
+def _ambiguous(curve, lo, width, max_points=24):
+    return range(lo, lo + width)
+
+
+def test_ambiguous_bsgs_falls_back_to_naive_up_to_2_16(monkeypatch):
+    curve = FpCurve(20011, 3, 7)
+    expected = count_points_naive(curve)
+    monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
+    assert count_points_bsgs(curve) == expected
+
+
+def test_ambiguous_bsgs_raises_above_2_16(monkeypatch):
+    curve = FpCurve((1 << 20) + 7, 2, 3)
+    monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
+    monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
+    with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
+        count_points(curve)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import eczero.survey
+import eczero.verdicts
 from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import ImagQuadField
 from eczero.rational import Curve, QPoint
@@ -209,6 +210,28 @@ def test_build_row_for_ingested_record():
     assert row.label == "E0"
     assert row.formal_nontrivial is not None
 
+
+
+def test_build_row_classifies_reduction_once(monkeypatch):
+    # build_row hands its ReductionType to the verdict, so points at p are
+    # counted once per row.
+    expected = build_row(Curve(0, -2), 7, ImagQuadField(-3), height=100)
+    calls = []
+    real = eczero.survey.reduction_type
+
+    def counted(curve, p):
+        calls.append((curve, p))
+        return real(curve, p)
+
+    def must_not_run(curve, p):
+        raise AssertionError("the verdict classified the reduction again")
+
+    monkeypatch.setattr(eczero.survey, "reduction_type", counted)
+    monkeypatch.setattr(eczero.verdicts, "reduction_type", must_not_run)
+    row = build_row(Curve(0, -2), 7, ImagQuadField(-3), height=100)
+    assert row == expected
+    assert row.error is None and len(row.verdicts) == 3
+    assert calls == [(Curve(0, -2), 7)]
 
 def test_build_row_captures_errors():
     # ingested generator that is not on the curve

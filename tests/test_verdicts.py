@@ -6,7 +6,7 @@ import pytest
 from eczero.errors import DomainError
 from eczero.localpoints import decompose_point
 from eczero.quadfields import ImagQuadField
-from eczero.rational import Curve, QPoint
+from eczero.rational import Curve, QPoint, ReductionKind, ReductionType, reduction_type
 from eczero.verdicts import (
     CITATIONS,
     AdmissibilityConfig,
@@ -130,6 +130,17 @@ def test_brauer_middle_term_ablations():
     # p < 5
     assert brauer_middle_term_verdict(E_CUBIC, K3, 3, cm_asserted=True) == []
 
+
+
+def test_brauer_middle_term_checks_a_handed_in_reduction():
+    r = reduction_type(E_CUBIC, 7)
+    assert brauer_middle_term_verdict(E_CUBIC, K3, 7, cm_asserted=True, reduction=r) == (
+        brauer_middle_term_verdict(E_CUBIC, K3, 7, cm_asserted=True)
+    )
+    not_anomalous = ReductionType(ReductionKind.GOOD_ORDINARY, trace=2)
+    assert brauer_middle_term_verdict(
+        E_CUBIC, K3, 7, cm_asserted=True, reduction=not_anomalous
+    ) == []
 
 def test_brauer_agrees_with_anomalous_and_split_sample():
     from eczero.fp import FpCurve, is_anomalous
