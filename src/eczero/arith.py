@@ -1,14 +1,14 @@
 """Exact integer and modular arithmetic primitives.
 
 Everything here is pure and deterministic: primality is decided by a
-Miller-Rabin witness set that is exact for the whole 64-bit range, and
+Miller-Rabin witness set that is exact for the whole 64-bit range,
 square roots / Cornacchia representations are computed with integer
-arithmetic only.
+arithmetic only, and one generic double-and-add serves every group law.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError, UnsupportedModulusError
 
@@ -170,8 +170,18 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
     return u, v
 
 
-def modinv(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises DomainError when gcd(a, m) != 1."""
-    if gcd(a % m, m) != 1:
-        raise DomainError(f"{a} is not invertible modulo {m}")
-    return pow(a, -1, m)
+def double_and_add(add, k: int, P, zero):
+    """[k]P for k >= 0 in the group with addition `add` and identity `zero`.
+
+    Right-to-left binary method; every bit of k, the top one included, is
+    followed by a doubling.  The F_p, Q and Q_p scalar multiplications all
+    run this one loop.
+    """
+    R = zero
+    Q = P
+    while k:
+        if k & 1:
+            R = add(R, Q)
+        Q = add(Q, Q)
+        k >>= 1
+    return R

@@ -266,7 +266,6 @@ def verdict_cmd(
         e2,
         p,
         base_unramified=unramified or None,
-        cm_disc=disc if cm else None,
         torsion_level=torsion_level,
         wild_ramification=wild_ramification or None,
         trivial_ns_action=trivial_ns or None,

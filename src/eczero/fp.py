@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt, lcm
 
-from .arith import is_prime, kronecker_symbol, sqrt_mod_p
+from .arith import double_and_add, is_prime, kronecker_symbol, sqrt_mod_p
 from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
 # Mestre's bound (J.-F. Mestre; R. Schoof, "Counting points on elliptic
@@ -100,20 +101,6 @@ def _add(p: int, a: int, P, Q):
     return (x3, y3)
 
 
-def _mul(p: int, a: int, k: int, P):
-    if k < 0:
-        k = -k
-        P = (P[0], (-P[1]) % p) if P[0] is not None else P
-    R = (None, None)
-    Q = P
-    while k:
-        if k & 1:
-            R = _add(p, a, R, Q)
-        Q = _add(p, a, Q, Q)
-        k >>= 1
-    return R
-
-
 def fp_neg(curve: FpCurve, point: FpPoint) -> FpPoint:
     if point.is_identity:
         return point
@@ -128,7 +115,9 @@ def fp_add(curve: FpCurve, P: FpPoint, Q: FpPoint) -> FpPoint:
 
 def fp_scalar_mul(curve: FpCurve, k: int, P: FpPoint) -> FpPoint:
     """[k]P by double-and-add; [0]P = O and [-k]P = -[k]P."""
-    x, y = _mul(curve.p, curve.a, k, (P.x, P.y))
+    if k < 0:
+        k, P = -k, fp_neg(curve, P)
+    x, y = double_and_add(partial(_add, curve.p, curve.a), k, (P.x, P.y), (None, None))
     return FpPoint(x, y)
 
 
@@ -166,7 +155,8 @@ def count_points_naive(curve: FpCurve) -> int:
 def _kill_values(curve: FpCurve, P, lo: int, width: int) -> range | set[int]:
     # All n in [lo, lo + width) with [n]P = O.  A small order comes back as
     # the progression of its multiples, which may hold millions of numbers.
-    p, a = curve.p, curve.a
+    p = curve.p
+    add = partial(_add, p, curve.a)
     m = isqrt(width) + 1
     table: dict[tuple, int] = {}
     R = (None, None)
@@ -177,10 +167,10 @@ def _kill_values(curve: FpCurve, P, lo: int, width: int) -> range | set[int]:
             order = j - table[R]
             return range(lo + (-lo) % order, lo + width, order)
         table[R] = j
-        R = _add(p, a, R, P)
+        R = add(R, P)
     hits = set()
-    base = _mul(p, a, lo, P)
-    stride = _mul(p, a, m, P)
+    base = double_and_add(add, lo, P, (None, None))
+    stride = double_and_add(add, m, P, (None, None))
     G = base
     i = 0
     while i * m < width:
@@ -189,7 +179,7 @@ def _kill_values(curve: FpCurve, P, lo: int, width: int) -> range | set[int]:
         j = table.get(negG)
         if j is not None and i * m + j < width:
             hits.add(lo + i * m + j)
-        G = _add(p, a, G, stride)
+        G = add(G, stride)
         i += 1
     return hits
 

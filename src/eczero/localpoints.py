@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
+from .arith import double_and_add
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -31,7 +33,7 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, count_points
-from .padic import DEFAULT_PRECISION, PadicNumber, pval
+from .padic import DEFAULT_PRECISION, PadicNumber, _make, newton_lift, pval
 from .rational import (
     Curve,
     QPoint,
@@ -118,16 +120,10 @@ def qp_add(curve: Curve, P: QpPoint, Q: QpPoint) -> QpPoint:
 
 
 def qp_scalar_mul(curve: Curve, k: int, P: QpPoint) -> QpPoint:
+    """[k]P by double-and-add; [0]P = O and [-k]P = -[k]P."""
     if k < 0:
-        return qp_scalar_mul(curve, -k, qp_neg(P))
-    R = QpPoint.identity()
-    Q = P
-    while k:
-        if k & 1:
-            R = qp_add(curve, R, Q)
-        Q = qp_add(curve, Q, Q)
-        k >>= 1
-    return R
+        k, P = -k, qp_neg(P)
+    return double_and_add(partial(qp_add, curve), k, P, QpPoint.identity())
 
 
 def reduce_point(curve: Curve, point: QpPoint, p: int) -> FpPoint:
@@ -177,30 +173,14 @@ def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DE
     if layer < 1:
         raise DomainError("layer must be >= 1")
     m = layer
-    work = precision + 6 * m + 2
-    mod = p**work
     # y = p^(-3m) * sqrt(u), u = 1 + a p^(4m) + b p^(6m)
-    u = (1 + curve.a * p ** (4 * m) + curve.b * p ** (6 * m)) % mod
-    y_unit = _sqrt_matching(u, 1, p, work)
+    u = 1 + curve.a * p ** (4 * m) + curve.b * p ** (6 * m)
     x = PadicNumber.from_fraction(Fraction(1, p ** (2 * m)), p, precision + 2)
-    y = PadicNumber(p, -3 * m, y_unit % p ** (precision + 2), precision + 2)
+    y = newton_lift([-u, 0, 1], 1, p, precision + 2).shift(-3 * m)
     point = QpPoint(x, y)
     if not on_curve(curve, point):
         raise InternalConsistencyError("formal layer point failed the curve equation")
     return point
-
-
-def _sqrt_matching(g: int, y0: int, p: int, k: int) -> int:
-    # square root of g mod p^k congruent to y0 mod p (g a unit square, p odd)
-    if y0 % p == 0 or (y0 * y0 - g) % p != 0:
-        raise InternalConsistencyError("bad square-root seed")
-    y = y0 % p
-    reach = 1
-    while reach < k:
-        reach = min(2 * reach, k)
-        mod = p**reach
-        y = (y + g * pow(y, -1, mod)) * pow(2, -1, mod) % mod
-    return y
 
 
 def _require_anomalous(curve: Curve, p: int) -> FpCurve:
@@ -253,24 +233,12 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
         )
 
     g = (x * x % mod * x + curve.a * x + curve.b) % mod
-    y = _sqrt_matching(g, target.y, p, work)
-    point = QpPoint(
-        _integral_padic(x, p, precision),
-        _integral_padic(y, p, precision),
-    )
+    point = QpPoint(_make(p, x, precision), newton_lift([-g, 0, 1], target.y, p, precision))
     if reduce_point(curve, point, p) != target:
         raise InternalConsistencyError("torsion lift does not reduce to its target")
     if not qp_scalar_mul(curve, p, point).is_identity:
         raise SplitHypothesisError("candidate torsion lift is not annihilated by p")
     return point
-
-
-def _integral_padic(residue: int, p: int, abs_prec: int) -> PadicNumber:
-    residue %= p**abs_prec
-    if residue == 0:
-        return PadicNumber.zero(p, abs_prec)
-    v = pval(residue, p)
-    return PadicNumber(p, v, (residue // p**v) % p ** (abs_prec - v), abs_prec - v)
 
 
 @dataclass(frozen=True)

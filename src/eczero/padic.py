@@ -259,6 +259,23 @@ def padic_div(a: PadicNumber, b: PadicNumber) -> PadicNumber:
     return a / b
 
 
+def poly_eval(u: list[int], x, mod: int | None = None):
+    """u(x) by Horner's rule, coefficients in ascending order; reduced mod `mod` if given."""
+    acc = 0
+    for c in reversed(u):
+        acc = acc * x + c
+        if mod is not None:
+            acc %= mod
+    return acc
+
+
+def poly_deriv(u: list[int]) -> list[int]:
+    """Formal derivative, coefficients in ascending order; [0] for a constant."""
+    if len(u) <= 1:
+        return [0]
+    return [i * c for i, c in enumerate(u)][1:]
+
+
 def newton_lift(f: list[int], r0: int, p: int, precision: int) -> PadicNumber:
     """The unique root r = r0 (mod p) of f in Z_p, to absolute precision N.
 
@@ -269,24 +286,17 @@ def newton_lift(f: list[int], r0: int, p: int, precision: int) -> PadicNumber:
         raise DomainError("newton_lift requires a prime p")
     if precision < 1:
         raise DomainError("precision must be >= 1")
-    fprime = [i * c for i, c in enumerate(f)][1:] or [0]
-
-    def ev(poly, x, mod):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % mod
-        return acc
-
+    fprime = poly_deriv(f)
     r0 %= p
-    if ev(f, r0, p) != 0:
+    if poly_eval(f, r0, p) != 0:
         raise DomainError(f"{r0} is not a root of f modulo {p}")
-    if ev(fprime, r0, p) == 0:
+    if poly_eval(fprime, r0, p) == 0:
         raise NonSimpleRootError("f'(r0) = 0 mod p: Hensel's condition fails")
     x = r0
     k = 1
     while k < precision:
         k = min(2 * k, precision)
         mod = p**k
-        d = ev(fprime, x, mod)
-        x = (x - ev(f, x, mod) * pow(d, -1, mod)) % mod
+        d = poly_eval(fprime, x, mod)
+        x = (x - poly_eval(f, x, mod) * pow(d, -1, mod)) % mod
     return _make(p, x % p**precision, precision)

@@ -12,7 +12,7 @@ from math import isqrt
 
 from .arith import is_prime, kronecker_symbol
 from .errors import DomainError, InternalConsistencyError, NoSolutionError
-from .fp import _qr_table
+from .fp import FpCurve, is_anomalous
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
@@ -94,7 +94,7 @@ def anomalous_primes(field: ImagQuadField, bound: int) -> list[int]:
 
 
 def anomalous_residues_d3(p: int) -> list[int]:
-    """All c in 1..p-1 with |{y^2 = x^3 + c over F_p}| = p, by exhaustive count.
+    """All c in 1..p-1 with |{y^2 = x^3 + c over F_p}| = p, counting each curve.
 
     Valid for anomalous primes of Q(sqrt(-3)) away from 6; the returned list
     must have exactly (p-1)/6 members, anything else is an internal bug.
@@ -102,17 +102,7 @@ def anomalous_residues_d3(p: int) -> list[int]:
     field = ImagQuadField(-3)
     if p % 6 == 0 or p not in anomalous_primes(field, p):
         raise DomainError(f"p={p} is not an anomalous prime for {field}")
-    cubes = [x * x % p * x % p for x in range(p)]
-    qr = _qr_table(p)
-    residues = []
-    for c in range(1, p):
-        total = p + 1
-        for x3 in cubes:
-            t = (x3 + c) % p
-            if t:
-                total += 1 if qr[t] else -1
-        if total == p:
-            residues.append(c)
+    residues = [c for c in range(1, p) if is_anomalous(FpCurve(p, 0, c))]
     if len(residues) != (p - 1) // 6:
         raise InternalConsistencyError(
             f"expected (p-1)/6 = {(p - 1) // 6} anomalous residues mod {p}, "

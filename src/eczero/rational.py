@@ -1,5 +1,6 @@
 """Global Weierstrass models over Q: invariants, per-prime minimization,
-reduction-type classification, bounded point search and division polynomials.
+reduction-type classification, bounded point search and pointwise
+division-polynomial evaluation.
 
 Models are short Weierstrass y^2 = x^3 + a*x + b with exact integer
 coefficients; long models [a1, a2, a3, a4, a6] are accepted for ingestion
@@ -18,9 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
-from .arith import is_prime, kronecker_symbol
+from .arith import double_and_add, is_prime, kronecker_symbol
 from .errors import DomainError
 from .fp import FpCurve, trace_of_frobenius
 
@@ -108,16 +110,10 @@ def q_add(curve: Curve, P: QPoint, Q: QPoint) -> QPoint:
 
 
 def q_scalar_mul(curve: Curve, k: int, P: QPoint) -> QPoint:
+    """[k]P by double-and-add; [0]P = O and [-k]P = -[k]P."""
     if k < 0:
-        return q_scalar_mul(curve, -k, q_neg(P))
-    R = QPoint.identity()
-    Q = P
-    while k:
-        if k & 1:
-            R = q_add(curve, R, Q)
-        Q = q_add(curve, Q, Q)
-        k >>= 1
-    return R
+        k, P = -k, q_neg(P)
+    return double_and_add(partial(q_add, curve), k, P, QPoint.identity())
 
 
 # Mazur: a rational point of finite order has order at most 12.
@@ -322,112 +318,9 @@ def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
 
 # --- division polynomials -------------------------------------------------
 #
-# psi_m is stored through the y-free family P_n: psi_n = P_n for odd n and
-# psi_n = 2y * P_n for even n, with y^2 eliminated via f = x^3 + a x + b.
-
-Poly = list
-
-
-def poly_add(u: Poly, v: Poly) -> Poly:
-    n = max(len(u), len(v))
-    out = [0] * n
-    for i, c in enumerate(u):
-        out[i] += c
-    for i, c in enumerate(v):
-        out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_sub(u: Poly, v: Poly) -> Poly:
-    return poly_add(u, [-c for c in v])
-
-
-def poly_mul(u: Poly, v: Poly) -> Poly:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ci in enumerate(u):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(v):
-            out[i + j] += ci * cj
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_scale(u: Poly, c: int) -> Poly:
-    return [c * ci for ci in u]
-
-
-def poly_eval(u: Poly, x, mod: int | None = None):
-    acc = 0
-    for c in reversed(u):
-        acc = acc * x + c
-        if mod is not None:
-            acc %= mod
-    return acc
-
-
-def poly_deriv(u: Poly) -> Poly:
-    if len(u) <= 1:
-        return [0]
-    return [i * c for i, c in enumerate(u)][1:]
-
-
-def poly_degree(u: Poly) -> int:
-    d = len(u) - 1
-    while d > 0 and u[d] == 0:
-        d -= 1
-    return d
-
-
-class _DivisionPolynomials:
-    """Cache of the y-free division polynomial family for one curve."""
-
-    def __init__(self, a: int, b: int):
-        self.a, self.b = a, b
-        f = [b, a, 0, 1]
-        self.f = f
-        self.cache: dict[int, Poly] = {
-            0: [0],
-            1: [1],
-            2: [1],
-            3: [-a * a, 12 * b, 6 * a, 0, 3],
-            4: poly_scale(
-                [-(a**3) - 8 * b * b, -4 * a * b, -5 * a * a, 20 * b, 5 * a, 0, 1], 2
-            ),
-        }
-        self.f_sq = poly_mul(f, f)
-
-    def get(self, n: int) -> Poly:
-        if n in self.cache:
-            return self.cache[n]
-        m = n // 2
-        if n % 2 == 1:
-            t1 = poly_mul(self.get(m + 2), poly_mul(self.get(m), poly_mul(self.get(m), self.get(m))))
-            t2 = poly_mul(self.get(m - 1), poly_mul(self.get(m + 1), poly_mul(self.get(m + 1), self.get(m + 1))))
-            if m % 2 == 0:
-                out = poly_sub(poly_scale(poly_mul(self.f_sq, t1), 16), t2)
-            else:
-                out = poly_sub(t1, poly_scale(poly_mul(self.f_sq, t2), 16))
-        else:
-            t1 = poly_mul(self.get(m + 2), poly_mul(self.get(m - 1), self.get(m - 1)))
-            t2 = poly_mul(self.get(m - 2), poly_mul(self.get(m + 1), self.get(m + 1)))
-            out = poly_mul(self.get(m), poly_sub(t1, t2))
-        self.cache[n] = out
-        return out
-
-
-def division_polynomial(curve: Curve, m: int) -> Poly:
-    """psi_m as a univariate integer polynomial (odd m >= 3), ascending powers.
-
-    Its degree is (m^2 - 1)/2 and its roots are the x-coordinates of the
-    nonzero m-torsion points.
-    """
-    if m < 3 or m % 2 == 0:
-        raise DomainError("division_polynomial is defined here for odd m >= 3")
-    return _DivisionPolynomials(curve.a, curve.b).get(m)
+# psi_m is never expanded: for odd m the y-free family P_n (psi_n = P_n for
+# odd n, psi_n = 2y * P_n for even n, with y^2 eliminated via
+# f = x^3 + a x + b) is run pointwise on dual numbers.
 
 
 class _Dual:

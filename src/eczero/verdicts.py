@@ -128,8 +128,6 @@ class HypothesisRecord:
     base_unramified: Fact | None = None
     e1_reduction: Fact | None = None
     e2_reduction: Fact | None = None
-    anomalous: Fact | None = None
-    cm_disc: Fact | None = None
     torsion_level: Fact | None = None
     wild_ramification: Fact | None = None
     trivial_ns_action: Fact | None = None
@@ -143,7 +141,6 @@ class HypothesisRecord:
         p: int,
         *,
         base_unramified: bool | None = None,
-        cm_disc: int | None = None,
         torsion_level: int | None = None,
         wild_ramification: bool | None = None,
         trivial_ns_action: bool | None = None,
@@ -159,8 +156,6 @@ class HypothesisRecord:
             base_unramified=None if base_unramified is None else asserted(base_unramified),
             e1_reduction=None if r1 is None else verified(r1),
             e2_reduction=None if r2 is None else verified(r2),
-            anomalous=None if r1 is None else verified(r1.anomalous),
-            cm_disc=None if cm_disc is None else asserted(cm_disc),
             torsion_level=None if torsion_level is None else asserted(torsion_level),
             wild_ramification=None if wild_ramification is None else asserted(wild_ramification),
             trivial_ns_action=None if trivial_ns_action is None else asserted(trivial_ns_action),

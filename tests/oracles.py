@@ -8,6 +8,9 @@ E(Q_p)/p = (Z/p)^2 by enumerating the classes of a*T0 + b*G1 over a
 p-torsion generator T0 and a depth-1 formal point G1, deciding membership
 in p*E(Q_p) by "reduces to the identity and the formal parameter has
 valuation >= 2".  It never consults decompose_point's F-component path.
+The division-polynomial oracle expands psi_m as an integer polynomial by
+the classical recurrence, for checking the library's pointwise evaluator.
+The point-count oracle tries every (x, y) in F_p^2.
 """
 
 from eczero.localpoints import (
@@ -20,6 +23,7 @@ from eczero.localpoints import (
     reduce_point,
     t_parameter,
 )
+from eczero.errors import DomainError
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from math import isqrt
@@ -86,3 +90,104 @@ def decompose_class_oracle(curve: Curve, point: QPoint, p: int, precision: int =
 
 def formal_nontrivial_oracle(curve: Curve, point: QPoint, p: int, precision: int = 24) -> bool:
     return decompose_class_oracle(curve, point, p, precision)[1] != 0
+
+
+def count_points_oracle(p: int, a: int, b: int) -> int:
+    """|E(F_p)| for y^2 = x^3 + a x + b: every (x, y) in F_p^2, plus the identity."""
+    return 1 + sum((y * y - x * x * x - a * x - b) % p == 0 for x in range(p) for y in range(p))
+
+
+# --- expanded division polynomials -----------------------------------------
+#
+# psi_m is stored through the y-free family P_n: psi_n = P_n for odd n and
+# psi_n = 2y * P_n for even n, with y^2 eliminated via f = x^3 + a x + b.
+# Polynomials are integer coefficient lists in ascending powers.
+
+Poly = list
+
+
+def poly_add(u: Poly, v: Poly) -> Poly:
+    n = max(len(u), len(v))
+    out = [0] * n
+    for i, c in enumerate(u):
+        out[i] += c
+    for i, c in enumerate(v):
+        out[i] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_sub(u: Poly, v: Poly) -> Poly:
+    return poly_add(u, [-c for c in v])
+
+
+def poly_mul(u: Poly, v: Poly) -> Poly:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ci in enumerate(u):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(v):
+            out[i + j] += ci * cj
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_scale(u: Poly, c: int) -> Poly:
+    return [c * ci for ci in u]
+
+
+def poly_degree(u: Poly) -> int:
+    d = len(u) - 1
+    while d > 0 and u[d] == 0:
+        d -= 1
+    return d
+
+
+class _DivisionPolynomials:
+    """Cache of the y-free division polynomial family for one curve."""
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+        f = [b, a, 0, 1]
+        self.f = f
+        self.cache: dict[int, Poly] = {
+            0: [0],
+            1: [1],
+            2: [1],
+            3: [-a * a, 12 * b, 6 * a, 0, 3],
+            4: poly_scale(
+                [-(a**3) - 8 * b * b, -4 * a * b, -5 * a * a, 20 * b, 5 * a, 0, 1], 2
+            ),
+        }
+        self.f_sq = poly_mul(f, f)
+
+    def get(self, n: int) -> Poly:
+        if n in self.cache:
+            return self.cache[n]
+        m = n // 2
+        if n % 2 == 1:
+            t1 = poly_mul(self.get(m + 2), poly_mul(self.get(m), poly_mul(self.get(m), self.get(m))))
+            t2 = poly_mul(self.get(m - 1), poly_mul(self.get(m + 1), poly_mul(self.get(m + 1), self.get(m + 1))))
+            if m % 2 == 0:
+                out = poly_sub(poly_scale(poly_mul(self.f_sq, t1), 16), t2)
+            else:
+                out = poly_sub(t1, poly_scale(poly_mul(self.f_sq, t2), 16))
+        else:
+            t1 = poly_mul(self.get(m + 2), poly_mul(self.get(m - 1), self.get(m - 1)))
+            t2 = poly_mul(self.get(m - 2), poly_mul(self.get(m + 1), self.get(m + 1)))
+            out = poly_mul(self.get(m), poly_sub(t1, t2))
+        self.cache[n] = out
+        return out
+
+
+def division_polynomial(curve: Curve, m: int) -> Poly:
+    """psi_m as a univariate integer polynomial (odd m >= 3), ascending powers.
+
+    Its degree is (m^2 - 1)/2 and its roots are the x-coordinates of the
+    nonzero m-torsion points.
+    """
+    if m < 3 or m % 2 == 0:
+        raise DomainError("division_polynomial is defined here for odd m >= 3")
+    return _DivisionPolynomials(curve.a, curve.b).get(m)

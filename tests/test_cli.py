@@ -201,6 +201,11 @@ def test_one_version_string():
     assert res.output == f"eczero, version {version}\n"
 
 
+def test_every_public_name_resolves():
+    # a name deleted from a module must leave __all__ too
+    assert [name for name in eczero.__all__ if not hasattr(eczero, name)] == []
+
+
 def test_json_flag_everywhere():
     cases = [
         ("anomalous-primes", "--disc", "-3", "--bound", "50", "--json"),

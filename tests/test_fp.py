@@ -84,6 +84,24 @@ def test_scalar_mul_basics():
     assert fp_scalar_mul(E7, -2, P) == fp_neg(E7, fp_scalar_mul(E7, 2, P))
 
 
+def test_scalar_mul_matches_repeated_addition():
+    # [k]P against |k| chord-tangent additions of P (of -P for k < 0), k in [-13, 13]
+    rng = random.Random(6)
+    for p in (5, 7, 13, 31, 251, 1009):
+        while True:
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a**3 + 27 * b**2) % p:
+                break
+        curve = FpCurve(p, a, b)
+        P = next(Q for x in range(p) if (Q := point_at_x(curve, x)) is not None)
+        for k in range(-13, 14):
+            step = P if k >= 0 else fp_neg(curve, P)
+            expected = FpPoint.identity()
+            for _ in range(abs(k)):
+                expected = fp_add(curve, expected, step)
+            assert fp_scalar_mul(curve, k, P) == expected, (curve, k)
+
+
 def test_order_annihilates_random_points():
     rng = random.Random(5)
     for _ in range(10):

@@ -6,19 +6,16 @@ import pytest
 from eczero.arith import sqrt_mod_p
 from eczero.errors import DomainError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, is_anomalous
+from eczero.padic import poly_deriv, poly_eval
 from eczero.rational import (
     Curve,
     QPoint,
     ReductionKind,
     curve_from_long_weierstrass,
-    division_polynomial,
     divpoly_eval_with_derivative,
     long_point_to_short,
     minimal_at_p,
     naive_point_search,
-    poly_degree,
-    poly_deriv,
-    poly_eval,
     q_add,
     q_neg,
     q_scalar_mul,
@@ -26,7 +23,7 @@ from eczero.rational import (
     torsion_order,
 )
 
-from oracles import point_search_oracle, torsion_order_oracle
+from oracles import division_polynomial, point_search_oracle, poly_degree, torsion_order_oracle
 
 
 def test_curve_rejects_singular():

@@ -228,7 +228,6 @@ def test_monotonicity_unrelated_facts_do_not_change_verdicts():
         torsion_level=asserted(2),
         wild_ramification=asserted(True),
         trivial_ns_action=asserted(True),
-        cm_disc=asserted(-4),
     )
     v2 = divisibility_verdict(h2)
     assert v1 == v2
