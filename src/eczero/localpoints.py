@@ -17,6 +17,13 @@ iteration exploits that the Newton quotient is a genuine element of Q_p
 approximation, and monitors the valuation of f at every step.  A stall
 means no Q_p-rational lift exists and is reported as a violation of the
 torsion-splitting hypothesis.
+
+The lift is then checked by [p]T0 = O, computed on plain integers modulo
+p^precision in Jacobian coordinates, so no step inverts anything.  The
+valuation of the final Z decides: v(Z) >= precision passes, v(Z) <=
+precision - MIN_RELATIVE_PRECISION raises SplitHypothesisError, and a
+valuation in between raises PrecisionExhaustedError, on which
+decompose_point retries at doubled precision.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, count_points
-from .padic import DEFAULT_PRECISION, PadicNumber, _make, newton_lift, pval
+from .padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, PadicNumber, _make, newton_lift, pval
 from .rational import (
     Curve,
     QPoint,
@@ -198,6 +205,12 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     Requires an anomalous good model at p and a nonzero target.  Raises
     SplitHypothesisError when the Newton iteration on the division
     polynomial stalls, i.e. when no Q_p-rational lift exists.
+
+    The lift is checked by computing [p]T0 in Jacobian coordinates modulo
+    p^precision.  If v(Z) >= precision it passes; v(Z) <= precision -
+    MIN_RELATIVE_PRECISION certifies [p]T0 != O and raises
+    SplitHypothesisError; a valuation in between raises
+    PrecisionExhaustedError.
     """
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
@@ -236,9 +249,59 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     point = QpPoint(_make(p, x, precision), newton_lift([-g, 0, 1], target.y, p, precision))
     if reduce_point(curve, point, p) != target:
         raise InternalConsistencyError("torsion lift does not reduce to its target")
-    if not qp_scalar_mul(curve, p, point).is_identity:
-        raise SplitHypothesisError("candidate torsion lift is not annihilated by p")
+    _check_killed_by_p(curve, p, point.x.residue_mod(precision), point.y.residue_mod(precision), precision)
     return point
+
+
+# Jacobian coordinates: (X, Y, Z) stands for (X/Z^2, Y/Z^3); Z = 0 is O.
+_JACOBIAN_O = (1, 1, 0)
+
+
+def _jacobian_add(a: int, mod: int, P: tuple[int, int, int], Q: tuple[int, int, int]) -> tuple[int, int, int]:
+    """P + Q on y^2 = x^3 + a x + b modulo `mod`, by the chord or, for two
+    points that agree modulo `mod`, the tangent (Cohen-Frey et al., Handbook
+    of Elliptic and Hyperelliptic Curve Cryptography, 13.2.1)."""
+    X1, Y1, Z1 = P
+    if not Z1:
+        return Q
+    X2, Y2, Z2 = Q
+    if not Z2:
+        return P
+    Z1Z1 = Z1 * Z1 % mod
+    if P != Q:
+        Z2Z2 = Z2 * Z2 % mod
+        U1 = X1 * Z2Z2 % mod
+        S1 = Y1 * Z2 * Z2Z2 % mod
+        H = (X2 * Z1Z1 - U1) % mod
+        R = (Y2 * Z1 * Z1Z1 - S1) % mod
+        if H:
+            HH = H * H % mod
+            HHH = H * HH % mod
+            V = U1 * HH % mod
+            X3 = (R * R - HHH - 2 * V) % mod
+            return X3, (R * (V - X3) - S1 * HHH) % mod, Z1 * Z2 * H % mod
+        if R:
+            return _JACOBIAN_O
+    YY = Y1 * Y1 % mod
+    S = 4 * X1 * YY % mod
+    M = (3 * X1 * X1 + a * Z1Z1 * Z1Z1) % mod
+    X3 = (M * M - 2 * S) % mod
+    return X3, (M * (S - X3) - 8 * YY * YY) % mod, 2 * Y1 * Z1 % mod
+
+
+def _check_killed_by_p(curve: Curve, p: int, x: int, y: int, precision: int) -> None:
+    """Raise unless [p](x, y) = O modulo p^precision, deciding on v(Z) as
+    lift_p_torsion describes; (x, y) are the residues of an integral point
+    whose reduction is not O."""
+    mod = p**precision
+    add = partial(_jacobian_add, curve.a % mod, mod)
+    _, _, Z = double_and_add(add, p, (x % mod, y % mod, 1), _JACOBIAN_O)
+    vz = pval(Z, p, cap=precision)
+    if vz >= precision:
+        return
+    if vz <= precision - MIN_RELATIVE_PRECISION:
+        raise SplitHypothesisError("candidate torsion lift is not annihilated by p")
+    raise PrecisionExhaustedError(f"[{p}]T0 is O only to {vz} of {precision} {p}-adic digits")
 
 
 @dataclass(frozen=True)

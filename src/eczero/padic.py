@@ -247,18 +247,6 @@ def _coerce_exact(value, p: int, abs_prec: int) -> PadicNumber:
     return PadicNumber.from_fraction(q, p, rel)
 
 
-def padic_add(a: PadicNumber, b: PadicNumber) -> PadicNumber:
-    return a + b
-
-
-def padic_mul(a: PadicNumber, b: PadicNumber) -> PadicNumber:
-    return a * b
-
-
-def padic_div(a: PadicNumber, b: PadicNumber) -> PadicNumber:
-    return a / b
-
-
 def poly_eval(u: list[int], x, mod: int | None = None):
     """u(x) by Horner's rule, coefficients in ascending order; reduced mod `mod` if given."""
     acc = 0
@@ -280,12 +268,14 @@ def newton_lift(f: list[int], r0: int, p: int, precision: int) -> PadicNumber:
     """The unique root r = r0 (mod p) of f in Z_p, to absolute precision N.
 
     Requires Hensel's simple-root condition: f(r0) = 0 and f'(r0) != 0
-    modulo p.  Precision doubles each Newton step.
+    modulo p.  Precision doubles each Newton step.  N must be at least
+    MIN_RELATIVE_PRECISION, the fewest digits a PadicNumber may carry;
+    a smaller N raises DomainError.
     """
     if not is_prime(p):
         raise DomainError("newton_lift requires a prime p")
-    if precision < 1:
-        raise DomainError("precision must be >= 1")
+    if precision < MIN_RELATIVE_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_RELATIVE_PRECISION}")
     fprime = poly_deriv(f)
     r0 %= p
     if poly_eval(f, r0, p) != 0:

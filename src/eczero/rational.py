@@ -320,28 +320,8 @@ def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
 #
 # psi_m is never expanded: for odd m the y-free family P_n (psi_n = P_n for
 # odd n, psi_n = 2y * P_n for even n, with y^2 eliminated via
-# f = x^3 + a x + b) is run pointwise on dual numbers.
-
-
-class _Dual:
-    """Dual number (value, derivative) modulo a fixed integer."""
-
-    __slots__ = ("v", "d", "mod")
-
-    def __init__(self, v, d, mod):
-        self.v, self.d, self.mod = v % mod, d % mod, mod
-
-    def __add__(self, o):
-        return _Dual(self.v + o.v, self.d + o.d, self.mod)
-
-    def __sub__(self, o):
-        return _Dual(self.v - o.v, self.d - o.d, self.mod)
-
-    def __mul__(self, o):
-        return _Dual(self.v * o.v, self.v * o.d + self.d * o.v, self.mod)
-
-    def scale(self, c: int):
-        return _Dual(c * self.v, c * self.d, self.mod)
+# f = x^3 + a x + b) is run pointwise on dual numbers, pairs (value,
+# derivative) of plain integers modulo the working modulus.
 
 
 def divpoly_eval_with_derivative(curve: Curve, m: int, x0: int, modulus: int) -> tuple[int, int]:
@@ -354,40 +334,48 @@ def divpoly_eval_with_derivative(curve: Curve, m: int, x0: int, modulus: int) ->
     if m < 1 or m % 2 == 0:
         raise DomainError("dual evaluation is defined for odd m >= 1")
     a, b = curve.a, curve.b
-    x = _Dual(x0, 1, modulus)
-    x2 = x * x
-    x3 = x2 * x
-    f = x3 + x.scale(a) + _Dual(b, 0, modulus)
-    f_sq = f * f
-    base: dict[int, _Dual] = {
-        0: _Dual(0, 0, modulus),
-        1: _Dual(1, 0, modulus),
-        2: _Dual(1, 0, modulus),
-        3: (x2 * x2).scale(3) + x2.scale(6 * a) + x.scale(12 * b) + _Dual(-a * a, 0, modulus),
+    mod = modulus
+
+    def mul(u, w):
+        return u[0] * w[0] % mod, (u[0] * w[1] + u[1] * w[0]) % mod
+
+    x0 %= mod
+    x2 = x0 * x0 % mod
+    x3 = x2 * x0 % mod
+    x4 = x2 * x2 % mod
+    f = (x3 + a * x0 + b, 3 * x2 + a)
+    f_sq16 = mul(f, (16 * f[0], 16 * f[1]))
+    base: dict[int, tuple[int, int]] = {
+        0: (0, 0),
+        1: (1 % mod, 0),
+        2: (1 % mod, 0),
+        3: (
+            (3 * x4 + 6 * a * x2 + 12 * b * x0 - a * a) % mod,
+            (12 * x3 + 12 * a * x0 + 12 * b) % mod,
+        ),
         4: (
-            x3 * x3
-            + (x2 * x2).scale(5 * a)
-            + x3.scale(20 * b)
-            + x2.scale(-5 * a * a)
-            + x.scale(-4 * a * b)
-            + _Dual(-8 * b * b - a**3, 0, modulus)
-        ).scale(2),
+            2 * (x3 * x3 + 5 * a * x4 + 20 * b * x3 - 5 * a * a * x2 - 4 * a * b * x0 - 8 * b * b - a**3) % mod,
+            2 * (6 * x3 * x2 + 20 * a * x3 + 60 * b * x2 - 10 * a * a * x0 - 4 * a * b) % mod,
+        ),
     }
 
-    def rec(n: int) -> _Dual:
+    def rec(n: int) -> tuple[int, int]:
         if n in base:
             return base[n]
         h = n // 2
         if n % 2 == 1:
-            t1 = rec(h + 2) * rec(h) * rec(h) * rec(h)
-            t2 = rec(h - 1) * rec(h + 1) * rec(h + 1) * rec(h + 1)
-            out = (f_sq * t1).scale(16) - t2 if h % 2 == 0 else t1 - (f_sq * t2).scale(16)
+            t1 = mul(rec(h + 2), mul(rec(h), mul(rec(h), rec(h))))
+            t2 = mul(rec(h - 1), mul(rec(h + 1), mul(rec(h + 1), rec(h + 1))))
+            if h % 2 == 0:
+                t1 = mul(f_sq16, t1)
+            else:
+                t2 = mul(f_sq16, t2)
+            out = (t1[0] - t2[0]) % mod, (t1[1] - t2[1]) % mod
         else:
-            t1 = rec(h + 2) * rec(h - 1) * rec(h - 1)
-            t2 = rec(h - 2) * rec(h + 1) * rec(h + 1)
-            out = rec(h) * (t1 - t2)
+            t1 = mul(rec(h + 2), mul(rec(h - 1), rec(h - 1)))
+            t2 = mul(rec(h - 2), mul(rec(h + 1), rec(h + 1)))
+            out = mul(rec(h), (t1[0] - t2[0], t1[1] - t2[1]))
         base[n] = out
         return out
 
-    result = rec(m)
-    return result.v, result.d
+    return rec(m)

@@ -5,11 +5,13 @@ import pytest
 from eczero.errors import (
     DomainError,
     InternalConsistencyError,
+    PrecisionExhaustedError,
     SplitHypothesisError,
 )
-from eczero.fp import FpPoint
+from eczero.fp import FpCurve, FpPoint, point_at_x
 from eczero.localpoints import (
     QpPoint,
+    _check_killed_by_p,
     decompose_point,
     decomposition_to_dict,
     embed_point,
@@ -22,7 +24,7 @@ from eczero.localpoints import (
     reduce_point,
     t_parameter,
 )
-from eczero.padic import PadicNumber
+from eczero.padic import PadicNumber, _make, newton_lift
 from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short
 
 from oracles import formal_nontrivial_oracle
@@ -123,6 +125,85 @@ def test_lift_p_torsion_other_fiber_points():
         T = lift_p_torsion(E, 7, tgt, 12)
         assert qp_scalar_mul(E, 7, T).is_identity
         assert reduce_point(E, T, 7) == tgt
+
+
+# CM curves anomalous at 7, 43 and 223, with up to 12 nonzero points of
+# each reduction as lift targets
+ANOMALOUS_CM = (Curve(0, -2), Curve(0, -2 + 7 * 19), Curve(-152, 722), Curve(-1056, 13552))
+ANOMALOUS_P = (7, 7, 43, 223)
+
+
+def _targets(curve, p, count=12):
+    reduced = FpCurve(p, curve.a % p, curve.b % p)
+    points = (point_at_x(reduced, x) for x in range(p))
+    return [P for P in points if P is not None][:count]
+
+
+def _affine_check(curve, p, x, y, precision):
+    """The affine [p]P = O decision on the same residues: True, False or an exception."""
+    point = QpPoint(_make(p, x, precision), _make(p, y, precision))
+    try:
+        return qp_scalar_mul(curve, p, point).is_identity
+    except PrecisionExhaustedError:
+        return PrecisionExhaustedError
+
+
+def _jacobian_check(curve, p, x, y, precision):
+    try:
+        _check_killed_by_p(curve, p, x, y, precision)
+    except SplitHypothesisError:
+        return False
+    except PrecisionExhaustedError:
+        return PrecisionExhaustedError
+    return True
+
+
+def _moved_lift(curve, p, T0, target, k, precision):
+    """Residues of the point with x = x(T0) + p^k and y re-solved by Newton."""
+    mod = p**precision
+    x = (T0.x.residue_mod(precision) + p**k) % mod
+    g = (x**3 + curve.a * x + curve.b) % mod
+    return x, newton_lift([-g, 0, 1], target.y, p, precision).residue_mod(precision)
+
+
+def test_jacobian_check_agrees_with_affine_on_every_lift():
+    for curve, p in zip(ANOMALOUS_CM, ANOMALOUS_P):
+        for target in _targets(curve, p):
+            for precision in range(6, 31):
+                T0 = lift_p_torsion(curve, p, target, precision)
+                x, y = T0.x.residue_mod(precision), T0.y.residue_mod(precision)
+                assert _jacobian_check(curve, p, x, y, precision) is True
+                assert _affine_check(curve, p, x, y, precision) is True
+
+
+def test_jacobian_check_rejects_planted_faults():
+    for curve, p in zip(ANOMALOUS_CM, ANOMALOUS_P):
+        for target in _targets(curve, p, 4):
+            for precision in (10, 16, 23, 30):
+                T0 = lift_p_torsion(curve, p, target, precision)
+                # x moved by p^k: [p]P has Z-valuation k + 1 <= precision - 4
+                for k in range(1, precision // 2 + 1):
+                    x, y = _moved_lift(curve, p, T0, target, k, precision)
+                    assert _jacobian_check(curve, p, x, y, precision) is False, (p, precision, k)
+                    assert _affine_check(curve, p, x, y, precision) is False
+                # the plain Hensel lift of barP from x = target.x is not torsion
+                g = target.x**3 + curve.a * target.x + curve.b
+                y = newton_lift([-g, 0, 1], target.y, p, precision).residue_mod(precision)
+                assert _jacobian_check(curve, p, target.x, y, precision) is False
+                assert _affine_check(curve, p, target.x, y, precision) is False
+
+
+def test_jacobian_check_near_precision_is_exhausted_like_affine():
+    # x moved by p^(precision - 3): v(Z) of [p]P is precision - 2, so [p]P
+    # is neither O to full precision nor certified nonzero to 4 digits
+    for curve, p in zip(ANOMALOUS_CM, ANOMALOUS_P):
+        for target in _targets(curve, p, 4):
+            for precision in (6, 12, 20, 30):
+                T0 = lift_p_torsion(curve, p, target, precision)
+                x, y = _moved_lift(curve, p, T0, target, precision - 3, precision)
+                assert _affine_check(curve, p, x, y, precision) is PrecisionExhaustedError
+                with pytest.raises(PrecisionExhaustedError):
+                    _check_killed_by_p(curve, p, x, y, precision)
 
 
 def test_lift_p_torsion_preconditions():

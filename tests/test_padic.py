@@ -6,10 +6,9 @@ import pytest
 from eczero.errors import DomainError, NonSimpleRootError, PrecisionExhaustedError
 from eczero.padic import (
     DEFAULT_PRECISION,
+    MIN_RELATIVE_PRECISION,
     PadicNumber,
     newton_lift,
-    padic_div,
-    padic_mul,
     pval,
 )
 
@@ -33,7 +32,7 @@ def test_unit_times_unit_keeps_precision():
 
 def test_mul_adds_valuations():
     seven = PadicNumber.from_int(7, 7, 16)
-    z = padic_mul(seven, seven)
+    z = seven * seven
     assert z.valuation == 2 and z.unit == 1
 
 
@@ -64,7 +63,7 @@ def test_division_by_indistinguishable_zero():
     z = PadicNumber.zero(7, 12)
     x = PadicNumber.from_int(3, 7)
     with pytest.raises(PrecisionExhaustedError):
-        padic_div(x, z)
+        x / z
 
 
 def test_mixed_characteristic_rejected():
@@ -162,6 +161,17 @@ def test_newton_lift_linear_and_errors():
         newton_lift([0, 0, 1], 0, 7, 8)
     with pytest.raises(DomainError):
         newton_lift([-2, 0, 1], 1, 7, 8)  # 1 is not a root of x^2-2 mod 7
+
+
+def test_newton_lift_rejects_precision_below_the_digit_floor():
+    # sqrt(2) mod 7^k: below MIN_RELATIVE_PRECISION = 4 no PadicNumber can
+    # hold the root, so the call is refused up front
+    assert MIN_RELATIVE_PRECISION == 4
+    for k in (1, 2, 3):
+        with pytest.raises(DomainError, match="precision must be >= 4"):
+            newton_lift([-2, 0, 1], 3, 7, k)
+    r = newton_lift([-2, 0, 1], 3, 7, 4)
+    assert r.abs_precision == 4 and r.residue_mod(4) ** 2 % 7**4 == 2
 
 
 def test_newton_lift_root_invariants():

@@ -360,17 +360,20 @@ def test_divpoly_roots_match_fp_torsion():
 
 
 def test_dual_evaluation_matches_polynomial():
+    # every odd m <= 25 reaches the recurrence at n >= 13 with both parities
+    # of h = n // 2, at a small and a large prime-power modulus
     rng = random.Random(77)
     E = Curve(-4, 1)
-    mod = 7**10
-    for m in (3, 5, 7, 9, 11):
-        psi = division_polynomial(E, m)
-        dpsi = poly_deriv(psi)
-        for _ in range(5):
-            x0 = rng.randrange(mod)
-            v, d = divpoly_eval_with_derivative(E, m, x0, mod)
-            assert v == poly_eval(psi, x0, mod)
-            assert d == poly_eval(dpsi, x0, mod)
+    for mod in (7**10, 223**8):
+        assert divpoly_eval_with_derivative(E, 1, rng.randrange(mod), mod) == (1, 0)
+        for m in range(3, 26, 2):
+            psi = division_polynomial(E, m)
+            dpsi = poly_deriv(psi)
+            for _ in range(5):
+                x0 = rng.randrange(mod)
+                v, d = divpoly_eval_with_derivative(E, m, x0, mod)
+                assert v == poly_eval(psi, x0, mod)
+                assert d == poly_eval(dpsi, x0, mod)
 
 
 def test_long_weierstrass_examples():
