@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .arith import cornacchia, is_prime
+from .arith import cornacchia
 from .errors import DomainError, InternalConsistencyError, NoSolutionError
 from .fp import FpPoint
 from .localpoints import decompose_point, decomposition_to_dict, lift_p_torsion, qppoint_to_dict
@@ -39,7 +39,6 @@ from .verdicts import (
     divisibility_verdict,
     global_lift_verdict,
     nd_structure_verdict,
-    pair_reductions,
     prime_admissibility,
     quartic_verdict,
 )
@@ -262,13 +261,10 @@ def verdict_cmd(
     """
     e1 = Curve(a, b)
     e2 = Curve(e2_a, e2_b) if e2_a is not None and e2_b is not None else e1
-    # classify each distinct curve once; the rules below reuse the pair
-    reductions = pair_reductions(e1, e2, p) if p >= 5 and is_prime(p) else None
     record = HypothesisRecord.for_pair(
         e1,
         e2,
         p,
-        reductions=reductions,
         base_unramified=unramified or None,
         torsion_level=torsion_level,
         wild_ramification=wild_ramification or None,
@@ -284,11 +280,10 @@ def verdict_cmd(
     field = ImagQuadField(disc) if disc is not None else None
     brauer = []
     if field is not None:
-        r1 = reductions[0] if reductions else None
-        brauer = brauer_middle_term_verdict(e1, field, p, cm_asserted=cm, reduction=r1)
+        brauer = brauer_middle_term_verdict(e1, field, p, cm_asserted=cm)
         fired.extend(brauer)
         if tower_level is not None and cm:
-            v = cm_tower_verdict(e1, field, p, tower_level, reduction=r1)
+            v = cm_tower_verdict(e1, field, p, tower_level)
             if v is not None:
                 fired.append(v)
     if gen is not None and brauer:
@@ -305,7 +300,6 @@ def verdict_cmd(
             field_degree=field_degree,
             bad_fiber_orders=tuple(bad_fiber_orders),
         ),
-        reductions=reductions,
     )
     payload = {
         "verdicts": [v.to_dict() for v in fired],

@@ -23,7 +23,10 @@ p^precision in Jacobian coordinates, so no step inverts anything.  The
 valuation of the final Z decides: v(Z) >= precision passes, v(Z) <=
 precision - MIN_RELATIVE_PRECISION raises SplitHypothesisError, and a
 valuation in between raises PrecisionExhaustedError, on which
-decompose_point retries at doubled precision.
+decompose_point retries at doubled precision.  A pass certifies the lift
+to precision - 1 digits, not precision: [p] raises the valuation of the
+formal parameter by one, so x moved by p^(precision - 1) still gives
+[p]T0 = O modulo p^precision.
 """
 
 from __future__ import annotations
@@ -210,7 +213,8 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     p^precision.  If v(Z) >= precision it passes; v(Z) <= precision -
     MIN_RELATIVE_PRECISION certifies [p]T0 != O and raises
     SplitHypothesisError; a valuation in between raises
-    PrecisionExhaustedError.
+    PrecisionExhaustedError.  A pass certifies the lift to precision - 1
+    digits: an error in the last digit alone still gives v(Z) >= precision.
     """
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")

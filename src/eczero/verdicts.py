@@ -120,12 +120,6 @@ def _verdict(conclusion: Conclusion, used: list[tuple[str, str]], level: int | N
     )
 
 
-def pair_reductions(e1: Curve, e2: Curve, p: int) -> tuple[ReductionType, ReductionType]:
-    """``reduction_type`` of E1 and E2 at p, counting points once when E2 = E1."""
-    r1 = reduction_type(e1, p)
-    return r1, r1 if e2 == e1 else reduction_type(e2, p)
-
-
 @dataclass(frozen=True)
 class HypothesisRecord:
     """Named facts a verdict rule may consume; None marks an absent fact."""
@@ -151,21 +145,12 @@ class HypothesisRecord:
         wild_ramification: bool | None = None,
         trivial_ns_action: bool | None = None,
         surface_good_reduction: bool | None = None,
-        reductions: tuple[ReductionType, ReductionType] | None = None,
     ) -> "HypothesisRecord":
-        """Verify the computable facts for a pair of curves, assert the rest.
-
-        A caller that has already computed ``reduction_type`` of E1 and E2 at
-        p passes the pair as ``reductions``; otherwise each distinct curve is
-        classified here, once.
-        """
+        """Verify the computable facts for a pair of curves, assert the rest."""
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        r1 = r2 = None
-        if reductions is not None:
-            r1, r2 = reductions
-        elif p >= 5:
-            r1, r2 = pair_reductions(e1, e2, p)
+        r1 = reduction_type(e1, p) if p >= 5 else None
+        r2 = reduction_type(e2, p) if p >= 5 else None
         return cls(
             prime=verified(p),
             base_unramified=None if base_unramified is None else asserted(base_unramified),
@@ -238,22 +223,18 @@ def nd_structure_verdict(h: HypothesisRecord) -> Verdict | None:
     return _verdict(Conclusion.ND_IS_Z_MOD_PN, used, level=n)
 
 
-def cm_tower_verdict(
-    curve: Curve, cm_field: ImagQuadField, p: int, n: int, reduction: ReductionType | None = None
-) -> Verdict | None:
+def cm_tower_verdict(curve: Curve, cm_field: ImagQuadField, p: int, n: int) -> Verdict | None:
     """Z/p^n over the p^n-torsion tower field of a CM self-product.
 
     CM by the full ring of integers is the caller's assertion; good
     ordinary reduction is verified by counting, and triviality of the
-    Neron-Severi action is derived from the CM assertion.  A caller that
-    has already computed ``reduction_type(curve, p)`` passes it as
-    ``reduction``.
+    Neron-Severi action is derived from the CM assertion.
     """
     if n < 1:
         raise DomainError("tower level n must be >= 1")
     if p < 5 or not is_prime(p):
         return None
-    r = reduction if reduction is not None else reduction_type(curve, p)
+    r = reduction_type(curve, p)
     if r.kind is not ReductionKind.GOOD_ORDINARY:
         return None
     used = [
@@ -382,19 +363,13 @@ class AdmissibilityResult:
 
 
 def prime_admissibility(
-    e1: Curve,
-    e2: Curve,
-    p: int,
-    config: AdmissibilityConfig = AdmissibilityConfig(),
-    reductions: tuple[ReductionType, ReductionType] | None = None,
+    e1: Curve, e2: Curve, p: int, config: AdmissibilityConfig = AdmissibilityConfig()
 ) -> AdmissibilityResult:
     """Three-condition filter for primes entering the local-to-global set.
 
     1: p coprime to 2 * isogeny degree * field degree, with good reduction
     of both curves above p; 2: good ordinary or almost-ordinary pair;
     3: p coprime to M = 6 * product of the asserted bad-fiber orders.
-    ``reductions`` carries ``reduction_type`` of E1 and E2 at p when the
-    caller has them already.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -411,7 +386,7 @@ def prime_admissibility(
         ok = False
         good_known = False
     else:
-        r1, r2 = reductions if reductions is not None else pair_reductions(e1, e2, p)
+        r1, r2 = reduction_type(e1, p), reduction_type(e2, p)
         good_known = True
         if r1.kind.is_good and r2.kind.is_good:
             reasons.append(

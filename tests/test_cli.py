@@ -101,25 +101,6 @@ def test_verdict_json_fires_rules():
     assert "MiddleTermZpSquared" not in names2
 
 
-def test_verdict_counts_points_once_per_distinct_curve(monkeypatch):
-    import eczero.fp
-
-    calls = []
-    real = eczero.fp.count_points
-    monkeypatch.setattr(eczero.fp, "count_points", lambda c: calls.append(c) or real(c))
-    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--cm", "--tower-level", "1"]
-    for extra, expected in (
-        ([], 1),
-        (["--e2-a", "0", "--e2-b", "-2"], 1),  # E2 given, equal to E1
-        (["--e2-a", "1", "--e2-b", "1"], 2),
-    ):
-        calls.clear()
-        res = run(*base, *extra, "--json")
-        assert res.exit_code == 0, res.output
-        assert len(json.loads(res.output)["verdicts"]) == 3
-        assert len(calls) == expected, extra
-
-
 def test_verdict_quartic_and_divisibility():
     res = run("verdict", "--a", "-4", "--b", "0", "--p", "13", "--unramified", "--json")
     payload = json.loads(res.output)

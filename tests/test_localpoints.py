@@ -204,6 +204,10 @@ def test_jacobian_check_near_precision_is_exhausted_like_affine():
                 assert _affine_check(curve, p, x, y, precision) is PrecisionExhaustedError
                 with pytest.raises(PrecisionExhaustedError):
                     _check_killed_by_p(curve, p, x, y, precision)
+                # moved by p^(precision - 1): [p]P is O modulo p^precision,
+                # so the check passes; it certifies precision - 1 digits
+                x, y = _moved_lift(curve, p, T0, target, precision - 1, precision)
+                _check_killed_by_p(curve, p, x, y, precision)
 
 
 def test_lift_p_torsion_preconditions():

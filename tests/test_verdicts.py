@@ -142,22 +142,6 @@ def test_brauer_middle_term_checks_a_handed_in_reduction():
         E_CUBIC, K3, 7, cm_asserted=True, reduction=not_anomalous
     ) == []
 
-def test_handed_in_reductions_are_used_by_every_pair_rule():
-    # a record, the tower rule and the admissibility filter built from
-    # handed-in reductions match the ones that classify the curves
-    # themselves, and read the handed-in values, not a fresh count
-    for e1, e2, p in ((E_CUBIC, E_CUBIC, 7), (E_CUBIC, Curve(0, 1), 5), (E_QUARTIC, E_D19, 13)):
-        r = (reduction_type(e1, p), reduction_type(e2, p))
-        assert HypothesisRecord.for_pair(e1, e2, p, reductions=r) == HypothesisRecord.for_pair(e1, e2, p)
-        assert prime_admissibility(e1, e2, p, reductions=r) == prime_admissibility(e1, e2, p)
-        assert cm_tower_verdict(e1, K3, p, 1, reduction=r[0]) == cm_tower_verdict(e1, K3, p, 1)
-    supersingular = ReductionType(ReductionKind.GOOD_SUPERSINGULAR, trace=0)
-    pair = (supersingular, supersingular)
-    assert HypothesisRecord.for_pair(E_CUBIC, E_CUBIC, 7, reductions=pair).e1_reduction.value == supersingular
-    assert not prime_admissibility(E_CUBIC, E_CUBIC, 7, reductions=pair).admissible
-    assert cm_tower_verdict(E_CUBIC, K3, 7, 1, reduction=supersingular) is None
-
-
 def test_brauer_agrees_with_anomalous_and_split_sample():
     from eczero.fp import FpCurve, is_anomalous
     from eczero.quadfields import splits_completely
