@@ -29,8 +29,8 @@ from .quadfields import (
     frobenius_candidates,
     splits_completely,
 )
-from .rational import Curve, QPoint, reduction_type
-from .survey import FamilySpec, build_row, emit_report, ingest_curves, scan_family
+from .rational import Curve, QPoint, ReductionType, reduction_type
+from .survey import FamilySpec, emit_report, ingest_curves, scan_family, survey_records
 from .verdicts import (
     AdmissibilityConfig,
     HypothesisRecord,
@@ -115,6 +115,16 @@ def anomalous_residues_cmd(p: int, as_json: bool):
     )
 
 
+def _reduction_payload(r: ReductionType, p: int) -> dict:
+    return {
+        "p": p,
+        "kind": r.kind.value,
+        "anomalous": r.anomalous,
+        "trace": r.trace,
+        "count": (p + 1 - r.trace) if r.trace is not None else None,
+    }
+
+
 @cli.command("classify")
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
@@ -124,14 +134,7 @@ def anomalous_residues_cmd(p: int, as_json: bool):
 def classify_cmd(a: int, b: int, p: int, as_json: bool):
     """Reduction type of y^2 = x^3 + a x + b at p (model minimized first)."""
     r = reduction_type(Curve(a, b), p)
-    payload = {
-        "p": p,
-        "kind": r.kind.value,
-        "anomalous": r.anomalous,
-        "trace": r.trace,
-        "count": (p + 1 - r.trace) if r.trace is not None else None,
-    }
-    _emit(payload, as_json, [str(r)])
+    _emit(_reduction_payload(r, p), as_json, [str(r)])
 
 
 @cli.command("check-curve")
@@ -154,15 +157,9 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
             except NoSolutionError:
                 continue
             compatible.append(D)
-    payload = {
-        "p": p,
-        "kind": r.kind.value,
-        "anomalous": r.anomalous,
-        "trace": r.trace,
-        "count": (p + 1 - r.trace) if r.trace is not None else None,
-        "splits": {str(D): ok for D, ok in splits.items()},
-        "trace_compatible_discs": compatible,
-    }
+    payload = _reduction_payload(r, p)
+    payload["splits"] = {str(D): ok for D, ok in splits.items()}
+    payload["trace_compatible_discs"] = compatible
     lines = [str(r)]
     if r.trace is not None:
         lines.append(f"|E(F_{p})| = {p + 1 - r.trace}, a_p = {r.trace}")
@@ -391,26 +388,11 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt
 @errors_to_exit_codes
 def report_cmd(input_path, p, disc, height, prec, fmt, out, as_json):
     """Run the survey pipeline over an ingested curve file."""
-    field = ImagQuadField(disc)
     result = ingest_curves(input_path)
-    rows = []
-    for rec in result.records:
-        rows.append(
-            build_row(
-                rec.curve,
-                p,
-                field,
-                height,
-                label=rec.label,
-                ingested_generator=rec.generator,
-                precision=prec,
-            )
-        )
-    from .survey import aggregate_rows
-
+    rows, aggregate = survey_records(result.records, p, disc, height, prec)
     for lineno, reason in result.rejected:
         click.echo(f"ingest line {lineno}: {reason}", err=True)
-    _write_or_echo(emit_report(rows, aggregate_rows(rows), "json" if as_json else fmt), out)
+    _write_or_echo(emit_report(rows, aggregate, "json" if as_json else fmt), out)
 
 
 def main():

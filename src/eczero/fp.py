@@ -11,7 +11,6 @@ always exact and no route runs a sweep of more than 2^16 steps.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt, lcm
@@ -268,13 +267,3 @@ def is_anomalous(curve: FpCurve) -> bool:
     """True iff |E(F_p)| = p, i.e. a_p = 1."""
     return count_points(curve) == curve.p
 
-
-class OrdinaryClass(enum.Enum):
-    ORDINARY = "ordinary"
-    SUPERSINGULAR = "supersingular"
-
-
-def ordinary_class(curve: FpCurve) -> OrdinaryClass:
-    """Ordinary iff a_p is nonzero mod p; for p >= 5 this is a_p != 0."""
-    ap = trace_of_frobenius(curve)
-    return OrdinaryClass.SUPERSINGULAR if ap % curve.p == 0 else OrdinaryClass.ORDINARY

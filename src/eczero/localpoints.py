@@ -42,7 +42,7 @@ from .errors import (
     PrecisionExhaustedError,
     SplitHypothesisError,
 )
-from .fp import FpCurve, FpPoint, count_points
+from .fp import FpCurve, FpPoint, is_anomalous
 from .padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, PadicNumber, _make, newton_lift, pval
 from .rational import (
     Curve,
@@ -197,7 +197,7 @@ def _require_anomalous(curve: Curve, p: int) -> FpCurve:
     if curve.discriminant % p == 0:
         raise DomainError(f"model has bad reduction at {p}")
     reduced = FpCurve(p, curve.a % p, curve.b % p)
-    if count_points(reduced) != p:
+    if not is_anomalous(reduced):
         raise DomainError(f"reduction at {p} is not anomalous")
     return reduced
 

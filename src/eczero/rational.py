@@ -164,6 +164,7 @@ def long_point_to_short(ai: list[int], x, y) -> QPoint:
 
 
 def _minimal_with_scale(curve: Curve, p: int) -> tuple[Curve, int]:
+    # The model with minimal v_p(discriminant) among u = p^k rescalings, and k.
     a, b = curve.a, curve.b
     k = 0
     while a % p**4 == 0 and b % p**6 == 0:
@@ -171,13 +172,6 @@ def _minimal_with_scale(curve: Curve, p: int) -> tuple[Curve, int]:
         b //= p**6
         k += 1
     return Curve(a, b, label=curve.label), k
-
-
-def minimal_at_p(curve: Curve, p: int) -> Curve:
-    """Model with minimal v_p(discriminant) among u = p^k rescalings."""
-    if p < 5 or not is_prime(p):
-        raise DomainError("minimal_at_p requires a prime p >= 5")
-    return _minimal_with_scale(curve, p)[0]
 
 
 class ReductionKind(enum.Enum):
@@ -215,7 +209,7 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
     """
     if p < 5 or not is_prime(p):
         raise DomainError("reduction_type requires a prime p >= 5")
-    minimal = minimal_at_p(curve, p)
+    minimal = _minimal_with_scale(curve, p)[0]
     disc = minimal.discriminant
     if disc % p != 0:
         reduced = FpCurve(p, minimal.a % p, minimal.b % p)

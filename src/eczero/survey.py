@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .arith import is_prime
 from .errors import DomainError, IngestError, InternalConsistencyError
 from .localpoints import decompose_point
 from .quadfields import ImagQuadField, splits_completely
@@ -27,7 +28,7 @@ from .rational import (
     reduction_type,
     torsion_order,
 )
-from .verdicts import brauer_middle_term_verdict, global_lift_verdict
+from .verdicts import _anomalous_split_verdicts, global_lift_verdict
 
 DEFAULT_HEIGHT = 10**4
 
@@ -38,6 +39,14 @@ PROXY_NOTE = (
 )
 
 CSV_HEADER = "n,label,good7,anomalous,splits,generator,formal_nontrivial,verdicts"
+
+
+def _check_survey_prime(p: int) -> None:
+    # Every row classifies reduction at p, which needs a prime p >= 5.
+    if p < 5:
+        raise DomainError("survey prime must be >= 5")
+    if not is_prime(p):
+        raise DomainError(f"survey prime must be prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.n_min > self.n_max:
             raise DomainError("empty parameter range")
-        if self.p < 5:
-            raise DomainError("survey prime must be >= 5")
+        _check_survey_prime(self.p)
 
     def curve(self, n: int) -> Curve:
         return Curve(
@@ -119,7 +127,6 @@ class IngestRecord:
     generator: QPoint | None
     rank: int | None
     source: str | None
-    provenance: str = "ingested"
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,8 @@ def build_row(
         tval = None
         names: list[str] = []
         if eligible:
-            fired = brauer_middle_term_verdict(curve, cm_field, p, cm_asserted=True, reduction=r)
+            # build_row's own reduction type, so points at p are counted once
+            fired = _anomalous_split_verdicts(r, cm_field, p)
             names = [v.name for v in fired]
             if gen is not None:
                 dec = decompose_point(curve, gen, p, precision)
@@ -309,7 +317,25 @@ def scan_family(spec: FamilySpec):
                 precision=spec.precision,
             )
         )
-    rows.sort(key=lambda r: (r.n is None, r.n, r.label))
+    return rows, aggregate_rows(rows)
+
+
+def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT, precision: int = 16):
+    """Rows for ingested records, in input order, plus the aggregate."""
+    cm_field = ImagQuadField(disc)
+    _check_survey_prime(p)
+    rows = [
+        build_row(
+            rec.curve,
+            p,
+            cm_field,
+            height,
+            label=rec.label,
+            ingested_generator=rec.generator,
+            precision=precision,
+        )
+        for rec in records
+    ]
     return rows, aggregate_rows(rows)
 
 

@@ -248,29 +248,24 @@ def cm_tower_verdict(curve: Curve, cm_field: ImagQuadField, p: int, n: int) -> V
 
 
 def brauer_middle_term_verdict(
-    curve: Curve,
-    cm_field: ImagQuadField,
-    p: int,
-    cm_asserted: bool = False,
-    reduction: ReductionType | None = None,
+    curve: Curve, cm_field: ImagQuadField, p: int, cm_asserted: bool = False
 ) -> list[Verdict]:
     """The (Z/p)^2 middle term and Brauer vanishing at an anomalous split prime.
 
     Machine-verified: p >= 5 prime, p splits in the CM field, the model is
     good at p (p does not divide the minimal discriminant, standing in for
     conductor coprimality) and the reduction is anomalous.  The CM
-    hypothesis itself must be asserted by the caller.  A caller that has
-    already computed ``reduction_type(curve, p)`` passes it as ``reduction``
-    so that the points at p are not counted twice.
+    hypothesis itself must be asserted by the caller.
     """
-    if not cm_asserted:
+    if not cm_asserted or p < 5 or not is_prime(p) or not splits_completely(cm_field, p):
         return []
-    if p < 5 or not is_prime(p):
-        return []
-    if not splits_completely(cm_field, p):
-        return []
-    # reduction_type minimizes the model; anomalous implies good ordinary
-    r = reduction if reduction is not None else reduction_type(curve, p)
+    return _anomalous_split_verdicts(reduction_type(curve, p), cm_field, p)
+
+
+def _anomalous_split_verdicts(r: ReductionType, cm_field: ImagQuadField, p: int) -> list[Verdict]:
+    # The rule body, for a prime p >= 5 that splits in cm_field, with CM
+    # asserted.  r must come from reduction_type, which minimizes the model;
+    # anomalous implies good ordinary.
     if not r.anomalous:
         return []
     used = [

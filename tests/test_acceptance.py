@@ -18,12 +18,10 @@ from eczero.cli import cli
 from eczero.fp import (
     FpCurve,
     FpPoint,
-    OrdinaryClass,
     count_points,
     count_points_bsgs,
     count_points_naive,
     fp_add,
-    ordinary_class,
     point_at_x,
     trace_of_frobenius,
 )
@@ -36,7 +34,7 @@ from eczero.localpoints import (
     reduce_point,
 )
 from eczero.quadfields import ImagQuadField, anomalous_residues_d3, splits_completely
-from eczero.rational import Curve, QPoint
+from eczero.rational import Curve, QPoint, ReductionKind, reduction_type
 from eczero.survey import FamilySpec, emit_report, scan_family
 from eczero.verdicts import Conclusion, brauer_middle_term_verdict
 
@@ -107,7 +105,7 @@ def test_criterion_5_quartic_ordinary():
     for p in range(5, 1001):
         if not is_prime(p) or p % 4 != 1:
             continue
-        assert ordinary_class(FpCurve(p, -4 % p, 0)) is OrdinaryClass.ORDINARY
+        assert reduction_type(quartic, p).kind is ReductionKind.GOOD_ORDINARY
         checked += 1
     assert checked == 80  # primes = 1 mod 4 up to 1000
     assert quartic.discriminant % 5 != 0

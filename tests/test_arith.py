@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -99,16 +100,14 @@ def test_sqrt_mod_p_properties():
 
 
 def _cornacchia_brute(d, p):
+    # every (u, v) with u, v >= 0 and u^2 + d v^2 = 4p, by exhaustive search
     sols = []
-    v = 0
-    while d * v * v <= 4 * p:
+    for v in range(isqrt(4 * p // d) + 1):
         rest = 4 * p - d * v * v
-        u = int(rest**0.5)
-        for uu in (u - 1, u, u + 1):
-            if uu >= 0 and uu * uu == rest:
-                sols.append((uu, v))
-        v += 1
-    return sorted(set(sols))
+        u = isqrt(rest)
+        if u * u == rest:
+            sols.append((u, v))
+    return sols
 
 
 def test_cornacchia_paper_values():
@@ -118,7 +117,7 @@ def test_cornacchia_paper_values():
 
 
 def test_cornacchia_identity_and_minimality():
-    primes = [p for p in range(5, 600) if is_prime(p)]
+    primes = [p for p in range(3, 2000) if is_prime(p)]
     for d in sorted(SUPPORTED_CORNACCHIA_D):
         for p in primes:
             got = cornacchia(d, p)

@@ -149,16 +149,32 @@ def test_scan_with_ingested_generators(tmp_path):
 def test_report_pipeline(tmp_path):
     f = tmp_path / "curves.jsonl"
     f.write_text(
-        '{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
         '{"label": "quartic", "A": -4, "B": 0}\n'
+        '{"label": "no-coeffs"}\n'
+        '{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
     )
     res = run("report", "--input", str(f), "--p", "7", "--disc", "-3", "--json")
     assert res.exit_code == 0
-    payload = json.loads(res.output)
-    assert len(payload["rows"]) == 2
+    assert res.stderr == "ingest line 2: record needs A,B or a1..a6\n"
+    payload = json.loads(res.stdout)
+    # rows keep the input order, which is not the sorted one
+    assert [r["label"] for r in payload["rows"]] == ["quartic", "E0"]
     by_label = {r["label"]: r for r in payload["rows"]}
     assert by_label["E0"]["formal_nontrivial"] is True
     assert by_label["quartic"]["anomalous"] is False
+
+
+@pytest.mark.parametrize("p, reason", [("4", "must be >= 5"), ("9", "must be prime, got 9")])
+def test_survey_prime_is_checked(tmp_path, p, reason):
+    f = tmp_path / "curves.jsonl"
+    f.write_text('{"label": "E0", "A": 0, "B": -2}\n')
+    scan = run("scan", "--a0", "0", "--b0", "-2", "--b1", "7", "--p", p, "--disc", "-3",
+               "--nmin", "0", "--nmax", "2", "--height", "10")
+    report = run("report", "--input", str(f), "--p", p, "--disc", "-3")
+    for res in (scan, report):
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert json.loads(res.stderr) == {"error": f"survey prime {reason}"}
 
 
 def test_exit_codes():

@@ -8,12 +8,19 @@ import random
 
 import pytest
 
-from eczero.arith import sqrt_mod_p
+from eczero.arith import is_prime, kronecker_symbol, sqrt_mod_p
 from eczero.fp import FpCurve, count_points
 from eczero.padic import newton_lift
 
 sympy = pytest.importorskip("sympy")
 EllipticCurve = pytest.importorskip("sympy.ntheory.elliptic_curve").EllipticCurve
+
+# The smallest strong pseudoprimes to all of the first 1, 2, 3, 4, 5, 6, 7
+# and 9 prime bases (OEIS A014233); the last passes every base up to 31.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+)
 
 
 def test_sqrt_mod_p_matches_sympy():
@@ -55,3 +62,31 @@ def test_count_points_matches_sympy():
             if (4 * a**3 + 27 * b**2) % p == 0:
                 continue
             assert count_points(FpCurve(p, a, b)) == EllipticCurve(a, b, modulus=p).order + 1, (p, a, b)
+
+
+def test_is_prime_matches_sympy_near_2_64():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n) and not sympy.isprime(n), n
+    top = 1 << 64
+    rng = random.Random(14)
+    cases = list(range(top - 2000, top))
+    cases += [rng.randrange(top >> 1, top) for _ in range(2000)]
+    # semiprimes of two ~32-bit primes, where a weak witness set would slip
+    for _ in range(200):
+        q = sympy.nextprime(rng.randrange(1 << 31, 1 << 32))
+        r = sympy.nextprime(rng.randrange(1 << 31, (top - 1) // q))
+        cases.append(q * r)
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_kronecker_symbol_matches_sympy_jacobi():
+    rng = random.Random(15)
+    # every residue, negative ones included, for small odd n
+    for n in range(1, 150, 2):
+        for a in range(-n - 2, n + 3):
+            assert kronecker_symbol(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+    for _ in range(1000):
+        n = rng.randrange(1, 1 << 64) | 1
+        a = rng.randrange(-(1 << 70), 1 << 70)
+        assert kronecker_symbol(a, n) == sympy.jacobi_symbol(a, n), (a, n)

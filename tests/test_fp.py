@@ -11,7 +11,6 @@ from eczero.errors import DomainError, InternalConsistencyError, UnsupportedModu
 from eczero.fp import (
     FpCurve,
     FpPoint,
-    OrdinaryClass,
     count_points,
     count_points_bsgs,
     count_points_naive,
@@ -19,7 +18,6 @@ from eczero.fp import (
     fp_neg,
     fp_scalar_mul,
     is_anomalous,
-    ordinary_class,
     point_at_x,
     trace_of_frobenius,
 )
@@ -157,12 +155,6 @@ def test_anomalous_examples():
     assert is_anomalous(E7)
     assert not is_anomalous(FpCurve(5, -4, 0))
     assert is_anomalous(FpCurve(43, -152, 722))
-
-
-def test_ordinary_class_examples():
-    assert ordinary_class(FpCurve(13, -4, 0)) is OrdinaryClass.ORDINARY
-    assert ordinary_class(FpCurve(5, 0, 1)) is OrdinaryClass.SUPERSINGULAR
-    assert ordinary_class(E7) is OrdinaryClass.ORDINARY  # anomalous => ordinary
 
 
 def test_hasse_bound_sample():

@@ -11,10 +11,10 @@ from eczero.rational import (
     Curve,
     QPoint,
     ReductionKind,
+    _minimal_with_scale,
     curve_from_long_weierstrass,
     divpoly_eval_with_derivative,
     long_point_to_short,
-    minimal_at_p,
     naive_point_search,
     q_add,
     q_neg,
@@ -47,12 +47,12 @@ def test_group_law_over_q():
 
 
 def test_minimal_at_p_examples():
-    assert minimal_at_p(Curve(-2500, 0), 5) == Curve(-4, 0)
-    assert minimal_at_p(Curve(-4, 0), 5) == Curve(-4, 0)
+    assert _minimal_with_scale(Curve(-2500, 0), 5)[0] == Curve(-4, 0)
+    assert _minimal_with_scale(Curve(-4, 0), 5)[0] == Curve(-4, 0)
     # v_7(a) = 5 allows one strip of u = 7 when b = 0
-    assert minimal_at_p(Curve(-(7**5), 0), 7) == Curve(-7, 0)
+    assert _minimal_with_scale(Curve(-(7**5), 0), 7)[0] == Curve(-7, 0)
     # non-strippable mixed valuations stay put
-    assert minimal_at_p(Curve(7**4, 7**5), 7) == Curve(7**4, 7**5)
+    assert _minimal_with_scale(Curve(7**4, 7**5), 7)[0] == Curve(7**4, 7**5)
 
 
 def test_minimal_at_p_minimizes_discriminant_valuation():
@@ -65,7 +65,7 @@ def test_minimal_at_p_minimizes_discriminant_valuation():
             E = Curve(a, b)
         except DomainError:
             continue
-        M = minimal_at_p(E, p)
+        M = _minimal_with_scale(E, p)[0]
         va = 0
         aa = M.a
         while aa and aa % p == 0:
@@ -97,7 +97,7 @@ def test_reduction_type_good_iff_minimal_disc_coprime():
         except DomainError:
             continue
         good = reduction_type(E, p).kind.is_good
-        assert good == (minimal_at_p(E, p).discriminant % p != 0)
+        assert good == (_minimal_with_scale(E, p)[0].discriminant % p != 0)
 
 
 def test_reduction_type_multiplicative_split_test():

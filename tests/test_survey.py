@@ -43,7 +43,6 @@ def test_ingest_basic(tmp_path):
     rec = result.records[0]
     assert rec.curve == Curve(0, -2, label="E0")
     assert rec.generator == QPoint.from_pair(3, 5)
-    assert rec.provenance == "ingested"
     long_rec = result.records[1]
     assert (long_rec.curve.a, long_rec.curve.b) == (-432, 8208)
     assert long_rec.generator == QPoint.from_pair(-12, 108)

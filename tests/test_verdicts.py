@@ -6,7 +6,7 @@ import pytest
 from eczero.errors import DomainError
 from eczero.localpoints import decompose_point
 from eczero.quadfields import ImagQuadField
-from eczero.rational import Curve, QPoint, ReductionKind, ReductionType, reduction_type
+from eczero.rational import Curve, QPoint, ReductionKind, ReductionType
 from eczero.verdicts import (
     CITATIONS,
     AdmissibilityConfig,
@@ -131,16 +131,14 @@ def test_brauer_middle_term_ablations():
     assert brauer_middle_term_verdict(E_CUBIC, K3, 3, cm_asserted=True) == []
 
 
+def test_brauer_middle_term_classifies_for_itself():
+    # y^2 = x^3 + 1 is ordinary but not anomalous at the split prime 7, and
+    # the rule takes no reduction type from its caller
+    fake = ReductionType(ReductionKind.GOOD_ORDINARY, anomalous=True, trace=1)
+    with pytest.raises(TypeError):
+        brauer_middle_term_verdict(Curve(0, 1), K3, 7, cm_asserted=True, reduction=fake)
+    assert brauer_middle_term_verdict(Curve(0, 1), K3, 7, cm_asserted=True) == []
 
-def test_brauer_middle_term_checks_a_handed_in_reduction():
-    r = reduction_type(E_CUBIC, 7)
-    assert brauer_middle_term_verdict(E_CUBIC, K3, 7, cm_asserted=True, reduction=r) == (
-        brauer_middle_term_verdict(E_CUBIC, K3, 7, cm_asserted=True)
-    )
-    not_anomalous = ReductionType(ReductionKind.GOOD_ORDINARY, trace=2)
-    assert brauer_middle_term_verdict(
-        E_CUBIC, K3, 7, cm_asserted=True, reduction=not_anomalous
-    ) == []
 
 def test_brauer_agrees_with_anomalous_and_split_sample():
     from eczero.fp import FpCurve, is_anomalous
