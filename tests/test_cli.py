@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -243,3 +244,53 @@ def test_cli_import_does_not_load_numpy():
     code = f"import sys; sys.path.insert(0, {src!r}); import eczero.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# (a, b, CM discriminant, generator or None): the three CM families, the
+# quartic's Jacobian, a torsion-only curve and a curve with bad reduction at 7
+_VERDICT_CURVES = [
+    (0, -2, -3, "3,1,5,1"),
+    (-1056, 13552, -11, "33,1,-121,1"),
+    (-152, 722, -19, "7,1,-1,1"),
+    (-4, 0, -4, None),
+    (0, 1, -3, None),
+    (7, 49, -3, "0,1,-7,1"),
+]
+_VERDICT_PRIMES = (2, 3, 5, 7, 9, 13, 43, 223, 1000033)
+VERDICT_MATRIX_SHA256 = "1c298113de4091ee77c33d6284fdcc2d307fea5359dfac3f6c551c07dab25050"
+
+
+def _verdict_flag_sets(disc, gen):
+    d = str(disc)
+    gen_args = ["--gen", gen] if gen else []
+    return [
+        [],
+        ["--unramified", "--surface-good-reduction"],
+        ["--torsion-level", "2", "--wild-ramification", "--trivial-ns"],
+        ["--disc", d, "--cm"],
+        ["--disc", d, "--cm", "--tower-level", "1", *gen_args],
+        ["--disc", d, "--tower-level", "3"],
+        ["--e2-a", "0", "--e2-b", "1", "--unramified", "--deg-phi", "2",
+         "--field-degree", "3", "--bad-fiber-order", "5"],
+    ]
+
+
+def test_verdict_matrix_output_is_pinned():
+    # exit code, stdout and stderr of 756 verdict calls; any change to a
+    # rule's firing, its hypothesis text or an error message shows here
+    digest = hashlib.sha256()
+    calls = 0
+    for a, b, disc, gen in _VERDICT_CURVES:
+        for p in _VERDICT_PRIMES:
+            for flags in _verdict_flag_sets(disc, gen):
+                for fmt in ([], ["--json"]):
+                    args = ["verdict", "--a", str(a), "--b", str(b), "--p", str(p), *flags, *fmt]
+                    res = run(*args)
+                    raised = res.exception if not isinstance(res.exception, SystemExit) else None
+                    digest.update(
+                        f"{args}\n{res.exit_code}\n{type(raised).__name__}\n"
+                        f"{res.stdout}\n{res.stderr}\n".encode()
+                    )
+                    calls += 1
+    assert calls == 756
+    assert digest.hexdigest() == VERDICT_MATRIX_SHA256
