@@ -183,7 +183,7 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
 @errors_to_exit_codes
 def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json: bool):
     """p-adic p-torsion point above a special-fiber point of an anomalous curve."""
-    T0 = lift_p_torsion(Curve(a, b), p, FpPoint(x % p, y % p), prec)
+    T0 = lift_p_torsion(Curve(a, b), p, FpPoint(x, y), prec)
     payload = {"p": p, "precision": prec, "torsion": qppoint_to_dict(T0)}
     _emit(payload, as_json, [f"T0.x = {T0.x}", f"T0.y = {T0.y}", f"[{p}]T0 = O (verified)"])
 
@@ -256,8 +256,10 @@ def verdict_cmd(
     Facts this tool can compute are verified; the flags mark caller
     assertions, and each emitted verdict lists which is which.
     """
+    if (e2_a is None) != (e2_b is None):
+        raise click.UsageError("--e2-a and --e2-b must be given together")
     e1 = Curve(a, b)
-    e2 = Curve(e2_a, e2_b) if e2_a is not None and e2_b is not None else e1
+    e2 = Curve(e2_a, e2_b) if e2_a is not None else e1
     record = HypothesisRecord.for_pair(
         e1,
         e2,
@@ -268,19 +270,15 @@ def verdict_cmd(
         trivial_ns_action=trivial_ns or None,
         surface_good_reduction=surface_good_reduction or None,
     )
-    fired = []
-    for rule in (divisibility_verdict, nd_structure_verdict):
-        v = rule(record)
-        if v is not None:
-            fired.append(v)
-    fired.extend(quartic_verdict(p, record))
+    fired = [v for v in (divisibility_verdict(record), nd_structure_verdict(record)) if v is not None]
+    fired.extend(quartic_verdict(record))
     field = ImagQuadField(disc) if disc is not None else None
     brauer = []
     if field is not None:
-        brauer = brauer_middle_term_verdict(e1, field, p, cm_asserted=cm)
+        brauer = brauer_middle_term_verdict(record, field, cm_asserted=cm)
         fired.extend(brauer)
         if tower_level is not None and cm:
-            v = cm_tower_verdict(e1, field, p, tower_level)
+            v = cm_tower_verdict(record, field, tower_level)
             if v is not None:
                 fired.append(v)
     if gen is not None and brauer:
@@ -288,16 +286,10 @@ def verdict_cmd(
         v = global_lift_verdict(dec, brauer[0])
         if v is not None:
             fired.append(v)
-    adm = prime_admissibility(
-        e1,
-        e2,
-        p,
-        AdmissibilityConfig(
-            isogeny_degree=deg_phi,
-            field_degree=field_degree,
-            bad_fiber_orders=tuple(bad_fiber_orders),
-        ),
+    config = AdmissibilityConfig(
+        isogeny_degree=deg_phi, field_degree=field_degree, bad_fiber_orders=tuple(bad_fiber_orders)
     )
+    adm = prime_admissibility(record, config)
     payload = {
         "verdicts": [v.to_dict() for v in fired],
         "admissibility": adm.to_dict(),

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .arith import double_and_add
+from .arith import double_and_add, is_prime
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -193,6 +193,12 @@ def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DE
     return point
 
 
+def _require_prime(p: int) -> None:
+    # called first: _minimal_with_scale never returns at p = 1 or -1 and divides by 0 at p = 0
+    if p < 5 or not is_prime(p):
+        raise DomainError(f"p must be a prime >= 5, got {p}")
+
+
 def _require_anomalous(curve: Curve, p: int) -> FpCurve:
     if curve.discriminant % p == 0:
         raise DomainError(f"model has bad reduction at {p}")
@@ -205,7 +211,8 @@ def _require_anomalous(curve: Curve, p: int) -> FpCurve:
 def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAULT_PRECISION) -> QpPoint:
     """The p-torsion point T0 of E(Q_p) reducing to `target`.
 
-    Requires an anomalous good model at p and a nonzero target.  Raises
+    Requires a prime p >= 5, an anomalous good model at p and a nonzero
+    target, whose coordinates are read mod p.  Raises
     SplitHypothesisError when the Newton iteration on the division
     polynomial stalls, i.e. when no Q_p-rational lift exists.
 
@@ -216,11 +223,13 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     PrecisionExhaustedError.  A pass certifies the lift to precision - 1
     digits: an error in the last digit alone still gives v(Z) >= precision.
     """
+    _require_prime(p)
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
     reduced = _require_anomalous(curve, p)
     if target.is_identity:
         raise DomainError("target must be a nonzero special-fiber point")
+    target = FpPoint(target.x % p, target.y % p)
     if not reduced.contains(target):
         raise DomainError(f"{target} is not on the reduction of {curve} mod {p}")
 
@@ -338,6 +347,7 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     On PrecisionExhaustedError the computation is retried once at doubled
     precision; a second failure propagates.
     """
+    _require_prime(p)
     try:
         return _decompose(curve, point, p, precision)
     except PrecisionExhaustedError:

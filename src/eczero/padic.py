@@ -128,9 +128,7 @@ class PadicNumber:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other) -> "PadicNumber":
-        if isinstance(other, int):
-            return _coerce_exact(other, self.p, self.abs_precision + abs(self.valuation) + 4)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return _coerce_exact(other, self.p, self.abs_precision + abs(self.valuation) + 4)
         if not isinstance(other, PadicNumber):
             raise DomainError(f"cannot combine PadicNumber with {type(other).__name__}")

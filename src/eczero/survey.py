@@ -28,7 +28,7 @@ from .rational import (
     reduction_type,
     torsion_order,
 )
-from .verdicts import _anomalous_split_verdicts, global_lift_verdict
+from .verdicts import HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict, verified
 
 DEFAULT_HEIGHT = 10**4
 
@@ -253,7 +253,8 @@ def build_row(
         names: list[str] = []
         if eligible:
             # build_row's own reduction type, so points at p are counted once
-            fired = _anomalous_split_verdicts(r, cm_field, p)
+            record = HypothesisRecord(prime=verified(p), e1_reduction=verified(r))
+            fired = brauer_middle_term_verdict(record, cm_field, cm_asserted=True)
             names = [v.name for v in fired]
             if gen is not None:
                 dec = decompose_point(curve, gen, p, precision)

@@ -1,12 +1,14 @@
 """Hypothesis-checked decision rules with citations.
 
-Each rule inspects a record of named facts, every fact carrying its
+Every rule reads p and the reduction types from one record of named facts
+(classified by HypothesisRecord.for_pair), each fact carrying its
 provenance: "verified" means this package computed it, "asserted" means
 the caller supplied it (Galois-theoretic inputs beyond desk-scale
 computation), "derived" means it follows mechanically from an asserted
-fact.  Rules fire only when every required fact is present and favorable;
-a silent None/empty result is *not* a refutation, the implemented results
-are one-directional.
+fact.  A rule reports the provenance its facts carry and marks verified
+only what it computes itself (splitting, p mod 4, coprimality).  Rules
+fire only when every required fact is present and favorable; a silent
+None/empty result is *not* a refutation, the results are one-directional.
 
 Every emitted Verdict names its conclusion, quotes a fixed citation string
 keyed by the conclusion, and lists exactly the hypotheses it consumed.
@@ -146,11 +148,11 @@ class HypothesisRecord:
         trivial_ns_action: bool | None = None,
         surface_good_reduction: bool | None = None,
     ) -> "HypothesisRecord":
-        """Verify the computable facts for a pair of curves, assert the rest."""
+        """Verify the computable facts (E2 classified only if it differs from E1), assert the rest."""
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
         r1 = reduction_type(e1, p) if p >= 5 else None
-        r2 = reduction_type(e2, p) if p >= 5 else None
+        r2 = r1 if e2 == e1 or r1 is None else reduction_type(e2, p)
         return cls(
             prime=verified(p),
             base_unramified=None if base_unramified is None else asserted(base_unramified),
@@ -223,24 +225,24 @@ def nd_structure_verdict(h: HypothesisRecord) -> Verdict | None:
     return _verdict(Conclusion.ND_IS_Z_MOD_PN, used, level=n)
 
 
-def cm_tower_verdict(curve: Curve, cm_field: ImagQuadField, p: int, n: int) -> Verdict | None:
+def cm_tower_verdict(h: HypothesisRecord, cm_field: ImagQuadField, n: int) -> Verdict | None:
     """Z/p^n over the p^n-torsion tower field of a CM self-product.
 
     CM by the full ring of integers is the caller's assertion; good
-    ordinary reduction is verified by counting, and triviality of the
+    ordinary reduction of E1 comes from the record, and triviality of the
     Neron-Severi action is derived from the CM assertion.
     """
     if n < 1:
         raise DomainError("tower level n must be >= 1")
-    if p < 5 or not is_prime(p):
+    if h.prime is None or h.e1_reduction is None or h.prime.value < 5:
         return None
-    r = reduction_type(curve, p)
+    p, r = h.prime.value, h.e1_reduction.value
     if r.kind is not ReductionKind.GOOD_ORDINARY:
         return None
     used = [
-        (f"p = {p} odd", VERIFIED),
+        (f"p = {p} odd", h.prime.provenance),
         (f"CM by the full ring of integers of {cm_field}", ASSERTED),
-        (f"good ordinary reduction at {p} (trace {r.trace})", VERIFIED),
+        (f"good ordinary reduction at {p} (trace {r.trace})", h.e1_reduction.provenance),
         ("trivial Neron-Severi Galois action", DERIVED),
         (f"base extended to the p^{n}-torsion tower field", ASSERTED),
     ]
@@ -248,31 +250,25 @@ def cm_tower_verdict(curve: Curve, cm_field: ImagQuadField, p: int, n: int) -> V
 
 
 def brauer_middle_term_verdict(
-    curve: Curve, cm_field: ImagQuadField, p: int, cm_asserted: bool = False
+    h: HypothesisRecord, cm_field: ImagQuadField, cm_asserted: bool = False
 ) -> list[Verdict]:
     """The (Z/p)^2 middle term and Brauer vanishing at an anomalous split prime.
 
-    Machine-verified: p >= 5 prime, p splits in the CM field, the model is
-    good at p (p does not divide the minimal discriminant, standing in for
-    conductor coprimality) and the reduction is anomalous.  The CM
+    Reads p >= 5 and E1's anomalous (hence good) reduction type from the
+    record; p not dividing the minimal discriminant stands in for conductor
+    coprimality.  The rule verifies that p splits in the CM field; the CM
     hypothesis itself must be asserted by the caller.
     """
-    if not cm_asserted or p < 5 or not is_prime(p) or not splits_completely(cm_field, p):
+    if not cm_asserted or h.prime is None or h.e1_reduction is None:
         return []
-    return _anomalous_split_verdicts(reduction_type(curve, p), cm_field, p)
-
-
-def _anomalous_split_verdicts(r: ReductionType, cm_field: ImagQuadField, p: int) -> list[Verdict]:
-    # The rule body, for a prime p >= 5 that splits in cm_field, with CM
-    # asserted.  r must come from reduction_type, which minimizes the model;
-    # anomalous implies good ordinary.
-    if not r.anomalous:
+    p, r = h.prime.value, h.e1_reduction.value
+    if p < 5 or not r.anomalous or not splits_completely(cm_field, p):
         return []
     used = [
-        (f"p = {p} >= 5 prime", VERIFIED),
+        (f"p = {p} >= 5 prime", h.prime.provenance),
         (f"{p} splits completely in {cm_field}", VERIFIED),
-        (f"good reduction at {p} (p coprime to the minimal discriminant)", VERIFIED),
-        (f"anomalous reduction: |E(F_{p})| = {p}", VERIFIED),
+        (f"good reduction at {p} (p coprime to the minimal discriminant)", h.e1_reduction.provenance),
+        (f"anomalous reduction: |E(F_{p})| = {p}", h.e1_reduction.provenance),
         (f"CM by the full ring of integers of {cm_field}", ASSERTED),
     ]
     return [
@@ -307,28 +303,29 @@ _QUARTIC_CURVE = Curve(-4, 0)
 _QUARTIC_MODEL_DISC = 32
 
 
-def quartic_verdict(p: int, flags: HypothesisRecord) -> list[Verdict]:
+def quartic_verdict(h: HypothesisRecord) -> list[Verdict]:
     """Diagonal-quartic conclusions at p = 1 mod 4.
 
     Emits the 2-primary bound whenever p = 1 (mod 4) is coprime to the
     quartic models and the base is unramified; adds Divisible when good
     reduction of the surface is additionally asserted.
     """
-    if flags.base_unramified is None or not flags.base_unramified.value:
+    if h.prime is None or h.base_unramified is None or not h.base_unramified.value:
         return []
-    if not is_prime(p) or p % 4 != 1 or p < 5:
+    p = h.prime.value
+    if p % 4 != 1 or p < 5:
         return []
     if _QUARTIC_CURVE.discriminant % p == 0 or _QUARTIC_MODEL_DISC % p == 0:
         return []
     used = [
-        (f"p = {p} = 1 (mod 4)", VERIFIED),
+        (f"p = {p} = 1 (mod 4)", h.prime.provenance),
         ("p coprime to the quartic and its Jacobian model", VERIFIED),
-        ("base field unramified", flags.base_unramified.provenance),
+        ("base field unramified", h.base_unramified.provenance),
     ]
     out = [_verdict(Conclusion.QUARTIC_ND_2_PRIMARY, used)]
-    if flags.surface_good_reduction is not None and flags.surface_good_reduction.value:
+    if h.surface_good_reduction is not None and h.surface_good_reduction.value:
         used_div = used + [
-            ("good reduction of the quartic surface", flags.surface_good_reduction.provenance)
+            ("good reduction of the quartic surface", h.surface_good_reduction.provenance)
         ]
         out.append(_verdict(Conclusion.DIVISIBLE, used_div))
     return out
@@ -358,7 +355,7 @@ class AdmissibilityResult:
 
 
 def prime_admissibility(
-    e1: Curve, e2: Curve, p: int, config: AdmissibilityConfig = AdmissibilityConfig()
+    h: HypothesisRecord, config: AdmissibilityConfig = AdmissibilityConfig()
 ) -> AdmissibilityResult:
     """Three-condition filter for primes entering the local-to-global set.
 
@@ -366,8 +363,9 @@ def prime_admissibility(
     of both curves above p; 2: good ordinary or almost-ordinary pair;
     3: p coprime to M = 6 * product of the asserted bad-fiber orders.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    if h.prime is None:
+        raise DomainError("prime admissibility needs p in the record")
+    p = h.prime.value
     reasons: list[str] = []
     ok = True
 
@@ -376,12 +374,13 @@ def prime_admissibility(
         reasons.append(f"condition 1: fail (p divides 2*deg(phi)*[K:F] = {deg_product})")
         ok = False
         good_known = False
-    elif p < 5:
-        reasons.append("condition 1: fail (reduction types undetermined for p < 5)")
+    elif h.e1_reduction is None or h.e2_reduction is None:
+        why = "for p < 5" if p < 5 else "in the record"
+        reasons.append(f"condition 1: fail (reduction types undetermined {why})")
         ok = False
         good_known = False
     else:
-        r1, r2 = reduction_type(e1, p), reduction_type(e2, p)
+        r1, r2 = h.e1_reduction.value, h.e2_reduction.value
         good_known = True
         if r1.kind.is_good and r2.kind.is_good:
             reasons.append(

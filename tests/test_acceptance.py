@@ -36,7 +36,7 @@ from eczero.localpoints import (
 from eczero.quadfields import ImagQuadField, anomalous_residues_d3, splits_completely
 from eczero.rational import Curve, QPoint, ReductionKind, reduction_type
 from eczero.survey import FamilySpec, emit_report, scan_family
-from eczero.verdicts import Conclusion, brauer_middle_term_verdict
+from eczero.verdicts import Conclusion, HypothesisRecord, brauer_middle_term_verdict
 
 from oracles import formal_nontrivial_oracle
 
@@ -149,7 +149,8 @@ def test_criterion_8_verdict_matrix():
     ]
     both = {Conclusion.MIDDLE_TERM_ZP_SQUARED, Conclusion.BRAUER_P_VANISHES}
     for curve, field, p in triples:
-        out = brauer_middle_term_verdict(curve, field, p, cm_asserted=True)
+        record = HypothesisRecord.for_pair(curve, curve, p)
+        out = brauer_middle_term_verdict(record, field, cm_asserted=True)
         assert {v.conclusion for v in out} == both
 
     # single-hypothesis ablations must refuse
@@ -163,7 +164,8 @@ def test_criterion_8_verdict_matrix():
         (Curve(-1056, 13552), ImagQuadField(-11), 11, True),  # no trace-1 option
     ]
     for curve, field, p, cm in ablations:
-        assert brauer_middle_term_verdict(curve, field, p, cm_asserted=cm) == []
+        record = HypothesisRecord.for_pair(curve, curve, p)
+        assert brauer_middle_term_verdict(record, field, cm_asserted=cm) == []
     _ok(8, "verdict engine fires exactly on the three family triples and refuses all ablations")
 
 

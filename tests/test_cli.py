@@ -109,6 +109,29 @@ def test_verdict_quartic_and_divisibility():
     assert "Divisible" in names and "QuarticNd2Primary" in names
 
 
+def test_verdict_counts_points_once_per_curve(monkeypatch):
+    import eczero.fp
+
+    calls = []
+    real = eczero.fp.count_points
+    monkeypatch.setattr(eczero.fp, "count_points", lambda c: calls.append(c) or real(c))
+    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--cm", "--tower-level", "1"]
+    res = run(*base)
+    assert res.exit_code == 0 and "NdIsZmodPn(1)" in res.stdout
+    assert len(calls) == 1
+    calls.clear()
+    res = run(*base, "--e2-a", "-4", "--e2-b", "0")
+    assert res.exit_code == 0
+    assert len(calls) == 2
+
+
+def test_verdict_rejects_half_given_e2():
+    for flag in ("--e2-a", "--e2-b"):
+        res = run("verdict", "--a", "0", "--b", "-2", "--p", "7", flag, "5")
+        assert res.exit_code == 2
+        assert "--e2-a and --e2-b must be given together" in res.stderr
+
+
 def test_scan_csv_and_roundtrip(tmp_path):
     out = tmp_path / "scan.csv"
     res = run(

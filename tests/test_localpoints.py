@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import eczero
 
 from eczero.errors import (
     DomainError,
@@ -348,3 +355,25 @@ def test_split_hypothesis_failure_is_detected():
     # both behaviors occur across the sample: rational 5-torsion lifts exist
     # for some anomalous curves and provably not for others
     assert "refused" in outcomes
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1, 4, 9])
+def test_local_layer_rejects_p_that_is_not_a_prime_at_least_5(p):
+    # p in {-1, 0, 1} once looped forever in _minimal_with_scale, so the CLI
+    # runs in a subprocess with a timeout and comes first
+    src = str(Path(eczero.__file__).resolve().parent.parent)
+    message = f"p must be a prime >= 5, got {p}"
+    for args in (
+        ["decompose", "--a", "0", "--b", "-2", "--p", str(p), "--gen", "3,1,5,1"],
+        ["lift-torsion", "--a", "0", "--b", "-2", "--p", str(p), "--x", "3", "--y", "5"],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-m", "eczero.cli", *args, "--json"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        )
+        assert out.returncode == 1 and out.stdout == ""
+        assert json.loads(out.stderr) == {"error": message}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        decompose_point(E, P35, p)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        lift_p_torsion(E, p, FpPoint(3, 5))

@@ -114,13 +114,11 @@ def test_ring_laws_sampled():
 
 
 def _random_expression(rng, p, precision):
-    ops = []
     value = Fraction(rng.randrange(1, 400))
     acc = PadicNumber.from_fraction(value, p, precision)
     for _ in range(6):
         n = Fraction(rng.randrange(1, 200), rng.choice([1, 1, 1, 2, 3]))
         op = rng.choice(["add", "sub", "mul", "div"])
-        ops.append((op, n))
         z = PadicNumber.from_fraction(n, p, precision)
         if op == "add":
             acc, value = acc + z, value + n
@@ -132,16 +130,20 @@ def _random_expression(rng, p, precision):
             acc, value = acc / z, value / n
         if acc.is_zero:
             break
-    return acc
+    return acc, value
 
 
 def test_precision_monotonicity():
+    # the same expression at two precisions agrees with itself and with its
+    # exact rational value
     rng = random.Random(2026)
-    for _ in range(200):
-        seed = rng.randrange(1 << 30)
-        lo = _random_expression(random.Random(seed), 7, 12)
-        hi = _random_expression(random.Random(seed), 7, 24)
-        assert hi.truncate(lo.abs_precision).agrees_with(lo)
+    for p in (5, 7, 43, 223):
+        for _ in range(200):
+            seed = rng.randrange(1 << 30)
+            lo, value = _random_expression(random.Random(seed), p, 12)
+            hi, _ = _random_expression(random.Random(seed), p, 24)
+            assert hi.truncate(lo.abs_precision).agrees_with(lo)
+            assert lo.agrees_with(value) and hi.agrees_with(value)
 
 
 def test_newton_lift_sqrt2_mod7():

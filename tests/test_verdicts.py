@@ -20,6 +20,7 @@ from eczero.verdicts import (
     nd_structure_verdict,
     prime_admissibility,
     quartic_verdict,
+    verified,
 )
 
 K3 = ImagQuadField(-3)
@@ -34,6 +35,10 @@ E_D19 = Curve(-152, 722)
 
 def record_for(e1, e2, p, **kw):
     return HypothesisRecord.for_pair(e1, e2, p, **kw)
+
+
+def self_record(curve, p):
+    return record_for(curve, curve, p)
 
 
 def test_divisibility_fires():
@@ -92,14 +97,15 @@ def test_nd_structure_ablations():
 
 
 def test_cm_tower_verdict():
-    v = cm_tower_verdict(E_CUBIC, K3, 7, 1)
+    h7 = self_record(E_CUBIC, 7)
+    v = cm_tower_verdict(h7, K3, 1)
     assert v is not None and v.level == 1
     assert v.conditional
-    assert cm_tower_verdict(E_CUBIC, K3, 7, 2).level == 2
+    assert cm_tower_verdict(h7, K3, 2).level == 2
     # 5 is supersingular for this curve: no ordinary route
-    assert cm_tower_verdict(E_CUBIC, K3, 5, 1) is None
+    assert cm_tower_verdict(self_record(E_CUBIC, 5), K3, 1) is None
     with pytest.raises(DomainError):
-        cm_tower_verdict(E_CUBIC, K3, 7, 0)
+        cm_tower_verdict(h7, K3, 0)
 
 
 def test_brauer_middle_term_fires_on_the_three_families():
@@ -108,7 +114,7 @@ def test_brauer_middle_term_fires_on_the_three_families():
         (E_D11, K11, 223),
         (E_D19, K19, 43),
     ):
-        out = brauer_middle_term_verdict(curve, field, p, cm_asserted=True)
+        out = brauer_middle_term_verdict(self_record(curve, p), field, cm_asserted=True)
         assert {v.conclusion for v in out} == {
             Conclusion.MIDDLE_TERM_ZP_SQUARED,
             Conclusion.BRAUER_P_VANISHES,
@@ -120,24 +126,50 @@ def test_brauer_middle_term_fires_on_the_three_families():
 
 def test_brauer_middle_term_ablations():
     # missing CM assertion
-    assert brauer_middle_term_verdict(E_CUBIC, K3, 7) == []
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3) == []
     # non-split prime: 4*11 = 1 + 11 v^2 has no solution and 11 is inert-ish
-    assert brauer_middle_term_verdict(E_D11, K11, 11, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(E_D11, 11), K11, cm_asserted=True) == []
     # split but not anomalous: p = 13 splits in Q(sqrt(-3)) but a_13 != 1
-    assert brauer_middle_term_verdict(E_CUBIC, K3, 13, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 13), K3, cm_asserted=True) == []
     # bad reduction at p
-    assert brauer_middle_term_verdict(Curve(7, 49), K3, 7, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(Curve(7, 49), 7), K3, cm_asserted=True) == []
     # p < 5
-    assert brauer_middle_term_verdict(E_CUBIC, K3, 3, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 3), K3, cm_asserted=True) == []
+    # no reduction type in the record
+    assert brauer_middle_term_verdict(HypothesisRecord(prime=verified(7)), K3, cm_asserted=True) == []
 
 
 def test_brauer_middle_term_classifies_for_itself():
-    # y^2 = x^3 + 1 is ordinary but not anomalous at the split prime 7, and
-    # the rule takes no reduction type from its caller
+    # y^2 = x^3 + 1 is ordinary but not anomalous at the split prime 7.  A
+    # caller's anomalous type fires the rule only on its word, never as
+    # fully verified; the type for_pair computes fires nothing.
     fake = ReductionType(ReductionKind.GOOD_ORDINARY, anomalous=True, trace=1)
-    with pytest.raises(TypeError):
-        brauer_middle_term_verdict(Curve(0, 1), K3, 7, cm_asserted=True, reduction=fake)
-    assert brauer_middle_term_verdict(Curve(0, 1), K3, 7, cm_asserted=True) == []
+    h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake))
+    out = brauer_middle_term_verdict(h, K3, cm_asserted=True)
+    assert [v.conclusion for v in out] == [
+        Conclusion.MIDDLE_TERM_ZP_SQUARED,
+        Conclusion.BRAUER_P_VANISHES,
+    ]
+    for v in out:
+        assert v.conditional
+        assert "anomalous reduction: |E(F_7)| = 7 (asserted)" in v.hypotheses_used
+        assert "good reduction at 7 (p coprime to the minimal discriminant) (asserted)" in v.hypotheses_used
+    assert brauer_middle_term_verdict(self_record(Curve(0, 1), 7), K3, cm_asserted=True) == []
+
+
+def test_rules_report_the_record_provenance():
+    # a caller-asserted fact keeps its provenance in every rule that reads it
+    fake = ReductionType(ReductionKind.GOOD_ORDINARY, trace=3)
+    h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake))
+    v = cm_tower_verdict(h, K3, 1)
+    assert "good ordinary reduction at 7 (trace 3) (asserted)" in v.hypotheses_used
+    h13 = HypothesisRecord(prime=asserted(13), base_unramified=asserted(True))
+    assert quartic_verdict(h13)[0].hypotheses_used[0] == "p = 13 = 1 (mod 4) (asserted)"
+    with pytest.raises(DomainError):
+        prime_admissibility(HypothesisRecord())
+    # a record without reduction types cannot pass condition 1
+    res = prime_admissibility(HypothesisRecord(prime=verified(7)))
+    assert res.reasons[0] == "condition 1: fail (reduction types undetermined in the record)"
 
 
 def test_brauer_agrees_with_anomalous_and_split_sample():
@@ -150,7 +182,7 @@ def test_brauer_agrees_with_anomalous_and_split_sample():
         p = rng.choice([7, 11, 13, 19, 31, 37, 43, 61, 223])
         c = rng.randrange(1, p)
         curve = Curve(0, c)
-        fires = bool(brauer_middle_term_verdict(curve, K3, p, cm_asserted=True))
+        fires = bool(brauer_middle_term_verdict(self_record(curve, p), K3, cm_asserted=True))
         expected = splits_completely(K3, p) and is_anomalous(FpCurve(p, 0, c % p))
         assert fires == expected
         count += 1
@@ -158,7 +190,7 @@ def test_brauer_agrees_with_anomalous_and_split_sample():
 
 
 def test_global_lift_verdict():
-    prior = brauer_middle_term_verdict(E_CUBIC, K3, 7, cm_asserted=True)[0]
+    prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3, cm_asserted=True)[0]
     dec = decompose_point(E_CUBIC, QPoint.from_pair(3, 5), 7, 16)
     v = global_lift_verdict(dec, prior)
     assert v is not None and v.conclusion is Conclusion.UNCONDITIONAL_EXACTNESS
@@ -168,20 +200,19 @@ def test_global_lift_verdict():
     assert global_lift_verdict(dec19, prior) is None
     # missing or wrong prior verdict
     assert global_lift_verdict(dec, None) is None
-    wrong_prior = brauer_middle_term_verdict(E_CUBIC, K3, 7, cm_asserted=True)[1]
+    wrong_prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3, cm_asserted=True)[1]
     assert global_lift_verdict(dec, wrong_prior) is None
 
 
 def test_quartic_verdict():
-    flags = HypothesisRecord(base_unramified=asserted(True))
-    out = quartic_verdict(13, flags)
+    flags = HypothesisRecord(prime=verified(13), base_unramified=asserted(True))
+    out = quartic_verdict(flags)
     assert [v.conclusion for v in out] == [Conclusion.QUARTIC_ND_2_PRIMARY]
-    assert quartic_verdict(7, flags) == []  # 7 = 3 mod 4
-    assert quartic_verdict(13, HypothesisRecord()) == []
-    flags_good = HypothesisRecord(
-        base_unramified=asserted(True), surface_good_reduction=asserted(True)
-    )
-    out = quartic_verdict(13, flags_good)
+    assert quartic_verdict(dataclasses.replace(flags, prime=verified(7))) == []  # 7 = 3 mod 4
+    assert quartic_verdict(HypothesisRecord(prime=verified(13))) == []
+    assert quartic_verdict(HypothesisRecord(base_unramified=asserted(True))) == []
+    flags_good = dataclasses.replace(flags, surface_good_reduction=asserted(True))
+    out = quartic_verdict(flags_good)
     assert [v.conclusion for v in out] == [
         Conclusion.QUARTIC_ND_2_PRIMARY,
         Conclusion.DIVISIBLE,
@@ -189,31 +220,28 @@ def test_quartic_verdict():
 
 
 def test_prime_admissibility_examples():
-    res = prime_admissibility(E_CUBIC, E_CUBIC, 7)
+    res = prime_admissibility(self_record(E_CUBIC, 7))
     assert res.admissible
     assert all("pass" in r for r in res.reasons)
-    res2 = prime_admissibility(E_CUBIC, E_CUBIC, 2)
+    res2 = prime_admissibility(self_record(E_CUBIC, 2))
     assert not res2.admissible and "condition 1: fail" in res2.reasons[0]
-    res3 = prime_admissibility(E_CUBIC, E_CUBIC, 3)
+    res3 = prime_admissibility(self_record(E_CUBIC, 3))
     assert not res3.admissible
     assert any("M = 6" in r and "fail" in r for r in res3.reasons)
 
 
 def test_prime_admissibility_config():
-    res = prime_admissibility(
-        E_CUBIC, E_CUBIC, 7, AdmissibilityConfig(isogeny_degree=7)
-    )
+    h7 = self_record(E_CUBIC, 7)
+    res = prime_admissibility(h7, AdmissibilityConfig(isogeny_degree=7))
     assert not res.admissible
-    res2 = prime_admissibility(
-        E_CUBIC, E_CUBIC, 7, AdmissibilityConfig(bad_fiber_orders=(7, 3))
-    )
+    res2 = prime_admissibility(h7, AdmissibilityConfig(bad_fiber_orders=(7, 3)))
     assert not res2.admissible
     res3 = prime_admissibility(
-        E_CUBIC, E_CUBIC, 7, AdmissibilityConfig(isogeny_degree=2, field_degree=3, bad_fiber_orders=(5,))
+        h7, AdmissibilityConfig(isogeny_degree=2, field_degree=3, bad_fiber_orders=(5,))
     )
     assert res3.admissible
     # supersingular pair fails condition 2
-    res4 = prime_admissibility(E_CUBIC, Curve(0, 1), 5)
+    res4 = prime_admissibility(record_for(E_CUBIC, Curve(0, 1), 5))
     assert not res4.admissible
     assert any("condition 2: fail" in r for r in res4.reasons)
 
