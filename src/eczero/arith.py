@@ -50,6 +50,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_curve_prime(p: int) -> None:
+    """Every local computation needs a prime p >= 5; check it before minimizing a model at p."""
+    if p < 5 or not is_prime(p):
+        raise DomainError(f"p must be a prime >= 5, got {p}")
+
+
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n); equals the Legendre symbol for odd prime n."""
     if n == 0:

@@ -21,6 +21,7 @@ from .arith import cornacchia
 from .errors import DomainError, InternalConsistencyError, NoSolutionError
 from .fp import FpPoint
 from .localpoints import decompose_point, decomposition_to_dict, lift_p_torsion, qppoint_to_dict
+from .padic import DEFAULT_PRECISION
 from .quadfields import (
     CLASS_NUMBER_ONE_DISCS,
     ImagQuadField,
@@ -30,7 +31,7 @@ from .quadfields import (
     splits_completely,
 )
 from .rational import Curve, QPoint, ReductionType, reduction_type
-from .survey import FamilySpec, emit_report, ingest_curves, scan_family, survey_records
+from .survey import DEFAULT_HEIGHT, FamilySpec, emit_report, ingest_curves, scan_family, survey_records
 from .verdicts import (
     AdmissibilityConfig,
     HypothesisRecord,
@@ -178,7 +179,7 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--x", "x", type=int, required=True, help="target x mod p")
 @click.option("--y", "y", type=int, required=True, help="target y mod p")
-@click.option("--prec", type=int, default=16, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @errors_to_exit_codes
 def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json: bool):
@@ -193,7 +194,7 @@ def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json:
 @click.option("--b", type=int, required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--gen", required=True, help="x_num,x_den,y_num,y_den of the global point")
-@click.option("--prec", type=int, default=16, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @errors_to_exit_codes
 def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
@@ -227,7 +228,7 @@ def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
 @click.option("--deg-phi", type=int, default=1)
 @click.option("--field-degree", type=int, default=1)
 @click.option("--bad-fiber-order", "bad_fiber_orders", type=int, multiple=True)
-@click.option("--prec", type=int, default=16, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @errors_to_exit_codes
 def verdict_cmd(
@@ -325,8 +326,8 @@ def _write_or_echo(text: str, out: str | None):
 @click.option("--disc", type=int, required=True)
 @click.option("--nmin", type=int, required=True)
 @click.option("--nmax", type=int, required=True)
-@click.option("--height", type=int, default=10**4, show_default=True)
-@click.option("--prec", type=int, default=16, show_default=True)
+@click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--ingest", "ingest_path", type=click.Path(exists=True), default=None,
               help="curve file supplying generators, matched by coefficients")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
@@ -372,8 +373,8 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--disc", type=int, required=True)
-@click.option("--height", type=int, default=10**4, show_default=True)
-@click.option("--prec", type=int, default=16, show_default=True)
+@click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")

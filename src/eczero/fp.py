@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import isqrt, lcm
 
-from .arith import double_and_add, is_prime, kronecker_symbol, sqrt_mod_p
+from .arith import double_and_add, kronecker_symbol, require_curve_prime, sqrt_mod_p
 from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
 # Mestre's bound (J.-F. Mestre; R. Schoof, "Counting points on elliptic
@@ -38,8 +38,7 @@ class FpCurve:
     b: int
 
     def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
-            raise DomainError(f"FpCurve needs a prime p >= 5, got {self.p}")
+        require_curve_prime(self.p)
         object.__setattr__(self, "a", self.a % self.p)
         object.__setattr__(self, "b", self.b % self.p)
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .arith import double_and_add, is_prime
+from .arith import double_and_add, require_curve_prime
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -193,12 +193,6 @@ def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DE
     return point
 
 
-def _require_prime(p: int) -> None:
-    # called first: _minimal_with_scale never returns at p = 1 or -1 and divides by 0 at p = 0
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"p must be a prime >= 5, got {p}")
-
-
 def _require_anomalous(curve: Curve, p: int) -> FpCurve:
     if curve.discriminant % p == 0:
         raise DomainError(f"model has bad reduction at {p}")
@@ -223,7 +217,7 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     PrecisionExhaustedError.  A pass certifies the lift to precision - 1
     digits: an error in the last digit alone still gives v(Z) >= precision.
     """
-    _require_prime(p)
+    require_curve_prime(p)
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
     reduced = _require_anomalous(curve, p)
@@ -347,7 +341,7 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     On PrecisionExhaustedError the computation is retried once at doubled
     precision; a second failure propagates.
     """
-    _require_prime(p)
+    require_curve_prime(p)
     try:
         return _decompose(curve, point, p, precision)
     except PrecisionExhaustedError:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import is_prime, kronecker_symbol
+from .arith import is_prime, kronecker_symbol, require_curve_prime
 from .errors import DomainError, InternalConsistencyError, NoSolutionError
 from .fp import FpCurve, is_anomalous
 
@@ -50,8 +50,7 @@ class FrobeniusPair:
 
 def splits_completely(field: ImagQuadField, p: int) -> bool:
     """True iff p >= 5 splits in the field, i.e. (D|p) = 1."""
-    if p < 5 or not is_prime(p):
-        raise DomainError("splitting test requires a prime p >= 5")
+    require_curve_prime(p)
     return kronecker_symbol(field.D, p) == 1
 
 
@@ -96,11 +95,12 @@ def anomalous_primes(field: ImagQuadField, bound: int) -> list[int]:
 def anomalous_residues_d3(p: int) -> list[int]:
     """All c in 1..p-1 with |{y^2 = x^3 + c over F_p}| = p, counting each curve.
 
-    Valid for anomalous primes of Q(sqrt(-3)) away from 6; the returned list
+    Valid for anomalous primes p >= 5 of Q(sqrt(-3)); the returned list
     must have exactly (p-1)/6 members, anything else is an internal bug.
     """
+    require_curve_prime(p)
     field = ImagQuadField(-3)
-    if p % 6 == 0 or p not in anomalous_primes(field, p):
+    if p not in anomalous_primes(field, p):
         raise DomainError(f"p={p} is not an anomalous prime for {field}")
     residues = [c for c in range(1, p) if is_anomalous(FpCurve(p, 0, c))]
     if len(residues) != (p - 1) // 6:

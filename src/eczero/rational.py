@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
 
-from .arith import double_and_add, is_prime, kronecker_symbol
+from .arith import double_and_add, kronecker_symbol, require_curve_prime
 from .errors import DomainError
 from .fp import FpCurve, trace_of_frobenius
 
@@ -207,8 +207,7 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
     Good iff p does not divide the minimal discriminant; multiplicative
     fibers are split iff -c6 is a square mod p; additive otherwise.
     """
-    if p < 5 or not is_prime(p):
-        raise DomainError("reduction_type requires a prime p >= 5")
+    require_curve_prime(p)
     minimal = _minimal_with_scale(curve, p)[0]
     disc = minimal.discriminant
     if disc % p != 0:

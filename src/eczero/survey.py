@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import is_prime
+from .arith import require_curve_prime
 from .errors import DomainError, IngestError, InternalConsistencyError
-from .localpoints import decompose_point
+from .localpoints import DEFAULT_PRECISION, decompose_point
 from .quadfields import ImagQuadField, splits_completely
 from .rational import (
     Curve,
@@ -41,14 +41,6 @@ PROXY_NOTE = (
 CSV_HEADER = "n,label,good7,anomalous,splits,generator,formal_nontrivial,verdicts"
 
 
-def _check_survey_prime(p: int) -> None:
-    # Every row classifies reduction at p, which needs a prime p >= 5.
-    if p < 5:
-        raise DomainError("survey prime must be >= 5")
-    if not is_prime(p):
-        raise DomainError(f"survey prime must be prime, got {p}")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Integer-linear family y^2 = x^3 + (a0 + a1 n) x + (b0 + b1 n)."""
@@ -62,13 +54,13 @@ class FamilySpec:
     p: int
     disc: int
     height: int = DEFAULT_HEIGHT
-    precision: int = 16
+    precision: int = DEFAULT_PRECISION
     generators: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_min > self.n_max:
             raise DomainError("empty parameter range")
-        _check_survey_prime(self.p)
+        require_curve_prime(self.p)
 
     def curve(self, n: int) -> Curve:
         return Curve(
@@ -223,7 +215,7 @@ def build_row(
     n: int | None = None,
     label: str | None = None,
     ingested_generator: QPoint | None = None,
-    precision: int = 16,
+    precision: int = DEFAULT_PRECISION,
 ) -> SurveyRow:
     """Hypotheses, generator, decomposition and verdicts for one curve.
 
@@ -321,10 +313,10 @@ def scan_family(spec: FamilySpec):
     return rows, aggregate_rows(rows)
 
 
-def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT, precision: int = 16):
+def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT, precision: int = DEFAULT_PRECISION):
     """Rows for ingested records, in input order, plus the aggregate."""
     cm_field = ImagQuadField(disc)
-    _check_survey_prime(p)
+    require_curve_prime(p)
     rows = [
         build_row(
             rec.curve,

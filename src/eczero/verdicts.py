@@ -149,7 +149,7 @@ class HypothesisRecord:
         surface_good_reduction: bool | None = None,
     ) -> "HypothesisRecord":
         """Verify the computable facts (E2 classified only if it differs from E1), assert the rest."""
-        if not is_prime(p):
+        if p < 2 or not is_prime(p):
             raise DomainError(f"{p} is not prime")
         r1 = reduction_type(e1, p) if p >= 5 else None
         r2 = r1 if e2 == e1 or r1 is None else reduction_type(e2, p)

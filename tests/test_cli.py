@@ -188,17 +188,34 @@ def test_report_pipeline(tmp_path):
     assert by_label["quartic"]["anomalous"] is False
 
 
-@pytest.mark.parametrize("p, reason", [("4", "must be >= 5"), ("9", "must be prime, got 9")])
-def test_survey_prime_is_checked(tmp_path, p, reason):
+@pytest.mark.parametrize("p", [-1, 0, 1, 2, 3, 4, 9, 25])
+def test_p_must_be_a_prime_at_least_5(tmp_path, p):
+    # one rule and one text for every command that works at a prime p >= 5
     f = tmp_path / "curves.jsonl"
     f.write_text('{"label": "E0", "A": 0, "B": -2}\n')
-    scan = run("scan", "--a0", "0", "--b0", "-2", "--b1", "7", "--p", p, "--disc", "-3",
-               "--nmin", "0", "--nmax", "2", "--height", "10")
-    report = run("report", "--input", str(f), "--p", p, "--disc", "-3")
-    for res in (scan, report):
-        assert res.exit_code == 1
+    curve = ["--a", "0", "--b", "-2", "--p", str(p)]
+    family = ["--a0", "0", "--b0", "-2", "--b1", "7", "--p", str(p), "--disc", "-3"]
+    for args in (
+        ["classify", *curve],
+        ["check-curve", *curve],
+        ["anomalous-residues", "--p", str(p)],
+        ["scan", *family, "--nmin", "0", "--nmax", "2", "--height", "10"],
+        ["report", "--input", str(f), "--p", str(p), "--disc", "-3"],
+    ):
+        res = run(*args)
+        assert res.exit_code == 1, args
         assert res.stdout == ""
-        assert json.loads(res.stderr) == {"error": f"survey prime {reason}"}
+        assert json.loads(res.stderr) == {"error": f"p must be a prime >= 5, got {p}"}
+
+
+def test_verdict_names_a_negative_p_as_not_prime():
+    # verdict takes any prime; a negative p is refused as not prime, not as
+    # a value outside the primality test's range
+    for p in (-1, -7):
+        res = run("verdict", "--a", "0", "--b", "-2", "--p", str(p), "--json")
+        assert res.exit_code == 1
+        assert json.loads(res.stderr) == {"error": f"{p} is not prime"}
+    assert run("verdict", "--a", "0", "--b", "-2", "--p", "3", "--json").exit_code == 0
 
 
 def test_exit_codes():

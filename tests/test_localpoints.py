@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 import eczero
 
+from eczero.arith import kronecker_symbol
 from eczero.errors import (
     DomainError,
     InternalConsistencyError,
@@ -32,7 +34,8 @@ from eczero.localpoints import (
     t_parameter,
 )
 from eczero.padic import PadicNumber, _make, newton_lift
-from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short
+from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
+from eczero.survey import find_generator
 
 from oracles import formal_nontrivial_oracle
 
@@ -49,8 +52,6 @@ def test_embed_and_on_curve():
 
 
 def test_qp_group_law_matches_rational():
-    from eczero.rational import q_scalar_mul
-
     P = embed_point(E, P35, 7, 20)
     for k in (2, 3, 5, 11):
         exact = q_scalar_mul(E, k, P35)
@@ -269,6 +270,39 @@ def test_decompose_layer_arithmetic():
     assert t_parameter(E, bumped, 7).valuation == dec.t_valuation + 1
 
 
+def _decision_bit_cases():
+    # criterion-9 family members at p = 7, and seeded twists of the CM curves
+    # anomalous at 43 and 223 by d = f(x0) carrying the point (d x0, d^2)
+    cases = [(E, q_scalar_mul(E, 7, P35), 7)]
+    for n in range(-200, 201, 8):
+        curve = Curve(0, -2 + 7 * n)
+        gen = find_generator(curve, 10**4)
+        if gen is not None:
+            cases.append((curve, gen, 7))
+    rng = random.Random(9)
+    for p, A, B in ((43, -152, 722), (223, -1056, 13552)):
+        twists = 0
+        while twists < 6:
+            x0 = rng.randint(-300, 300)
+            d = x0**3 + A * x0 + B
+            if d != 0 and kronecker_symbol(d, p) == 1:
+                cases.append((Curve(A * d * d, B * d**3), QPoint.from_pair(d * x0, d * d), p))
+                twists += 1
+    return cases
+
+
+def test_decision_bit_matches_p_times_the_point():
+    # [p]P = [p]F since [p]T0 = O, and for p >= 3 [p] moves E_m onto E_{m+1}:
+    # so v(t([p]P)) = v(t(F)) + 1, computed here without lifting any torsion
+    seen = set()
+    for curve, point, p in _decision_bit_cases():
+        dec = decompose_point(curve, point, p)
+        pP = qp_scalar_mul(curve, p, embed_point(curve, point, p, 20))
+        assert dec.t_valuation + 1 == t_parameter(curve, pP, p).valuation, (curve, point, p)
+        seen.add((p, dec.t_valuation))
+    assert {(7, 1), (7, 2), (43, 1), (223, 1)} <= seen
+
+
 def test_decompose_preconditions():
     with pytest.raises(DomainError):
         decompose_point(Curve(-4, 0), QPoint.from_pair(0, 0), 13, 16)
@@ -281,8 +315,6 @@ def test_decompose_preconditions():
 def test_decompose_point_in_kernel_of_reduction():
     # [7]P reduces to the identity: the torsion part is trivial and the
     # whole point is its own formal component, one layer deeper than P's
-    from eczero.rational import q_scalar_mul
-
     P7 = q_scalar_mul(E, 7, P35)
     dec = decompose_point(E, P7, 7, 16)
     assert dec.bar_point.is_identity

@@ -1,0 +1,118 @@
+"""Property tests: group laws over F_p and Q, the p-adic group law against
+the rational one, and the certified precision of PadicNumber arithmetic."""
+
+import operator
+from fractions import Fraction
+
+import pytest
+
+from eczero.errors import DomainError, PrecisionExhaustedError
+from eczero.fp import FpCurve, FpPoint, fp_add, fp_neg, point_at_x
+from eczero.localpoints import QpPoint, embed_point, qp_add
+from eczero.padic import PadicNumber
+from eczero.rational import Curve, QPoint, q_add, q_neg, q_scalar_mul
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, reject, settings = hypothesis.given, hypothesis.reject, hypothesis.settings
+
+# derandomized and without an example database: the same examples every run
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+PRIMES = (5, 7, 11, 13, 101, 1009, 65537)
+LOCAL_PRIMES = (5, 7, 11, 43)
+
+
+@st.composite
+def fp_points(draw, count):
+    p = draw(st.sampled_from(PRIMES))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    if (4 * a**3 + 27 * b**2) % p == 0:
+        reject()
+    curve = FpCurve(p, a, b)
+    points = []
+    for _ in range(count):
+        x = draw(st.integers(0, p - 1))
+        while (P := point_at_x(curve, x)) is None:
+            x = (x + 1) % p
+        points.append(fp_neg(curve, P) if draw(st.booleans()) else P)
+    return curve, points
+
+
+@st.composite
+def q_points(draw):
+    """A curve through two integral points with x-coordinates x1 and x1 + 1,
+    and a third point [k]P1 + [j]P2 of the group they generate."""
+    x1, y1, y2 = draw(st.integers(-30, 30)), draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    c1, c2 = y1 * y1 - x1**3, y2 * y2 - (x1 + 1) ** 3
+    a = c2 - c1
+    try:
+        curve = Curve(a, c1 - a * x1)
+    except DomainError:
+        reject()
+    P1, P2 = QPoint.from_pair(x1, y1), QPoint.from_pair(x1 + 1, y2)
+    k, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return curve, [P1, P2, q_add(curve, q_scalar_mul(curve, k, P1), q_scalar_mul(curve, j, P2))]
+
+
+@PROPERTY
+@given(fp_points(3))
+def test_fp_group_law_is_associative_with_inverses(case):
+    curve, (P, Q, R) = case
+    O = FpPoint.identity()
+    assert fp_add(curve, fp_add(curve, P, Q), R) == fp_add(curve, P, fp_add(curve, Q, R))
+    assert fp_add(curve, P, fp_neg(curve, P)) == O
+    assert fp_add(curve, P, O) == P == fp_add(curve, O, P)
+
+
+@PROPERTY
+@given(q_points())
+def test_q_group_law_is_associative_with_inverses(case):
+    curve, (P, Q, R) = case
+    assert q_add(curve, q_add(curve, P, Q), R) == q_add(curve, P, q_add(curve, Q, R))
+    assert q_add(curve, R, q_neg(R)).is_identity
+    assert q_add(curve, R, QPoint.identity()) == R
+
+
+@PROPERTY
+@given(q_points(), st.sampled_from(LOCAL_PRIMES), st.integers(0, 2), st.integers(0, 2))
+def test_qp_add_agrees_with_q_add_after_embedding(case, p, i, j):
+    curve, points = case
+    P, Q = points[i], points[j]
+    exact = q_add(curve, P, Q)
+    try:
+        approx = qp_add(curve, embed_point(curve, P, p, 20), embed_point(curve, Q, p, 20))
+    except PrecisionExhaustedError:
+        reject()  # e.g. P and Q distinct but equal in x mod p^20 with neither y-test decisive
+    if exact.is_identity:
+        assert approx == QpPoint.identity()
+        return
+    want = embed_point(curve, exact, p, 40)
+    assert approx.x.agrees_with(want.x) and approx.y.agrees_with(want.y)
+
+
+fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(LOCAL_PRIMES),
+    fractions,
+    fractions,
+    st.integers(4, 20),
+    st.integers(4, 20),
+    st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+)
+def test_padic_arithmetic_never_raises_precision(p, x, y, kx, ky, op):
+    # the digits an operation certifies are digits of the exact result, and
+    # it certifies no more than its operands carry
+    a, b = PadicNumber.from_fraction(x, p, kx), PadicNumber.from_fraction(y, p, ky)
+    try:
+        result = op(a, b)
+    except PrecisionExhaustedError:
+        reject()
+    assert result.agrees_with(PadicNumber.from_fraction(op(x, y), p, 60))
+    if op in (operator.add, operator.sub):
+        assert result.abs_precision <= min(a.abs_precision, b.abs_precision)
+    elif not result.is_zero:
+        assert result.precision <= min(a.precision, b.precision)
