@@ -18,7 +18,7 @@ import click
 
 from . import __version__
 from .arith import cornacchia
-from .errors import DomainError, InternalConsistencyError, NoSolutionError
+from .errors import DomainError, InternalConsistencyError
 from .fp import FpPoint
 from .localpoints import decompose_point, decomposition_to_dict, lift_p_torsion, qppoint_to_dict
 from .padic import DEFAULT_PRECISION
@@ -27,7 +27,7 @@ from .quadfields import (
     ImagQuadField,
     anomalous_primes,
     anomalous_residues_d3,
-    frobenius_candidates,
+    is_frobenius_trace,
     splits_completely,
 )
 from .rational import Curve, QPoint, ReductionType, reduction_type
@@ -150,14 +150,9 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
     r = reduction_type(Curve(a, b), p)
     discs = [disc] if disc is not None else list(CLASS_NUMBER_ONE_DISCS)
     splits = {D: splits_completely(ImagQuadField(D), p) for D in discs}
-    compatible = []
-    if r.trace is not None:
-        for D in discs:
-            try:
-                frobenius_candidates(ImagQuadField(D), p, r.trace)
-            except NoSolutionError:
-                continue
-            compatible.append(D)
+    compatible = [
+        D for D in discs if r.trace is not None and is_frobenius_trace(ImagQuadField(D), p, r.trace)
+    ]
     payload = _reduction_payload(r, p)
     payload["splits"] = {str(D): ok for D, ok in splits.items()}
     payload["trace_compatible_discs"] = compatible

@@ -19,10 +19,6 @@ class UnsupportedModulusError(DomainError):
     """Modulus outside the range the operation supports."""
 
 
-class NoSolutionError(DomainError):
-    """A requested arithmetic solution does not exist."""
-
-
 class NonSimpleRootError(DomainError):
     """Root-lifting started at a root where the derivative vanishes."""
 

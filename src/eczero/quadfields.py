@@ -1,6 +1,6 @@
 """Class-number-one imaginary quadratic field bookkeeping.
 
-Splitting tests, Frobenius-trace representations 4p = t^2 + |D| v^2, and
+Splitting tests, the Frobenius-trace test 4p = a^2 + |D| v^2, and
 enumeration of anomalous primes (trace-1 representations) and of the
 anomalous residue classes of the cubic-twist family y^2 = x^3 + c.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import is_prime, kronecker_symbol, require_curve_prime
-from .errors import DomainError, InternalConsistencyError, NoSolutionError
+from .errors import DomainError, InternalConsistencyError
 from .fp import FpCurve, is_anomalous
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -31,45 +31,18 @@ class ImagQuadField:
         return f"Q(sqrt({self.D}))"
 
 
-@dataclass(frozen=True)
-class FrobeniusPair:
-    """The conjugate pair (trace +- v*sqrt(D)) / 2 of norm p.
-
-    Which conjugate reduces to the Frobenius is deliberately left open;
-    nothing downstream needs the choice, only the trace.
-    """
-
-    trace: int
-    v: int
-    D: int
-
-    @property
-    def norm_times_4(self) -> int:
-        return self.trace**2 + abs(self.D) * self.v**2
-
-
 def splits_completely(field: ImagQuadField, p: int) -> bool:
     """True iff p >= 5 splits in the field, i.e. (D|p) = 1."""
     require_curve_prime(p)
     return kronecker_symbol(field.D, p) == 1
 
 
-def frobenius_candidates(field: ImagQuadField, p: int, a_p: int) -> FrobeniusPair:
-    """The trace-a_p element pair with 4p = a_p^2 + |D| v^2.
-
-    Raises NoSolutionError when a_p is not a trace of norm-p elements.
-    """
+def is_frobenius_trace(field: ImagQuadField, p: int, a_p: int) -> bool:
+    """True iff p splits in the field and 4p - a_p^2 = |D| v^2 for an integer v."""
     if not splits_completely(field, p):
-        raise NoSolutionError(f"{p} does not split in {field}")
-    rest = 4 * p - a_p * a_p
-    d = abs(field.D)
-    if rest < 0 or rest % d != 0:
-        raise NoSolutionError(f"4*{p} - {a_p}^2 is not |D| times a square")
-    v2 = rest // d
-    v = isqrt(v2)
-    if v * v != v2:
-        raise NoSolutionError(f"({4 * p} - {a_p}^2)/{d} = {v2} is not a perfect square")
-    return FrobeniusPair(trace=a_p, v=v, D=field.D)
+        return False
+    v2, r = divmod(4 * p - a_p * a_p, abs(field.D))
+    return r == 0 and v2 >= 0 and isqrt(v2) ** 2 == v2
 
 
 def anomalous_primes(field: ImagQuadField, bound: int) -> list[int]:
@@ -93,19 +66,29 @@ def anomalous_primes(field: ImagQuadField, bound: int) -> list[int]:
 
 
 def anomalous_residues_d3(p: int) -> list[int]:
-    """All c in 1..p-1 with |{y^2 = x^3 + c over F_p}| = p, counting each curve.
+    """All c in 1..p-1 with |{y^2 = x^3 + c over F_p}| = p, one count per sextic class.
 
-    Valid for anomalous primes p >= 5 of Q(sqrt(-3)); the returned list
-    must have exactly (p-1)/6 members, anything else is an internal bug.
+    Valid for anomalous primes p >= 5 of Q(sqrt(-3)), all of them 1 mod 6.
+    y^2 = x^3 + c and y^2 = x^3 + c u^6 are isomorphic over F_p, so the
+    count depends only on c^((p-1)/6) and one curve per class is counted.
+    The returned list must have exactly (p-1)/6 members, anything else is
+    an internal bug.
     """
-    require_curve_prime(p)
     field = ImagQuadField(-3)
-    if p not in anomalous_primes(field, p):
+    if not is_frobenius_trace(field, p, 1):
         raise DomainError(f"p={p} is not an anomalous prime for {field}")
-    residues = [c for c in range(1, p) if is_anomalous(FpCurve(p, 0, c))]
-    if len(residues) != (p - 1) // 6:
+    k = (p - 1) // 6
+    anomalous_class: dict[int, bool] = {}
+    residues = []
+    for c in range(1, p):
+        key = pow(c, k, p)
+        if key not in anomalous_class:
+            anomalous_class[key] = is_anomalous(FpCurve(p, 0, c))
+        if anomalous_class[key]:
+            residues.append(c)
+    if len(residues) != k:
         raise InternalConsistencyError(
-            f"expected (p-1)/6 = {(p - 1) // 6} anomalous residues mod {p}, "
+            f"expected (p-1)/6 = {k} anomalous residues mod {p}, "
             f"found {len(residues)}"
         )
     return residues

@@ -288,17 +288,14 @@ def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
     patterns, keyed by (q, a e^4 mod q, b e^6 mod q) and so never more than
     sum(q^2) entries of at most q bytes, and one inside each call of the
     full-width rows tiled from them, at most sum(q) rows of about 2*height
-    bits.  Results are deduplicated and sorted by the naive height of x.
+    bits.  gcd(m, e) = 1 puts each x in lowest terms, so no two hits share
+    an x; results are sorted by the naive height of x.
     """
     if height < 1:
         raise DomainError("height bound must be >= 1")
     points = []
-    seen = set()
     for m, e, s in _sieve_hits(curve.a, curve.b, height):
         x = Fraction(m, e * e)
-        if x in seen:
-            continue
-        seen.add(x)
         y = Fraction(s, e**3)
         if y * y != curve.rhs(x):  # exact confirmation of the sieve hit
             continue

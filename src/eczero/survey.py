@@ -10,6 +10,8 @@ says so in its aggregate note.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -343,28 +345,27 @@ def _csv_cell(value) -> str:
 def emit_report(rows, aggregate: dict, format: str = "csv") -> str:
     """Deterministic report text; identical inputs give identical bytes."""
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _csv_cell(r.n),
-                        _csv_cell(r.label),
-                        _csv_cell(r.good_p),
-                        _csv_cell(r.anomalous),
-                        _csv_cell(r.splits),
-                        r.generator_status,
-                        _csv_cell(r.formal_nontrivial),
-                        ";".join(r.verdicts),
-                    ]
-                )
-            )
+        out = io.StringIO()
+        out.write(CSV_HEADER + "\n")
+        csv.writer(out, lineterminator="\n").writerows(
+            [
+                _csv_cell(r.n),
+                _csv_cell(r.label),
+                _csv_cell(r.good_p),
+                _csv_cell(r.anomalous),
+                _csv_cell(r.splits),
+                r.generator_status,
+                _csv_cell(r.formal_nontrivial),
+                ";".join(r.verdicts),
+            ]
+            for r in rows
+        )
         agg = " ".join(
             f"{k}={aggregate[k]}"
             for k in ("eligible", "with_generator", "nontrivial", "fraction", "generator_unknown")
         )
-        lines.append(f"# aggregate {agg} note={aggregate['note']!r}")
-        return "\n".join(lines) + "\n"
+        out.write(f"# aggregate {agg} note={aggregate['note']!r}\n")
+        return out.getvalue()
     if format == "json":
         payload = {"rows": [r.to_dict() for r in rows], "aggregate": aggregate}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -17,6 +17,7 @@ keyed by the conclusion, and lists exactly the hypotheses it consumed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .arith import is_prime
@@ -339,10 +340,7 @@ class AdmissibilityConfig:
 
     @property
     def m_constant(self) -> int:
-        m = 6
-        for n in self.bad_fiber_orders:
-            m *= n
-        return m
+        return 6 * math.prod(self.bad_fiber_orders)
 
 
 @dataclass(frozen=True)
@@ -366,46 +364,30 @@ def prime_admissibility(
     if h.prime is None:
         raise DomainError("prime admissibility needs p in the record")
     p = h.prime.value
-    reasons: list[str] = []
-    ok = True
-
+    r1, r2 = (None if f is None else f.value for f in (h.e1_reduction, h.e2_reduction))
     deg_product = 2 * config.isogeny_degree * config.field_degree
+    # each condition is (passed, why); why None means "not evaluated"
     if p > 0 and deg_product % p == 0:
-        reasons.append(f"condition 1: fail (p divides 2*deg(phi)*[K:F] = {deg_product})")
-        ok = False
-        good_known = False
-    elif h.e1_reduction is None or h.e2_reduction is None:
-        why = "for p < 5" if p < 5 else "in the record"
-        reasons.append(f"condition 1: fail (reduction types undetermined {why})")
-        ok = False
-        good_known = False
+        cond1 = False, f"p divides 2*deg(phi)*[K:F] = {deg_product}"
+        cond2 = False, None
+    elif r1 is None or r2 is None:
+        cond1 = False, f"reduction types undetermined {'for p < 5' if p < 5 else 'in the record'}"
+        cond2 = False, None
+    elif not (r1.kind.is_good and r2.kind.is_good):
+        cond1 = False, f"reduction at {p}: E1 {r1}, E2 {r2}"
+        cond2 = False, "good reduction required first"
     else:
-        r1, r2 = h.e1_reduction.value, h.e2_reduction.value
-        good_known = True
-        if r1.kind.is_good and r2.kind.is_good:
-            reasons.append(
-                f"condition 1: pass (p coprime to {deg_product}; good reduction of both curves)"
-            )
-        else:
-            reasons.append(f"condition 1: fail (reduction at {p}: E1 {r1}, E2 {r2})")
-            ok = False
-
-    if good_known and ok:
+        cond1 = True, f"p coprime to {deg_product}; good reduction of both curves"
         if _pair_ordinary_or_almost(r1, r2):
-            reasons.append("condition 2: pass (good ordinary or almost-ordinary pair)")
+            cond2 = True, "good ordinary or almost-ordinary pair"
         else:
-            reasons.append("condition 2: fail (both factors supersingular)")
-            ok = False
-    elif not good_known:
-        reasons.append("condition 2: not evaluated")
-    else:
-        reasons.append("condition 2: fail (good reduction required first)")
-
+            cond2 = False, "both factors supersingular"
     m = config.m_constant
-    if m % p == 0:
-        reasons.append(f"condition 3: fail (p divides M = {m})")
-        ok = False
-    else:
-        reasons.append(f"condition 3: pass (p coprime to M = {m})")
+    cond3 = (True, f"p coprime to M = {m}") if m % p else (False, f"p divides M = {m}")
 
-    return AdmissibilityResult(admissible=ok, reasons=tuple(reasons))
+    conditions = (cond1, cond2, cond3)
+    reasons = tuple(
+        f"condition {i}: not evaluated" if why is None else f"condition {i}: {'pass' if ok else 'fail'} ({why})"
+        for i, (ok, why) in enumerate(conditions, 1)
+    )
+    return AdmissibilityResult(admissible=all(ok for ok, _ in conditions), reasons=reasons)

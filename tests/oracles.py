@@ -11,6 +11,9 @@ valuation >= 2".  It never consults decompose_point's F-component path.
 The division-polynomial oracle expands psi_m as an integer polynomial by
 the classical recurrence, for checking the library's pointwise evaluator.
 The point-count oracle tries every (x, y) in F_p^2.
+The CM trace oracle reads the trace of y^2 = x^3 + b or y^2 = x^3 + a x
+off the norm-p elements of Z[zeta_3] or Z[i] that Cornacchia gives, and
+never runs baby-step/giant-step.
 """
 
 from eczero.localpoints import (
@@ -23,7 +26,9 @@ from eczero.localpoints import (
     reduce_point,
     t_parameter,
 )
+from eczero.arith import cornacchia
 from eczero.errors import DomainError
+from eczero.fp import FpCurve, fp_scalar_mul, point_at_x
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from math import isqrt
@@ -95,6 +100,37 @@ def formal_nontrivial_oracle(curve: Curve, point: QPoint, p: int, precision: int
 def count_points_oracle(p: int, a: int, b: int) -> int:
     """|E(F_p)| for y^2 = x^3 + a x + b: every (x, y) in F_p^2, plus the identity."""
     return 1 + sum((y * y - x * x * x - a * x - b) % p == 0 for x in range(p) for y in range(p))
+
+
+def cm_trace_oracle(curve: FpCurve, rng, tries: int = 64) -> int:
+    """a_p of y^2 = x^3 + b (j = 0) or y^2 = x^3 + a x (j = 1728) over F_p.
+
+    a_p is the trace of a norm-p element: with 4p = u^2 + 3v^2 one of
+    +-u, +-(u + 3v)/2, +-(u - 3v)/2, with 4p = u^2 + 4v^2 one of +-u, +-2v,
+    and 0 where p is inert.  Candidates t with [p + 1 - t]P != O at a
+    random point P are dropped until one is left.
+    """
+    p = curve.p
+    if curve.a == 0:
+        if p % 3 == 2:
+            return 0
+        u, v = cornacchia(3, p)
+        traces = {u, (u + 3 * v) // 2, (u - 3 * v) // 2}
+    elif curve.b == 0:
+        if p % 4 == 3:
+            return 0
+        u, v = cornacchia(4, p)
+        traces = {u, 2 * v}
+    else:
+        raise DomainError("cm_trace_oracle needs j = 0 or j = 1728")
+    candidates = traces | {-t for t in traces}
+    for _ in range(tries):
+        if len(candidates) == 1:
+            return candidates.pop()
+        while (P := point_at_x(curve, rng.randrange(p))) is None:
+            pass
+        candidates = {t for t in candidates if fp_scalar_mul(curve, p + 1 - t, P).is_identity}
+    raise AssertionError(f"{tries} points left traces {sorted(candidates)} for {curve}")
 
 
 # --- expanded division polynomials -----------------------------------------

@@ -22,6 +22,8 @@ from eczero.fp import (
     trace_of_frobenius,
 )
 
+from oracles import cm_trace_oracle
+
 E7 = FpCurve(7, 0, 5)  # y^2 = x^3 + 5 over F_7, order 7
 
 
@@ -255,6 +257,25 @@ def test_bsgs_alone_matches_naive_above_mestre_bound(monkeypatch):
         curves.append(_random_curve(rng, p))
         for curve in curves:
             assert count_points(curve) == naive(curve), curve
+    assert len(classes) == 4
+
+
+def test_bsgs_matches_cm_trace_oracle_up_to_2_40():
+    # Above 2^16 no sweep can check BSGS; the j = 0 and j = 1728 traces are
+    # read off Cornacchia instead, at primes log-uniform in [2^17, 2^40]
+    # that cycle through the four classes of ((-2|p), (-3|p)).
+    rng = random.Random(2040)
+    classes = set()
+    for i in range(24):
+        want = ((1, 1), (1, -1), (-1, 1), (-1, -1))[i % 4]
+        p = int(2 ** (17 + 23 * rng.random()))
+        while not (is_prime(p) and (kronecker_symbol(-2, p), kronecker_symbol(-3, p)) == want):
+            p += 1
+        classes.add(want)
+        curves = [FpCurve(p, 0, -2), FpCurve(p, -4, 0)]
+        curves += [FpCurve(p, 0, rng.randrange(1, p)), FpCurve(p, rng.randrange(1, p), 0)]
+        for curve in curves:
+            assert count_points(curve) == p + 1 - cm_trace_oracle(curve, rng), curve
     assert len(classes) == 4
 
 

@@ -1,15 +1,16 @@
+import random
+
 import pytest
 
 from eczero.arith import is_prime
-from eczero.errors import DomainError, NoSolutionError
+from eczero.errors import DomainError
 from eczero.fp import FpCurve, count_points, is_anomalous
 from eczero.quadfields import (
     CLASS_NUMBER_ONE_DISCS,
-    FrobeniusPair,
     ImagQuadField,
     anomalous_primes,
     anomalous_residues_d3,
-    frobenius_candidates,
+    is_frobenius_trace,
     splits_completely,
 )
 
@@ -35,17 +36,28 @@ def test_splits_completely_examples():
     assert splits_completely(K11, 223)
 
 
-def test_frobenius_candidates_examples():
-    assert frobenius_candidates(K3, 7, 1) == FrobeniusPair(1, 3, -3)
-    assert frobenius_candidates(K19, 43, 1) == FrobeniusPair(1, 3, -19)
-    with pytest.raises(NoSolutionError):
-        frobenius_candidates(K3, 7, 2)
+def test_is_frobenius_trace_examples():
+    assert is_frobenius_trace(K3, 7, 1)  # 28 = 1 + 3 * 3^2
+    assert is_frobenius_trace(K19, 43, 1)  # 172 = 1 + 19 * 3^2
+    assert not is_frobenius_trace(K3, 7, 2)
+    assert not is_frobenius_trace(K3, 5, 1)  # 5 is inert in Q(sqrt(-3))
+    assert not is_frobenius_trace(K3, 7, 6)  # 4p - a^2 < 0
+    with pytest.raises(DomainError):
+        is_frobenius_trace(K3, 9, 1)
 
 
-def test_frobenius_candidates_norm_identity():
-    for p in (7, 19, 37, 61):
-        pair = frobenius_candidates(K3, p, 1)
-        assert pair.norm_times_4 == 4 * p
+def test_is_frobenius_trace_brute_force():
+    # against every v in the range 4p = a^2 + |D| v^2 allows, for split p < 200
+    for D in CLASS_NUMBER_ONE_DISCS:
+        field = ImagQuadField(D)
+        for p in range(5, 200):
+            if not is_prime(p) or not splits_completely(field, p):
+                continue
+            bound = 2 * int(p**0.5) + 2
+            traces = {a for a in range(-bound, bound + 1) for v in range(bound + 1) if 4 * p == a * a - D * v * v}
+            assert traces, (D, p)
+            for a in range(-bound - 2, bound + 3):
+                assert is_frobenius_trace(field, p, a) == (a in traces), (D, p, a)
 
 
 def test_anomalous_primes_d3():
@@ -101,3 +113,23 @@ def test_anomalous_residues_rejects_bad_prime():
         anomalous_residues_d3(11)
     with pytest.raises(DomainError):
         anomalous_residues_d3(13)
+
+
+def test_anomalous_residues_match_per_curve_counts():
+    # one count per curve, against the one count per sextic class the function makes
+    for p in anomalous_primes(K3, 400):
+        expected = [c for c in range(1, p) if count_points(FpCurve(p, 0, c)) == p]
+        assert anomalous_residues_d3(p) == expected, p
+
+
+def test_anomalous_residues_large_prime_sampled():
+    p = 8269  # 4 * 8269 = 1 + 3 * 105^2
+    residues = anomalous_residues_d3(p)
+    assert len(residues) == (p - 1) // 6 == 1378
+    members = set(residues)
+    rng = random.Random(8269)
+    for c in rng.sample(residues, 12):
+        assert count_points(FpCurve(p, 0, c)) == p
+    others = [c for c in range(1, p) if c not in members]
+    for c in rng.sample(others, 12):
+        assert count_points(FpCurve(p, 0, c)) != p

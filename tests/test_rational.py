@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,7 @@ def test_point_search_matches_brute_force():
         for height in (1, 2, 7, 30, 300):
             got = naive_point_search(E, height)
             assert got == point_search_oracle(E, height), (a, b, height)
+            assert max(Counter(P.x for P in got).values(), default=0) <= 2
             found += len(got)
     assert found > 100
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -16,6 +18,7 @@ from eczero.survey import (
     find_generator,
     ingest_curves,
     scan_family,
+    survey_records,
 )
 
 from oracles import formal_nontrivial_oracle
@@ -165,6 +168,18 @@ def test_emit_csv_shape():
     first = lines[1].split(",")
     assert first[0] == "0" and first[2] == "true" and first[5] == "ingested"
     assert lines[2].startswith("# aggregate ")
+
+
+def test_emit_csv_quotes_labels(tmp_path):
+    labels = ["a,b", 'q"x', "two\nlines"]
+    f = tmp_path / "labels.jsonl"
+    f.write_text("".join(json.dumps({"label": s, "A": 0, "B": -2, "gen": [3, 1, 5, 1]}) + "\n" for s in labels))
+    result = ingest_curves(f)
+    rows, agg = survey_records(result.records, 7, -3, 10)
+    table = list(csv.reader(io.StringIO(emit_report(rows, agg, "csv"))))
+    assert table[0] == CSV_HEADER.split(",")
+    assert [len(cells) for cells in table[1:-1]] == [8, 8, 8]
+    assert [cells[1] for cells in table[1:-1]] == labels
 
 
 def test_emit_csv_empty():
