@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -31,7 +30,9 @@ from .quadfields import (
     splits_completely,
 )
 from .rational import Curve, QPoint, ReductionType, reduction_type
-from .survey import DEFAULT_HEIGHT, FamilySpec, emit_report, ingest_curves, scan_family, survey_records
+from .survey import (
+    DEFAULT_HEIGHT, FamilySpec, emit_report, ingest_curves, parse_generator, scan_family, survey_records,
+)
 from .verdicts import (
     AdmissibilityConfig,
     HypothesisRecord,
@@ -51,7 +52,7 @@ def errors_to_exit_codes(fn):
         try:
             return fn(*args, **kwargs)
         except (DomainError, InternalConsistencyError) as exc:
-            click.echo(json.dumps({"error": str(exc)}), err=True)
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
             sys.exit(1 if isinstance(exc, DomainError) else 3)
 
     return wrapper
@@ -66,23 +67,17 @@ def cli():
 
 def _emit(payload: dict, as_json: bool, text_lines):
     if as_json:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
-            click.echo(line)
+            print(line)
 
 
 def _parse_gen(spec: str) -> QPoint:
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise click.UsageError("--gen expects x_num,x_den,y_num,y_den")
     try:
-        xn, xd, yn, yd = (int(t) for t in parts)
-    except ValueError as exc:
-        raise click.UsageError(f"--gen entries must be integers: {exc}")
-    if xd <= 0 or yd <= 0:
-        raise click.UsageError("--gen denominators must be positive")
-    return QPoint(Fraction(xn, xd), Fraction(yn, yd))
+        return QPoint(*parse_generator([int(t) for t in spec.split(",")]))
+    except (ValueError, DomainError) as exc:
+        raise click.UsageError(f"--gen: {exc}")
 
 
 @cli.command("anomalous-primes")
@@ -95,11 +90,11 @@ def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
     field = ImagQuadField(disc)
     primes = anomalous_primes(field, bound)
     if as_json:
-        click.echo(json.dumps(primes))
+        print(json.dumps(primes))
         return
     for p in primes:
         u, v = cornacchia(abs(disc), p)
-        click.echo(f"{p}  (4*{p} = {u}^2 + {abs(disc)}*{v}^2)")
+        print(f"{p}  (4*{p} = {u}^2 + {abs(disc)}*{v}^2)")
 
 
 @cli.command("anomalous-residues")
@@ -279,7 +274,7 @@ def verdict_cmd(
                 fired.append(v)
     if gen is not None and brauer:
         dec = decompose_point(e1, _parse_gen(gen), p, prec)
-        v = global_lift_verdict(dec, brauer[0])
+        v = global_lift_verdict(dec.t_valuation, brauer[0])
         if v is not None:
             fired.append(v)
     config = AdmissibilityConfig(
@@ -307,9 +302,9 @@ def _write_or_echo(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-        click.echo(f"wrote {out}", err=True)
+        print(f"wrote {out}", file=sys.stderr)
     else:
-        click.echo(text, nl=False)
+        print(text, end="")
 
 
 @cli.command("scan")
@@ -322,14 +317,13 @@ def _write_or_echo(text: str, out: str | None):
 @click.option("--nmin", type=int, required=True)
 @click.option("--nmax", type=int, required=True)
 @click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True)
-@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--ingest", "ingest_path", type=click.Path(exists=True), default=None,
               help="curve file supplying generators, matched by coefficients")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
 @errors_to_exit_codes
-def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt, out, as_json):
+def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out, as_json):
     """Scan the family y^2 = x^3 + (a0 + a1 n) x + (b0 + b1 n) over n."""
     generators = {}
     ingest_problems = []
@@ -355,12 +349,11 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt
         p=p,
         disc=disc,
         height=height,
-        precision=prec,
         generators=generators,
     )
     rows, aggregate = scan_family(spec)
     for lineno, reason in ingest_problems:
-        click.echo(f"ingest line {lineno}: {reason}", err=True)
+        print(f"ingest line {lineno}: {reason}", file=sys.stderr)
     _write_or_echo(emit_report(rows, aggregate, "json" if as_json else fmt), out)
 
 
@@ -369,17 +362,16 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, prec, ingest_path, fmt
 @click.option("--p", "p", type=int, required=True)
 @click.option("--disc", type=int, required=True)
 @click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True)
-@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
 @errors_to_exit_codes
-def report_cmd(input_path, p, disc, height, prec, fmt, out, as_json):
+def report_cmd(input_path, p, disc, height, fmt, out, as_json):
     """Run the survey pipeline over an ingested curve file."""
     result = ingest_curves(input_path)
-    rows, aggregate = survey_records(result.records, p, disc, height, prec)
+    rows, aggregate = survey_records(result.records, p, disc, height)
     for lineno, reason in result.rejected:
-        click.echo(f"ingest line {lineno}: {reason}", err=True)
+        print(f"ingest line {lineno}: {reason}", file=sys.stderr)
     _write_or_echo(emit_report(rows, aggregate, "json" if as_json else fmt), out)
 
 

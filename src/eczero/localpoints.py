@@ -6,7 +6,8 @@ The decomposition of P works on a model that is minimal and anomalous at p:
 the reduction barP of P is lifted to the unique Q_p-rational p-torsion
 point T0 above it, and F = P - T0 lands in the kernel of reduction.  The
 valuation of the formal parameter t = -x/y of F (1 versus >= 2) is the
-decision bit consumed by the verdict layer.
+decision bit consumed by the verdict layer; formal_t_valuation reads it
+from [p]P = [p]F without lifting T0.
 
 Torsion lifting runs Newton iteration against the degree-(p^2-1)/2 division
 polynomial, evaluated pointwise with derivatives (never expanded).  The
@@ -218,15 +219,19 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     digits: an error in the last digit alone still gives v(Z) >= precision.
     """
     require_curve_prime(p)
-    if precision < MIN_LIFT_PRECISION:
-        raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
     reduced = _require_anomalous(curve, p)
     if target.is_identity:
         raise DomainError("target must be a nonzero special-fiber point")
     target = FpPoint(target.x % p, target.y % p)
     if not reduced.contains(target):
         raise DomainError(f"{target} is not on the reduction of {curve} mod {p}")
+    return _lift_torsion(curve, p, target, precision)
 
+
+def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> QpPoint:
+    """lift_p_torsion after its checks of curve, prime and target."""
+    if precision < MIN_LIFT_PRECISION:
+        raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
     work = precision + _NEWTON_GUARD
     mod = p**work
     x = target.x % p
@@ -296,14 +301,19 @@ def _jacobian_add(a: int, mod: int, P: tuple[int, int, int], Q: tuple[int, int, 
     return X3, (M * (S - X3) - 8 * YY * YY) % mod, 2 * Y1 * Z1 % mod
 
 
-def _check_killed_by_p(curve: Curve, p: int, x: int, y: int, precision: int) -> None:
-    """Raise unless [p](x, y) = O modulo p^precision, deciding on v(Z) as
-    lift_p_torsion describes; (x, y) are the residues of an integral point
-    whose reduction is not O."""
+def _z_valuation_of_p_times(curve: Curve, p: int, x: int, y: int, precision: int) -> int:
+    """min(v(Z), precision) for [p](x, y, 1) computed modulo p^precision;
+    (x, y) are the residues of an integral point whose reduction is not O."""
     mod = p**precision
     add = partial(_jacobian_add, curve.a % mod, mod)
     _, _, Z = double_and_add(add, p, (x % mod, y % mod, 1), _JACOBIAN_O)
-    vz = pval(Z, p, cap=precision)
+    return pval(Z, p, cap=precision)
+
+
+def _check_killed_by_p(curve: Curve, p: int, x: int, y: int, precision: int) -> None:
+    """Raise unless [p](x, y) = O modulo p^precision, deciding on v(Z) as
+    lift_p_torsion describes."""
+    vz = _z_valuation_of_p_times(curve, p, x, y, precision)
     if vz >= precision:
         return
     if vz <= precision - MIN_RELATIVE_PRECISION:
@@ -341,14 +351,43 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     On PrecisionExhaustedError the computation is retried once at doubled
     precision; a second failure propagates.
     """
-    require_curve_prime(p)
+    minimal, point = _on_minimal_model(curve, point, p)
     try:
-        return _decompose(curve, point, p, precision)
+        return _decompose(minimal, point, p, precision)
     except PrecisionExhaustedError:
-        return _decompose(curve, point, p, _RETRY_FACTOR * precision)
+        return _decompose(minimal, point, p, _RETRY_FACTOR * precision)
 
 
-def _decompose(curve: Curve, point: QPoint, p: int, precision: int) -> Decomposition:
+def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
+    """decompose_point(curve, point, p).t_valuation, without lifting T0.
+
+    A point in E_1 is its own formal part: v_p(den x) / 2.  Otherwise [p]P =
+    [p]F, and [p] maps E_m \\ E_{m+1} onto E_{m+1} \\ E_{m+2}, or P into E_1 \\ E_2
+    when E_0 does not split (Silverman, AEC IV.6, VII.2-3).  So v(Z) of [p]P
+    in Jacobian coordinates mod p^N decides: 1 raises SplitHypothesisError,
+    and v(Z) < N gives v(Z) - 1.  N doubles from 2 until v(Z) < N, which
+    ends because P has infinite order.  Other errors are decompose_point's.
+    """
+    minimal, point = _on_minimal_model(curve, point, p)
+    xd, yd = point.x.denominator, point.y.denominator
+    if xd % p == 0:
+        return pval(xd, p) // 2
+    precision = 2
+    while True:
+        mod = p**precision
+        x, y = point.x.numerator * pow(xd, -1, mod), point.y.numerator * pow(yd, -1, mod)
+        vz = _z_valuation_of_p_times(minimal, p, x, y, precision)
+        if vz == 1:
+            raise SplitHypothesisError(f"no {p}-adic torsion lift above x = {x % p}: [{p}]P has t-valuation 1")
+        if vz < precision:
+            return vz - 1
+        precision *= 2
+
+
+def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, QPoint]:
+    """The model minimal at p, checked anomalous, and the point moved onto it
+    and certified of infinite order."""
+    require_curve_prime(p)
     minimal, scale = _minimal_with_scale(curve, p)
     _require_anomalous(minimal, p)
     if point.is_identity:
@@ -361,7 +400,10 @@ def _decompose(curve: Curve, point: QPoint, p: int, precision: int) -> Decomposi
     order = torsion_order(minimal, point)
     if order is not None:
         raise DomainError(f"point has finite order {order}; decomposition needs infinite order")
+    return minimal, point
 
+
+def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decomposition:
     work = precision + 8
     P = embed_point(minimal, point, p, work)
     bar = reduce_point(minimal, P, p)
@@ -369,7 +411,7 @@ def _decompose(curve: Curve, point: QPoint, p: int, precision: int) -> Decomposi
         torsion = QpPoint.identity()
         formal = P
     else:
-        torsion = lift_p_torsion(minimal, p, bar, precision + 4)
+        torsion = _lift_torsion(minimal, p, bar, precision + 4)
         formal = qp_add(minimal, P, qp_neg(torsion))
     if formal.is_identity:
         raise PrecisionExhaustedError("formal component vanished at working precision")

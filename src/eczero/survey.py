@@ -1,5 +1,6 @@
 """Batch pipeline over curve families: ingest, hypothesis checks, generator
-search, decomposition, verdicts, and deterministic CSV/JSON reports.
+search, the formal part's t-valuation (from [p]P, with no torsion lift and
+no precision to choose), verdicts, and deterministic CSV/JSON reports.
 
 Rank is never computed here.  The aggregate statistic is the fraction of
 *curves with a certified infinite-order point* whose formal component is
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .arith import require_curve_prime
 from .errors import DomainError, IngestError, InternalConsistencyError
-from .localpoints import DEFAULT_PRECISION, decompose_point
+from .localpoints import formal_t_valuation
 from .quadfields import ImagQuadField, splits_completely
 from .rational import (
     Curve,
@@ -56,7 +57,6 @@ class FamilySpec:
     p: int
     disc: int
     height: int = DEFAULT_HEIGHT
-    precision: int = DEFAULT_PRECISION
     generators: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -129,8 +129,9 @@ class IngestResult:
     rejected: tuple  # (line number, reason)
 
 
-def _parse_generator(raw) -> tuple[Fraction, Fraction]:
-    """(x, y) from a raw [x_num, x_den, y_num, y_den] record field."""
+def parse_generator(raw) -> tuple[Fraction, Fraction]:
+    """(x, y) from [x_num, x_den, y_num, y_den]: a curve file's gen field or
+    the CLI's --gen."""
     if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(t, int) for t in raw)):
         raise IngestError("gen must be [x_num, x_den, y_num, y_den] with integer entries")
     xn, xd, yn, yd = raw
@@ -165,7 +166,7 @@ def ingest_curves(path) -> IngestResult:
                 if not isinstance(obj["A"], int) or not isinstance(obj["B"], int):
                     raise IngestError("A and B must be integers")
                 curve = Curve(obj["A"], obj["B"], label=label)
-                gen = QPoint(*_parse_generator(obj["gen"])) if obj.get("gen") is not None else None
+                gen = QPoint(*parse_generator(obj["gen"])) if obj.get("gen") is not None else None
             elif all(f"a{i}" in obj for i in (1, 2, 3, 4, 6)):
                 ai = [obj[f"a{i}"] for i in (1, 2, 3, 4, 6)]
                 if not all(isinstance(t, int) for t in ai):
@@ -173,7 +174,7 @@ def ingest_curves(path) -> IngestResult:
                 curve = curve_from_long_weierstrass(ai, label=label)
                 gen = None
                 if obj.get("gen") is not None:
-                    gen = long_point_to_short(ai, *_parse_generator(obj["gen"]))
+                    gen = long_point_to_short(ai, *parse_generator(obj["gen"]))
             else:
                 raise IngestError("record needs A,B or a1..a6")
             if gen is not None and not curve.contains(gen):
@@ -217,9 +218,8 @@ def build_row(
     n: int | None = None,
     label: str | None = None,
     ingested_generator: QPoint | None = None,
-    precision: int = DEFAULT_PRECISION,
 ) -> SurveyRow:
-    """Hypotheses, generator, decomposition and verdicts for one curve.
+    """Hypotheses, generator, formal_t_valuation and verdicts for one curve.
 
     A DomainError becomes the row's error text; an InternalConsistencyError
     or ArithmeticError becomes "internal error: <Type>: <message>", so a bug
@@ -242,7 +242,6 @@ def build_row(
             gen = find_generator(curve, height)
             status = "found" if gen is not None else "unknown"
 
-        flag = None
         tval = None
         names: list[str] = []
         if eligible:
@@ -251,10 +250,8 @@ def build_row(
             fired = brauer_middle_term_verdict(record, cm_field, cm_asserted=True)
             names = [v.name for v in fired]
             if gen is not None:
-                dec = decompose_point(curve, gen, p, precision)
-                flag = dec.formal_nontrivial
-                tval = dec.t_valuation
-                lifted = global_lift_verdict(dec, fired[0])
+                tval = formal_t_valuation(curve, gen, p)
+                lifted = global_lift_verdict(tval, fired[0])
                 if lifted is not None:
                     names.append(lifted.name)
         return SurveyRow(
@@ -263,7 +260,7 @@ def build_row(
             splits=splits,
             generator_status=status,
             generator=gen,
-            formal_nontrivial=flag,
+            formal_nontrivial=None if tval is None else tval == 1,
             t_valuation=tval,
             verdicts=tuple(names),
             **base,
@@ -309,13 +306,12 @@ def scan_family(spec: FamilySpec):
                 spec.height,
                 n=n,
                 ingested_generator=spec.generators.get(n),
-                precision=spec.precision,
             )
         )
     return rows, aggregate_rows(rows)
 
 
-def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT, precision: int = DEFAULT_PRECISION):
+def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT):
     """Rows for ingested records, in input order, plus the aggregate."""
     cm_field = ImagQuadField(disc)
     require_curve_prime(p)
@@ -327,7 +323,6 @@ def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT, pre
             height,
             label=rec.label,
             ingested_generator=rec.generator,
-            precision=precision,
         )
         for rec in records
     ]

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .arith import is_prime
 from .errors import DomainError
-from .localpoints import Decomposition
 from .quadfields import ImagQuadField, splits_completely
 from .rational import Curve, ReductionKind, ReductionType, reduction_type
 
@@ -278,21 +277,20 @@ def brauer_middle_term_verdict(
     ]
 
 
-def global_lift_verdict(dec: Decomposition | None, prior: Verdict | None) -> Verdict | None:
-    """Unconditional exactness from a nontrivial formal component.
+def global_lift_verdict(t_valuation: int | None, prior: Verdict | None) -> Verdict | None:
+    """Unconditional exactness from a nontrivial formal component, i.e. one
+    whose formal parameter has t-valuation 1.
 
     One-directional: a trivial formal component yields no conclusion.
     """
-    if dec is None or prior is None:
+    if t_valuation != 1 or prior is None:
         return None
     if prior.conclusion is not Conclusion.MIDDLE_TERM_ZP_SQUARED:
-        return None
-    if not dec.formal_nontrivial:
         return None
     used = [
         ("middle term (Z/p)^2 established", VERIFIED),
         ("global point of infinite order", ASSERTED),
-        (f"formal component nontrivial (t-valuation {dec.t_valuation})", VERIFIED),
+        ("formal component nontrivial (t-valuation 1)", VERIFIED),
     ]
     return _verdict(Conclusion.UNCONDITIONAL_EXACTNESS, used)
 

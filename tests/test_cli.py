@@ -1,7 +1,11 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -236,6 +240,41 @@ def test_exit_codes():
     # success -> 0
     res = run("classify", "--a", "0", "--b", "-2", "--p", "7")
     assert res.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ("3,1", "gen must be [x_num, x_den, y_num, y_den] with integer entries"),
+        ("3,1,5,x", "invalid literal for int() with base 10: 'x'"),
+        ("3,0,5,1", "gen denominators must be positive"),
+    ],
+)
+def test_gen_usage_errors(gen, message):
+    res = run("decompose", "--a", "0", "--b", "-2", "--p", "7", "--gen", gen)
+    assert res.exit_code == 2
+    assert f"Error: --gen: {message}\n" in res.stderr
+
+
+def test_in_process_calls_keep_no_stderr_stream_alive(tmp_path):
+    # each call writes to a fresh stderr buffer, as an embedding program
+    # would; once the caller drops it, the buffer must be freed
+    calls = [
+        ["classify", "--a", "0", "--b", "0", "--p", "7"],
+        ["scan", "--a0", "0", "--b0", "-2", "--p", "7", "--disc", "-3", "--nmin", "0", "--nmax", "0",
+         "--height", "10", "--out", str(tmp_path / "scan.csv")],
+        ["anomalous-residues", "--p", "11", "--json"],
+    ]
+    buffers = []
+    for args in calls:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.suppress(SystemExit):
+            cli.main(args=args, prog_name="eczero", standalone_mode=False)
+        assert err.getvalue()
+        buffers.append(weakref.ref(err))
+    del err
+    gc.collect()
+    assert [ref() for ref in buffers] == [None, None, None]
 
 
 def test_internal_error_exits_3(monkeypatch):

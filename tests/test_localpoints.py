@@ -17,7 +17,7 @@ from eczero.errors import (
     PrecisionExhaustedError,
     SplitHypothesisError,
 )
-from eczero.fp import FpCurve, FpPoint, point_at_x
+from eczero.fp import FpCurve, FpPoint, is_anomalous, point_at_x
 from eczero.localpoints import (
     QpPoint,
     _check_killed_by_p,
@@ -25,6 +25,7 @@ from eczero.localpoints import (
     decomposition_to_dict,
     embed_point,
     formal_layer_point,
+    formal_t_valuation,
     lift_p_torsion,
     on_curve,
     qp_add,
@@ -293,14 +294,62 @@ def _decision_bit_cases():
 
 def test_decision_bit_matches_p_times_the_point():
     # [p]P = [p]F since [p]T0 = O, and for p >= 3 [p] moves E_m onto E_{m+1}:
-    # so v(t([p]P)) = v(t(F)) + 1, computed here without lifting any torsion
+    # so v(t([p]P)) = v(t(F)) + 1, computed here without lifting any torsion;
+    # formal_t_valuation reads the same valuation from Jacobian [p]P
     seen = set()
     for curve, point, p in _decision_bit_cases():
         dec = decompose_point(curve, point, p)
         pP = qp_scalar_mul(curve, p, embed_point(curve, point, p, 20))
         assert dec.t_valuation + 1 == t_parameter(curve, pP, p).valuation, (curve, point, p)
+        assert formal_t_valuation(curve, point, p) == dec.t_valuation, (curve, point, p)
         seen.add((p, dec.t_valuation))
     assert {(7, 1), (7, 2), (43, 1), (223, 1)} <= seen
+
+
+def _t_valuation_or_refusal(route, curve, point, p):
+    try:
+        return route(curve, point, p)
+    except SplitHypothesisError:
+        return "refused"
+
+
+def test_formal_t_valuation_refuses_exactly_where_the_torsion_lift_does():
+    # anomalous curves y^2 = x^3 + ax + b at 7 with a point of height <= 300:
+    # most have no 7-adic torsion point above their F_7 points
+    outcomes = []
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            if (4 * a**3 + 27 * b**2) % 7 == 0 or not is_anomalous(FpCurve(7, a % 7, b % 7)):
+                continue
+            curve = Curve(a, b)
+            gen = find_generator(curve, 300)
+            if gen is None:
+                continue
+            expected = _t_valuation_or_refusal(lambda c, P, p: decompose_point(c, P, p).t_valuation, curve, gen, 7)
+            assert _t_valuation_or_refusal(formal_t_valuation, curve, gen, 7) == expected, (curve, gen)
+            outcomes.append(expected)
+    assert outcomes.count("refused") > 100 and 1 in outcomes
+
+
+def test_decompose_point_counts_points_once(monkeypatch):
+    # the minimal model is checked anomalous once per call, also when the
+    # first attempt runs out of precision and is retried
+    counted = []
+    monkeypatch.setattr(eczero.localpoints, "is_anomalous", lambda c: counted.append(c) or is_anomalous(c))
+    expected = decompose_point(E, P35, 7, 16)
+    assert len(counted) == 1
+    real, attempts = eczero.localpoints._decompose, []
+
+    def exhausted_once(*args):
+        attempts.append(args)
+        if len(attempts) == 1:
+            raise PrecisionExhaustedError("first attempt")
+        return real(*args)
+
+    monkeypatch.setattr(eczero.localpoints, "_decompose", exhausted_once)
+    assert decompose_point(E, P35, 7, 8) == decompose_point(E, P35, 7, 16) == expected
+    assert len(attempts) == 3 and len(counted) == 3
+    assert formal_t_valuation(E, P35, 7) == 1 and len(counted) == 4
 
 
 def test_decompose_preconditions():

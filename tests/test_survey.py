@@ -1,17 +1,22 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
+import eczero.localpoints
+import eczero.padic
 import eczero.survey
 import eczero.verdicts
+from eczero.arith import kronecker_symbol
 from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import ImagQuadField
 from eczero.rational import Curve, QPoint
 from eczero.survey import (
     CSV_HEADER,
     FamilySpec,
+    IngestRecord,
     aggregate_rows,
     build_row,
     emit_report,
@@ -264,19 +269,56 @@ def test_internal_error_in_one_row_does_not_abort_scan(monkeypatch, error):
     spec = _spec(-3, 3)
     clean, _ = scan_family(spec)
     broken_n = next(r.n for r in clean if r.formal_nontrivial is not None)
-    real = eczero.survey.decompose_point
+    real = eczero.survey.formal_t_valuation
 
-    def decompose_or_fail(curve, point, p, precision):
+    def t_valuation_or_fail(curve, point, p):
         if curve.b == -2 + 7 * broken_n:
             raise error
-        return real(curve, point, p, precision)
+        return real(curve, point, p)
 
-    monkeypatch.setattr(eczero.survey, "decompose_point", decompose_or_fail)
+    monkeypatch.setattr(eczero.survey, "formal_t_valuation", t_valuation_or_fail)
     rows, agg = scan_family(spec)
     assert [r for r in rows if r.n != broken_n] == [r for r in clean if r.n != broken_n]
     (row,) = [r for r in rows if r.n == broken_n]
     assert row.error == f"internal error: {type(error).__name__}: bad lift"
     assert agg["errors"] == 1
+
+
+def _seeded_twist_records(p, A, B, count=6):
+    # twists of a CM curve anomalous at p by d = f(x0), carrying (d x0, d^2)
+    rng, records = random.Random(p), []
+    while len(records) < count:
+        x0 = rng.randint(-300, 300)
+        d = x0**3 + A * x0 + B
+        if d != 0 and kronecker_symbol(d, p) == 1:
+            curve = Curve(A * d * d, B * d**3)
+            records.append(IngestRecord(f"d={d}", curve, QPoint.from_pair(d * x0, d * d), None, None))
+    return records
+
+
+def test_survey_rows_lift_no_torsion(monkeypatch):
+    # a row's t-valuation comes from [p]P alone: no torsion lift, no
+    # division polynomial, no p-adic number and no precision retry
+    surveys = [
+        lambda: scan_family(_spec(-50, 50, height=10**4)),
+        lambda: survey_records(_seeded_twist_records(43, -152, 722), 43, -19),
+        lambda: survey_records(_seeded_twist_records(223, -1056, 13552), 223, -11),
+    ]
+    expected = [survey() for survey in surveys]
+    tvals = {r.t_valuation for rows, _ in expected for r in rows}
+    assert {1, 2} <= tvals
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the survey path reached the torsion lift")
+
+    for module, name in (
+        (eczero.localpoints, "lift_p_torsion"),
+        (eczero.localpoints, "divpoly_eval_with_derivative"),
+        (eczero.localpoints, "_decompose"),
+        (eczero.padic.PadicNumber, "__init__"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    assert [survey() for survey in surveys] == expected
 
 
 def test_family_spec_validation():

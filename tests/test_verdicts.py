@@ -192,16 +192,16 @@ def test_brauer_agrees_with_anomalous_and_split_sample():
 def test_global_lift_verdict():
     prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3, cm_asserted=True)[0]
     dec = decompose_point(E_CUBIC, QPoint.from_pair(3, 5), 7, 16)
-    v = global_lift_verdict(dec, prior)
+    v = global_lift_verdict(dec.t_valuation, prior)
     assert v is not None and v.conclusion is Conclusion.UNCONDITIONAL_EXACTNESS
     # trivial formal part: no conclusion, not a disproof
     dec19 = decompose_point(Curve(0, -2 + 7 * 19), QPoint.from_pair(5, -16), 7, 16)
     assert dec19.formal_nontrivial is False
-    assert global_lift_verdict(dec19, prior) is None
+    assert global_lift_verdict(dec19.t_valuation, prior) is None
     # missing or wrong prior verdict
-    assert global_lift_verdict(dec, None) is None
+    assert global_lift_verdict(dec.t_valuation, None) is None
     wrong_prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3, cm_asserted=True)[1]
-    assert global_lift_verdict(dec, wrong_prior) is None
+    assert global_lift_verdict(dec.t_valuation, wrong_prior) is None
 
 
 def test_quartic_verdict():
