@@ -11,12 +11,19 @@ The bounded point search is one pure-Python sieve after M. Stoll's
 *ratpoints*, with no size limit on the coefficients: for each denominator e,
 the numerators m of x = m/e^2 are the bits of one Python int, ANDed with
 rows marking where m^3 + a e^4 m + b e^6 is a square modulo small moduli.
-Only the survivors are tested with isqrt and then confirmed exactly.
+Only the survivors are tested with isqrt and then confirmed exactly.  The
+box is sieved one row at a time, in increasing e (:func:`search_rows`).
+Every point of row e has naive height max(|m|, e^2) >= e^2, so a caller
+looking for the first point of some kind in height order may stop once its
+best point has height < (e + 1)^2: no later row holds a smaller one, and
+the answer is the one the whole box gives.  ``survey.find_generator``
+stops there, as ratpoints does.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -81,6 +88,11 @@ class QPoint:
     @property
     def is_identity(self) -> bool:
         return self.x is None
+
+    def height_key(self) -> tuple[int, Fraction, Fraction]:
+        """(max(|m|, e^2), x, y) for an affine point with x = m/e^2 in lowest
+        terms: the naive height of x, then x, then y.  The point search's order."""
+        return max(abs(self.x.numerator), self.x.denominator), self.x, self.y
 
     def __str__(self):
         return "O" if self.is_identity else f"({self.x}, {self.y})"
@@ -230,7 +242,7 @@ _SQUARES_MOD = {q: frozenset(i * i % q for i in range(q)) for q in _SIEVE_MODULI
 
 # (q, A, B) -> lcm(q, 8) bits, as bytes, whose bit k says k^3 + A k + B is a
 # square mod q.  Keys are residues, so at most sum(q^2) ~ 40k entries of at
-# most q bytes each; the full-width rows tiled from them live for one call.
+# most q bytes each; the full-width rows tiled from them live for one search.
 _SIEVE_CHUNKS: dict[tuple[int, int, int], bytes] = {}
 
 
@@ -248,11 +260,20 @@ def _sieve_row(q: int, A: int, B: int, height: int) -> int:
     return int.from_bytes(chunk * ((2 * height + shift) // (8 * len(chunk)) + 1), "little") >> shift
 
 
-def _sieve_hits(a: int, b: int, height: int) -> list[tuple[int, int, int]]:
-    """(m, e, s) with gcd(m, e) = 1 and s^2 = m^3 + a e^4 m + b e^6 in the box."""
-    rows: dict[tuple[int, int, int], int] = {}  # full-width bitsets, this call only
+def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]:
+    """(e, points) for e = 1, 2, ..., isqrt(height), one sieved row at a time.
+
+    Row e holds, unsorted, every rational point with x = m/e^2 in lowest
+    terms and |m| <= height; each sieve hit is confirmed exactly.  Every
+    point of row e has naive height max(|m|, e^2) >= e^2, which is what lets
+    a caller stop before the next row.  Rows are sieved on demand, so a
+    caller that stops early pays only for the rows it read.
+    """
+    if height < 1:
+        raise DomainError("height bound must be >= 1")
+    a, b = curve.a, curve.b
+    rows: dict[tuple[int, int, int], int] = {}  # full-width bitsets, this search only
     box = (1 << 2 * height + 1) - 1
-    hits = []
     for e in range(1, isqrt(height) + 1):
         ae4, be6 = a * e**4, b * e**6
         alive = box
@@ -264,6 +285,7 @@ def _sieve_hits(a: int, b: int, height: int) -> list[tuple[int, int, int]]:
             alive &= row
             if not alive:
                 break
+        points = []
         while alive:
             low = alive & -alive
             alive ^= low
@@ -271,39 +293,38 @@ def _sieve_hits(a: int, b: int, height: int) -> list[tuple[int, int, int]]:
             if e > 1 and gcd(m, e) != 1:
                 continue
             t = m * m * m + ae4 * m + be6
-            if t >= 0:
-                s = isqrt(t)
-                if s * s == t:
-                    hits.append((m, e, s))
-    return hits
+            if t < 0:
+                continue
+            s = isqrt(t)
+            if s * s != t:
+                continue
+            x, y = Fraction(m, e * e), Fraction(s, e**3)
+            if y * y != curve.rhs(x):  # exact confirmation of the sieve hit
+                continue
+            points.append(QPoint(x, y))
+            if s != 0:
+                points.append(QPoint(x, -y))
+        yield e, points
 
 
 def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
     """All rational points with x = m/e^2, |m| <= height, e <= sqrt(height).
 
-    The box is sieved modulo 64, 63, 65 and the primes 11, 17, ..., 67, so a
-    candidate is tested with isqrt only when t = m^3 + a e^4 m + b e^6 is a
-    square modulo all of them; each hit is then confirmed exactly.  Two
-    caches serve the sieve: a module-level one of per-modulus residue
-    patterns, keyed by (q, a e^4 mod q, b e^6 mod q) and so never more than
-    sum(q^2) entries of at most q bytes, and one inside each call of the
-    full-width rows tiled from them, at most sum(q) rows of about 2*height
-    bits.  gcd(m, e) = 1 puts each x in lowest terms, so no two hits share
-    an x; results are sorted by the naive height of x.
+    The box is sieved row by row, in increasing e, by :func:`search_rows`:
+    modulo 64, 63, 65 and the primes 11, 17, ..., 67, so a candidate is
+    tested with isqrt only when t = m^3 + a e^4 m + b e^6 is a square modulo
+    all of them; each hit is then confirmed exactly.  Two caches serve the
+    sieve: a module-level one of per-modulus residue patterns, keyed by
+    (q, a e^4 mod q, b e^6 mod q) and so never more than sum(q^2) entries of
+    at most q bytes, and one inside each search of the full-width rows tiled
+    from them, at most sum(q) rows of about 2*height bits.  gcd(m, e) = 1
+    puts each x in lowest terms, so no two hits share an x; the rows are
+    flattened and sorted by :meth:`QPoint.height_key`.  This reads every
+    row; ``survey.find_generator`` reads the same rows in the same order but
+    stops at the first row that cannot beat its best point (see the module
+    docstring), and so returns the point this list would give.
     """
-    if height < 1:
-        raise DomainError("height bound must be >= 1")
-    points = []
-    for m, e, s in _sieve_hits(curve.a, curve.b, height):
-        x = Fraction(m, e * e)
-        y = Fraction(s, e**3)
-        if y * y != curve.rhs(x):  # exact confirmation of the sieve hit
-            continue
-        points.append(QPoint(x, y))
-        if s != 0:
-            points.append(QPoint(x, -y))
-    points.sort(key=lambda P: (max(abs(P.x.numerator), P.x.denominator), P.x, P.y))
-    return points
+    return sorted((P for _, row in search_rows(curve, height) for P in row), key=QPoint.height_key)
 
 
 # --- division polynomials -------------------------------------------------
@@ -328,6 +349,11 @@ def divpoly_eval_with_derivative(curve: Curve, m: int, x0: int, modulus: int) ->
 
     def mul(u, w):
         return u[0] * w[0] % mod, (u[0] * w[1] + u[1] * w[0]) % mod
+
+    def cube(u):
+        # (u, u')^3 = (u^3, 3 u^2 u'): three products where mul(u, mul(u, u)) takes six
+        sq = u[0] * u[0] % mod
+        return sq * u[0] % mod, 3 * sq * u[1] % mod
 
     x0 %= mod
     x2 = x0 * x0 % mod
@@ -354,8 +380,8 @@ def divpoly_eval_with_derivative(curve: Curve, m: int, x0: int, modulus: int) ->
             return base[n]
         h = n // 2
         if n % 2 == 1:
-            t1 = mul(rec(h + 2), mul(rec(h), mul(rec(h), rec(h))))
-            t2 = mul(rec(h - 1), mul(rec(h + 1), mul(rec(h + 1), rec(h + 1))))
+            t1 = mul(rec(h + 2), cube(rec(h)))
+            t2 = mul(rec(h - 1), cube(rec(h + 1)))
             if h % 2 == 0:
                 t1 = mul(f_sq16, t1)
             else:

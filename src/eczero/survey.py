@@ -27,8 +27,8 @@ from .rational import (
     QPoint,
     curve_from_long_weierstrass,
     long_point_to_short,
-    naive_point_search,
     reduction_type,
+    search_rows,
     torsion_order,
 )
 from .verdicts import HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict, verified
@@ -199,15 +199,30 @@ def ingest_curves(path) -> IngestResult:
 def find_generator(curve: Curve, height: int) -> QPoint | None:
     """Smallest-height infinite-order point from the bounded search, if any.
 
+    The smallest is by :meth:`QPoint.height_key`, the order of
+    ``rational.naive_point_search``.  The box is read one row of :func:`search_rows`
+    at a time, in increasing e, and only points whose key is below the best
+    found so far are certified.  Every point of a later row e' > e has naive
+    height >= e'^2 >= (e + 1)^2, so once the best has height < (e + 1)^2 it
+    is returned without sieving another row: it is the point the whole box
+    would give.
+
     Each hit is certified by :func:`torsion_order`: on the integral model a
     torsion point is integral (Nagell-Lutz), so most hits are certified by
     the first multiple with a non-integral coordinate, and by Mazur a point
     none of whose first 12 multiples is the identity has infinite order.
     """
-    for P in naive_point_search(curve, height):
-        if torsion_order(curve, P) is None:
-            return P
-    return None
+    best = None
+    for e, row in search_rows(curve, height):
+        for P in sorted(row, key=QPoint.height_key):
+            if best is not None and P.height_key() >= best.height_key():
+                break
+            if torsion_order(curve, P) is None:
+                best = P
+                break
+        if best is not None and best.height_key()[0] < (e + 1) ** 2:
+            return best
+    return best
 
 
 def build_row(

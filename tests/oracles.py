@@ -3,6 +3,8 @@
 The point-search oracle tries every x = m/e^2 of the search box one by one.
 The torsion-order oracle computes each multiple [m]P, m = 1..12, by its own
 double-and-add and never uses integrality.
+The generator oracle is the first point of the point-search oracle, in
+height order, to which the torsion-order oracle gives no finite order.
 The decomposition oracle classifies a global point's image in
 E(Q_p)/p = (Z/p)^2 by enumerating the classes of a*T0 + b*G1 over a
 p-torsion generator T0 and a depth-1 formal point G1, deciding membership
@@ -52,6 +54,11 @@ def torsion_order_oracle(curve: Curve, point: QPoint) -> int | None:
         if q_scalar_mul(curve, m, point).is_identity:
             return m
     return None
+
+
+def generator_oracle(curve: Curve, height: int) -> QPoint | None:
+    """First point of point_search_oracle(curve, height) of infinite order, or None."""
+    return next((P for P in point_search_oracle(curve, height) if torsion_order_oracle(curve, P) is None), None)
 
 
 def in_p_multiples(curve: Curve, D: QpPoint, p: int) -> bool:

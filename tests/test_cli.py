@@ -162,6 +162,17 @@ def test_scan_json_parses_and_is_deterministic(tmp_path):
     assert payload["aggregate"]["eligible"] == 5
 
 
+def test_scan_height_zero_is_a_row_error():
+    res = run(
+        "scan", "--a0", "0", "--b0", "-2", "--b1", "7", "--p", "7", "--disc", "-3",
+        "--nmin", "0", "--nmax", "1", "--height", "0", "--json",
+    )
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert [(r["generator"], r["error"]) for r in payload["rows"]] == [("unknown", "height bound must be >= 1")] * 2
+    assert payload["aggregate"]["errors"] == 2
+
+
 def test_scan_with_ingested_generators(tmp_path):
     gen_file = tmp_path / "gens.jsonl"
     gen_file.write_text('{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n')

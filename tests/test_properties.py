@@ -1,5 +1,6 @@
 """Property tests: group laws over F_p and Q, the p-adic group law against
-the rational one, and the certified precision of PadicNumber arithmetic."""
+the rational one, the certified precision of PadicNumber arithmetic, and the
+generator search against brute force."""
 
 import operator
 from fractions import Fraction
@@ -11,6 +12,9 @@ from eczero.fp import FpCurve, FpPoint, fp_add, fp_neg, point_at_x
 from eczero.localpoints import QpPoint, embed_point, qp_add
 from eczero.padic import PadicNumber
 from eczero.rational import Curve, QPoint, q_add, q_neg, q_scalar_mul
+from eczero.survey import find_generator
+
+from oracles import generator_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -116,3 +120,13 @@ def test_padic_arithmetic_never_raises_precision(p, x, y, kx, ky, op):
         assert result.abs_precision <= min(a.abs_precision, b.abs_precision)
     elif not result.is_zero:
         assert result.precision <= min(a.precision, b.precision)
+
+
+@PROPERTY
+@given(st.integers(-30, 30), st.integers(-60, 60), st.integers(1, 50))
+def test_find_generator_is_the_first_infinite_order_point_of_the_box(a, b, height):
+    try:
+        curve = Curve(a, b)
+    except DomainError:
+        reject()
+    assert find_generator(curve, height) == generator_oracle(curve, height)

@@ -23,8 +23,15 @@ from eczero.rational import (
     reduction_type,
     torsion_order,
 )
+from eczero.survey import find_generator
 
-from oracles import division_polynomial, point_search_oracle, poly_degree, torsion_order_oracle
+from oracles import (
+    division_polynomial,
+    generator_oracle,
+    point_search_oracle,
+    poly_degree,
+    torsion_order_oracle,
+)
 
 
 def test_curve_rejects_singular():
@@ -205,6 +212,52 @@ def test_point_search_matches_brute_force():
             assert max(Counter(P.x for P in got).values(), default=0) <= 2
             found += len(got)
     assert found > 100
+
+
+def test_find_generator_matches_brute_force():
+    # the search stops at the first row that cannot beat its best point, so it
+    # must still give the first infinite-order point of the whole box
+    rng = random.Random(1207)
+    curves = SEARCH_CURVES + [(rng.randrange(-300, 300), rng.randrange(-3000, 3000)) for _ in range(12)]
+    found = 0
+    for a, b in curves:
+        try:
+            E = Curve(a, b)
+        except DomainError:
+            continue
+        for height in (1, 2, 4, 9, 30, 300):  # 4 and 9 close the rows e = 2 and 3
+            got = find_generator(E, height)
+            assert got == generator_oracle(E, height), (a, b, height)
+            found += got is not None
+    assert found > 20
+
+
+# (a, b, generator at H = 30, whether a torsion point comes first), found by
+# brute force over |a| <= 12, |b| <= 40
+@pytest.mark.parametrize(
+    "a, b, gen, torsion_first",
+    [
+        (-10, -24, (22, -102), True),  # after the 2-torsion point (4, 0)
+        (-9, -10, (Fraction(-7, 4), Fraction(-5, 8)), True),  # in row e = 2, after (-2, 0)
+        (-12, -6, (Fraction(-5, 9), Fraction(-19, 27)), False),  # in row e = 3, naive height e^2 = 9
+    ],
+)
+def test_find_generator_at_row_boundaries(a, b, gen, torsion_first):
+    E = Curve(a, b)
+    assert find_generator(E, 30) == QPoint.from_pair(*gen) == generator_oracle(E, 30)
+    assert (torsion_order(E, naive_point_search(E, 30)[0]) is not None) == torsion_first
+
+
+def test_find_generator_does_not_stop_on_a_tie_in_height():
+    # Row 1 of y^2 = x^3 - 7x + 28 holds the infinite-order point (4, -8) of
+    # naive height 4 = (1 + 1)^2; row 2 holds (1/4, -41/8), of the same height
+    # and smaller x.  Stopping after row 1 would return the wrong one.
+    E = Curve(-7, 28)
+    rival, gen = QPoint.from_pair(4, -8), QPoint(Fraction(1, 4), Fraction(-41, 8))
+    assert torsion_order(E, rival) is None
+    assert rival.height_key()[0] == gen.height_key()[0] == 4
+    for height in (4, 30):
+        assert find_generator(E, height) == gen == generator_oracle(E, height)
 
 
 def _tate_normal_form(b: int, c: int) -> tuple[Curve, QPoint]:

@@ -12,7 +12,7 @@ import eczero.verdicts
 from eczero.arith import kronecker_symbol
 from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import ImagQuadField
-from eczero.rational import Curve, QPoint
+from eczero.rational import Curve, QPoint, naive_point_search
 from eczero.survey import (
     CSV_HEADER,
     FamilySpec,
@@ -95,6 +95,15 @@ def test_find_generator():
     # torsion-only curve must not produce a generator: y^2 = x^3 + 1 has
     # rational 6-torsion and rank 0
     assert find_generator(Curve(0, 1), 60) is None
+
+
+@pytest.mark.parametrize("height", [0, -5])
+def test_height_below_one_is_an_error_not_an_empty_box(height):
+    # an empty search would make every row "unknown" without saying why
+    E = Curve(0, -2)
+    for search in (find_generator, naive_point_search):
+        with pytest.raises(DomainError, match="height bound must be >= 1"):
+            search(E, height)
 
 
 def test_scan_family_single_row_matches_oracle():
