@@ -179,15 +179,15 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
 def double_and_add(add, k: int, P, zero):
     """[k]P for k >= 0 in the group with addition `add` and identity `zero`.
 
-    Right-to-left binary method; every bit of k, the top one included, is
-    followed by a doubling.  The F_p, Q and Q_p scalar multiplications all
-    run this one loop.
+    Right-to-left binary method: popcount(k) additions and bit_length(k) - 1
+    doublings, none after the top bit.  The F_p, Q and Q_p scalar
+    multiplications all run this one loop.
     """
     R = zero
-    Q = P
     while k:
         if k & 1:
-            R = add(R, Q)
-        Q = add(Q, Q)
+            R = add(R, P)
         k >>= 1
+        if k:
+            P = add(P, P)
     return R

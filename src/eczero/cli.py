@@ -19,7 +19,9 @@ from . import __version__
 from .arith import cornacchia
 from .errors import DomainError, InternalConsistencyError
 from .fp import FpPoint
-from .localpoints import decompose_point, decomposition_to_dict, lift_p_torsion, qppoint_to_dict
+from .localpoints import (
+    decompose_point, decomposition_to_dict, formal_t_valuation, lift_p_torsion, qppoint_to_dict,
+)
 from .padic import DEFAULT_PRECISION
 from .quadfields import (
     CLASS_NUMBER_ONE_DISCS,
@@ -218,7 +220,6 @@ def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
 @click.option("--deg-phi", type=int, default=1)
 @click.option("--field-degree", type=int, default=1)
 @click.option("--bad-fiber-order", "bad_fiber_orders", type=int, multiple=True)
-@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @errors_to_exit_codes
 def verdict_cmd(
@@ -239,7 +240,6 @@ def verdict_cmd(
     deg_phi,
     field_degree,
     bad_fiber_orders,
-    prec,
     as_json,
 ):
     """Evaluate every decision rule whose hypotheses are supplied.
@@ -273,8 +273,7 @@ def verdict_cmd(
             if v is not None:
                 fired.append(v)
     if gen is not None and brauer:
-        dec = decompose_point(e1, _parse_gen(gen), p, prec)
-        v = global_lift_verdict(dec.t_valuation, brauer[0])
+        v = global_lift_verdict(formal_t_valuation(e1, _parse_gen(gen), p), brauer[0])
         if v is not None:
             fired.append(v)
     config = AdmissibilityConfig(

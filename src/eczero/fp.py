@@ -26,6 +26,8 @@ _NAIVE_LIMIT = 229
 # Largest p at which an ambiguous BSGS result may fall back to the sweep
 # (about 30 ms); above it the ambiguity is raised as a bug.
 _FALLBACK_LIMIT = 1 << 16
+# Most points of a curve (and again of its twist) whose orders BSGS intersects.
+_ORDER_POINTS = 24
 _BSGS_LIMIT = 1 << 40
 
 
@@ -191,13 +193,11 @@ def _intersect(u: range | set[int], v: range | set[int], lo: int, width: int) ->
     return {n for n in small if n in big}
 
 
-def _order_candidates(
-    curve: FpCurve, lo: int, width: int, max_points: int = 24
-) -> range | set[int]:
+def _order_candidates(curve: FpCurve, lo: int, width: int) -> range | set[int]:
     cands: range | set[int] | None = None
     tried = 0
     x = 0
-    while tried < max_points and x < curve.p:
+    while tried < _ORDER_POINTS and x < curve.p:
         P = point_at_x(curve, x)
         x += 1
         if P is None:

@@ -11,8 +11,10 @@ The bounded point search is one pure-Python sieve after M. Stoll's
 *ratpoints*, with no size limit on the coefficients: for each denominator e,
 the numerators m of x = m/e^2 are the bits of one Python int, ANDed with
 rows marking where m^3 + a e^4 m + b e^6 is a square modulo small moduli.
-Only the survivors are tested with isqrt and then confirmed exactly.  The
-box is sieved one row at a time, in increasing e (:func:`search_rows`).
+The rows live in one LRU cache of sum(q) = 730 rows, the most one search
+uses, so the curves of a family survey share them.  Only the survivors are
+tested with isqrt and then confirmed exactly.  The box is sieved one row at
+a time, in increasing e (:func:`search_rows`).
 Every point of row e has naive height max(|m|, e^2) >= e^2, so a caller
 looking for the first point of some kind in height order may stop once its
 best point has height < (e + 1)^2: no later row holds a smaller one, and
@@ -26,7 +28,7 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
 from .arith import double_and_add, kronecker_symbol, require_curve_prime
@@ -240,21 +242,19 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
 _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 _SQUARES_MOD = {q: frozenset(i * i % q for i in range(q)) for q in _SIEVE_MODULI}
 
-# (q, A, B) -> lcm(q, 8) bits, as bytes, whose bit k says k^3 + A k + B is a
-# square mod q.  Keys are residues, so at most sum(q^2) ~ 40k entries of at
-# most q bytes each; the full-width rows tiled from them live for one search.
-_SIEVE_CHUNKS: dict[tuple[int, int, int], bytes] = {}
-
-
+# The one sieve cache.  A search asks for (q, a e^4 mod q, b e^6 mod q, H),
+# which depends on e only through e mod q: at most sum(q) = 730 keys, so an
+# LRU cache of 730 rows never evicts one the running search still uses.  It
+# holds at most 730 rows of about 2H bits (~1.9 MB at H = 10^4), and curves
+# that share residues share rows.
+@lru_cache(maxsize=sum(_SIEVE_MODULI))
 def _sieve_row(q: int, A: int, B: int, height: int) -> int:
     """Bitset whose bit j says m = j - H passes the sieve mod q; bits past 2H are junk."""
-    chunk = _SIEVE_CHUNKS.get((q, A, B))
-    if chunk is None:
-        squares = _SQUARES_MOD[q]
-        pattern = sum(1 << r for r in range(q) if (r * r * r + A * r + B) % q in squares)
-        copies = 8 // gcd(q, 8)  # q * copies = lcm(q, 8)
-        tiled = pattern * ((1 << q * copies) - 1) // ((1 << q) - 1)
-        chunk = _SIEVE_CHUNKS[q, A, B] = tiled.to_bytes(q * copies // 8, "little")
+    squares = _SQUARES_MOD[q]
+    pattern = sum(1 << r for r in range(q) if (r * r * r + A * r + B) % q in squares)
+    copies = 8 // gcd(q, 8)  # q * copies = lcm(q, 8)
+    tiled = pattern * ((1 << q * copies) - 1) // ((1 << q) - 1)
+    chunk = tiled.to_bytes(q * copies // 8, "little")
     # bit k of the tiling stands for m = k mod q; the shift makes bit 0 stand for m = -H
     shift = -height % q
     return int.from_bytes(chunk * ((2 * height + shift) // (8 * len(chunk)) + 1), "little") >> shift
@@ -272,17 +272,12 @@ def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]
     if height < 1:
         raise DomainError("height bound must be >= 1")
     a, b = curve.a, curve.b
-    rows: dict[tuple[int, int, int], int] = {}  # full-width bitsets, this search only
     box = (1 << 2 * height + 1) - 1
     for e in range(1, isqrt(height) + 1):
         ae4, be6 = a * e**4, b * e**6
         alive = box
         for q in _SIEVE_MODULI:
-            key = (q, ae4 % q, be6 % q)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = _sieve_row(q, key[1], key[2], height)
-            alive &= row
+            alive &= _sieve_row(q, ae4 % q, be6 % q, height)
             if not alive:
                 break
         points = []
@@ -313,15 +308,13 @@ def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
     The box is sieved row by row, in increasing e, by :func:`search_rows`:
     modulo 64, 63, 65 and the primes 11, 17, ..., 67, so a candidate is
     tested with isqrt only when t = m^3 + a e^4 m + b e^6 is a square modulo
-    all of them; each hit is then confirmed exactly.  Two caches serve the
-    sieve: a module-level one of per-modulus residue patterns, keyed by
-    (q, a e^4 mod q, b e^6 mod q) and so never more than sum(q^2) entries of
-    at most q bytes, and one inside each search of the full-width rows tiled
-    from them, at most sum(q) rows of about 2*height bits.  gcd(m, e) = 1
-    puts each x in lowest terms, so no two hits share an x; the rows are
-    flattened and sorted by :meth:`QPoint.height_key`.  This reads every
-    row; ``survey.find_generator`` reads the same rows in the same order but
-    stops at the first row that cannot beat its best point (see the module
+    all of them; each hit is then confirmed exactly.  One cache serves the
+    sieve, :func:`_sieve_row`: an LRU cache of sum(q) = 730 rows of about
+    2*height bits, the most one search asks for.  gcd(m, e) = 1 puts each x
+    in lowest terms, so no two hits share an x; the rows are flattened and
+    sorted by :meth:`QPoint.height_key`.  This reads every row;
+    ``survey.find_generator`` reads the same rows in the same order but stops
+    at the first row that cannot beat its best point (see the module
     docstring), and so returns the point this list would give.
     """
     return sorted((P for _, row in search_rows(curve, height) for P in row), key=QPoint.height_key)

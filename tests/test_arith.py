@@ -6,6 +6,7 @@ import pytest
 from eczero.arith import (
     SUPPORTED_CORNACCHIA_D,
     cornacchia,
+    double_and_add,
     is_prime,
     kronecker_symbol,
     sqrt_mod_p,
@@ -140,3 +141,18 @@ def test_cornacchia_rejects_bad_inputs():
         cornacchia(5, 7)
     with pytest.raises(DomainError):
         cornacchia(3, 9)
+
+
+def test_double_and_add_does_no_doubling_after_the_top_bit():
+    calls = []
+
+    def add(u, w):
+        calls.append((u, w))
+        return u + w
+
+    assert double_and_add(add, 0, 1, 0) == 0
+    assert calls == []
+    for k in [1, 2, 3, 7, 8, 13, 223, 1 << 20, (1 << 40) - 1, 1000003]:
+        calls.clear()
+        assert double_and_add(add, k, 1, 0) == k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 1, k

@@ -106,6 +106,35 @@ def test_verdict_json_fires_rules():
     assert "MiddleTermZpSquared" not in names2
 
 
+def test_verdict_has_no_precision_option():
+    # --gen is decided on [p]P by formal_t_valuation, which needs no precision
+    res = run("verdict", "--a", "0", "--b", "-2", "--p", "7", "--prec", "16")
+    assert res.exit_code == 2
+    assert "No such option '--prec'" in res.output
+
+
+def test_verdict_gen_lifts_no_torsion(monkeypatch):
+    import eczero.localpoints
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verdict --gen reached the torsion lift")
+
+    for module, name in (
+        (eczero.cli, "lift_p_torsion"),
+        (eczero.localpoints, "lift_p_torsion"),
+        (eczero.localpoints, "_lift_torsion"),
+        (eczero.localpoints, "_decompose"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    res = run(
+        "verdict", "--a", "0", "--b", "-2", "--p", "7",
+        "--disc", "-3", "--cm", "--gen", "3,1,5,1", "--json",
+    )
+    assert res.exit_code == 0, res.output
+    names = [v["conclusion"] for v in json.loads(res.output)["verdicts"]]
+    assert names[-1] == "UnconditionalExactness"
+
+
 def test_verdict_quartic_and_divisibility():
     res = run("verdict", "--a", "-4", "--b", "0", "--p", "13", "--unramified", "--json")
     payload = json.loads(res.output)
@@ -347,7 +376,7 @@ _VERDICT_CURVES = [
     (7, 49, -3, "0,1,-7,1"),
 ]
 _VERDICT_PRIMES = (2, 3, 5, 7, 9, 13, 43, 223, 1000033)
-VERDICT_MATRIX_SHA256 = "1c298113de4091ee77c33d6284fdcc2d307fea5359dfac3f6c551c07dab25050"
+VERDICT_MATRIX_SHA256 = "4e5850b5e47900f23b47d22864de6b4df271850d32ebd580e47c1da2cee239a4"
 
 
 def _verdict_flag_sets(disc, gen):

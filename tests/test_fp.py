@@ -336,7 +336,7 @@ def test_kill_set_intersection_matches_set_intersection():
             assert set(eczero.fp._intersect(x, y, lo, width)) == set(x) & set(y)
 
 
-def _ambiguous(curve, lo, width, max_points=24):
+def _ambiguous(curve, lo, width):
     return range(lo, lo + width)
 
 

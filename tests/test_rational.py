@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import eczero.rational
 from eczero.arith import sqrt_mod_p
 from eczero.errors import DomainError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, is_anomalous
 from eczero.padic import poly_deriv, poly_eval
 from eczero.rational import (
+    _SIEVE_MODULI,
     Curve,
     QPoint,
     ReductionKind,
@@ -258,6 +260,68 @@ def test_find_generator_does_not_stop_on_a_tie_in_height():
     assert rival.height_key()[0] == gen.height_key()[0] == 4
     for height in (4, 30):
         assert find_generator(E, height) == gen == generator_oracle(E, height)
+
+
+def _search_recording_misses(monkeypatch, curve, height):
+    # {key: rows built for it} over the sieve keys one search asks for
+    built = Counter()
+    real = eczero.rational._sieve_row
+
+    def recording(*key):
+        misses = real.cache_info().misses
+        row = real(*key)
+        built[key] += real.cache_info().misses - misses
+        return row
+
+    monkeypatch.setattr(eczero.rational, "_sieve_row", recording)
+    naive_point_search(curve, height)
+    monkeypatch.setattr(eczero.rational, "_sieve_row", real)
+    return built
+
+
+def test_sieve_rows_come_from_one_bounded_cache(monkeypatch):
+    cache = eczero.rational._sieve_row
+    assert cache.cache_info().maxsize == sum(_SIEVE_MODULI) == 730
+    E, height = Curve(-7, 10), 10**4
+    cache.cache_clear()
+    built = _search_recording_misses(monkeypatch, E, height)
+    # a key depends on the row e only through e mod q
+    assert set(built) <= {(q, E.a * e**4 % q, E.b * e**6 % q, height) for q in _SIEVE_MODULI for e in range(q)}
+    info = cache.cache_info()
+    assert set(built.values()) == {1}
+    assert info.misses == info.currsize == len(built) <= sum(_SIEVE_MODULI)
+    assert info.hits > 0
+
+    # a repeat search adds no misses
+    again = _search_recording_misses(monkeypatch, E, height)
+    assert set(again) == set(built) and sum(again.values()) == 0
+
+    # on a cache filled with other curves' rows, the search still builds each
+    # of its rows at most once: no row it uses is evicted while it runs
+    for b in range(11, 31):
+        naive_point_search(Curve(-7, b), height)
+    assert cache.cache_info().currsize == sum(_SIEVE_MODULI)
+    warm = _search_recording_misses(monkeypatch, E, height)
+    assert set(warm) == set(built) and max(warm.values()) == 1
+    assert cache.cache_info().currsize == sum(_SIEVE_MODULI)
+
+
+# members of the criterion-9 family y^2 = x^3 + (-2 + 7n) and of one with a != 0
+_FAMILIES = [[Curve(0, -2 + 7 * n) for n in range(-4, 5)], [Curve(n - 3, 2 * n + 5) for n in range(9)]]
+
+
+@pytest.mark.parametrize("height", [1, 30, 10**4])
+def test_point_search_does_not_depend_on_the_cache(height):
+    cache = eczero.rational._sieve_row
+    for family in _FAMILIES:
+        for i, E in enumerate(family):
+            cache.cache_clear()
+            cold = naive_point_search(E, height), find_generator(E, height)
+            cache.cache_clear()
+            for other in family[:i] + family[i + 1:]:
+                naive_point_search(other, height)
+                find_generator(other, 2 * height)
+            assert (naive_point_search(E, height), find_generator(E, height)) == cold, (E, height)
 
 
 def _tate_normal_form(b: int, c: int) -> tuple[Curve, QPoint]:
