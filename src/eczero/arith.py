@@ -17,8 +17,23 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
-# Squarefree parts of the nine class-number-one discriminants.
-SUPPORTED_CORNACCHIA_D = frozenset({3, 4, 7, 8, 11, 19, 43, 67, 163})
+# j-invariants of the elliptic curves with CM by the nine class-number-one
+# maximal orders O_D, keyed by the discriminant D (Cox, Primes of the Form
+# x^2 + ny^2, Sec. 12-13).  The key order is the order every list of D uses.
+CM_J_INVARIANTS = {
+    -3: 0,
+    -4: 1728,
+    -7: -3375,
+    -8: 8000,
+    -11: -32768,
+    -19: -884736,
+    -43: -884736000,
+    -67: -147197952000,
+    -163: -262537412640768000,
+}
+
+# |D| for the nine class-number-one discriminants.
+SUPPORTED_CORNACCHIA_D = frozenset(-D for D in CM_J_INVARIANTS)
 
 
 def is_prime(n: int) -> bool:

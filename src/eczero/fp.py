@@ -1,12 +1,17 @@
 """Elliptic curves over prime fields: group law, point counting, traces.
 
-Counting is dual-route.  For p <= 229 a table-driven sweep counts points.
-Above Mestre's bound, 229 < p <= 2^40, baby-step/giant-step order finding
-with quadratic-twist disambiguation does: there E or its twist always has
-a point whose order has a unique multiple in the Hasse interval.  If BSGS
-still finds more than one order, the sweep decides for p <= 2^16; above
-that an InternalConsistencyError is raised, so the returned order is
-always exact and no route runs a sweep of more than 2^16 steps.
+Counting has three routes.  For p <= 229 a table-driven sweep counts
+points.  Above Mestre's bound, 229 < p <= 2^40, a curve whose j-invariant
+is that of one of the nine class-number-one maximal orders O_D is counted
+from Cornacchia's 4p = u^2 + |D| v^2: a_p is 0 where p is inert and the
+trace of a norm-p element of O_D where it splits, and points of the curve
+pick the one candidate trace.  Every other curve, and any CM curve whose
+candidates the points leave ambiguous, goes to baby-step/giant-step order
+finding with quadratic-twist disambiguation: there E or its twist always
+has a point whose order has a unique multiple in the Hasse interval.  If
+BSGS still finds more than one order, the sweep decides for p <= 2^16;
+above that an InternalConsistencyError is raised, so the returned order
+is always exact and no route runs a sweep of more than 2^16 steps.
 """
 
 from __future__ import annotations
@@ -15,7 +20,14 @@ from dataclasses import dataclass
 from functools import partial
 from math import isqrt, lcm
 
-from .arith import double_and_add, kronecker_symbol, require_curve_prime, sqrt_mod_p
+from .arith import (
+    CM_J_INVARIANTS,
+    cornacchia,
+    double_and_add,
+    kronecker_symbol,
+    require_curve_prime,
+    sqrt_mod_p,
+)
 from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
 # Mestre's bound (J.-F. Mestre; R. Schoof, "Counting points on elliptic
@@ -193,8 +205,8 @@ def _intersect(u: range | set[int], v: range | set[int], lo: int, width: int) ->
     return {n for n in small if n in big}
 
 
-def _order_candidates(curve: FpCurve, lo: int, width: int) -> range | set[int]:
-    cands: range | set[int] | None = None
+def _walk_points(curve: FpCurve):
+    # The first _ORDER_POINTS points met by x = 0, 1, 2, ..., as tuples.
     tried = 0
     x = 0
     while tried < _ORDER_POINTS and x < curve.p:
@@ -203,7 +215,13 @@ def _order_candidates(curve: FpCurve, lo: int, width: int) -> range | set[int]:
         if P is None:
             continue
         tried += 1
-        hits = _kill_values(curve, (P.x, P.y), lo, width)
+        yield (P.x, P.y)
+
+
+def _order_candidates(curve: FpCurve, lo: int, width: int) -> range | set[int]:
+    cands: range | set[int] | None = None
+    for P in _walk_points(curve):
+        hits = _kill_values(curve, P, lo, width)
         cands = hits if cands is None else _intersect(cands, hits, lo, width)
         if len(cands) <= 1:
             break
@@ -248,13 +266,85 @@ def count_points_bsgs(curve: FpCurve) -> int:
     )
 
 
+def _cm_disc(curve: FpCurve) -> int | None:
+    # D with j(E) = j_D mod p, tested as 1728 * 4a^3 = j_D * (4a^3 + 27b^2)
+    # so that no inverse is taken.
+    p = curve.p
+    a3 = 4 * curve.a**3 % p
+    num = 1728 * a3 % p
+    den = (a3 + 27 * curve.b**2) % p
+    for D, j in CM_J_INVARIANTS.items():
+        if (num - j * den) % p == 0:
+            return D
+    return None
+
+
+def _cm_traces(D: int, p: int) -> set[int] | None:
+    # Every trace of a norm-p element of O_D, or None if Cornacchia finds
+    # no representation 4p = u^2 + |D| v^2.
+    uv = cornacchia(-D, p)
+    if uv is None:
+        return None
+    u, v = uv
+    if D == -3:
+        traces = {u, (u + 3 * v) // 2, (u - 3 * v) // 2}
+    elif D == -4:
+        traces = {u, 2 * v}
+    else:
+        traces = {u}
+    return traces | {-t for t in traces}
+
+
+def _count_points_cm(curve: FpCurve, D: int) -> int | None:
+    """|E(F_p)| for a curve with j(E) = j_D, or None if it stays ambiguous.
+
+    An inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
+    split p, E is ordinary with End(E) = O_D, so Frobenius is a norm-p
+    element of O_D and a_p is among its traces.  The true order kills
+    every point, so the true trace survives the walk's points; the count
+    is returned only once it is the one survivor.
+    """
+    p = curve.p
+    if kronecker_symbol(D, p) == -1:
+        return p + 1
+    traces = _cm_traces(D, p)
+    if traces is None:
+        return None
+    add = partial(_add, p, curve.a)
+    zero = (None, None)
+    for P in _walk_points(curve):
+        # [p + 1 - t]P = O iff [t]P = [p + 1]P, and [-t]P = -[t]P.
+        Q = double_and_add(add, p + 1, P, zero)
+        kept = set()
+        for t in {abs(t) for t in traces}:
+            T = double_and_add(add, t, P, zero)
+            negT = T if T[0] is None else (T[0], -T[1] % p)
+            kept |= {s for s, R in ((t, T), (-t, negT)) if R == Q}
+        traces &= kept
+        if len(traces) <= 1:
+            break
+    return p + 1 - traces.pop() if len(traces) == 1 else None
+
+
 def count_points(curve: FpCurve) -> int:
-    """Exact group order |E(F_p)| including the identity."""
-    if curve.p <= _NAIVE_LIMIT:
+    """Exact group order |E(F_p)| including the identity.
+
+    The sweep counts for p <= 229.  Up to 2^40 a curve with the j-invariant
+    of a class-number-one maximal order is counted from its CM traces, and
+    any other curve, or a CM curve whose points leave more than one trace,
+    by BSGS.  Larger p raise UnsupportedModulusError.
+    """
+    p = curve.p
+    if p <= _NAIVE_LIMIT:
         return count_points_naive(curve)
-    if curve.p <= _BSGS_LIMIT:
+    if p <= _BSGS_LIMIT:
+        D = _cm_disc(curve)
+        if D is not None:
+            n = _count_points_cm(curve, D)
+            if n is not None:
+                return n
         return count_points_bsgs(curve)
-    raise UnsupportedModulusError(f"point counting supports p <= 2^40, got {curve.p}")
+    raise UnsupportedModulusError(f"point counting supports p <= 2^40, got {p}")
 
 
 def trace_of_frobenius(curve: FpCurve) -> int:

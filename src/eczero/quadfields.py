@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import is_prime, kronecker_symbol, require_curve_prime
+from .arith import CM_J_INVARIANTS, is_prime, kronecker_symbol, require_curve_prime
 from .errors import DomainError, InternalConsistencyError
 from .fp import FpCurve, is_anomalous
 
-CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
+CLASS_NUMBER_ONE_DISCS = tuple(CM_J_INVARIANTS)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 import eczero.fp
-from eczero.arith import is_prime, kronecker_symbol
+from eczero.arith import CM_J_INVARIANTS, is_prime, kronecker_symbol
 from eczero.errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 from eczero.fp import (
     FpCurve,
@@ -139,12 +139,13 @@ def test_count_points_matches_brute_force():
 
 
 def test_count_points_rejects_huge_modulus():
-    curve = FpCurve.__new__(FpCurve)
-    object.__setattr__(curve, "p", (1 << 41) + 81)
-    object.__setattr__(curve, "a", 1)
-    object.__setattr__(curve, "b", 1)
-    with pytest.raises(UnsupportedModulusError):
-        count_points(curve)
+    for a, b in ((1, 1), (0, 1), (1, 0)):  # the CM curves j = 0, 1728 too
+        curve = FpCurve.__new__(FpCurve)
+        object.__setattr__(curve, "p", (1 << 41) + 81)
+        object.__setattr__(curve, "a", a)
+        object.__setattr__(curve, "b", b)
+        with pytest.raises(UnsupportedModulusError):
+            count_points(curve)
 
 
 def test_trace_examples():
@@ -239,7 +240,8 @@ def _random_curve(rng, p):
 
 def test_bsgs_alone_matches_naive_above_mestre_bound(monkeypatch):
     # Above p = 229 BSGS with the twist decides every order by itself: the
-    # naive sweep is neither the route nor a fallback.
+    # naive sweep is neither the route nor a fallback.  BSGS is called
+    # directly, since count_points sends the four CM curves elsewhere.
     naive = count_points_naive
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
     rng = random.Random(230)
@@ -256,14 +258,16 @@ def test_bsgs_alone_matches_naive_above_mestre_bound(monkeypatch):
         curves = [FpCurve(p, a, b) for a, b in SWEEP_CURVES if (4 * a**3 + 27 * b**2) % p]
         curves.append(_random_curve(rng, p))
         for curve in curves:
-            assert count_points(curve) == naive(curve), curve
+            assert count_points_bsgs(curve) == naive(curve), curve
     assert len(classes) == 4
 
 
 def test_bsgs_matches_cm_trace_oracle_up_to_2_40():
     # Above 2^16 no sweep can check BSGS; the j = 0 and j = 1728 traces are
     # read off Cornacchia instead, at primes log-uniform in [2^17, 2^40]
-    # that cycle through the four classes of ((-2|p), (-3|p)).
+    # that cycle through the four classes of ((-2|p), (-3|p)).  BSGS is
+    # called directly: count_points takes these traces from Cornacchia, so
+    # checking it here would check Cornacchia against itself.
     rng = random.Random(2040)
     classes = set()
     for i in range(24):
@@ -275,7 +279,7 @@ def test_bsgs_matches_cm_trace_oracle_up_to_2_40():
         curves = [FpCurve(p, 0, -2), FpCurve(p, -4, 0)]
         curves += [FpCurve(p, 0, rng.randrange(1, p)), FpCurve(p, rng.randrange(1, p), 0)]
         for curve in curves:
-            assert count_points(curve) == p + 1 - cm_trace_oracle(curve, rng), curve
+            assert count_points_bsgs(curve) == p + 1 - cm_trace_oracle(curve, rng), curve
     assert len(classes) == 4
 
 
@@ -304,12 +308,13 @@ def _twist_of(curve):
 def test_small_order_points_near_2_40_stay_small(ab):
     # At this p, x = 0 gives y^2 = x^3 - 2 a point of order 3 and
     # y^2 = x^3 - 4x one of order 2: their multiples in the Hasse interval
-    # number in the millions and must not be listed.
+    # number in the millions and must not be listed.  count_points takes
+    # the CM route on these curves, so BSGS is called directly.
     p = 1099511627609
     curve = FpCurve(p, *ab)
     tracemalloc.start()
     try:
-        n = count_points(curve)
+        n = count_points_bsgs(curve)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,3 +358,150 @@ def test_ambiguous_bsgs_raises_above_2_16(monkeypatch):
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
     with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
         count_points(curve)
+
+
+# CM route: curves whose j-invariant is that of a class-number-one maximal
+# order are counted from Cornacchia's 4p = u^2 + |D| v^2 above p = 229.
+
+
+def test_cm_j_invariants_are_the_class_number_one_cubes():
+    # j(O_D) for the nine maximal orders, as the cubes they are (Cox, Sec. 12).
+    assert CM_J_INVARIANTS == {
+        -3: 0, -4: 12**3, -7: -(15**3), -8: 20**3, -11: -(32**3), -19: -(96**3),
+        -43: -(960**3), -67: -(5280**3), -163: -(640320**3),
+    }
+
+
+def _cm_curves(p, rng):
+    """(D, curve, model) at p: the short model of each j_D and its quadratic
+    twist (model is the curve twisted, or None),
+    one random sextic twist y^2 = x^3 + b and one random quartic twist
+    y^2 = x^3 + a x.  The model is y^2 = x^3 + 3c x + 2c with
+    c = j / (1728 - j), scaled by (1728 - j)^2 to integers; that formula has
+    no curve at j = 0 or 1728, where y^2 = x^3 + 1 and y^2 = x^3 + x serve."""
+    out = []
+    for D, j in CM_J_INVARIANTS.items():
+        a, b = {0: (0, 1), 1728: (1, 0)}.get(j, (3 * j * (1728 - j), 2 * j * (1728 - j) ** 2))
+        if (4 * a**3 + 27 * b**2) % p:
+            model = FpCurve(p, a, b)
+            out += [(D, model, None), (D, _twist_of(model), model)]
+    out += [(-3, FpCurve(p, 0, rng.randrange(1, p)), None), (-4, FpCurve(p, rng.randrange(1, p), 0), None)]
+    return out
+
+
+def _check_cm_route(primes, rng):
+    # Every count the route returns equals BSGS's; returns the (D, (D|p))
+    # classes it met.  A twist is checked against its model's BSGS count,
+    # since the two orders sum to 2p + 2.
+    answered, classes = 0, set()
+    cases = [case for p in primes for case in _cm_curves(p, rng)]
+    bsgs = {}
+    for D, curve, model in cases:
+        found = eczero.fp._cm_disc(curve)
+        assert found is not None, curve
+        n = eczero.fp._count_points_cm(curve, found)
+        if n is not None:
+            if model is None:
+                expected = bsgs[curve] = count_points_bsgs(curve)
+            else:
+                if model not in bsgs:
+                    bsgs[model] = count_points_bsgs(model)
+                expected = 2 * curve.p + 2 - bsgs[model]
+            assert n == expected, curve
+            answered += 1
+            classes.add((D, kronecker_symbol(D, curve.p)))
+    # The walk's points leave one trace for all but a few curves; a route
+    # that lost the true trace would fall back to BSGS nearly always.
+    assert answered >= 0.99 * len(cases)
+    return classes
+
+
+def test_cm_route_matches_bsgs_on_every_prime_to_2_12():
+    primes = [p for p in range(230, 2**12 + 1) if is_prime(p)]
+    classes = _check_cm_route(primes, random.Random(4096))
+    assert classes == {(D, s) for D in CM_J_INVARIANTS for s in (1, -1)}
+
+
+def test_cm_route_matches_bsgs_up_to_2_40():
+    rng = random.Random(1440)
+    primes = []
+    for _ in range(24):
+        p = int(2 ** (12 + 28 * rng.random()))
+        while not is_prime(p):
+            p += 1
+        primes.append(p)
+    assert max(primes) > 2**38
+    classes = _check_cm_route(primes, rng)
+    assert classes == {(D, s) for D in CM_J_INVARIANTS for s in (1, -1)}
+
+
+def test_cm_route_matches_naive_on_sweep_curves_to_2_12():
+    for p in range(230, 2**12 + 1):
+        if is_prime(p):
+            for a, b in SWEEP_CURVES[:4]:
+                if (4 * a**3 + 27 * b**2) % p:
+                    curve = FpCurve(p, a, b)
+                    assert count_points(curve) == count_points_naive(curve), curve
+
+
+def _bsgs_must_not_run(curve):
+    raise AssertionError(f"BSGS ran for {curve}")
+
+
+def test_cm_curves_never_reach_bsgs(monkeypatch):
+    monkeypatch.setattr(eczero.fp, "count_points_bsgs", _bsgs_must_not_run)
+    seen = set()
+    for p in (20011, 20021, 65537, 65539, (1 << 20) + 7, 1048589, (1 << 40) - 87, 1099511627609):
+        assert is_prime(p)
+        for (a, b), D in zip(SWEEP_CURVES[:4], (-3, -4, -11, -19)):
+            if (4 * a**3 + 27 * b**2) % p:
+                n = count_points(FpCurve(p, a, b))
+                assert abs(p + 1 - n) <= isqrt(4 * p)
+                seen.add((D, kronecker_symbol(D, p)))
+    assert seen == {(D, s) for D in (-3, -4, -11, -19) for s in (1, -1)}
+
+
+def test_non_cm_curves_still_reach_bsgs(monkeypatch):
+    monkeypatch.setattr(eczero.fp, "count_points_bsgs", _bsgs_must_not_run)
+    for p in (233, 20011, (1 << 40) - 87):
+        for a, b in SWEEP_CURVES[4:]:
+            curve = FpCurve(p, a, b)
+            assert eczero.fp._cm_disc(curve) is None
+            with pytest.raises(AssertionError, match="BSGS ran"):
+                count_points(curve)
+
+
+def _spy_bsgs(monkeypatch):
+    calls = []
+    bsgs = count_points_bsgs
+    monkeypatch.setattr(eczero.fp, "count_points_bsgs", lambda c: calls.append(c) or bsgs(c))
+    return calls
+
+
+def test_cm_route_falls_back_to_bsgs_on_two_survivors(monkeypatch):
+    # At p = 233 every walked point of y^2 = x^3 + x is killed by two of the
+    # candidate orders.
+    curve = FpCurve(233, 1, 0)
+    assert eczero.fp._count_points_cm(curve, -4) is None
+    calls = _spy_bsgs(monkeypatch)
+    assert count_points(curve) == count_points_naive(curve)
+    assert calls == [curve]
+    # Forced: 2t - p - 1 gives the order 2(p + 1 - t), which every point of
+    # the true order p + 1 - t survives too.
+    curve = FpCurve((1 << 40) - 87, 0, -2)
+    expected = count_points(curve)
+    traces = eczero.fp._cm_traces
+    monkeypatch.setattr(
+        eczero.fp, "_cm_traces", lambda D, p: {s for t in traces(D, p) for s in (t, 2 * t - p - 1)}
+    )
+    assert count_points(curve) == expected
+    assert calls == [FpCurve(233, 1, 0), curve]
+
+
+def test_cm_route_falls_back_to_bsgs_without_cornacchia(monkeypatch):
+    curve = FpCurve(65537, -4, 0)  # 65537 = 1 mod 4 splits in Q(i)
+    expected = count_points(curve)
+    calls = _spy_bsgs(monkeypatch)
+    monkeypatch.setattr(eczero.fp, "cornacchia", lambda d, p: None)
+    assert count_points(curve) == expected
+    assert calls == [curve]
