@@ -4,6 +4,8 @@ Everything here is pure and deterministic: primality is decided by a
 Miller-Rabin witness set that is exact for the whole 64-bit range,
 square roots / Cornacchia representations are computed with integer
 arithmetic only, and one generic double-and-add serves every group law.
+The residue table, the non-residue search and the unit orbit of
+4p = u^2 + d v^2 have one copy each, shared by every caller.
 """
 
 from __future__ import annotations
@@ -101,53 +103,78 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def squares_mod(n: int) -> bytes:
+    """Table of the squares mod n >= 1: table[t] = 1 iff t = x^2 mod n, 0 included."""
+    table = bytearray(n)
+    for x in range(n // 2 + 1):
+        table[x * x % n] = 1
+    return bytes(table)
+
+
+def least_nonresidue(p: int) -> int:
+    """Least z >= 2 with (z|p) = -1 for an odd prime p; a (z|p) = 0 raises DomainError."""
+    z = 2
+    while (k := kronecker_symbol(z, p)) == 1:
+        z += 1
+    if k == 0:
+        raise DomainError(f"least_nonresidue requires an odd prime, got {p}")
+    return z
+
+
 def sqrt_mod_p(a: int, p: int) -> int | None:
     """Smaller square root of a modulo an odd prime p, or None for a non-residue.
 
     Tonelli-Shanks in the general case, with the p % 4 == 3 shortcut.
+    DomainError for p < 3, or when (a|p) = 0, no non-residue or r^2 != a
+    shows p composite.
     """
+    if p < 3:
+        raise DomainError(f"sqrt_mod_p requires an odd prime modulus, got {p}")
     a %= p
     if a == 0:
         return 0
-    if kronecker_symbol(a, p) != 1:
+    k = kronecker_symbol(a, p)
+    if k == -1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while kronecker_symbol(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
+    else:
+        # Write p - 1 = q * 2^s with q odd.
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        c = pow(least_nonresidue(p), q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        m = s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1 and i < m:
+                t2 = t2 * t2 % p
+                i += 1
+            if i == m:  # only for a composite p
+                break
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            m = i
+    if k == 0 or r * r % p != a:
+        raise DomainError(f"sqrt_mod_p requires an odd prime modulus, got {p}")
     return min(r, p - r)
 
 
-def _d3_orbit(u: int, v: int, p: int) -> list[tuple[int, int]]:
-    # Unit action of Z[zeta_3]: one norm-4p element gives up to three
-    # essentially different representations 4p = u^2 + 3 v^2.
-    reps = {(abs(u), abs(v))}
-    for uu, vv in ((u + 3 * v, u - v), (u - 3 * v, u + v)):
-        if uu % 2 == 0 and vv % 2 == 0:
-            reps.add((abs(uu) // 2, abs(vv) // 2))
-    return [(a, b) for a, b in reps if a * a + 3 * b * b == 4 * p]
+def unit_orbit(d: int, u: int, v: int) -> set[tuple[int, int]]:
+    """(|u'|, |v'|) for the unit multiples (u' + v' sqrt(-d))/2 of (u + v sqrt(-d))/2.
+
+    From one 4p = u^2 + d v^2, its unit-equivalent forms: three for d = 3, where
+    u = v mod 2 makes the halvings exact, two for d = 4, one otherwise.
+    """
+    u, v = abs(u), abs(v)
+    if d == 3:  # times zeta_3 = (-1 + sqrt(-3))/2 and zeta_3^2
+        return {(u, v), ((u + 3 * v) // 2, abs(u - v) // 2), (abs(u - 3 * v) // 2, (u + v) // 2)}
+    return {(u, v), (2 * v, u // 2)} if d == 4 else {(u, v)}
 
 
 def cornacchia(d: int, p: int) -> tuple[int, int] | None:
@@ -162,10 +189,8 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
     if p == 2 or not is_prime(p):
         raise DomainError("cornacchia requires an odd prime p")
     D = -d
-    if kronecker_symbol(D, p) == -1:
-        return None
     x0 = sqrt_mod_p(D % p, p)
-    if x0 is None:
+    if x0 is None:  # (D|p) = -1
         return None
     # Fix parity so that x0^2 = D mod 4p.
     if (x0 - D) % 2 != 0:
@@ -181,14 +206,7 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
     t = isqrt(c)
     if t * t != c:
         return None
-    u, v = b, t
-    if d == 3:
-        u, v = min(_d3_orbit(u, v, p))
-    elif d == 4:
-        # Units +-i swap the two squares of p = (u/2)^2 + v^2.
-        alt = (2 * v, u // 2)
-        u, v = min((u, v), alt)
-    return u, v
+    return min(unit_orbit(d, b, t))
 
 
 def double_and_add(add, k: int, P, zero):

@@ -1,11 +1,11 @@
 """Elliptic curves over prime fields: group law, point counting, traces.
 
-Counting has three routes.  For p <= 229 a table-driven sweep counts
-points.  Above Mestre's bound, 229 < p <= 2^40, a curve whose j-invariant
-is that of one of the nine class-number-one maximal orders O_D is counted
-from Cornacchia's 4p = u^2 + |D| v^2: a_p is 0 where p is inert and the
-trace of a norm-p element of O_D where it splits, and points of the curve
-pick the one candidate trace.  Every other curve, and any CM curve whose
+Counting has three routes.  For p <= 229 a sweep reads `arith.squares_mod`.
+Above Mestre's bound, 229 < p <= 2^40, a curve whose j-invariant is that
+of one of the nine class-number-one maximal orders O_D is counted from
+Cornacchia's 4p = u^2 + |D| v^2: a_p is 0 where p is inert and else +-u'
+for a member (u', v') of `arith.unit_orbit`, and points of the curve pick
+the one candidate trace.  Every other curve, and any CM curve whose
 candidates the points leave ambiguous, goes to baby-step/giant-step order
 finding with quadratic-twist disambiguation: there E or its twist always
 has a point whose order has a unique multiple in the Hasse interval.  If
@@ -25,8 +25,11 @@ from .arith import (
     cornacchia,
     double_and_add,
     kronecker_symbol,
+    least_nonresidue,
     require_curve_prime,
     sqrt_mod_p,
+    squares_mod,
+    unit_orbit,
 )
 from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
@@ -141,20 +144,10 @@ def point_at_x(curve: FpCurve, x: int) -> FpPoint | None:
     return FpPoint(x % curve.p, y)
 
 
-def _qr_table(p: int) -> bytearray:
-    # table[t] = 1 iff t is a nonzero square mod p
-    table = bytearray(p)
-    s = 0
-    for i in range(1, (p - 1) // 2 + 1):
-        s = (s + 2 * i - 1) % p  # i^2 = (i-1)^2 + 2i - 1
-        table[s] = 1
-    return table
-
-
 def count_points_naive(curve: FpCurve) -> int:
     """|E(F_p)| by a full x-sweep with a precomputed residue table."""
     p, a, b = curve.p, curve.a, curve.b
-    qr = _qr_table(p)
+    qr = squares_mod(p)
     total = p + 1
     for x in range(p):
         t = (x * x % p * x + a * x + b) % p
@@ -230,9 +223,7 @@ def _order_candidates(curve: FpCurve, lo: int, width: int) -> range | set[int]:
 
 def _twist(curve: FpCurve) -> FpCurve:
     p = curve.p
-    g = 2
-    while kronecker_symbol(g, p) != -1:
-        g += 1
+    g = least_nonresidue(p)
     return FpCurve(p, curve.a * g * g % p, curve.b * g**3 % p)
 
 
@@ -283,16 +274,7 @@ def _cm_traces(D: int, p: int) -> set[int] | None:
     # Every trace of a norm-p element of O_D, or None if Cornacchia finds
     # no representation 4p = u^2 + |D| v^2.
     uv = cornacchia(-D, p)
-    if uv is None:
-        return None
-    u, v = uv
-    if D == -3:
-        traces = {u, (u + 3 * v) // 2, (u - 3 * v) // 2}
-    elif D == -4:
-        traces = {u, 2 * v}
-    else:
-        traces = {u}
-    return traces | {-t for t in traces}
+    return None if uv is None else {t for u, _ in unit_orbit(-D, *uv) for t in (u, -u)}
 
 
 def _count_points_cm(curve: FpCurve, D: int) -> int | None:

@@ -79,6 +79,7 @@ class QpPoint:
 
 def embed_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAULT_PRECISION) -> QpPoint:
     """Image of a rational point in E(Q_p) at the given relative precision."""
+    require_curve_prime(p)
     if point.is_identity:
         return QpPoint.identity()
     if not curve.contains(point):
@@ -181,6 +182,7 @@ def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DE
     side is p^(-6*layer) times a 1-unit, so the square root is a plain
     Hensel lift from 1.
     """
+    require_curve_prime(p)
     if layer < 1:
         raise DomainError("layer must be >= 1")
     m = layer

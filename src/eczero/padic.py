@@ -25,7 +25,9 @@ MIN_RELATIVE_PRECISION = 4
 
 
 def pval(n: int, p: int, cap: int | None = None) -> int:
-    """v_p(n) for n != 0; with a cap, min(v_p(n), cap) and v(0) = cap."""
+    """v_p(n) for n != 0 and p >= 2; with a cap, min(v_p(n), cap) and v(0) = cap."""
+    if p < 2:
+        raise DomainError(f"valuation needs p >= 2, got {p}")
     if n == 0:
         if cap is None:
             raise DomainError("valuation of exact zero is infinite")
@@ -62,13 +64,6 @@ class PadicNumber:
         return cls(p, abs_precision, 0, 0)
 
     @classmethod
-    def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        if n == 0:
-            return cls.zero(p, precision)
-        v = pval(n, p)
-        return cls(p, v, (n // p**v) % p**precision, precision)
-
-    @classmethod
     def from_fraction(cls, q, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         q = Fraction(q)
         if q == 0:
@@ -79,6 +74,8 @@ class PadicNumber:
         den = q.denominator // p**vd
         mod = p**precision
         return cls(p, vn - vd, num * pow(den, -1, mod) % mod, precision)
+
+    from_int = from_fraction  # an integer converts as the fraction n/1
 
     # -- representation helpers ------------------------------------------
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, isqrt
 
-from .arith import double_and_add, kronecker_symbol, require_curve_prime
+from .arith import double_and_add, kronecker_symbol, require_curve_prime, squares_mod
 from .errors import DomainError
 from .fp import FpCurve, trace_of_frobenius
 
@@ -240,7 +240,7 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
 # Sieve moduli: 64, 63 = 7*9, 65 = 5*13 and the primes 11 and 17..67 (65
 # covers 13).  A square is a square modulo each, so no point is sieved out.
 _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
-_SQUARES_MOD = {q: frozenset(i * i % q for i in range(q)) for q in _SIEVE_MODULI}
+_SQUARES_MOD = {q: squares_mod(q) for q in _SIEVE_MODULI}
 
 # The one sieve cache.  A search asks for (q, a e^4 mod q, b e^6 mod q, H),
 # which depends on e only through e mod q: at most sum(q) = 730 keys, so an
@@ -251,7 +251,7 @@ _SQUARES_MOD = {q: frozenset(i * i % q for i in range(q)) for q in _SIEVE_MODULI
 def _sieve_row(q: int, A: int, B: int, height: int) -> int:
     """Bitset whose bit j says m = j - H passes the sieve mod q; bits past 2H are junk."""
     squares = _SQUARES_MOD[q]
-    pattern = sum(1 << r for r in range(q) if (r * r * r + A * r + B) % q in squares)
+    pattern = sum(1 << r for r in range(q) if squares[(r * r * r + A * r + B) % q])
     copies = 8 // gcd(q, 8)  # q * copies = lcm(q, 8)
     tiled = pattern * ((1 << q * copies) - 1) // ((1 << q) - 1)
     chunk = tiled.to_bytes(q * copies // 8, "little")

@@ -41,7 +41,7 @@ PROXY_NOTE = (
     "computed rank/generator data must be ingested to replicate one"
 )
 
-CSV_HEADER = "n,label,good7,anomalous,splits,generator,formal_nontrivial,verdicts"
+CSV_HEADER = "n,label,good_p,anomalous,splits,generator,formal_nontrivial,verdicts"
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ The point-count oracle tries every (x, y) in F_p^2.
 The CM trace oracle reads the trace of y^2 = x^3 + b or y^2 = x^3 + a x
 off the norm-p elements of Z[zeta_3] or Z[i] that Cornacchia gives, and
 never runs baby-step/giant-step.
+The outcome helper runs calls in a fresh interpreter under a timeout, so a
+call that loops forever fails its test instead of stalling the suite.
 """
 
 from eczero.localpoints import (
@@ -34,6 +36,32 @@ from eczero.fp import FpCurve, fp_scalar_mul, point_at_x
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
+import os
+import subprocess
+import sys
+
+import eczero
+
+
+def outcomes_within(setup: str, calls: list[str], timeout: float = 10.0) -> list[str]:
+    """For each call, in one fresh interpreter after `setup`, the repr of its
+    value or the name of the exception it raised.
+
+    A run that does not finish within `timeout` seconds raises
+    subprocess.TimeoutExpired.
+    """
+    code = setup + (
+        f"\nfor call in {calls!r}:"
+        "\n    try:\n        print(repr(eval(call)))"
+        "\n    except Exception as exc:\n        print(type(exc).__name__)"
+    )
+    src = str(Path(eczero.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-"], input=code, capture_output=True, text=True, timeout=timeout, env=env, check=True
+    )
+    return out.stdout.splitlines()
 
 
 def point_search_oracle(curve: Curve, height: int) -> list[QPoint]:

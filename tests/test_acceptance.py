@@ -169,7 +169,7 @@ def test_criterion_8_verdict_matrix():
     _ok(8, "verdict engine fires exactly on the three family triples and refuses all ablations")
 
 
-CRITERION_9_CSV_SHA256 = "d1942f4b0918ba139260d7b7d0e0300a8cdbc56679ed64b60d3e73cfe1b9f1f2"
+CRITERION_9_CSV_SHA256 = "b784a165980b34cd9153ab0afa6cc2bc3da5e37aa99f59b6e8854089b43ef751"
 CRITERION_9_JSON_SHA256 = "39335264691d2aa76da62f1f18d75ea03771abe4b1c09386ff229570ee82e154"
 
 

@@ -9,9 +9,14 @@ from eczero.arith import (
     double_and_add,
     is_prime,
     kronecker_symbol,
+    least_nonresidue,
     sqrt_mod_p,
+    squares_mod,
+    unit_orbit,
 )
 from eczero.errors import DomainError
+
+from oracles import outcomes_within
 
 
 def _sieve(limit):
@@ -98,6 +103,61 @@ def test_sqrt_mod_p_properties():
         else:
             assert r * r % p == a
             assert r <= p - r or a == 0
+
+
+def test_sqrt_mod_p_never_hangs_or_returns_a_non_root():
+    # Every odd modulus below 200, in a subprocess: a square modulus has no
+    # Jacobi symbol -1 and Tonelli's inner loop need not end mod a composite,
+    # so these once hung (9, 21, 33, 65, 105); 15 once gave the non-root 1
+    # for 2.  None only for a true non-square, DomainError never at a prime.
+    # Moduli below 3 are refused too: -7 once called 1 a non-square.
+    refused = [(1, 9), (4, 9), (5, 21), (2, 33), (7, 65), (2, 105), (2, 15),
+               (1, -7), (0, 2), (1, 2), (1, 1), (1, 0)]
+    cases = [(a, n) for n in range(3, 200, 2) for a in range(n)]
+    got = outcomes_within("from eczero.arith import sqrt_mod_p", [f"sqrt_mod_p{c}" for c in cases + refused])
+    outcome = dict(zip(cases + refused, got))
+    for a, n in refused:
+        assert outcome.pop((a, n)) == "DomainError", (a, n)
+    squares = {n: {x * x % n for x in range(n)} for n in range(3, 200, 2)}
+    for (a, n), r in outcome.items():
+        if r == "DomainError":
+            assert not is_prime(n), (a, n)
+        elif r == "None":
+            assert a not in squares[n], (a, n)
+        else:
+            r = int(r)
+            assert r * r % n == a and r <= n - r, (a, n, r)
+
+
+def test_squares_mod_matches_brute_force():
+    for n in range(1, 301):
+        table = squares_mod(n)
+        assert len(table) == n
+        assert {t for t in range(n) if table[t]} == {x * x % n for x in range(n)}, n
+
+
+def test_least_nonresidue_by_euler_criterion():
+    for p in range(3, 10**4, 2):
+        if is_prime(p):
+            z = least_nonresidue(p)
+            assert pow(z, (p - 1) // 2, p) == p - 1, p
+            assert all(pow(w, (p - 1) // 2, p) == 1 for w in range(2, z)), p
+    with pytest.raises(DomainError):
+        least_nonresidue(9)  # (z|9) is never -1
+
+
+def test_unit_orbit_members_are_representations_with_one_orbit():
+    sizes = {3: 3, 4: 2}
+    for d in sorted(SUPPORTED_CORNACCHIA_D):
+        for p in range(5, 3000, 2):
+            if not is_prime(p) or (uv := cornacchia(d, p)) is None:
+                continue
+            orbit = unit_orbit(d, *uv)
+            assert len(orbit) == sizes.get(d, 1), (d, p, orbit)
+            for u, v in orbit:
+                assert u * u + d * v * v == 4 * p, (d, p, u, v)
+                assert unit_orbit(d, u, v) == orbit, (d, p, u, v)
+                assert unit_orbit(d, -u, v) == orbit, (d, p, u, v)
 
 
 def _cornacchia_brute(d, p):

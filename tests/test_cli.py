@@ -173,7 +173,7 @@ def test_scan_csv_and_roundtrip(tmp_path):
     )
     assert res.exit_code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("n,label,good7")
+    assert lines[0].startswith("n,label,good_p")
     assert len(lines) == 5  # header + 3 rows + footer
     assert lines[-1].startswith("# aggregate ")
 

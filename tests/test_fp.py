@@ -21,6 +21,7 @@ from eczero.fp import (
     point_at_x,
     trace_of_frobenius,
 )
+from eczero.quadfields import ImagQuadField, is_frobenius_trace
 
 from oracles import cm_trace_oracle
 
@@ -370,6 +371,24 @@ def test_cm_j_invariants_are_the_class_number_one_cubes():
         -3: 0, -4: 12**3, -7: -(15**3), -8: 20**3, -11: -(32**3), -19: -(96**3),
         -43: -(960**3), -67: -(5280**3), -163: -(640320**3),
     }
+
+
+def test_cm_traces_are_every_frobenius_trace_of_O_D():
+    # The unit orbit of Cornacchia's representation gives every t with
+    # 4p = t^2 + |D| v^2, checked for all nine D at every split prime to 2^11.
+    split = 0
+    for p in range(231, 2**11, 2):
+        if not is_prime(p):
+            continue
+        bound = isqrt(4 * p)
+        for D in CM_J_INVARIANTS:
+            if kronecker_symbol(D, p) == 1:
+                field = ImagQuadField(D)
+                # is_frobenius_trace reads t only through t^2
+                expected = {s for t in range(bound + 1) if is_frobenius_trace(field, p, t) for s in (t, -t)}
+                assert eczero.fp._cm_traces(D, p) == expected, (D, p)
+                split += 1
+    assert split > 1000
 
 
 def _cm_curves(p, rng):

@@ -12,6 +12,8 @@ from eczero.padic import (
     pval,
 )
 
+from oracles import outcomes_within
+
 
 def test_from_int_and_fraction():
     z = PadicNumber.from_int(98, 7)  # 2 * 7^2
@@ -197,3 +199,15 @@ def test_pval():
     assert pval(0, 7, cap=9) == 9
     with pytest.raises(DomainError):
         pval(0, 7)
+
+
+def test_p_adic_entry_points_reject_p_below_2_without_hanging():
+    # v_1(n) once looped forever, and every conversion below called it
+    setup = (
+        "from eczero import Curve, PadicNumber, QPoint, embed_point, formal_layer_point\n"
+        "from eczero.padic import pval"
+    )
+    calls = ["pval(3, 1)", "pval(3, 0)", "pval(3, -1)", "PadicNumber.from_int(3, 1)",
+             "PadicNumber.from_fraction(3, 1)", "embed_point(Curve(0, -2), QPoint.from_pair(3, 5), 1)",
+             "formal_layer_point(Curve(0, -2), 1)"]
+    assert outcomes_within(setup, calls) == ["DomainError"] * len(calls)
