@@ -31,7 +31,7 @@ from .quadfields import (
     is_frobenius_trace,
     splits_completely,
 )
-from .rational import Curve, QPoint, ReductionType, reduction_type
+from .rational import MAX_HEIGHT, Curve, QPoint, ReductionType, reduction_type
 from .survey import (
     DEFAULT_HEIGHT, FamilySpec, emit_report, ingest_curves, parse_generator, scan_family, survey_records,
 )
@@ -46,6 +46,9 @@ from .verdicts import (
     prime_admissibility,
     quartic_verdict,
 )
+
+
+_HEIGHT_HELP = f"point-search height bound, 1 to {MAX_HEIGHT}"
 
 
 def errors_to_exit_codes(fn):
@@ -315,7 +318,7 @@ def _write_or_echo(text: str, out: str | None):
 @click.option("--disc", type=int, required=True)
 @click.option("--nmin", type=int, required=True)
 @click.option("--nmax", type=int, required=True)
-@click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True)
+@click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True, help=_HEIGHT_HELP)
 @click.option("--ingest", "ingest_path", type=click.Path(exists=True), default=None,
               help="curve file supplying generators, matched by coefficients")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
@@ -360,7 +363,7 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out,
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--disc", type=int, required=True)
-@click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True)
+@click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True, help=_HEIGHT_HELP)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")

@@ -9,6 +9,14 @@ valuation of the formal parameter t = -x/y of F (1 versus >= 2) is the
 decision bit consumed by the verdict layer; formal_t_valuation reads it
 from [p]P = [p]F without lifting T0.
 
+F is one Jacobian chord of P and -T0 from Z = 1, on integers modulo p^N
+with N = precision + 4, the lift's precision.  Its Z is x(T0) - x(P), and
+F = (X/Z^2, Y/Z^3) with X and Y units, so t_valuation = v_p(x(P) - x(T0)).
+Only the reported coordinates become PadicNumbers, with N - v(Z) digits.
+Fewer than MIN_RELATIVE_PRECISION digits, or Z = 0 modulo p^N, raise
+PrecisionExhaustedError.  A point already in E_1 is its own formal part,
+with t_valuation = v_p(den x) / 2.
+
 Torsion lifting runs Newton iteration against the degree-(p^2-1)/2 division
 polynomial, evaluated pointwise with derivatives (never expanded).  The
 x-coordinate of T0 is a p-fold root of that polynomial mod p, so the
@@ -44,7 +52,7 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, is_anomalous
-from .padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, PadicNumber, _make, newton_lift, pval
+from .padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, PadicNumber, _make, _require, newton_lift, pval
 from .rational import (
     Curve,
     QPoint,
@@ -75,125 +83,6 @@ class QpPoint:
 
     def __str__(self):
         return "O" if self.is_identity else f"({self.x}, {self.y})"
-
-
-def embed_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAULT_PRECISION) -> QpPoint:
-    """Image of a rational point in E(Q_p) at the given relative precision."""
-    require_curve_prime(p)
-    if point.is_identity:
-        return QpPoint.identity()
-    if not curve.contains(point):
-        raise DomainError(f"{point} is not on {curve}")
-    return QpPoint(
-        PadicNumber.from_fraction(point.x, p, precision),
-        PadicNumber.from_fraction(point.y, p, precision),
-    )
-
-
-def on_curve(curve: Curve, point: QpPoint) -> bool:
-    """Check y^2 = x^3 + ax + b at the precision the coordinates carry."""
-    if point.is_identity:
-        return True
-    x, y = point.x, point.y
-    return (y * y - (x * x * x + x * curve.a + curve.b)).is_zero
-
-
-def qp_neg(point: QpPoint) -> QpPoint:
-    if point.is_identity:
-        return point
-    return QpPoint(point.x, -point.y)
-
-
-def qp_add(curve: Curve, P: QpPoint, Q: QpPoint) -> QpPoint:
-    """Chord-tangent addition with precision-aware equality decisions."""
-    if P.is_identity:
-        return Q
-    if Q.is_identity:
-        return P
-    dx = Q.x - P.x
-    if dx.is_zero:
-        dy = Q.y - P.y
-        if not dy.is_zero:
-            s = Q.y + P.y
-            if s.is_zero:
-                return QpPoint.identity()
-            raise PrecisionExhaustedError(
-                "x-coordinates collide at precision but y-coordinates resolve neither"
-            )
-        # same point at precision: tangent line
-        if P.y.is_zero:
-            return QpPoint.identity()
-        lam = (P.x * P.x * 3 + curve.a) / (P.y * 2)
-    else:
-        lam = (Q.y - P.y) / dx
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return QpPoint(x3, y3)
-
-
-def qp_scalar_mul(curve: Curve, k: int, P: QpPoint) -> QpPoint:
-    """[k]P by double-and-add; [0]P = O and [-k]P = -[k]P."""
-    if k < 0:
-        k, P = -k, qp_neg(P)
-    return double_and_add(partial(qp_add, curve), k, P, QpPoint.identity())
-
-
-def reduce_point(curve: Curve, point: QpPoint, p: int) -> FpPoint:
-    """Reduction map E(Q_p) -> E(F_p) for a model with good reduction at p.
-
-    Points with negative coordinate valuations lie in the kernel of
-    reduction and map to the identity; on a good model those valuations can
-    only be (-2m, -3m).
-    """
-    if point.is_identity:
-        return FpPoint.identity()
-    vx = point.x.valuation if not point.x.is_zero else 0
-    vy = point.y.valuation if not point.y.is_zero else 0
-    if vx < 0 or vy < 0:
-        if point.x.is_zero or point.y.is_zero:
-            raise PrecisionExhaustedError("cannot classify a coordinate indistinguishable from 0")
-        if vx >= 0 or vy >= 0 or vx % 2 != 0 or 3 * vx != 2 * vy:
-            raise InternalConsistencyError(
-                f"impossible coordinate valuations ({vx}, {vy}) on a good model"
-            )
-        return FpPoint.identity()
-    return FpPoint(point.x.residue_mod(1), point.y.residue_mod(1))
-
-
-def t_parameter(curve: Curve, point: QpPoint, p: int) -> PadicNumber:
-    """Formal-group parameter t = -x/y of a point in the kernel of reduction.
-
-    Its valuation m >= 1 locates the layer E_m \\ E_{m+1}.
-    """
-    if point.is_identity:
-        raise DomainError("the identity has no formal parameter")
-    if not reduce_point(curve, point, p).is_identity:
-        raise DomainError("point is not in the kernel of reduction")
-    t = -(point.x / point.y)
-    if t.is_zero or t.valuation < 1:
-        raise InternalConsistencyError("formal parameter must have valuation >= 1")
-    return t
-
-
-def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DEFAULT_PRECISION) -> QpPoint:
-    """A point of E(Q_p) with t-valuation exactly `layer` (deep in E_1).
-
-    Takes x = p^(-2*layer) and solves for y; on a good model the right-hand
-    side is p^(-6*layer) times a 1-unit, so the square root is a plain
-    Hensel lift from 1.
-    """
-    require_curve_prime(p)
-    if layer < 1:
-        raise DomainError("layer must be >= 1")
-    m = layer
-    # y = p^(-3m) * sqrt(u), u = 1 + a p^(4m) + b p^(6m)
-    u = 1 + curve.a * p ** (4 * m) + curve.b * p ** (6 * m)
-    x = PadicNumber.from_fraction(Fraction(1, p ** (2 * m)), p, precision + 2)
-    y = newton_lift([-u, 0, 1], 1, p, precision + 2).shift(-3 * m)
-    point = QpPoint(x, y)
-    if not on_curve(curve, point):
-        raise InternalConsistencyError("formal layer point failed the curve equation")
-    return point
 
 
 def _require_anomalous(curve: Curve, p: int) -> FpCurve:
@@ -227,11 +116,13 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     target = FpPoint(target.x % p, target.y % p)
     if not reduced.contains(target):
         raise DomainError(f"{target} is not on the reduction of {curve} mod {p}")
-    return _lift_torsion(curve, p, target, precision)
+    x, y = _lift_torsion(curve, p, target, precision)
+    return QpPoint(_make(p, x, precision), _make(p, y, precision))
 
 
-def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> QpPoint:
-    """lift_p_torsion after its checks of curve, prime and target."""
+def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> tuple[int, int]:
+    """lift_p_torsion after its checks of curve, prime and target, as the
+    residues of T0's coordinates modulo p^precision."""
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
     work = precision + _NEWTON_GUARD
@@ -259,12 +150,13 @@ def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> QpPo
             f"torsion lift above x = {target.x} did not converge in {max_steps} steps"
         )
 
-    g = (x * x % mod * x + curve.a * x + curve.b) % mod
-    point = QpPoint(_make(p, x, precision), newton_lift([-g, 0, 1], target.y, p, precision))
-    if reduce_point(curve, point, p) != target:
+    x %= p**precision
+    g = (x * x * x + curve.a * x + curve.b) % p**precision
+    y = newton_lift([-g, 0, 1], target.y, p, precision).residue_mod(precision)
+    if FpPoint(x % p, y % p) != target:
         raise InternalConsistencyError("torsion lift does not reduce to its target")
-    _check_killed_by_p(curve, p, point.x.residue_mod(precision), point.y.residue_mod(precision), precision)
-    return point
+    _check_killed_by_p(curve, p, x, y, precision)
+    return x, y
 
 
 # Jacobian coordinates: (X, Y, Z) stands for (X/Z^2, Y/Z^3); Z = 0 is O.
@@ -327,8 +219,7 @@ def _check_killed_by_p(curve: Curve, p: int, x: int, y: int, precision: int) -> 
 class Decomposition:
     """P = F + T0 with F in the kernel of reduction and [p]T0 = O.
 
-    ``t_valuation`` is the valuation of the formal parameter of F (None
-    encodes F = O, which the infinite-order precondition rules out), and
+    ``t_valuation`` is the valuation of the formal parameter of F, and
     ``formal_nontrivial`` is the t_valuation == 1 criterion.
     """
 
@@ -336,7 +227,7 @@ class Decomposition:
     bar_point: FpPoint
     torsion: QpPoint
     formal: QpPoint
-    t_valuation: int | None
+    t_valuation: int
     formal_nontrivial: bool
     precision: int
 
@@ -371,19 +262,24 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     ends because P has infinite order.  Other errors are decompose_point's.
     """
     minimal, point = _on_minimal_model(curve, point, p)
-    xd, yd = point.x.denominator, point.y.denominator
+    xd = point.x.denominator
     if xd % p == 0:
         return pval(xd, p) // 2
     precision = 2
     while True:
-        mod = p**precision
-        x, y = point.x.numerator * pow(xd, -1, mod), point.y.numerator * pow(yd, -1, mod)
+        x, y = _residues(point, p**precision)
         vz = _z_valuation_of_p_times(minimal, p, x, y, precision)
         if vz == 1:
             raise SplitHypothesisError(f"no {p}-adic torsion lift above x = {x % p}: [{p}]P has t-valuation 1")
         if vz < precision:
             return vz - 1
         precision *= 2
+
+
+def _residues(point: QPoint, mod: int) -> tuple[int, int]:
+    """The coordinates of a p-integral point modulo `mod`, a power of p."""
+    return (point.x.numerator * pow(point.x.denominator, -1, mod) % mod,
+            point.y.numerator * pow(point.y.denominator, -1, mod) % mod)
 
 
 def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, QPoint]:
@@ -406,20 +302,34 @@ def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, QPoin
 
 
 def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decomposition:
-    work = precision + 8
-    P = embed_point(minimal, point, p, work)
-    bar = reduce_point(minimal, P, p)
-    if bar.is_identity:
-        torsion = QpPoint.identity()
-        formal = P
+    xd = point.x.denominator
+    if xd % p == 0:
+        # P is in E_1, so it is its own formal part
+        work = precision + 8
+        _require(work, p)
+        bar, torsion = FpPoint.identity(), QpPoint.identity()
+        formal = QpPoint(PadicNumber.from_fraction(point.x, p, work), PadicNumber.from_fraction(point.y, p, work))
+        tval = pval(xd, p) // 2
     else:
-        torsion = _lift_torsion(minimal, p, bar, precision + 4)
-        formal = qp_add(minimal, P, qp_neg(torsion))
-    if formal.is_identity:
-        raise PrecisionExhaustedError("formal component vanished at working precision")
-    if not reduce_point(minimal, formal, p).is_identity:
-        raise InternalConsistencyError("formal component does not reduce to the identity")
-    tval = t_parameter(minimal, formal, p).valuation
+        # F = P - T0 by one Jacobian chord from Z = 1: Z(F) = x(T0) - x(P)
+        work = precision + 4
+        bar = FpPoint(*_residues(point, p))
+        x0, y0 = _lift_torsion(minimal, p, bar, work)
+        mod = p**work
+        x, y = _residues(point, mod)
+        torsion = QpPoint(_make(p, x0, work), _make(p, y0, work))
+        X, Y, Z = _jacobian_add(minimal.a % mod, mod, (x, y, 1), (x0, -y0 % mod, 1))
+        if not Z:
+            raise PrecisionExhaustedError("formal component vanished at working precision")
+        # mod p the chord has H = Z = 0 and R = -y0 - y = -2y, a unit, so X = R^2
+        # and Y = -R^3 are units: x(F) = X/Z^2 and y(F) = Y/Z^3 with Z = p^m u,
+        # both known to work - m digits
+        tval = pval(Z, p)
+        inv = pow(Z // p**tval, -1, mod)
+        formal = QpPoint(
+            _make(p, X * inv * inv, work - tval).shift(-2 * tval),
+            _make(p, Y * inv**3, work - tval).shift(-3 * tval),
+        )
     return Decomposition(
         p=p,
         bar_point=bar,

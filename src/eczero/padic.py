@@ -65,6 +65,8 @@ class PadicNumber:
 
     @classmethod
     def from_fraction(cls, q, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
+        if p < 2 or not is_prime(p):
+            raise DomainError(f"p-adic numbers need a prime p, got {p}")
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, precision)

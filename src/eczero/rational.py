@@ -237,6 +237,10 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
     return ReductionType(ReductionKind.ADDITIVE)
 
 
+# The largest search height.  The row cache holds ~180 H bytes at height H:
+# ~180 MB at the cap.
+MAX_HEIGHT = 10**6
+
 # Sieve moduli: 64, 63 = 7*9, 65 = 5*13 and the primes 11 and 17..67 (65
 # covers 13).  A square is a square modulo each, so no point is sieved out.
 _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
@@ -267,10 +271,13 @@ def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]
     terms and |m| <= height; each sieve hit is confirmed exactly.  Every
     point of row e has naive height max(|m|, e^2) >= e^2, which is what lets
     a caller stop before the next row.  Rows are sieved on demand, so a
-    caller that stops early pays only for the rows it read.
+    caller that stops early pays only for the rows it read.  A height
+    outside 1..MAX_HEIGHT raises DomainError before any row is built.
     """
     if height < 1:
         raise DomainError("height bound must be >= 1")
+    if height > MAX_HEIGHT:
+        raise DomainError(f"height bound must be <= {MAX_HEIGHT}")
     a, b = curve.a, curve.b
     box = (1 << 2 * height + 1) - 1
     for e in range(1, isqrt(height) + 1):

@@ -9,7 +9,11 @@ The decomposition oracle classifies a global point's image in
 E(Q_p)/p = (Z/p)^2 by enumerating the classes of a*T0 + b*G1 over a
 p-torsion generator T0 and a depth-1 formal point G1, deciding membership
 in p*E(Q_p) by "reduces to the identity and the formal parameter has
-valuation >= 2".  It never consults decompose_point's F-component path.
+valuation >= 2".  It never consults decompose_point's F-component path,
+and it adds points by the affine chord-tangent law on PadicNumber
+coordinates below (embed_point, qp_add, t_parameter, ...), which the
+library does not use: decompose_point forms F by a Jacobian chord on
+integers mod p^N.
 The division-polynomial oracle expands psi_m as an integer polynomial by
 the classical recurrence, for checking the library's pointwise evaluator.
 The point-count oracle tries every (x, y) in F_p^2.
@@ -17,24 +21,18 @@ The CM trace oracle reads the trace of y^2 = x^3 + b or y^2 = x^3 + a x
 off the norm-p elements of Z[zeta_3] or Z[i] that Cornacchia gives, and
 never runs baby-step/giant-step.
 The outcome helper runs calls in a fresh interpreter under a timeout, so a
-call that loops forever fails its test instead of stalling the suite.
+call that loops forever fails its test instead of stalling the suite; the
+interpreter can import this module as ``oracles``.
 """
 
-from eczero.localpoints import (
-    QpPoint,
-    embed_point,
-    formal_layer_point,
-    lift_p_torsion,
-    qp_add,
-    qp_neg,
-    reduce_point,
-    t_parameter,
-)
-from eczero.arith import cornacchia
-from eczero.errors import DomainError
-from eczero.fp import FpCurve, fp_scalar_mul, point_at_x
+from eczero.localpoints import QpPoint, lift_p_torsion
+from eczero.arith import cornacchia, double_and_add, require_curve_prime
+from eczero.errors import DomainError, InternalConsistencyError, PrecisionExhaustedError
+from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, point_at_x
+from eczero.padic import DEFAULT_PRECISION, PadicNumber, newton_lift
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from pathlib import Path
 import os
@@ -57,7 +55,8 @@ def outcomes_within(setup: str, calls: list[str], timeout: float = 10.0) -> list
         "\n    except Exception as exc:\n        print(type(exc).__name__)"
     )
     src = str(Path(eczero.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    here = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-"], input=code, capture_output=True, text=True, timeout=timeout, env=env, check=True
     )
@@ -87,6 +86,128 @@ def torsion_order_oracle(curve: Curve, point: QPoint) -> int | None:
 def generator_oracle(curve: Curve, height: int) -> QPoint | None:
     """First point of point_search_oracle(curve, height) of infinite order, or None."""
     return next((P for P in point_search_oracle(curve, height) if torsion_order_oracle(curve, P) is None), None)
+
+
+# --- the affine group law on E(Q_p), for the decomposition oracle -----------
+
+
+def embed_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAULT_PRECISION) -> QpPoint:
+    """Image of a rational point in E(Q_p) at the given relative precision."""
+    require_curve_prime(p)
+    if point.is_identity:
+        return QpPoint.identity()
+    if not curve.contains(point):
+        raise DomainError(f"{point} is not on {curve}")
+    return QpPoint(
+        PadicNumber.from_fraction(point.x, p, precision),
+        PadicNumber.from_fraction(point.y, p, precision),
+    )
+
+
+def on_curve(curve: Curve, point: QpPoint) -> bool:
+    """Check y^2 = x^3 + ax + b at the precision the coordinates carry."""
+    if point.is_identity:
+        return True
+    x, y = point.x, point.y
+    return (y * y - (x * x * x + x * curve.a + curve.b)).is_zero
+
+
+def qp_neg(point: QpPoint) -> QpPoint:
+    if point.is_identity:
+        return point
+    return QpPoint(point.x, -point.y)
+
+
+def qp_add(curve: Curve, P: QpPoint, Q: QpPoint) -> QpPoint:
+    """Chord-tangent addition with precision-aware equality decisions."""
+    if P.is_identity:
+        return Q
+    if Q.is_identity:
+        return P
+    dx = Q.x - P.x
+    if dx.is_zero:
+        dy = Q.y - P.y
+        if not dy.is_zero:
+            s = Q.y + P.y
+            if s.is_zero:
+                return QpPoint.identity()
+            raise PrecisionExhaustedError(
+                "x-coordinates collide at precision but y-coordinates resolve neither"
+            )
+        # same point at precision: tangent line
+        if P.y.is_zero:
+            return QpPoint.identity()
+        lam = (P.x * P.x * 3 + curve.a) / (P.y * 2)
+    else:
+        lam = (Q.y - P.y) / dx
+    x3 = lam * lam - P.x - Q.x
+    y3 = lam * (P.x - x3) - P.y
+    return QpPoint(x3, y3)
+
+
+def qp_scalar_mul(curve: Curve, k: int, P: QpPoint) -> QpPoint:
+    """[k]P by double-and-add; [0]P = O and [-k]P = -[k]P."""
+    if k < 0:
+        k, P = -k, qp_neg(P)
+    return double_and_add(partial(qp_add, curve), k, P, QpPoint.identity())
+
+
+def reduce_point(curve: Curve, point: QpPoint, p: int) -> FpPoint:
+    """Reduction map E(Q_p) -> E(F_p) for a model with good reduction at p.
+
+    Points with negative coordinate valuations lie in the kernel of
+    reduction and map to the identity; on a good model those valuations can
+    only be (-2m, -3m).
+    """
+    if point.is_identity:
+        return FpPoint.identity()
+    vx = point.x.valuation if not point.x.is_zero else 0
+    vy = point.y.valuation if not point.y.is_zero else 0
+    if vx < 0 or vy < 0:
+        if point.x.is_zero or point.y.is_zero:
+            raise PrecisionExhaustedError("cannot classify a coordinate indistinguishable from 0")
+        if vx >= 0 or vy >= 0 or vx % 2 != 0 or 3 * vx != 2 * vy:
+            raise InternalConsistencyError(
+                f"impossible coordinate valuations ({vx}, {vy}) on a good model"
+            )
+        return FpPoint.identity()
+    return FpPoint(point.x.residue_mod(1), point.y.residue_mod(1))
+
+
+def t_parameter(curve: Curve, point: QpPoint, p: int) -> PadicNumber:
+    """Formal-group parameter t = -x/y of a point in the kernel of reduction.
+
+    Its valuation m >= 1 locates the layer E_m \\ E_{m+1}.
+    """
+    if point.is_identity:
+        raise DomainError("the identity has no formal parameter")
+    if not reduce_point(curve, point, p).is_identity:
+        raise DomainError("point is not in the kernel of reduction")
+    t = -(point.x / point.y)
+    if t.is_zero or t.valuation < 1:
+        raise InternalConsistencyError("formal parameter must have valuation >= 1")
+    return t
+
+
+def formal_layer_point(curve: Curve, p: int, layer: int = 1, precision: int = DEFAULT_PRECISION) -> QpPoint:
+    """A point of E(Q_p) with t-valuation exactly `layer` (deep in E_1).
+
+    Takes x = p^(-2*layer) and solves for y; on a good model the right-hand
+    side is p^(-6*layer) times a 1-unit, so the square root is a plain
+    Hensel lift from 1.
+    """
+    require_curve_prime(p)
+    if layer < 1:
+        raise DomainError("layer must be >= 1")
+    m = layer
+    # y = p^(-3m) * sqrt(u), u = 1 + a p^(4m) + b p^(6m)
+    u = 1 + curve.a * p ** (4 * m) + curve.b * p ** (6 * m)
+    x = PadicNumber.from_fraction(Fraction(1, p ** (2 * m)), p, precision + 2)
+    y = newton_lift([-u, 0, 1], 1, p, precision + 2).shift(-3 * m)
+    point = QpPoint(x, y)
+    if not on_curve(curve, point):
+        raise InternalConsistencyError("formal layer point failed the curve equation")
+    return point
 
 
 def in_p_multiples(curve: Curve, D: QpPoint, p: int) -> bool:

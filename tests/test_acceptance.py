@@ -25,20 +25,13 @@ from eczero.fp import (
     point_at_x,
     trace_of_frobenius,
 )
-from eczero.localpoints import (
-    decompose_point,
-    embed_point,
-    lift_p_torsion,
-    qp_add,
-    qp_scalar_mul,
-    reduce_point,
-)
+from eczero.localpoints import decompose_point, lift_p_torsion
 from eczero.quadfields import ImagQuadField, anomalous_residues_d3, splits_completely
 from eczero.rational import Curve, QPoint, ReductionKind, reduction_type
 from eczero.survey import FamilySpec, emit_report, scan_family
 from eczero.verdicts import Conclusion, HypothesisRecord, brauer_middle_term_verdict
 
-from oracles import formal_nontrivial_oracle
+from oracles import embed_point, formal_nontrivial_oracle, qp_add, qp_scalar_mul, reduce_point
 
 runner = CliRunner()
 

@@ -413,3 +413,55 @@ def test_verdict_matrix_output_is_pinned():
                     calls += 1
     assert calls == 756
     assert digest.hexdigest() == VERDICT_MATRIX_SHA256
+
+
+# (a, b, p, generator): points outside E_1 at 7, 43 and 223 (two of them on
+# seeded twists), [7](3, 5) in E_1, a model that is not minimal at 7, a
+# point with no 5-adic torsion lift and a point of order 7
+_DECOMPOSE_CASES = [
+    (0, -2, 7, "3,1,5,1"),
+    (0, -2, 7, "49680317504529227786118937923,3458519104702616679044719441,"
+               "-11069550171650699467350859369161931440285365,203392656460831967707109939312836961532761"),
+    (0, 131, 7, "5,1,-16,1"),
+    (0, -2 * 7**6, 7, "147,1,1715,1"),
+    (-152, 722, 43, "7,1,-1,1"),
+    (-33551028248, -2367721226732546, 43, "401139,1,220730449,1"),
+    (-1056, 13552, 223, "33,1,-121,1"),
+    (-664663479317612544, -213998259251504790405668864, 223, "7375921392,1,629416173596224,1"),
+    (-2, 2, 5, "1,1,-1,1"),
+    (-3483, 121014, 7, "-45,1,-432,1"),
+]
+# (a, b, p, x, y): lift targets, one with no 5-adic lift and one off the curve
+_LIFT_CASES = [
+    (0, -2, 7, 3, 5),
+    (0, -2, 7, 3, 2),
+    (-152, 722, 43, 7, 42),
+    (-1056, 13552, 223, 33, 102),
+    (-2, 2, 5, 1, 4),
+    (0, -2, 7, 1, 1),
+]
+DECOMPOSE_MATRIX_SHA256 = "579276c2e73ba292ffbef9648538e060467c4598a057de89e34b900a641a3133"
+
+
+def test_decompose_matrix_output_is_pinned():
+    # exit code, stdout and stderr of 120 decompose and 30 lift-torsion
+    # calls, down to precisions below the torsion lift's minimum
+    digest = hashlib.sha256()
+    calls = []
+    for a, b, p, gen in _DECOMPOSE_CASES:
+        for prec in (1, 2, 6, 8, 16, 24):
+            for fmt in ([], ["--json"]):
+                calls.append(["decompose", "--a", str(a), "--b", str(b), "--p", str(p), "--gen", gen,
+                              "--prec", str(prec), *fmt])
+    for a, b, p, x, y in _LIFT_CASES:
+        for prec in (5, 6, 8, 16, 24):
+            calls.append(["lift-torsion", "--a", str(a), "--b", str(b), "--p", str(p), "--x", str(x),
+                          "--y", str(y), "--prec", str(prec), "--json"])
+    for args in calls:
+        res = run(*args)
+        raised = res.exception if not isinstance(res.exception, SystemExit) else None
+        digest.update(
+            f"{args}\n{res.exit_code}\n{type(raised).__name__}\n{res.stdout}\n{res.stderr}\n".encode()
+        )
+    assert len(calls) == 150
+    assert digest.hexdigest() == DECOMPOSE_MATRIX_SHA256

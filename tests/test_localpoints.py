@@ -23,10 +23,17 @@ from eczero.localpoints import (
     _check_killed_by_p,
     decompose_point,
     decomposition_to_dict,
-    embed_point,
-    formal_layer_point,
     formal_t_valuation,
     lift_p_torsion,
+)
+from eczero.padic import PadicNumber, _make, newton_lift
+from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
+from eczero.survey import find_generator
+
+from oracles import (
+    embed_point,
+    formal_layer_point,
+    formal_nontrivial_oracle,
     on_curve,
     qp_add,
     qp_neg,
@@ -34,11 +41,6 @@ from eczero.localpoints import (
     reduce_point,
     t_parameter,
 )
-from eczero.padic import PadicNumber, _make, newton_lift
-from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
-from eczero.survey import find_generator
-
-from oracles import formal_nontrivial_oracle
 
 E = Curve(0, -2)
 P35 = QPoint.from_pair(3, 5)

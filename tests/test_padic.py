@@ -202,12 +202,16 @@ def test_pval():
 
 
 def test_p_adic_entry_points_reject_p_below_2_without_hanging():
-    # v_1(n) once looped forever, and every conversion below called it
+    # v_1(n) once looped forever, and every conversion below called it; a
+    # composite p once gave a fake unit or a bare ValueError
     setup = (
-        "from eczero import Curve, PadicNumber, QPoint, embed_point, formal_layer_point\n"
-        "from eczero.padic import pval"
+        "from fractions import Fraction\n"
+        "from eczero import Curve, PadicNumber, QPoint\n"
+        "from eczero.padic import pval\n"
+        "from oracles import embed_point, formal_layer_point"
     )
     calls = ["pval(3, 1)", "pval(3, 0)", "pval(3, -1)", "PadicNumber.from_int(3, 1)",
              "PadicNumber.from_fraction(3, 1)", "embed_point(Curve(0, -2), QPoint.from_pair(3, 5), 1)",
-             "formal_layer_point(Curve(0, -2), 1)"]
+             "formal_layer_point(Curve(0, -2), 1)", "PadicNumber.from_int(6, 4)",
+             "PadicNumber.from_fraction(Fraction(1, 2), 4)"]
     assert outcomes_within(setup, calls) == ["DomainError"] * len(calls)

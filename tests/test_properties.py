@@ -1,20 +1,22 @@
-"""Property tests: group laws over F_p and Q, the p-adic group law against
-the rational one, the certified precision of PadicNumber arithmetic, and the
-generator search against brute force."""
+"""Property tests: group laws over F_p and Q, the Jacobian chord modulo p^N
+and the affine p-adic group law against the rational one, the certified
+precision of PadicNumber arithmetic, and the generator search against brute
+force."""
 
 import operator
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from eczero.errors import DomainError, PrecisionExhaustedError
-from eczero.fp import FpCurve, FpPoint, fp_add, fp_neg, point_at_x
-from eczero.localpoints import QpPoint, embed_point, qp_add
+from eczero.fp import FpCurve, FpPoint, count_points, fp_add, fp_neg, point_at_x
+from eczero.localpoints import QpPoint, _jacobian_add
 from eczero.padic import PadicNumber
 from eczero.rational import Curve, QPoint, q_add, q_neg, q_scalar_mul
 from eczero.survey import find_generator
 
-from oracles import generator_oracle
+from oracles import embed_point, generator_oracle, qp_add
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -93,6 +95,51 @@ def test_qp_add_agrees_with_q_add_after_embedding(case, p, i, j):
         return
     want = embed_point(curve, exact, p, 40)
     assert approx.x.agrees_with(want.x) and approx.y.agrees_with(want.y)
+
+
+def _jacobian(point, scale=1):
+    """(m s^2, n s^3, e s) for x = m/e^2, y = n/e^3 on an integral model."""
+    e = isqrt(point.x.denominator)
+    assert e * e == point.x.denominator and e**3 == point.y.denominator
+    return point.x.numerator * scale**2, point.y.numerator * scale**3, e * scale
+
+
+@PROPERTY
+@given(
+    q_points(),
+    st.sampled_from(LOCAL_PRIMES),
+    st.integers(0, 2),
+    st.sampled_from(["chord", "tangent", "inverse"]),
+    st.booleans(),
+    st.integers(0, 2),
+)
+def test_jacobian_add_mod_p_power_agrees_with_q_add(case, p, i, kind, into_e1, s):
+    # P written with Z = e p^s, or on request [|E(F_p)|] times an integral
+    # point, which lies in E_1 (p | e); Q is another point, P itself or -P
+    curve, points = case
+    P = points[i]
+    if into_e1:
+        if curve.discriminant % p == 0:
+            reject()
+        P = q_scalar_mul(curve, count_points(FpCurve(p, curve.a % p, curve.b % p)), points[i % 2])
+    if P.is_identity:
+        reject()
+    Q = {"chord": points[(i + 1) % 3], "tangent": P, "inverse": q_neg(P)}[kind]
+    if Q.is_identity:
+        reject()
+    mod = p**20
+    (X1, Y1, Z1), (X2, Y2, Z2) = _jacobian(P, p**s), _jacobian(Q)
+    H, R = X2 * Z1**2 - X1 * Z2**2, Y2 * Z1**3 - Y1 * Z2**3
+    if (H and H % mod == 0) or (not H and R and R % mod == 0):
+        reject()  # P and Q differ, but not modulo p^20
+    X, Y, Z = _jacobian_add(curve.a % mod, mod, (X1 % mod, Y1 % mod, Z1 % mod), (X2 % mod, Y2 % mod, Z2 % mod))
+    exact = q_add(curve, P, Q)
+    if exact.is_identity:
+        assert Z == 0
+        return
+    m, n, e = _jacobian(exact)
+    assert Z % mod != 0
+    assert (X * e * e - m * Z * Z) % mod == 0 and (Y * e**3 - n * Z**3) % mod == 0
 
 
 fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))

@@ -10,6 +10,7 @@ from eczero.errors import DomainError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, is_anomalous
 from eczero.padic import poly_deriv, poly_eval
 from eczero.rational import (
+    MAX_HEIGHT,
     _SIEVE_MODULI,
     Curve,
     QPoint,
@@ -501,3 +502,18 @@ def test_long_weierstrass_examples():
     assert (E.a, E.b) == (-4 * 6**4, 1 * 6**6)
     P = long_point_to_short([0, 0, 0, -4, 1], Fraction(1, 4), Fraction(1, 8))
     assert E.contains(P)
+
+
+def test_search_height_above_the_cap_raises_before_building_a_row(monkeypatch):
+    # the row cache holds ~180 H bytes, so H is capped at 10^6
+    def forbidden(*key):
+        raise AssertionError("a sieve row was built")
+
+    monkeypatch.setattr(eczero.rational, "_sieve_row", forbidden)
+    E = Curve(0, -2)
+    for height in (MAX_HEIGHT + 1, 10**12):
+        with pytest.raises(DomainError, match=f"^height bound must be <= {MAX_HEIGHT}$"):
+            naive_point_search(E, height)
+        with pytest.raises(DomainError, match=f"^height bound must be <= {MAX_HEIGHT}$"):
+            find_generator(E, height)
+    assert MAX_HEIGHT == 10**6
