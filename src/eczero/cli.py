@@ -4,7 +4,8 @@ vectors).
 
 Exit codes: 0 success, 1 domain error (precondition violations, unsupported
 inputs), 2 usage error, 3 internal error (a broken invariant, i.e. a bug).
-Exit codes 1 and 3 write {"error": ...} as JSON to stderr.
+Exit codes 1 and 3 write {"error": ...} as JSON to stderr, and so does
+`decompose` for a --prec below 1, which exits 2.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json:
 @errors_to_exit_codes
 def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
     """Split a global point into formal and special-fiber components at p."""
+    if prec < 1:
+        print(json.dumps({"error": f"--prec must be >= 1, got {prec}"}), file=sys.stderr)
+        sys.exit(2)
     point = _parse_gen(gen)
     dec = decompose_point(Curve(a, b), point, p, prec)
     payload = decomposition_to_dict(dec)

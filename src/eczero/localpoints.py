@@ -242,8 +242,11 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     its order.
 
     On PrecisionExhaustedError the computation is retried once at doubled
-    precision; a second failure propagates.
+    precision; a second failure propagates.  A precision below 1 raises
+    DomainError, whichever component the point has.
     """
+    if precision < 1:
+        raise DomainError(f"decomposition needs precision >= 1, got {precision}")
     minimal, point = _on_minimal_model(curve, point, p)
     try:
         return _decompose(minimal, point, p, precision)

@@ -14,7 +14,10 @@ rows marking where m^3 + a e^4 m + b e^6 is a square modulo small moduli.
 The rows live in one LRU cache of sum(q) = 730 rows, the most one search
 uses, so the curves of a family survey share them.  Only the survivors are
 tested with isqrt and then confirmed exactly.  The box is sieved one row at
-a time, in increasing e (:func:`search_rows`).
+a time, in increasing e (:func:`search_rows`), and only on the real locus:
+x^3 + a x + b < 0 for every x below an integer R (:func:`_real_locus_start`),
+so when R > 0 row e sieves only m >= R e^2, and the rows with R e^2 > H are
+not read at all.
 Every point of row e has naive height max(|m|, e^2) >= e^2, so a caller
 looking for the first point of some kind in height order may stop once its
 best point has height < (e + 1)^2: no later row holds a smaller one, and
@@ -253,19 +256,45 @@ _SQUARES_MOD = {q: squares_mod(q) for q in _SIEVE_MODULI}
 # that share residues share rows.
 @lru_cache(maxsize=sum(_SIEVE_MODULI))
 def _sieve_row(q: int, A: int, B: int, height: int) -> int:
-    """Bitset whose bit j says m = j - H passes the sieve mod q; bits past 2H are junk."""
+    """Bitset whose bit j says m = H - j passes the sieve mod q; bits past 2H are junk.
+
+    The bits run down from m = H, so a row that starts at m_lo is ANDed
+    through a mask of H - m_lo + 1 bits and costs only that many.
+    """
     squares = _SQUARES_MOD[q]
-    pattern = sum(1 << r for r in range(q) if squares[(r * r * r + A * r + B) % q])
+    pattern = sum(1 << r for r in range(q) if squares[(-r * r * r - A * r + B) % q])
     copies = 8 // gcd(q, 8)  # q * copies = lcm(q, 8)
     tiled = pattern * ((1 << q * copies) - 1) // ((1 << q) - 1)
     chunk = tiled.to_bytes(q * copies // 8, "little")
-    # bit k of the tiling stands for m = k mod q; the shift makes bit 0 stand for m = -H
+    # bit k of the tiling stands for m = -k mod q; the shift makes bit 0 stand for m = H
     shift = -height % q
     return int.from_bytes(chunk * ((2 * height + shift) // (8 * len(chunk)) + 1), "little") >> shift
 
 
+def _real_locus_start(a: int, b: int) -> int:
+    """An integer R with x^3 + a x + b < 0 for every real x < R.
+
+    With one real root r1 (4a^3 + 27b^2 > 0), f(x) <= 0 iff x <= r1, and R
+    = floor(r1).  With three (4a^3 + 27b^2 < 0, so a < 0), f increases up
+    to -sqrt(-a/3) > -(isqrt(-a) + 1), and R is the largest integer <=
+    -(isqrt(-a) + 1) with f(R) <= 0, below the smallest root.  Both are a
+    binary search on exact integers from the Cauchy bound: every root has
+    |r| < 1 + max(|a|, |b|), and f(-1 - max(|a|, |b|)) < 0.
+    """
+    lo = -1 - max(abs(a), abs(b))
+    hi = -lo if 4 * a**3 + 27 * b**2 > 0 else -isqrt(-a)
+    # f(lo) <= 0, and R is the largest x in [lo, hi) with f(x) <= 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid * mid + a * mid + b <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]:
-    """(e, points) for e = 1, 2, ..., isqrt(height), one sieved row at a time.
+    """(e, points) for e = 1, 2, ..., at most isqrt(height), one sieved row at a time.
 
     Row e holds, unsorted, every rational point with x = m/e^2 in lowest
     terms and |m| <= height; each sieve hit is confirmed exactly.  Every
@@ -273,16 +302,27 @@ def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]
     a caller stop before the next row.  Rows are sieved on demand, so a
     caller that stops early pays only for the rows it read.  A height
     outside 1..MAX_HEIGHT raises DomainError before any row is built.
+
+    Only the real locus is sieved: there is no point with x below R =
+    :func:`_real_locus_start`, so when R > 0 row e reads only m >= R e^2,
+    and the rows end at e = isqrt(height // R), before the rows with R e^2 >
+    height, which hold no point.  When R <= 0 every row reads the box.
     """
     if height < 1:
         raise DomainError("height bound must be >= 1")
     if height > MAX_HEIGHT:
         raise DomainError(f"height bound must be <= {MAX_HEIGHT}")
     a, b = curve.a, curve.b
+    start = _real_locus_start(a, b)
+    last = isqrt(height // start) if start > 0 else isqrt(height)
+    # With start <= 0 the window [start e^2, height] is at least half the box,
+    # and building its mask (a subtraction, several times slower per digit
+    # than &) costs more than its shorter ANDs save: those rows take the box.
     box = (1 << 2 * height + 1) - 1
-    for e in range(1, isqrt(height) + 1):
+    for e in range(1, last + 1):
         ae4, be6 = a * e**4, b * e**6
-        alive = box
+        # bit j stands for m = height - j, down to m = start e^2 when start > 0
+        alive = (1 << height - start * e * e + 1) - 1 if start > 0 else box
         for q in _SIEVE_MODULI:
             alive &= _sieve_row(q, ae4 % q, be6 % q, height)
             if not alive:
@@ -291,7 +331,7 @@ def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]
         while alive:
             low = alive & -alive
             alive ^= low
-            m = low.bit_length() - 1 - height
+            m = height + 1 - low.bit_length()
             if e > 1 and gcd(m, e) != 1:
                 continue
             t = m * m * m + ae4 * m + be6
@@ -315,11 +355,14 @@ def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
     The box is sieved row by row, in increasing e, by :func:`search_rows`:
     modulo 64, 63, 65 and the primes 11, 17, ..., 67, so a candidate is
     tested with isqrt only when t = m^3 + a e^4 m + b e^6 is a square modulo
-    all of them; each hit is then confirmed exactly.  One cache serves the
-    sieve, :func:`_sieve_row`: an LRU cache of sum(q) = 730 rows of about
-    2*height bits, the most one search asks for.  gcd(m, e) = 1 puts each x
-    in lowest terms, so no two hits share an x; the rows are flattened and
-    sorted by :meth:`QPoint.height_key`.  This reads every row;
+    all of them; each hit is then confirmed exactly.  When R > 0, where R
+    (:func:`_real_locus_start`) has no real point to its left, only x >= R
+    is sieved, and rows past the real locus (R e^2 > height) are not read.
+    One cache serves the sieve, :func:`_sieve_row`: an LRU cache of sum(q) =
+    730 rows of about 2*height bits, the most one search asks for.
+    gcd(m, e) = 1 puts each x in lowest terms, so no two hits share an x;
+    the rows are flattened and sorted by :meth:`QPoint.height_key`.  This
+    reads every row;
     ``survey.find_generator`` reads the same rows in the same order but stops
     at the first row that cannot beat its best point (see the module
     docstring), and so returns the point this list would give.

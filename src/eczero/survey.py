@@ -205,7 +205,8 @@ def find_generator(curve: Curve, height: int) -> QPoint | None:
     found so far are certified.  Every point of a later row e' > e has naive
     height >= e'^2 >= (e + 1)^2, so once the best has height < (e + 1)^2 it
     is returned without sieving another row: it is the point the whole box
-    would give.
+    would give.  The rows sieve only x >= R, the start of the real locus, and
+    end once R e^2 > height, since no point lies left of R.
 
     Each hit is certified by :func:`torsion_order`: on the integral model a
     torsion point is integral (Nagell-Lutz), so most hits are certified by

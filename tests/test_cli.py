@@ -90,6 +90,26 @@ def test_decompose_matches_library():
     assert payload == json.loads(json.dumps(expected))
 
 
+def test_decompose_rejects_precision_below_1():
+    # 3,1,5,1 needs a torsion lift; [7](3, 5) is in E_1 and needs none
+    from eczero.rational import Curve, QPoint, q_scalar_mul
+
+    P7 = q_scalar_mul(Curve(0, -2), 7, QPoint.from_pair(3, 5))
+    e1_gen = f"{P7.x.numerator},{P7.x.denominator},{P7.y.numerator},{P7.y.denominator}"
+    for gen in ("3,1,5,1", e1_gen):
+        base = ["decompose", "--a", "0", "--b", "-2", "--p", "7", "--gen", gen, "--json"]
+        for prec in (-4, 0):
+            res = run(*base, "--prec", str(prec))
+            assert res.exit_code == 2 and res.stdout == ""
+            assert json.loads(res.stderr) == {"error": f"--prec must be >= 1, got {prec}"}
+        res = run(*base, "--prec", "1")
+        if gen == e1_gen:
+            assert res.exit_code == 0 and json.loads(res.stdout)["precision"] == 1
+        else:
+            assert res.exit_code == 1
+            assert json.loads(res.stderr) == {"error": "torsion lifting needs precision >= 6"}
+
+
 def test_verdict_json_fires_rules():
     res = run(
         "verdict", "--a", "0", "--b", "-2", "--p", "7",

@@ -363,6 +363,20 @@ def test_decompose_preconditions():
         decompose_point(E, QPoint.identity(), 7, 16)
 
 
+@pytest.mark.parametrize("precision", [-4, 0, 1])
+def test_decompose_point_rejects_precision_below_1(precision):
+    # [7]P is in E_1 and is its own formal part; P needs a torsion lift
+    P7 = q_scalar_mul(E, 7, P35)
+    if precision < 1:
+        for point in (P7, P35):
+            with pytest.raises(DomainError, match=f"^decomposition needs precision >= 1, got {precision}$"):
+                decompose_point(E, point, 7, precision)
+        return
+    assert decompose_point(E, P7, 7, precision).precision == 1
+    with pytest.raises(DomainError, match="^torsion lifting needs precision >= 6$"):
+        decompose_point(E, P35, 7, precision)
+
+
 def test_decompose_point_in_kernel_of_reduction():
     # [7]P reduces to the identity: the torsion part is trivial and the
     # whole point is its own formal component, one layer deeper than P's

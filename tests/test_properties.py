@@ -1,7 +1,7 @@
 """Property tests: group laws over F_p and Q, the Jacobian chord modulo p^N
 and the affine p-adic group law against the rational one, the certified
-precision of PadicNumber arithmetic, and the generator search against brute
-force."""
+precision of PadicNumber arithmetic, the generator search against brute
+force, and the start of the real locus the search sieves."""
 
 import operator
 from fractions import Fraction
@@ -13,7 +13,7 @@ from eczero.errors import DomainError, PrecisionExhaustedError
 from eczero.fp import FpCurve, FpPoint, count_points, fp_add, fp_neg, point_at_x
 from eczero.localpoints import QpPoint, _jacobian_add
 from eczero.padic import PadicNumber
-from eczero.rational import Curve, QPoint, q_add, q_neg, q_scalar_mul
+from eczero.rational import Curve, QPoint, _real_locus_start, q_add, q_neg, q_scalar_mul
 from eczero.survey import find_generator
 
 from oracles import embed_point, generator_oracle, qp_add
@@ -177,3 +177,44 @@ def test_find_generator_is_the_first_infinite_order_point_of_the_box(a, b, heigh
     except DomainError:
         reject()
     assert find_generator(curve, height) == generator_oracle(curve, height)
+
+
+@st.composite
+def cubics(draw, kind):
+    """(a, b) of a nonsingular x^3 + a x + b: a >= 0, or a < 0 with one real
+    root, or three real roots (27 b^2 < -4 a^3)."""
+    if kind == "a >= 0":
+        a, b = draw(st.integers(0, 10**6)), draw(st.integers(-(10**9), 10**9))
+    else:
+        a = -draw(st.integers(1, 10**4))
+        bound = isqrt(-4 * a**3 // 27)  # |b| <= bound iff 27 b^2 <= -4 a^3
+        if kind == "three roots":
+            b = draw(st.integers(-bound, bound))
+        else:
+            b = draw(st.sampled_from((1, -1))) * draw(st.integers(bound + 1, bound + 10**7))
+    if 4 * a**3 + 27 * b**2 == 0:
+        reject()
+    return a, b
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(["a >= 0", "one real root, a < 0", "three roots"]))
+def test_real_locus_start_has_no_point_below_it(data, kind):
+    a, b = data.draw(cubics(kind))
+    assert (4 * a**3 + 27 * b**2 < 0) == (kind == "three roots")
+    R = _real_locus_start(a, b)
+
+    def f(x):
+        return x * x * x + a * x + b
+
+    for x in (R - 1, R - 2, R - 10**6, -1 - max(abs(a), abs(b))):
+        assert f(x) < 0, (a, b, R, x)
+    below = data.draw(st.fractions(max_value=R, max_denominator=10**6).filter(lambda t: t < R))
+    assert f(below) < 0 and f(R - Fraction(1, 10**9)) < 0, (a, b, R, below)
+    assert f(R) <= 0
+    if kind != "three roots":
+        # the one real root r1 has R = floor(r1)
+        assert f(R + 1) > 0, (a, b, R)
+    else:
+        # f increases up to -sqrt(-a/3), and R is the last integer of that branch at or below r1
+        assert f(R + 1) > 0 or R + 1 > -(isqrt(-a) + 1), (a, b, R)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -16,6 +17,7 @@ from eczero.rational import (
     QPoint,
     ReductionKind,
     _minimal_with_scale,
+    _real_locus_start,
     curve_from_long_weierstrass,
     divpoly_eval_with_derivative,
     long_point_to_short,
@@ -261,6 +263,60 @@ def test_find_generator_does_not_stop_on_a_tie_in_height():
     assert rival.height_key()[0] == gen.height_key()[0] == 4
     for height in (4, 30):
         assert find_generator(E, height) == gen == generator_oracle(E, height)
+
+
+# (a, b, R, heights, points on the real locus): x^3 + a x + b < 0 below R,
+# and the search reads only x >= R
+REAL_LOCUS_CASES = [
+    # (2, 0) sits at x = R; row 3 starts at R e^2 = 18 = H at H = 18, one past H at H = 17
+    (0, -8, 2, (1, 2, 8, 17, 18, 30, 300), [(2, 0)]),
+    # (x + 3)(x - 1)(x - 2): the oval holds (-3, 0), (1, 0) and (2, 0)
+    (-7, 6, -3, (1, 2, 3, 30, 300), [(-3, 0), (1, 0), (2, 0)]),
+    # criterion-9 curves y^2 = x^3 + k, k < 0 and k > 0; at k = -1402, R e^2 = 891 at e = 9
+    (0, -1402, 11, (10, 11, 890, 891, 1000), []),
+    (0, -2, 1, (1, 30, 1000), [(3, 5)]),
+    (0, -9, 2, (30, 1000), []),
+    (0, 5, -2, (30, 1000), [(-1, 2)]),
+    (0, 1398, -12, (30, 1000), []),
+]
+
+
+@pytest.mark.parametrize("a, b, start, heights, points", REAL_LOCUS_CASES)
+def test_point_search_on_the_real_locus_matches_brute_force(a, b, start, heights, points):
+    E = Curve(a, b)
+    assert _real_locus_start(a, b) == start
+    for height in heights:
+        got = naive_point_search(E, height)
+        assert got == point_search_oracle(E, height), (a, b, height)
+        assert all(P.x >= start for P in got)
+        assert find_generator(E, height) == generator_oracle(E, height), (a, b, height)
+    assert {QPoint.from_pair(*xy) for xy in points} <= set(naive_point_search(E, heights[-1]))
+
+
+def _rows_sieved(monkeypatch, curve, height):
+    # every row asks for its modulus-64 row first: one such call per row sieved
+    calls = Counter()
+    real = eczero.rational._sieve_row
+
+    def recording(q, *rest):
+        calls[q] += 1
+        return real(q, *rest)
+
+    monkeypatch.setattr(eczero.rational, "_sieve_row", recording)
+    naive_point_search(curve, height)
+    monkeypatch.setattr(eczero.rational, "_sieve_row", real)
+    return calls[_SIEVE_MODULI[0]]
+
+
+@pytest.mark.parametrize(
+    "b, start, rows", [(-1402, 11, 30), (-9, 2, 70), (-2, 1, 100), (5, -2, 100), (1398, -12, 100)]
+)
+def test_rows_past_the_real_locus_are_not_sieved(monkeypatch, b, start, rows):
+    # with R > 0, row e starts at m = R e^2, so the rows with R e^2 > H are not built
+    height = 10**4
+    assert _real_locus_start(0, b) == start
+    assert rows == (isqrt(height // start) if start > 0 else isqrt(height))
+    assert _rows_sieved(monkeypatch, Curve(0, b), height) == rows
 
 
 def _search_recording_misses(monkeypatch, curve, height):
