@@ -1,23 +1,21 @@
 """Elliptic curves over prime fields: group law, point counting, traces.
 
-Counting has three routes.  For p <= 229 a sweep reads `arith.squares_mod`.
-Above Mestre's bound, 229 < p <= 2^40, a curve whose j-invariant is that
-of one of the nine class-number-one maximal orders O_D is counted from
-Cornacchia's 4p = u^2 + |D| v^2: a_p is 0 where p is inert and else +-u'
-for a member (u', v') of `arith.unit_orbit`, and points of the curve pick
-the one candidate trace.  Every other curve, and any CM curve whose
-candidates the points leave ambiguous, goes to baby-step/giant-step order
-finding with quadratic-twist disambiguation: there E or its twist always
-has a point whose order has a unique multiple in the Hasse interval.  If
-BSGS still finds more than one order, the sweep decides for p <= 2^16;
-above that an InternalConsistencyError is raised, so the returned order
-is always exact and no route runs a sweep of more than 2^16 steps.
+Counting has two routes.  For p <= 229 a sweep reads `arith.squares_mod`.
+Above Mestre's bound, 229 < p <= 2^40, a curve with the j-invariant of one
+of the nine class-number-one maximal orders O_D starts from its CM orders
+(Cornacchia's 4p = u^2 + |D| v^2 and `arith.unit_orbit`), any other curve
+from the Hasse interval.  The walk's points cut either set, then the
+quadratic twist's points cut the mirrored orders; E or its twist always
+has a point that leaves one.  If more are left, the sweep decides for
+p <= 2^16 and an InternalConsistencyError is raised above, so the
+returned order is always exact and no sweep runs past 2^16 steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from math import isqrt, lcm
 
 from .arith import (
@@ -36,14 +34,14 @@ from .errors import DomainError, InternalConsistencyError, UnsupportedModulusErr
 # Mestre's bound (J.-F. Mestre; R. Schoof, "Counting points on elliptic
 # curves over finite fields", J. Theor. Nombres Bordeaux 7, 1995): for
 # p > 229, E or its quadratic twist has a point whose order has exactly one
-# multiple in the Hasse interval, so BSGS with the twist determines |E(F_p)|.
+# multiple in the Hasse interval, so their points leave one candidate order.
 _NAIVE_LIMIT = 229
-# Largest p at which an ambiguous BSGS result may fall back to the sweep
-# (about 30 ms); above it the ambiguity is raised as a bug.
+# Largest p at which an ambiguous count may fall back to the sweep (about
+# 30 ms); above it the ambiguity is raised as a bug.
 _FALLBACK_LIMIT = 1 << 16
-# Most points of a curve (and again of its twist) whose orders BSGS intersects.
+# Most points of a curve (and again of its twist) that cut its candidate orders.
 _ORDER_POINTS = 24
-_BSGS_LIMIT = 1 << 40
+COUNT_LIMIT = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -200,25 +198,39 @@ def _intersect(u: range | set[int], v: range | set[int], lo: int, width: int) ->
 
 def _walk_points(curve: FpCurve):
     # The first _ORDER_POINTS points met by x = 0, 1, 2, ..., as tuples.
-    tried = 0
-    x = 0
-    while tried < _ORDER_POINTS and x < curve.p:
-        P = point_at_x(curve, x)
-        x += 1
-        if P is None:
-            continue
-        tried += 1
-        yield (P.x, P.y)
+    points = (point_at_x(curve, x) for x in range(curve.p))
+    return islice(((P.x, P.y) for P in points if P is not None), _ORDER_POINTS)
 
 
-def _order_candidates(curve: FpCurve, lo: int, width: int) -> range | set[int]:
-    cands: range | set[int] | None = None
-    for P in _walk_points(curve):
-        hits = _kill_values(curve, P, lo, width)
-        cands = hits if cands is None else _intersect(cands, hits, lo, width)
-        if len(cands) <= 1:
-            break
-    return cands if cands is not None else set()
+def _kill_cut(curve: FpCurve, P, cands: range | set[int]) -> range | set[int]:
+    # The candidates n with [n]P = O, from P's kill set in the Hasse interval.
+    s = isqrt(4 * curve.p)
+    lo, width = curve.p + 1 - s, 2 * s + 1
+    return _intersect(cands, _kill_values(curve, P, lo, width), lo, width)
+
+
+def _multiple_cut(curve: FpCurve, P, cands: set[int]) -> set[int]:
+    # The candidates n with [n]P = O, as [t]P = [p + 1]P for t = p + 1 - n:
+    # [p + 1]P once, then [|t|]P once per distinct |t|, since [-t]P = -[t]P.
+    p = curve.p
+    add = partial(_add, p, curve.a)
+    Q = double_and_add(add, p + 1, P, (None, None))
+    kept = set()
+    for t in {abs(p + 1 - n) for n in cands}:
+        T = double_and_add(add, t, P, (None, None))
+        negT = T if T[0] is None else (T[0], -T[1] % p)
+        kept |= {p + 1 - s for s, R in ((t, T), (-t, negT)) if R == Q}
+    return cands & kept
+
+
+def _order_candidates(curve: FpCurve, cands: range | set[int]) -> range | set[int]:
+    # Cut by each walked point until at most one candidate is left: a range
+    # (the Hasse interval) by kill sets, a set (CM orders) by shared multiples.
+    cut = _kill_cut if isinstance(cands, range) else _multiple_cut
+    points = _walk_points(curve)
+    while len(cands) > 1 and (P := next(points, None)) is not None:
+        cands = cut(curve, P, cands)
+    return cands
 
 
 def _twist(curve: FpCurve) -> FpCurve:
@@ -227,34 +239,35 @@ def _twist(curve: FpCurve) -> FpCurve:
     return FpCurve(p, curve.a * g * g % p, curve.b * g**3 % p)
 
 
-def count_points_bsgs(curve: FpCurve) -> int:
-    """|E(F_p)| by BSGS order finding over the Hasse interval.
-
-    Ambiguities are resolved against the quadratic twist (the two orders
-    sum to 2p + 2), which always suffices above Mestre's bound p > 229 once
-    the sampled points' orders reach the group exponent.  If a unique order
-    still cannot be certified, the naive sweep decides for p <= 2^16; above
-    that an InternalConsistencyError names the curve.
-    """
+def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
+    # The one order in `cands` left by the curve's points and its twist's,
+    # which start from the mirrored orders 2p + 2 - n (the Hasse interval
+    # mirrors to itself); else the sweep for p <= 2^16 or an error.
     p = curve.p
-    s = isqrt(4 * p)
-    lo = p + 1 - s
-    width = 2 * s + 1
-    cands = _order_candidates(curve, lo, width)
-    if len(cands) == 1:
-        return next(iter(cands))
-    twist_cands = _order_candidates(_twist(curve), lo, width)
-    if len(cands) <= len(twist_cands):
-        pairs = [n for n in cands if 2 * p + 2 - n in twist_cands]
-    else:
-        pairs = [2 * p + 2 - n for n in twist_cands if 2 * p + 2 - n in cands]
-    if len(pairs) == 1:
-        return pairs[0]
+    left = _order_candidates(curve, cands)
+    if len(left) > 1:
+        mirror = cands if isinstance(cands, range) else {2 * p + 2 - n for n in cands}
+        twist = _order_candidates(_twist(curve), mirror)
+        if len(left) <= len(twist):
+            left = [n for n in left if 2 * p + 2 - n in twist]
+        else:
+            left = [2 * p + 2 - n for n in twist if 2 * p + 2 - n in left]
+    if len(left) == 1:
+        return next(iter(left))
     if p <= _FALLBACK_LIMIT:
         return count_points_naive(curve)
-    raise InternalConsistencyError(
-        f"BSGS left {len(pairs)} candidate orders for {curve} with its twist"
-    )
+    raise InternalConsistencyError(f"point counting left {len(left)} candidate orders for {curve}")
+
+
+def count_points_bsgs(curve: FpCurve) -> int:
+    """|E(F_p)| from the whole Hasse interval, whatever j(E) is.
+
+    The curve's and then its quadratic twist's points cut the interval by
+    baby-step/giant-step kill sets; if more than one order is left, the
+    sweep decides for p <= 2^16 and InternalConsistencyError is raised above.
+    """
+    s = isqrt(4 * curve.p)
+    return _resolve(curve, range(curve.p + 1 - s, curve.p + 2 + s))
 
 
 def _cm_disc(curve: FpCurve) -> int | None:
@@ -277,56 +290,34 @@ def _cm_traces(D: int, p: int) -> set[int] | None:
     return None if uv is None else {t for u, _ in unit_orbit(-D, *uv) for t in (u, -u)}
 
 
-def _count_points_cm(curve: FpCurve, D: int) -> int | None:
-    """|E(F_p)| for a curve with j(E) = j_D, or None if it stays ambiguous.
-
-    An inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
-    split p, E is ordinary with End(E) = O_D, so Frobenius is a norm-p
-    element of O_D and a_p is among its traces.  The true order kills
-    every point, so the true trace survives the walk's points; the count
-    is returned only once it is the one survivor.
-    """
-    p = curve.p
-    if kronecker_symbol(D, p) == -1:
-        return p + 1
-    traces = _cm_traces(D, p)
-    if traces is None:
+def _cm_orders(curve: FpCurve) -> set[int] | None:
+    # The orders a curve with j(E) = j_D can have, or None without such a D
+    # or a Cornacchia representation.  An inert p makes E supersingular, so
+    # a_p = 0 (Deuring, p >= 5).  At a split p, E is ordinary with
+    # End(E) = O_D, so Frobenius is a norm-p element of O_D.
+    D = _cm_disc(curve)
+    if D is None:
         return None
-    add = partial(_add, p, curve.a)
-    zero = (None, None)
-    for P in _walk_points(curve):
-        # [p + 1 - t]P = O iff [t]P = [p + 1]P, and [-t]P = -[t]P.
-        Q = double_and_add(add, p + 1, P, zero)
-        kept = set()
-        for t in {abs(t) for t in traces}:
-            T = double_and_add(add, t, P, zero)
-            negT = T if T[0] is None else (T[0], -T[1] % p)
-            kept |= {s for s, R in ((t, T), (-t, negT)) if R == Q}
-        traces &= kept
-        if len(traces) <= 1:
-            break
-    return p + 1 - traces.pop() if len(traces) == 1 else None
+    p = curve.p
+    traces = {0} if kronecker_symbol(D, p) == -1 else _cm_traces(D, p)
+    return None if traces is None else {p + 1 - t for t in traces}
 
 
 def count_points(curve: FpCurve) -> int:
     """Exact group order |E(F_p)| including the identity.
 
     The sweep counts for p <= 229.  Up to 2^40 a curve with the j-invariant
-    of a class-number-one maximal order is counted from its CM traces, and
-    any other curve, or a CM curve whose points leave more than one trace,
-    by BSGS.  Larger p raise UnsupportedModulusError.
+    of a class-number-one maximal order is resolved from its CM orders, any
+    other curve from the Hasse interval (count_points_bsgs), both with the
+    twist and the same fallback.  Larger p raise UnsupportedModulusError.
     """
     p = curve.p
     if p <= _NAIVE_LIMIT:
         return count_points_naive(curve)
-    if p <= _BSGS_LIMIT:
-        D = _cm_disc(curve)
-        if D is not None:
-            n = _count_points_cm(curve, D)
-            if n is not None:
-                return n
-        return count_points_bsgs(curve)
-    raise UnsupportedModulusError(f"point counting supports p <= 2^40, got {p}")
+    if p > COUNT_LIMIT:
+        raise UnsupportedModulusError(f"point counting supports p <= 2^40, got {p}")
+    orders = _cm_orders(curve)
+    return count_points_bsgs(curve) if orders is None else _resolve(curve, orders)
 
 
 def trace_of_frobenius(curve: FpCurve) -> int:

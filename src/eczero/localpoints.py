@@ -316,6 +316,8 @@ def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decompo
     else:
         # F = P - T0 by one Jacobian chord from Z = 1: Z(F) = x(T0) - x(P)
         work = precision + 4
+        if work < MIN_LIFT_PRECISION:
+            raise DomainError(f"decomposition outside E_1 needs precision >= {MIN_LIFT_PRECISION - 4}, got {precision}")
         bar = FpPoint(*_residues(point, p))
         x0, y0 = _lift_torsion(minimal, p, bar, work)
         mod = p**work

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import CM_J_INVARIANTS, is_prime, kronecker_symbol, require_curve_prime
-from .errors import DomainError, InternalConsistencyError
-from .fp import FpCurve, is_anomalous
+from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
+from .fp import COUNT_LIMIT, FpCurve, is_anomalous
 
 CLASS_NUMBER_ONE_DISCS = tuple(CM_J_INVARIANTS)
 
@@ -50,10 +50,12 @@ def anomalous_primes(field: ImagQuadField, bound: int) -> list[int]:
 
     The trace-1 identity forces |D| and v odd, so even discriminants yield
     the empty list; emptiness is established by the enumeration itself
-    rather than assumed.
+    rather than assumed.  A bound above 2^40 raises UnsupportedModulusError.
     """
     if bound < 5:
         raise DomainError("bound must be >= 5")
+    if bound > COUNT_LIMIT:
+        raise UnsupportedModulusError(f"anomalous primes are listed for bound <= 2^40, got {bound}")
     d = abs(field.D)
     found = []
     v = 1

@@ -35,6 +35,13 @@ def test_anomalous_primes_text():
     assert "4*7 = 1^2 + 3*3^2" in res.output
 
 
+def test_anomalous_primes_refuses_bound_past_2_40():
+    bound = 2**40 + 1
+    res = run("anomalous-primes", "--disc", "-3", "--bound", str(bound), "--json")
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": f"anomalous primes are listed for bound <= 2^40, got {bound}"}
+
+
 def test_anomalous_residues():
     res = run("anomalous-residues", "--p", "7", "--json")
     assert res.exit_code == 0
@@ -107,7 +114,7 @@ def test_decompose_rejects_precision_below_1():
             assert res.exit_code == 0 and json.loads(res.stdout)["precision"] == 1
         else:
             assert res.exit_code == 1
-            assert json.loads(res.stderr) == {"error": "torsion lifting needs precision >= 6"}
+            assert json.loads(res.stderr) == {"error": "decomposition outside E_1 needs precision >= 2, got 1"}
 
 
 def test_verdict_json_fires_rules():
@@ -460,7 +467,7 @@ _LIFT_CASES = [
     (-2, 2, 5, 1, 4),
     (0, -2, 7, 1, 1),
 ]
-DECOMPOSE_MATRIX_SHA256 = "579276c2e73ba292ffbef9648538e060467c4598a057de89e34b900a641a3133"
+DECOMPOSE_MATRIX_SHA256 = "b610e20e353fa82988ed7b971b27ef40a9a209f200164bae4d46b21006a4c926"
 
 
 def test_decompose_matrix_output_is_pinned():

@@ -342,23 +342,35 @@ def test_kill_set_intersection_matches_set_intersection():
             assert set(eczero.fp._intersect(x, y, lo, width)) == set(x) & set(y)
 
 
-def _ambiguous(curve, lo, width):
-    return range(lo, lo + width)
+def _ambiguous(curve, cands):
+    return cands
+
+
+# Each pair: a curve counted from the Hasse interval, and a CM curve at a
+# split prime, counted from its CM orders.
+_AMBIGUOUS_SMALL = (FpCurve(20011, 3, 7), FpCurve(20011, 0, 1))
+_AMBIGUOUS_LARGE = (FpCurve((1 << 20) + 7, 2, 3), FpCurve(1048589, -4, 0))
 
 
 def test_ambiguous_bsgs_falls_back_to_naive_up_to_2_16(monkeypatch):
-    curve = FpCurve(20011, 3, 7)
-    expected = count_points_naive(curve)
+    expected = [count_points_naive(curve) for curve in _AMBIGUOUS_SMALL]
+    calls = []
+    monkeypatch.setattr(eczero.fp, "count_points_naive", lambda c: calls.append(c) or count_points_naive(c))
     monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
-    assert count_points_bsgs(curve) == expected
+    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_SMALL] == [None, -3]
+    assert kronecker_symbol(-3, 20011) == 1
+    assert [count_points(curve) for curve in _AMBIGUOUS_SMALL] == expected
+    assert calls == list(_AMBIGUOUS_SMALL)
 
 
 def test_ambiguous_bsgs_raises_above_2_16(monkeypatch):
-    curve = FpCurve((1 << 20) + 7, 2, 3)
     monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
-    with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
-        count_points(curve)
+    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_LARGE] == [None, -4]
+    assert kronecker_symbol(-4, 1048589) == 1
+    for curve in _AMBIGUOUS_LARGE:
+        with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
+            count_points(curve)
 
 
 # CM route: curves whose j-invariant is that of a class-number-one maximal
@@ -408,40 +420,36 @@ def _cm_curves(p, rng):
     return out
 
 
-def _check_cm_route(primes, rng):
-    # Every count the route returns equals BSGS's; returns the (D, (D|p))
-    # classes it met.  A twist is checked against its model's BSGS count,
-    # since the two orders sum to 2p + 2.
-    answered, classes = 0, set()
+def _check_cm_route(primes, rng, monkeypatch):
+    # count_points equals a direct BSGS count on every case, and no case
+    # reaches BSGS through count_points; returns the (D, (D|p)) classes it
+    # met.  A twist is checked against its model's BSGS count, since the two
+    # orders sum to 2p + 2.
+    calls = _spy_bsgs(monkeypatch)
+    classes = set()
     cases = [case for p in primes for case in _cm_curves(p, rng)]
     bsgs = {}
     for D, curve, model in cases:
-        found = eczero.fp._cm_disc(curve)
-        assert found is not None, curve
-        n = eczero.fp._count_points_cm(curve, found)
-        if n is not None:
-            if model is None:
-                expected = bsgs[curve] = count_points_bsgs(curve)
-            else:
-                if model not in bsgs:
-                    bsgs[model] = count_points_bsgs(model)
-                expected = 2 * curve.p + 2 - bsgs[model]
-            assert n == expected, curve
-            answered += 1
-            classes.add((D, kronecker_symbol(D, curve.p)))
-    # The walk's points leave one trace for all but a few curves; a route
-    # that lost the true trace would fall back to BSGS nearly always.
-    assert answered >= 0.99 * len(cases)
+        assert eczero.fp._cm_disc(curve) is not None, curve
+        if model is None:
+            expected = bsgs[curve] = count_points_bsgs(curve)
+        else:
+            if model not in bsgs:
+                bsgs[model] = count_points_bsgs(model)
+            expected = 2 * curve.p + 2 - bsgs[model]
+        assert count_points(curve) == expected, curve
+        classes.add((D, kronecker_symbol(D, curve.p)))
+    assert calls == []
     return classes
 
 
-def test_cm_route_matches_bsgs_on_every_prime_to_2_12():
+def test_cm_route_matches_bsgs_on_every_prime_to_2_12(monkeypatch):
     primes = [p for p in range(230, 2**12 + 1) if is_prime(p)]
-    classes = _check_cm_route(primes, random.Random(4096))
+    classes = _check_cm_route(primes, random.Random(4096), monkeypatch)
     assert classes == {(D, s) for D in CM_J_INVARIANTS for s in (1, -1)}
 
 
-def test_cm_route_matches_bsgs_up_to_2_40():
+def test_cm_route_matches_bsgs_up_to_2_40(monkeypatch):
     rng = random.Random(1440)
     primes = []
     for _ in range(24):
@@ -450,7 +458,7 @@ def test_cm_route_matches_bsgs_up_to_2_40():
             p += 1
         primes.append(p)
     assert max(primes) > 2**38
-    classes = _check_cm_route(primes, rng)
+    classes = _check_cm_route(primes, rng, monkeypatch)
     assert classes == {(D, s) for D in CM_J_INVARIANTS for s in (1, -1)}
 
 
@@ -497,24 +505,27 @@ def _spy_bsgs(monkeypatch):
     return calls
 
 
-def test_cm_route_falls_back_to_bsgs_on_two_survivors(monkeypatch):
+def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
     # At p = 233 every walked point of y^2 = x^3 + x is killed by two of the
-    # candidate orders.
-    curve = FpCurve(233, 1, 0)
-    assert eczero.fp._count_points_cm(curve, -4) is None
+    # CM orders; the twist's points leave one, so neither BSGS nor the
+    # sweep runs.
+    small = FpCurve(233, 1, 0)
+    expected = count_points_naive(small)
+    assert len(eczero.fp._order_candidates(small, eczero.fp._cm_orders(small))) == 2
     calls = _spy_bsgs(monkeypatch)
-    assert count_points(curve) == count_points_naive(curve)
-    assert calls == [curve]
+    monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
+    assert count_points(small) == expected
     # Forced: 2t - p - 1 gives the order 2(p + 1 - t), which every point of
     # the true order p + 1 - t survives too.
     curve = FpCurve((1 << 40) - 87, 0, -2)
-    expected = count_points(curve)
+    expected = count_points_bsgs(curve)
     traces = eczero.fp._cm_traces
     monkeypatch.setattr(
         eczero.fp, "_cm_traces", lambda D, p: {s for t in traces(D, p) for s in (t, 2 * t - p - 1)}
     )
+    assert len(eczero.fp._order_candidates(curve, eczero.fp._cm_orders(curve))) > 1
     assert count_points(curve) == expected
-    assert calls == [FpCurve(233, 1, 0), curve]
+    assert calls == []
 
 
 def test_cm_route_falls_back_to_bsgs_without_cornacchia(monkeypatch):

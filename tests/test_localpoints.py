@@ -373,8 +373,9 @@ def test_decompose_point_rejects_precision_below_1(precision):
                 decompose_point(E, point, 7, precision)
         return
     assert decompose_point(E, P7, 7, precision).precision == 1
-    with pytest.raises(DomainError, match="^torsion lifting needs precision >= 6$"):
+    with pytest.raises(DomainError, match="^decomposition outside E_1 needs precision >= 2, got 1$"):
         decompose_point(E, P35, 7, precision)
+    assert decompose_point(E, P35, 7, 2).precision == 2
 
 
 def test_decompose_point_in_kernel_of_reduction():

@@ -14,7 +14,7 @@ from eczero.quadfields import (
     splits_completely,
 )
 
-from oracles import count_points_oracle
+from oracles import count_points_oracle, outcomes_within
 
 K3 = ImagQuadField(-3)
 K11 = ImagQuadField(-11)
@@ -67,6 +67,14 @@ def test_anomalous_primes_d3():
         assert is_prime(p)
         v = round(((4 * p - 1) / 3) ** 0.5)
         assert 4 * p == 1 + 3 * v * v
+
+
+def test_anomalous_primes_refuses_bounds_past_2_40_at_once():
+    # No anomalous prime past 2^40 can be counted, and the enumeration grows
+    # like sqrt(bound): the bound is refused before the loop starts.
+    calls = [f"anomalous_primes(ImagQuadField(-3), {2**40 + 1})", "anomalous_primes(ImagQuadField(-3), 10**20)"]
+    setup = "from eczero.quadfields import ImagQuadField, anomalous_primes"
+    assert outcomes_within(setup, calls) == ["UnsupportedModulusError"] * 2
 
 
 def test_anomalous_primes_other_fields():
