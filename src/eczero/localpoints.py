@@ -17,25 +17,18 @@ Fewer than MIN_RELATIVE_PRECISION digits, or Z = 0 modulo p^N, raise
 PrecisionExhaustedError.  A point already in E_1 is its own formal part,
 with t_valuation = v_p(den x) / 2.
 
-Torsion lifting runs Newton iteration against the degree-(p^2-1)/2 division
-polynomial, evaluated pointwise with derivatives (never expanded).  The
-x-coordinate of T0 is a p-fold root of that polynomial mod p, so the
-classical simple-root Hensel criterion is unavailable; instead the
-iteration exploits that the Newton quotient is a genuine element of Q_p
-(integer valuation), which restores quadratic convergence from the mod-p
-approximation, and monitors the valuation of f at every step.  A stall
-means no Q_p-rational lift exists and is reported as a violation of the
-torsion-splitting hypothesis.
-
-The lift is then checked by [p]T0 = O, computed on plain integers modulo
-p^precision in Jacobian coordinates, so no step inverts anything.  The
-valuation of the final Z decides: v(Z) >= precision passes, v(Z) <=
-precision - MIN_RELATIVE_PRECISION raises SplitHypothesisError, and a
-valuation in between raises PrecisionExhaustedError, on which
-decompose_point retries at doubled precision.  A pass certifies the lift
-to precision - 1 digits, not precision: [p] raises the valuation of the
-formal parameter by one, so x moved by p^(precision - 1) still gives
-[p]T0 = O modulo p^precision.
+Torsion lifting and formal_t_valuation share one kernel, [p] of an
+integral point in Jacobian coordinates modulo p^N (_p_times), and one split
+criterion.  [p] maps E_m \\ E_{m+1} onto E_{m+1} \\ E_{m+2}, and maps E_0 \\ E_1
+into E_1 \\ E_2 exactly when E_0(Q_p) does not split, i.e. when no
+Q_p-rational p-torsion point lies above barP (Silverman, AEC IV.6, VII.2-3).
+So v(Z) = 1 raises SplitHypothesisError, and otherwise v(Z) - 1 is the
+t-valuation of the formal part.  The lift is Newton on x through [p]: a
+point P above barP is T0 + S with S in E_1, t([p]P) = p t(S) to first
+order, and dx/2y is dt on E_1 to first order, so x - 2y t([p]P)/p is
+x(T0) up to terms of twice the valuation.  v(Z) about doubles each step,
+and the lift stops at v(Z) >= precision + 1, which certifies every one of
+its precision digits.
 """
 
 from __future__ import annotations
@@ -52,16 +45,9 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, is_anomalous
-from .padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, PadicNumber, _make, _require, newton_lift, pval
-from .rational import (
-    Curve,
-    QPoint,
-    _minimal_with_scale,
-    divpoly_eval_with_derivative,
-    torsion_order,
-)
+from .padic import DEFAULT_PRECISION, PadicNumber, _make, newton_lift, pval
+from .rational import Curve, QPoint, _minimal_with_scale, torsion_order
 
-_NEWTON_GUARD = 12
 _RETRY_FACTOR = 2
 MIN_LIFT_PRECISION = 6
 
@@ -98,16 +84,11 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     """The p-torsion point T0 of E(Q_p) reducing to `target`.
 
     Requires a prime p >= 5, an anomalous good model at p and a nonzero
-    target, whose coordinates are read mod p.  Raises
-    SplitHypothesisError when the Newton iteration on the division
-    polynomial stalls, i.e. when no Q_p-rational lift exists.
-
-    The lift is checked by computing [p]T0 in Jacobian coordinates modulo
-    p^precision.  If v(Z) >= precision it passes; v(Z) <= precision -
-    MIN_RELATIVE_PRECISION certifies [p]T0 != O and raises
-    SplitHypothesisError; a valuation in between raises
-    PrecisionExhaustedError.  A pass certifies the lift to precision - 1
-    digits: an error in the last digit alone still gives v(Z) >= precision.
+    target, whose coordinates are read mod p.  Raises SplitHypothesisError
+    when no Q_p-rational lift exists, and DomainError for a precision below
+    MIN_LIFT_PRECISION.  The iteration stops once [p]T0 = O modulo
+    p^(precision + 1), so all precision digits of T0 are certified; it
+    raises no PrecisionExhaustedError.
     """
     require_curve_prime(p)
     reduced = _require_anomalous(curve, p)
@@ -122,41 +103,24 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
 
 def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> tuple[int, int]:
     """lift_p_torsion after its checks of curve, prime and target, as the
-    residues of T0's coordinates modulo p^precision."""
+    residues of T0's coordinates modulo p^precision, by Newton on x
+    through [p] (see the module docstring).
+    """
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
-    work = precision + _NEWTON_GUARD
-    mod = p**work
-    x = target.x % p
-    prev_vf = 0
-    max_steps = precision.bit_length() + 8
-    for _ in range(max_steps):
-        fv, fd = divpoly_eval_with_derivative(curve, p, x, mod)
-        vf = pval(fv, p, cap=work)
-        if vf >= precision + 1:
-            break
-        vd = pval(fd, p, cap=work)
-        if vd >= vf or vf <= prev_vf:
-            raise SplitHypothesisError(
-                f"no {p}-adic torsion lift above x = {target.x}: "
-                "division-polynomial Newton iteration stalled"
-            )
-        prev_vf = vf
-        scale = p**vd
-        inv = pow(fd // scale, -1, p ** (work - vd))
-        x = (x - (fv // scale) * inv) % mod
-    else:
-        raise SplitHypothesisError(
-            f"torsion lift above x = {target.x} did not converge in {max_steps} steps"
-        )
-
-    x %= p**precision
-    g = (x * x * x + curve.a * x + curve.b) % p**precision
-    y = newton_lift([-g, 0, 1], target.y, p, precision).residue_mod(precision)
-    if FpPoint(x % p, y % p) != target:
-        raise InternalConsistencyError("torsion lift does not reduce to its target")
-    _check_killed_by_p(curve, p, x, y, precision)
-    return x, y
+    n = precision + 1
+    mod = p**n
+    x = target.x
+    steps = n.bit_length() + 2
+    for _ in range(steps):
+        g = (x * x * x + curve.a * x + curve.b) % mod
+        y = newton_lift([-g, 0, 1], target.y, p, n).residue_mod(n)
+        X, Y, Z = _p_times(curve, p, x, y, n)
+        if not Z:
+            return x % p**precision, y % p**precision
+        t = -X * Z * pow(Y, -1, mod) % mod
+        x = (x - 2 * y * (t // p)) % mod
+    raise InternalConsistencyError(f"torsion lift above x = {target.x} did not converge in {steps} steps")
 
 
 # Jacobian coordinates: (X, Y, Z) stands for (X/Z^2, Y/Z^3); Z = 0 is O.
@@ -195,24 +159,20 @@ def _jacobian_add(a: int, mod: int, P: tuple[int, int, int], Q: tuple[int, int, 
     return X3, (M * (S - X3) - 8 * YY * YY) % mod, 2 * Y1 * Z1 % mod
 
 
-def _z_valuation_of_p_times(curve: Curve, p: int, x: int, y: int, precision: int) -> int:
-    """min(v(Z), precision) for [p](x, y, 1) computed modulo p^precision;
-    (x, y) are the residues of an integral point whose reduction is not O."""
+def _p_times(curve: Curve, p: int, x: int, y: int, precision: int) -> tuple[int, int, int]:
+    """[p](x, y, 1) in Jacobian coordinates modulo p^precision, precision >= 2;
+    (x, y) are the residues of an integral point whose reduction is not O.
+
+    [p] maps the reduction to O, so p divides Z.  v(Z) = 1 means the point
+    lies above no p-torsion point of E(Q_p), and raises SplitHypothesisError
+    (see the module docstring).
+    """
     mod = p**precision
     add = partial(_jacobian_add, curve.a % mod, mod)
-    _, _, Z = double_and_add(add, p, (x % mod, y % mod, 1), _JACOBIAN_O)
-    return pval(Z, p, cap=precision)
-
-
-def _check_killed_by_p(curve: Curve, p: int, x: int, y: int, precision: int) -> None:
-    """Raise unless [p](x, y) = O modulo p^precision, deciding on v(Z) as
-    lift_p_torsion describes."""
-    vz = _z_valuation_of_p_times(curve, p, x, y, precision)
-    if vz >= precision:
-        return
-    if vz <= precision - MIN_RELATIVE_PRECISION:
-        raise SplitHypothesisError("candidate torsion lift is not annihilated by p")
-    raise PrecisionExhaustedError(f"[{p}]T0 is O only to {vz} of {precision} {p}-adic digits")
+    X, Y, Z = double_and_add(add, p, (x % mod, y % mod, 1), _JACOBIAN_O)
+    if Z % (p * p):
+        raise SplitHypothesisError(f"no {p}-adic torsion lift above x = {x % p}: [{p}]P has t-valuation 1")
+    return X, Y, Z
 
 
 @dataclass(frozen=True)
@@ -258,11 +218,10 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     """decompose_point(curve, point, p).t_valuation, without lifting T0.
 
     A point in E_1 is its own formal part: v_p(den x) / 2.  Otherwise [p]P =
-    [p]F, and [p] maps E_m \\ E_{m+1} onto E_{m+1} \\ E_{m+2}, or P into E_1 \\ E_2
-    when E_0 does not split (Silverman, AEC IV.6, VII.2-3).  So v(Z) of [p]P
-    in Jacobian coordinates mod p^N decides: 1 raises SplitHypothesisError,
-    and v(Z) < N gives v(Z) - 1.  N doubles from 2 until v(Z) < N, which
-    ends because P has infinite order.  Other errors are decompose_point's.
+    [p]F, so v(Z) of Jacobian [p]P mod p^N decides, as the module docstring
+    says: 1 raises SplitHypothesisError, and v(Z) < N gives v(Z) - 1.  N
+    doubles from 2 until v(Z) < N, which ends because P has infinite order.
+    Other errors are decompose_point's.
     """
     minimal, point = _on_minimal_model(curve, point, p)
     xd = point.x.denominator
@@ -270,10 +229,8 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
         return pval(xd, p) // 2
     precision = 2
     while True:
-        x, y = _residues(point, p**precision)
-        vz = _z_valuation_of_p_times(minimal, p, x, y, precision)
-        if vz == 1:
-            raise SplitHypothesisError(f"no {p}-adic torsion lift above x = {x % p}: [{p}]P has t-valuation 1")
+        _, _, Z = _p_times(minimal, p, *_residues(point, p**precision), precision)
+        vz = pval(Z, p, cap=precision)
         if vz < precision:
             return vz - 1
         precision *= 2
@@ -309,7 +266,6 @@ def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decompo
     if xd % p == 0:
         # P is in E_1, so it is its own formal part
         work = precision + 8
-        _require(work, p)
         bar, torsion = FpPoint.identity(), QpPoint.identity()
         formal = QpPoint(PadicNumber.from_fraction(point.x, p, work), PadicNumber.from_fraction(point.y, p, work))
         tval = pval(xd, p) // 2

@@ -1,6 +1,5 @@
 """Global Weierstrass models over Q: invariants, per-prime minimization,
-reduction-type classification, bounded point search and pointwise
-division-polynomial evaluation.
+reduction-type classification and bounded point search.
 
 Models are short Weierstrass y^2 = x^3 + a*x + b with exact integer
 coefficients; long models [a1, a2, a3, a4, a6] are accepted for ingestion
@@ -369,72 +368,3 @@ def naive_point_search(curve: Curve, height: int) -> list[QPoint]:
     """
     return sorted((P for _, row in search_rows(curve, height) for P in row), key=QPoint.height_key)
 
-
-# --- division polynomials -------------------------------------------------
-#
-# psi_m is never expanded: for odd m the y-free family P_n (psi_n = P_n for
-# odd n, psi_n = 2y * P_n for even n, with y^2 eliminated via
-# f = x^3 + a x + b) is run pointwise on dual numbers, pairs (value,
-# derivative) of plain integers modulo the working modulus.
-
-
-def divpoly_eval_with_derivative(curve: Curve, m: int, x0: int, modulus: int) -> tuple[int, int]:
-    """(psi_m(x0), psi_m'(x0)) modulo `modulus` for odd m, without expanding psi_m.
-
-    Runs the division-polynomial recurrence on dual numbers, so only
-    O(log m) windowed values are ever materialized; this is what makes
-    torsion lifting at m = p feasible for primes like 223.
-    """
-    if m < 1 or m % 2 == 0:
-        raise DomainError("dual evaluation is defined for odd m >= 1")
-    a, b = curve.a, curve.b
-    mod = modulus
-
-    def mul(u, w):
-        return u[0] * w[0] % mod, (u[0] * w[1] + u[1] * w[0]) % mod
-
-    def cube(u):
-        # (u, u')^3 = (u^3, 3 u^2 u'): three products where mul(u, mul(u, u)) takes six
-        sq = u[0] * u[0] % mod
-        return sq * u[0] % mod, 3 * sq * u[1] % mod
-
-    x0 %= mod
-    x2 = x0 * x0 % mod
-    x3 = x2 * x0 % mod
-    x4 = x2 * x2 % mod
-    f = (x3 + a * x0 + b, 3 * x2 + a)
-    f_sq16 = mul(f, (16 * f[0], 16 * f[1]))
-    base: dict[int, tuple[int, int]] = {
-        0: (0, 0),
-        1: (1 % mod, 0),
-        2: (1 % mod, 0),
-        3: (
-            (3 * x4 + 6 * a * x2 + 12 * b * x0 - a * a) % mod,
-            (12 * x3 + 12 * a * x0 + 12 * b) % mod,
-        ),
-        4: (
-            2 * (x3 * x3 + 5 * a * x4 + 20 * b * x3 - 5 * a * a * x2 - 4 * a * b * x0 - 8 * b * b - a**3) % mod,
-            2 * (6 * x3 * x2 + 20 * a * x3 + 60 * b * x2 - 10 * a * a * x0 - 4 * a * b) % mod,
-        ),
-    }
-
-    def rec(n: int) -> tuple[int, int]:
-        if n in base:
-            return base[n]
-        h = n // 2
-        if n % 2 == 1:
-            t1 = mul(rec(h + 2), cube(rec(h)))
-            t2 = mul(rec(h - 1), cube(rec(h + 1)))
-            if h % 2 == 0:
-                t1 = mul(f_sq16, t1)
-            else:
-                t2 = mul(f_sq16, t2)
-            out = (t1[0] - t2[0]) % mod, (t1[1] - t2[1]) % mod
-        else:
-            t1 = mul(rec(h + 2), mul(rec(h - 1), rec(h - 1)))
-            t2 = mul(rec(h - 2), mul(rec(h + 1), rec(h + 1)))
-            out = mul(rec(h), (t1[0] - t2[0], t1[1] - t2[1]))
-        base[n] = out
-        return out
-
-    return rec(m)

@@ -15,7 +15,7 @@ coordinates below (embed_point, qp_add, t_parameter, ...), which the
 library does not use: decompose_point forms F by a Jacobian chord on
 integers mod p^N.
 The division-polynomial oracle expands psi_m as an integer polynomial by
-the classical recurrence, for checking the library's pointwise evaluator.
+the classical recurrence, whose roots the library's torsion lifts must be.
 The point-count oracle tries every (x, y) in F_p^2.
 The CM trace oracle reads the trace of y^2 = x^3 + b or y^2 = x^3 + a x
 off the norm-p elements of Z[zeta_3] or Z[i] that Cornacchia gives, and

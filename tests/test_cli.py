@@ -231,12 +231,14 @@ def test_scan_height_zero_is_a_row_error():
 
 def test_scan_with_ingested_generators(tmp_path):
     gen_file = tmp_path / "gens.jsonl"
-    gen_file.write_text('{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n')
+    gen_file.write_text('{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n{"label": "no-coeffs"}\n')
     res = run(
         "scan", "--a0", "0", "--b0", "-2", "--b1", "7", "--p", "7", "--disc", "-3",
         "--nmin", "0", "--nmax", "0", "--height", "1", "--ingest", str(gen_file), "--json",
     )
-    payload = json.loads(res.output)
+    assert res.exit_code == 0
+    assert res.stderr == "ingest line 2: record needs A,B or a1..a6\n"
+    payload = json.loads(res.stdout)
     assert payload["rows"][0]["generator"] == "ingested"
     assert payload["rows"][0]["formal_nontrivial"] is True
 
@@ -467,7 +469,7 @@ _LIFT_CASES = [
     (-2, 2, 5, 1, 4),
     (0, -2, 7, 1, 1),
 ]
-DECOMPOSE_MATRIX_SHA256 = "b610e20e353fa82988ed7b971b27ef40a9a209f200164bae4d46b21006a4c926"
+DECOMPOSE_MATRIX_SHA256 = "c6ec89f4e456a3104f507b3b2d0e4ec85ec1e9282cd6b81672ebececb93befa5"
 
 
 def test_decompose_matrix_output_is_pinned():

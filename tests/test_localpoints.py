@@ -20,17 +20,18 @@ from eczero.errors import (
 from eczero.fp import FpCurve, FpPoint, is_anomalous, point_at_x
 from eczero.localpoints import (
     QpPoint,
-    _check_killed_by_p,
+    _p_times,
     decompose_point,
     decomposition_to_dict,
     formal_t_valuation,
     lift_p_torsion,
 )
-from eczero.padic import PadicNumber, _make, newton_lift
+from eczero.padic import PadicNumber, _make, newton_lift, poly_eval, pval
 from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
 from eczero.survey import find_generator
 
 from oracles import (
+    division_polynomial,
     embed_point,
     formal_layer_point,
     formal_nontrivial_oracle,
@@ -160,13 +161,11 @@ def _affine_check(curve, p, x, y, precision):
 
 
 def _jacobian_check(curve, p, x, y, precision):
+    """Whether [p](x, y) = O modulo p^precision, from the Z of _p_times."""
     try:
-        _check_killed_by_p(curve, p, x, y, precision)
+        return not _p_times(curve, p, x, y, precision)[2]
     except SplitHypothesisError:
         return False
-    except PrecisionExhaustedError:
-        return PrecisionExhaustedError
-    return True
 
 
 def _moved_lift(curve, p, T0, target, k, precision):
@@ -178,6 +177,7 @@ def _moved_lift(curve, p, T0, target, k, precision):
 
 
 def test_jacobian_check_agrees_with_affine_on_every_lift():
+    # every lift passes the oracle's affine [p]T0 = O and the Jacobian one
     for curve, p in zip(ANOMALOUS_CM, ANOMALOUS_P):
         for target in _targets(curve, p):
             for precision in range(6, 31):
@@ -192,11 +192,13 @@ def test_jacobian_check_rejects_planted_faults():
         for target in _targets(curve, p, 4):
             for precision in (10, 16, 23, 30):
                 T0 = lift_p_torsion(curve, p, target, precision)
-                # x moved by p^k: [p]P has Z-valuation k + 1 <= precision - 4
-                for k in range(1, precision // 2 + 1):
+                # x moved by p^k puts the point k deep in T0 + E_1, and [p]
+                # adds one: Z-valuation k + 1 < precision
+                for k in range(1, precision - 1):
                     x, y = _moved_lift(curve, p, T0, target, k, precision)
-                    assert _jacobian_check(curve, p, x, y, precision) is False, (p, precision, k)
-                    assert _affine_check(curve, p, x, y, precision) is False
+                    assert pval(_p_times(curve, p, x, y, precision)[2], p) == k + 1, (p, precision, k)
+                    if k <= precision // 2:  # the affine law keeps too few digits beyond
+                        assert _affine_check(curve, p, x, y, precision) is False
                 # the plain Hensel lift of barP from x = target.x is not torsion
                 g = target.x**3 + curve.a * target.x + curve.b
                 y = newton_lift([-g, 0, 1], target.y, p, precision).residue_mod(precision)
@@ -204,21 +206,25 @@ def test_jacobian_check_rejects_planted_faults():
                 assert _affine_check(curve, p, target.x, y, precision) is False
 
 
-def test_jacobian_check_near_precision_is_exhausted_like_affine():
-    # x moved by p^(precision - 3): v(Z) of [p]P is precision - 2, so [p]P
-    # is neither O to full precision nor certified nonzero to 4 digits
-    for curve, p in zip(ANOMALOUS_CM, ANOMALOUS_P):
-        for target in _targets(curve, p, 4):
-            for precision in (6, 12, 20, 30):
-                T0 = lift_p_torsion(curve, p, target, precision)
-                x, y = _moved_lift(curve, p, T0, target, precision - 3, precision)
-                assert _affine_check(curve, p, x, y, precision) is PrecisionExhaustedError
-                with pytest.raises(PrecisionExhaustedError):
-                    _check_killed_by_p(curve, p, x, y, precision)
-                # moved by p^(precision - 1): [p]P is O modulo p^precision,
-                # so the check passes; it certifies precision - 1 digits
-                x, y = _moved_lift(curve, p, T0, target, precision - 1, precision)
-                _check_killed_by_p(curve, p, x, y, precision)
+def test_lift_is_a_root_of_the_division_polynomial():
+    # the expanded psi_p of the oracle vanishes at x(T0) to every digit the
+    # lift reports, on anomalous curves whose E_0(Q_p) splits at p = 5..13
+    for p in (5, 7, 11, 13):
+        lifted = 0
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                if (4 * a**3 + 27 * b**2) % p == 0 or not is_anomalous(FpCurve(p, a % p, b % p)):
+                    continue
+                curve = Curve(a, b)
+                target = _targets(curve, p, 1)[0]
+                try:
+                    T0 = lift_p_torsion(curve, p, target, 12)
+                except SplitHypothesisError:
+                    continue
+                psi = division_polynomial(curve, p)
+                assert poly_eval(psi, T0.x.residue_mod(12), p**12) == 0, (a, b, p)
+                lifted += 1
+        assert lifted >= 2, p
 
 
 def test_lift_p_torsion_preconditions():
@@ -228,6 +234,8 @@ def test_lift_p_torsion_preconditions():
         lift_p_torsion(Curve(-4, 0), 13, FpPoint(0, 0), 12)  # not anomalous
     with pytest.raises(DomainError):
         lift_p_torsion(E, 7, FpPoint(1, 1), 12)  # not on the reduction
+    with pytest.raises(DomainError, match="^model has bad reduction at 7$"):
+        lift_p_torsion(Curve(0, -2 * 7**6), 7, FpPoint(3, 5))  # lifts read the model as given
 
 
 def test_decompose_point_paper_example():
@@ -361,6 +369,10 @@ def test_decompose_preconditions():
         decompose_point(Curve(0, 1), QPoint.from_pair(0, 1), 7, 16)  # 3-torsion point
     with pytest.raises(DomainError):
         decompose_point(E, QPoint.identity(), 7, 16)
+    with pytest.raises(DomainError, match="^model has bad reduction at 7$"):
+        decompose_point(Curve(-7, 7), QPoint.from_pair(1, 1), 7)  # minimal at 7, 7 | disc
+    with pytest.raises(DomainError, match=r"^\(3, 6\) is not on y\^2 = x\^3 \+ 0x \+ -2$"):
+        decompose_point(E, QPoint.from_pair(3, 6), 7)
 
 
 @pytest.mark.parametrize("precision", [-4, 0, 1])

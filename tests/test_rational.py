@@ -9,7 +9,7 @@ import eczero.rational
 from eczero.arith import sqrt_mod_p
 from eczero.errors import DomainError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, is_anomalous
-from eczero.padic import poly_deriv, poly_eval
+from eczero.padic import poly_eval
 from eczero.rational import (
     MAX_HEIGHT,
     _SIEVE_MODULI,
@@ -19,7 +19,6 @@ from eczero.rational import (
     _minimal_with_scale,
     _real_locus_start,
     curve_from_long_weierstrass,
-    divpoly_eval_with_derivative,
     long_point_to_short,
     naive_point_search,
     q_add,
@@ -533,23 +532,6 @@ def test_divpoly_roots_match_fp_torsion():
             is_root = poly_eval(psi, x, 13) == 0
             killed = fp_scalar_mul(curve, m, P).is_identity
             assert is_root == killed, (m, x)
-
-
-def test_dual_evaluation_matches_polynomial():
-    # every odd m <= 25 reaches the recurrence at n >= 13 with both parities
-    # of h = n // 2, at a small and a large prime-power modulus
-    rng = random.Random(77)
-    E = Curve(-4, 1)
-    for mod in (7**10, 223**8):
-        assert divpoly_eval_with_derivative(E, 1, rng.randrange(mod), mod) == (1, 0)
-        for m in range(3, 26, 2):
-            psi = division_polynomial(E, m)
-            dpsi = poly_deriv(psi)
-            for _ in range(5):
-                x0 = rng.randrange(mod)
-                v, d = divpoly_eval_with_derivative(E, m, x0, mod)
-                assert v == poly_eval(psi, x0, mod)
-                assert d == poly_eval(dpsi, x0, mod)
 
 
 def test_long_weierstrass_examples():

@@ -89,6 +89,28 @@ def test_ingest_rank_and_source(tmp_path):
     assert result.records[0].source == "external table"
 
 
+def test_ingest_rejects_bad_fields_by_line(tmp_path):
+    f = tmp_path / "curves.jsonl"
+    f.write_text(
+        "# comment lines are skipped\n"
+        "[0, -2]\n"
+        '{"label": "float-A", "A": 0.5, "B": -2}\n'
+        '{"label": "string-B", "A": 0, "B": "-2"}\n'
+        '{"label": "float-a4", "a1": 0, "a2": 0, "a3": 0, "a4": 1.5, "a6": 0}\n'
+        '{"label": "string-rank", "A": 0, "B": -2, "rank": "1"}\n'
+        '{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
+    )
+    result = ingest_curves(f)
+    assert [rec.label for rec in result.records] == ["E0"]
+    assert result.rejected == (
+        (2, "record must be a JSON object"),
+        (3, "A and B must be integers"),
+        (4, "A and B must be integers"),
+        (5, "a1..a6 must be integers"),
+        (6, "rank must be an integer"),
+    )
+
+
 def test_find_generator():
     gen = find_generator(Curve(0, -2), 100)
     assert gen == QPoint.from_pair(3, 5) or gen == QPoint.from_pair(3, -5)
@@ -162,6 +184,19 @@ def test_empty_denominator_reported_not_crashed():
     assert all(r.splits is False for r in rows)
     assert agg["eligible"] == 0 and agg["with_generator"] == 0
     assert agg["fraction"] is None
+
+
+def test_singular_member_is_an_error_row():
+    # y^2 = x^3 + n: n = 0 is singular, its neighbours are ordinary rows
+    spec = FamilySpec(0, 0, 0, 1, -1, 1, 7, -3, height=50)
+    rows, agg = scan_family(spec)
+    assert [r.n for r in rows] == [-1, 0, 1]
+    assert rows[1].error == "singular model: -16(4a^3 + 27b^2) = 0"
+    assert (rows[1].curve_a, rows[1].curve_b) == (None, None)
+    assert agg["errors"] == 1
+    for row in (rows[0], rows[2]):
+        alone, _ = scan_family(FamilySpec(0, 0, 0, 1, row.n, row.n, 7, -3, height=50))
+        assert alone == [row] and row.error is None
 
 
 def test_aggregate_counts():
@@ -307,7 +342,7 @@ def _seeded_twist_records(p, A, B, count=6):
 
 def test_survey_rows_lift_no_torsion(monkeypatch):
     # a row's t-valuation comes from [p]P alone: no torsion lift, no
-    # division polynomial, no p-adic number and no precision retry
+    # p-adic number and no precision retry
     surveys = [
         lambda: scan_family(_spec(-50, 50, height=10**4)),
         lambda: survey_records(_seeded_twist_records(43, -152, 722), 43, -19),
@@ -322,7 +357,7 @@ def test_survey_rows_lift_no_torsion(monkeypatch):
 
     for module, name in (
         (eczero.localpoints, "lift_p_torsion"),
-        (eczero.localpoints, "divpoly_eval_with_derivative"),
+        (eczero.localpoints, "_lift_torsion"),
         (eczero.localpoints, "_decompose"),
         (eczero.padic.PadicNumber, "__init__"),
     ):
