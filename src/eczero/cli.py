@@ -21,7 +21,7 @@ from .arith import cornacchia
 from .errors import DomainError, InternalConsistencyError
 from .fp import FpPoint
 from .localpoints import (
-    decompose_point, decomposition_to_dict, formal_t_valuation, lift_p_torsion, qppoint_to_dict,
+    MAX_PRECISION, decompose_point, decomposition_to_dict, formal_t_valuation, lift_p_torsion, qppoint_to_dict,
 )
 from .padic import DEFAULT_PRECISION
 from .quadfields import (
@@ -50,6 +50,7 @@ from .verdicts import (
 
 
 _HEIGHT_HELP = f"point-search height bound, 1 to {MAX_HEIGHT}"
+_PREC_HELP = f"p-adic digits, at most {MAX_PRECISION}"
 
 
 def errors_to_exit_codes(fn):
@@ -175,7 +176,7 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--x", "x", type=int, required=True, help="target x mod p")
 @click.option("--y", "y", type=int, required=True, help="target y mod p")
-@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True, help=_PREC_HELP)
 @click.option("--json", "as_json", is_flag=True)
 @errors_to_exit_codes
 def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json: bool):
@@ -190,7 +191,7 @@ def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json:
 @click.option("--b", type=int, required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--gen", required=True, help="x_num,x_den,y_num,y_den of the global point")
-@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True)
+@click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True, help=_PREC_HELP)
 @click.option("--json", "as_json", is_flag=True)
 @errors_to_exit_codes
 def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):

@@ -340,8 +340,6 @@ def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]
             if s * s != t:
                 continue
             x, y = Fraction(m, e * e), Fraction(s, e**3)
-            if y * y != curve.rhs(x):  # exact confirmation of the sieve hit
-                continue
             points.append(QPoint(x, y))
             if s != 0:
                 points.append(QPoint(x, -y))

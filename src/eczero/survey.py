@@ -232,24 +232,22 @@ def build_row(
     cm_field: ImagQuadField,
     height: int,
     n: int | None = None,
-    label: str | None = None,
     ingested_generator: QPoint | None = None,
 ) -> SurveyRow:
     """Hypotheses, generator, formal_t_valuation and verdicts for one curve.
 
-    A DomainError becomes the row's error text; an InternalConsistencyError
-    or ArithmeticError becomes "internal error: <Type>: <message>", so a bug
-    is told apart from a bad input and never aborts the batch.
+    The row is labelled by ``curve.label``.  Eligibility is the middle-term
+    rule's: every row that classifies runs ``brauer_middle_term_verdict``, and
+    the formal part's t-valuation is read only when the rule fired and a
+    generator exists.  A DomainError becomes the row's error text; an
+    InternalConsistencyError or ArithmeticError becomes "internal error:
+    <Type>: <message>", so a bug is told apart from a bad input and never
+    aborts the batch.
     """
-    label = label or curve.label or "?"
-    base = dict(n=n, label=label, curve_a=curve.a, curve_b=curve.b)
+    base = dict(n=n, label=curve.label or "?", curve_a=curve.a, curve_b=curve.b)
     try:
         r = reduction_type(curve, p)
-        good_p = r.kind.is_good
-        anomalous = r.anomalous
         splits = splits_completely(cm_field, p)
-        eligible = good_p and anomalous and splits
-
         if ingested_generator is not None:
             if not curve.contains(ingested_generator):
                 raise DomainError(f"ingested generator is not on {curve}")
@@ -258,21 +256,17 @@ def build_row(
             gen = find_generator(curve, height)
             status = "found" if gen is not None else "unknown"
 
-        tval = None
-        names: list[str] = []
-        if eligible:
-            # build_row's own reduction type, so points at p are counted once
-            record = HypothesisRecord(prime=verified(p), e1_reduction=verified(r))
-            fired = brauer_middle_term_verdict(record, cm_field, cm_asserted=True)
-            names = [v.name for v in fired]
-            if gen is not None:
-                tval = formal_t_valuation(curve, gen, p)
-                lifted = global_lift_verdict(tval, fired[0])
-                if lifted is not None:
-                    names.append(lifted.name)
+        # build_row's own reduction type, so points at p are counted once
+        record = HypothesisRecord(prime=verified(p), e1_reduction=verified(r))
+        fired = brauer_middle_term_verdict(record, cm_field, cm_asserted=True)
+        names = [v.name for v in fired]
+        tval = formal_t_valuation(curve, gen, p) if fired and gen is not None else None
+        lifted = global_lift_verdict(tval, fired[0] if fired else None)
+        if lifted is not None:
+            names.append(lifted.name)
         return SurveyRow(
-            good_p=good_p,
-            anomalous=anomalous,
+            good_p=r.kind.is_good,
+            anomalous=r.anomalous,
             splits=splits,
             generator_status=status,
             generator=gen,
@@ -332,14 +326,7 @@ def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT):
     cm_field = ImagQuadField(disc)
     require_curve_prime(p)
     rows = [
-        build_row(
-            rec.curve,
-            p,
-            cm_field,
-            height,
-            label=rec.label,
-            ingested_generator=rec.generator,
-        )
+        build_row(rec.curve, p, cm_field, height, ingested_generator=rec.generator)
         for rec in records
     ]
     return rows, aggregate_rows(rows)

@@ -42,6 +42,12 @@ def test_anomalous_primes_refuses_bound_past_2_40():
     assert json.loads(res.stderr) == {"error": f"anomalous primes are listed for bound <= 2^40, got {bound}"}
 
 
+def test_anomalous_primes_refuses_bound_below_5():
+    res = run("anomalous-primes", "--disc", "-3", "--bound", "4", "--json")
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "bound must be >= 5"}
+
+
 def test_anomalous_residues():
     res = run("anomalous-residues", "--p", "7", "--json")
     assert res.exit_code == 0
@@ -115,6 +121,19 @@ def test_decompose_rejects_precision_below_1():
         else:
             assert res.exit_code == 1
             assert json.loads(res.stderr) == {"error": "decomposition outside E_1 needs precision >= 2, got 1"}
+
+
+def test_local_commands_refuse_precision_past_the_bound():
+    # in a child process under a timeout, so a lift that runs for hours fails
+    src = str(Path(eczero.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); from eczero.cli import main; main()"
+    point = {"decompose": ["--gen", "3,1,5,1"], "lift-torsion": ["--x", "3", "--y", "5"]}
+    for command, args in point.items():
+        base = [sys.executable, "-c", code, command, "--a", "0", "--b", "-2", "--p", "7", *args]
+        out = subprocess.run([*base, "--prec", "1000000", "--json"], capture_output=True, text=True, timeout=30)
+        assert out.returncode == 1 and out.stdout == ""
+        assert json.loads(out.stderr) == {"error": "precision must be <= 1024, got 1000000"}
+        assert "at most 1024" in run(command, "--help").output
 
 
 def test_verdict_json_fires_rules():

@@ -19,6 +19,7 @@ from eczero.errors import (
 )
 from eczero.fp import FpCurve, FpPoint, is_anomalous, point_at_x
 from eczero.localpoints import (
+    MAX_PRECISION,
     QpPoint,
     _p_times,
     decompose_point,
@@ -36,6 +37,7 @@ from oracles import (
     formal_layer_point,
     formal_nontrivial_oracle,
     on_curve,
+    outcomes_within,
     qp_add,
     qp_neg,
     qp_scalar_mul,
@@ -236,6 +238,32 @@ def test_lift_p_torsion_preconditions():
         lift_p_torsion(E, 7, FpPoint(1, 1), 12)  # not on the reduction
     with pytest.raises(DomainError, match="^model has bad reduction at 7$"):
         lift_p_torsion(Curve(0, -2 * 7**6), 7, FpPoint(3, 5))  # lifts read the model as given
+
+
+def test_local_precision_is_bounded():
+    # A lift's time grows about as the square of its precision: a precision
+    # past MAX_PRECISION is refused before any p^N is formed.  The calls run
+    # under a timeout first, so a regression fails instead of hanging.
+    setup = (
+        "from eczero.fp import FpPoint\n"
+        "from eczero.localpoints import decompose_point, lift_p_torsion\n"
+        "from eczero.rational import Curve, QPoint"
+    )
+    calls = [
+        f"{call}, {prec})"
+        for prec in (MAX_PRECISION + 1, 10**6)
+        for call in ("lift_p_torsion(Curve(0, -2), 7, FpPoint(3, 5)", "decompose_point(Curve(0, -2), QPoint(3, 5), 7")
+    ]
+    assert outcomes_within(setup, calls) == ["DomainError"] * 4
+    with pytest.raises(DomainError, match="^precision must be <= 1024, got 1025$"):
+        lift_p_torsion(E, 7, FpPoint(3, 5), 1025)
+    with pytest.raises(DomainError, match="^precision must be <= 1024, got 1025$"):
+        decompose_point(E, P35, 7, 1025)
+    T0 = lift_p_torsion(E, 7, FpPoint(3, 5), MAX_PRECISION)
+    x, y = T0.x.residue_mod(MAX_PRECISION), T0.y.residue_mod(MAX_PRECISION)
+    assert (x % 7, y % 7) == (3, 5)
+    assert (y * y - x**3 + 2) % 7**MAX_PRECISION == 0
+    assert _p_times(E, 7, x, y, MAX_PRECISION)[2] % 7**MAX_PRECISION == 0
 
 
 def test_decompose_point_paper_example():

@@ -69,6 +69,11 @@ def test_anomalous_primes_d3():
         assert 4 * p == 1 + 3 * v * v
 
 
+def test_anomalous_primes_refuses_bound_below_5():
+    with pytest.raises(DomainError, match="^bound must be >= 5$"):
+        anomalous_primes(K3, 4)
+
+
 def test_anomalous_primes_refuses_bounds_past_2_40_at_once():
     # No anomalous prime past 2^40 can be counted, and the enumeration grows
     # like sqrt(bound): the bound is refused before the loop starts.

@@ -296,6 +296,46 @@ def test_build_row_classifies_reduction_once(monkeypatch):
     assert row.error is None and len(row.verdicts) == 3
     assert calls == [(Curve(0, -2), 7)]
 
+def test_row_eligibility_is_the_middle_term_rule(monkeypatch):
+    # No second eligibility test: a rule that fires nothing leaves every row
+    # without verdicts or t-valuation, and no row fails.
+    def fires_nothing(record, cm_field, cm_asserted=False):
+        return []
+
+    monkeypatch.setattr(eczero.survey, "brauer_middle_term_verdict", fires_nothing)
+    rows, agg = scan_family(_spec(-1, 1, height=100))
+    assert [r.n for r in rows] == [-1, 0, 1]
+    assert [r.generator_status for r in rows] == ["unknown", "found", "found"]
+    for r in rows:
+        assert r.error is None and r.good_p and r.anomalous and r.splits
+        assert r.verdicts == () and r.t_valuation is None and r.formal_nontrivial is None
+    assert agg["errors"] == 0
+
+
+def test_survey_row_label_is_the_record_label(tmp_path):
+    # y^2 + 2xy + 2y = x^3 + 2x^2 + x - 2 is y^2 = x^3 - 2 moved by x = X + 1,
+    # y = Y + X + 1, and carries (3, 5) as (2, 2)
+    f = tmp_path / "curves.jsonl"
+    f.write_text(
+        '{"label": "E0-long", "a1": 2, "a2": 2, "a3": 2, "a4": 1, "a6": -2, "gen": [2, 1, 2, 1]}\n'
+        '{"A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
+    )
+    result = ingest_curves(f)
+    rows, _ = survey_records(result.records, 7, -3)
+    assert [r.label for r in rows] == ["E0-long", "line2"]
+    assert [r.label for r in rows] == [rec.curve.label for rec in result.records]
+    assert rows[0].generator_status == "ingested" and rows[0].t_valuation == 1
+    assert rows[0].verdicts == rows[1].verdicts == (
+        "MiddleTermZpSquared", "BrauerPVanishes", "UnconditionalExactness",
+    )
+
+
+def test_emit_report_rejects_unknown_format():
+    rows, agg = scan_family(_spec(0, 0))
+    with pytest.raises(DomainError, match="^unknown report format 'xml'$"):
+        emit_report(rows, agg, "xml")
+
+
 def test_build_row_captures_errors():
     # ingested generator that is not on the curve
     row = build_row(

@@ -11,6 +11,7 @@ from eczero.verdicts import (
     CITATIONS,
     AdmissibilityConfig,
     Conclusion,
+    Fact,
     HypothesisRecord,
     asserted,
     brauer_middle_term_verdict,
@@ -91,9 +92,21 @@ def test_nd_structure_ablations():
     for missing in ("torsion_level", "wild_ramification", "trivial_ns_action"):
         kw = {k: v for k, v in base.items() if k != missing}
         assert nd_structure_verdict(record_for(E_CUBIC, E_CUBIC, 7, **kw)) is None
+    for unfavorable in (dict(torsion_level=0), dict(wild_ramification=False), dict(trivial_ns_action=False)):
+        assert nd_structure_verdict(record_for(E_CUBIC, E_CUBIC, 7, **{**base, **unfavorable})) is None
     # supersingular factor blocks the rule
     h = record_for(E_CUBIC, E_CUBIC, 5, **base)
     assert nd_structure_verdict(h) is None
+    # so does E2 alone: y^2 = x^3 - 4x is supersingular at 7 = 3 mod 4
+    h = record_for(E_CUBIC, E_QUARTIC, 7, **base)
+    assert h.e1_reduction.value.kind is ReductionKind.GOOD_ORDINARY
+    assert h.e2_reduction.value.kind is ReductionKind.GOOD_SUPERSINGULAR
+    assert nd_structure_verdict(h) is None
+
+
+def test_fact_rejects_unknown_provenance():
+    with pytest.raises(DomainError, match="^unknown provenance 'guessed'$"):
+        Fact(1, "guessed")
 
 
 def test_cm_tower_verdict():
