@@ -19,10 +19,6 @@ class UnsupportedModulusError(DomainError):
     """Modulus outside the range the operation supports."""
 
 
-class NonSimpleRootError(DomainError):
-    """Root-lifting started at a root where the derivative vanishes."""
-
-
 class PrecisionExhaustedError(DomainError):
     """A p-adic result can no longer be certified at the working precision."""
 

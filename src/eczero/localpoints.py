@@ -27,8 +27,10 @@ t-valuation of the formal part.  The lift is Newton on x through [p]: a
 point P above barP is T0 + S with S in E_1, t([p]P) = p t(S) to first
 order, and dx/2y is dt on E_1 to first order, so x - 2y t([p]P)/p is
 x(T0) up to terms of twice the valuation.  v(Z) about doubles each step,
-and the lift stops at v(Z) >= precision + 1, which certifies every one of
-its precision digits.
+so each step works modulo p^k with k doubling, and y is re-solved from x
+on integers modulo p^k by Hensel.  The lift stops at k = precision + 1
+with Z = 0 modulo p^k, i.e. v(Z) >= precision + 1, which certifies every
+one of its precision digits.
 """
 
 from __future__ import annotations
@@ -45,14 +47,11 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, is_anomalous
-from .padic import DEFAULT_PRECISION, PadicNumber, _make, newton_lift, pval
+from .padic import DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, PadicNumber, _make, pval
 from .rational import Curve, QPoint, _minimal_with_scale, torsion_order
 
 _RETRY_FACTOR = 2
 MIN_LIFT_PRECISION = 6
-# The largest precision a caller may ask for.  A lift's time grows about as
-# N^2 at N digits: ~0.5 s at p = 223 and N = 1024 on one Xeon vCPU.
-MAX_PRECISION = 1024
 
 
 @dataclass(frozen=True)
@@ -114,18 +113,32 @@ def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> tupl
     """lift_p_torsion after its checks of curve, prime and target, as the
     residues of T0's coordinates modulo p^precision, by Newton on x
     through [p] (see the module docstring).
+
+    Each step works modulo p^k, with k doubling up to n = precision + 1, and
+    re-solves y^2 = x^3 + a x + b modulo p^k on integers, by Hensel from the
+    last y.  One Hensel correction is not enough: when x moves by a multiple
+    of p, (x, y) lands on a nearby curve, whose torsion point the Newton on
+    x then chases.  The Hensel loop ends because y stays a root of g mod p
+    and a unit: x keeps its residue mod p (v(Z) >= 2), and E(F_p) has odd
+    order p, so no 2-torsion.  An x that left its residue class raises
+    InternalConsistencyError before the loop.
     """
     if precision < MIN_LIFT_PRECISION:
         raise DomainError(f"torsion lifting needs precision >= {MIN_LIFT_PRECISION}")
     n = precision + 1
-    mod = p**n
-    x = target.x
+    x, y = target.x, target.y
+    k = 2
     steps = n.bit_length() + 2
     for _ in range(steps):
+        k = min(2 * k, n)
+        mod = p**k
         g = (x * x * x + curve.a * x + curve.b) % mod
-        y = newton_lift([-g, 0, 1], target.y, p, n).residue_mod(n)
-        X, Y, Z = _p_times(curve, p, x, y, n)
-        if not Z:
+        if (y * y - g) % p:
+            raise InternalConsistencyError(f"torsion lift above x = {target.x} left its residue class mod {p}")
+        while (y * y - g) % mod:
+            y = (y - (y * y - g) * pow(2 * y, -1, mod)) % mod
+        X, Y, Z = _p_times(curve, p, x, y, k)
+        if not Z and k == n:
             return x % p**precision, y % p**precision
         t = -X * Z * pow(Y, -1, mod) % mod
         x = (x - 2 * y * (t // p)) % mod
@@ -276,7 +289,7 @@ def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decompo
     xd = point.x.denominator
     if xd % p == 0:
         # P is in E_1, so it is its own formal part
-        work = precision + 8
+        work = precision + GUARD_DIGITS
         bar, torsion = FpPoint.identity(), QpPoint.identity()
         formal = QpPoint(PadicNumber.from_fraction(point.x, p, work), PadicNumber.from_fraction(point.y, p, work))
         tval = pval(xd, p) // 2

@@ -1,0 +1,110 @@
+"""Mutation catalogue: one-line faults the test suite must catch.
+
+Each entry is (file, old text, new text, test node ids).  The old text must
+occur exactly once in the file, so a refactor that moves it fails loudly
+and the entry is updated with it.  For each entry the runner copies src/
+and tests/ to a temporary directory, applies that one edit and runs the
+named tests there.  It exits 0 only if the unmutated copy passes every
+named test and every mutant fails its own.  A mutant that runs past
+TIMEOUT seconds counts as killed, and is reported as such.
+
+Usage: python tests/mutants.py
+
+The file has no test_ prefix, so the test suite does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LOCAL = "src/eczero/localpoints.py"
+PADIC = "src/eczero/padic.py"
+QUAD = "src/eczero/quadfields.py"
+TIMEOUT = 300
+
+# (file, old text, new text, test node ids)
+MUTANTS = [
+    # the torsion lift: Hensel loop on y, the stop test and the doubling
+    (LOCAL, "        while (y * y - g) % mod:", "        if (y * y - g) % mod:",
+     ["tests/test_localpoints.py"]),
+    (LOCAL, "        if not Z and k == n:", "        if not Z:",
+     ["tests/test_localpoints.py"]),
+    (LOCAL, "        k = min(2 * k, n)", "        k = 2 * k",
+     ["tests/test_localpoints.py"]),
+    (LOCAL, "        x = (x - 2 * y * (t // p)) % mod", "        x = (x - y * (t // p)) % mod",
+     ["tests/test_localpoints.py"]),
+    # the [p] kernel's split criterion and the decomposition's chord
+    (LOCAL, "    if Z % (p * p):", "    if Z % p:",
+     ["tests/test_localpoints.py"]),
+    (LOCAL, "(x0, -y0 % mod, 1)", "(x0, y0 % mod, 1)",
+     ["tests/test_localpoints.py"]),
+    # the output value: its precision floor and bound, and shift
+    (PADIC, "        if not 1 <= precision <= MAX_DIGITS:", "        if not precision <= MAX_DIGITS:",
+     ["tests/test_padic.py"]),
+    (PADIC, "MAX_DIGITS = MAX_PRECISION + GUARD_DIGITS", "MAX_DIGITS = MAX_PRECISION",
+     ["tests/test_cli.py::test_decompose_converts_an_e1_point_at_the_precision_bound"]),
+    (PADIC, "        return replace(self, valuation=self.valuation + s)",
+     "        return replace(self, valuation=self.valuation - s)",
+     ["tests/test_localpoints.py"]),
+    # the bound on the anomalous-residue loop
+    (QUAD, "    if p > RESIDUE_LIMIT:", "    if p > 10 * RESIDUE_LIMIT:",
+     ["tests/test_quadfields.py::test_anomalous_residues_refuse_p_past_the_limit_at_once"]),
+]
+
+
+def _copy() -> tempfile.TemporaryDirectory:
+    tmp = tempfile.TemporaryDirectory(prefix="eczero-mutant-")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, Path(tmp.name) / part, ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp
+
+
+def _run(where: Path, tests: list[str]) -> str:
+    """'passed', 'failed' or 'timeout' for the named tests in a copy."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        out = subprocess.run(cmd, cwd=where, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if out.returncode == 0 else "failed"
+
+
+def _apply(where: Path, file: str, old: str, new: str) -> None:
+    path = where / file
+    text = path.read_text()
+    count = text.count(old)
+    if count != 1:
+        raise SystemExit(f"{file}: old text occurs {count} times, not once: {old!r}")
+    path.write_text(text.replace(old, new))
+
+
+def main() -> int:
+    start = time.monotonic()
+    with _copy() as clean:
+        tests = sorted({t for m in MUTANTS for t in m[3]})
+        baseline = _run(Path(clean), tests)
+        print(f"unmutated: {baseline}", flush=True)
+        if baseline != "passed":
+            return 1
+    survivors = 0
+    for file, old, new, tests in MUTANTS:
+        t0 = time.monotonic()
+        with _copy() as tmp:
+            _apply(Path(tmp), file, old, new)
+            outcome = _run(Path(tmp), tests)
+        verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
+        survivors += outcome == "passed"
+        print(f"{verdict:16} {time.monotonic() - t0:6.1f}s  {file}: {old.strip()!r} -> {new.strip()!r}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in {time.monotonic() - start:.0f}s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

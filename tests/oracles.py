@@ -10,10 +10,12 @@ E(Q_p)/p = (Z/p)^2 by enumerating the classes of a*T0 + b*G1 over a
 p-torsion generator T0 and a depth-1 formal point G1, deciding membership
 in p*E(Q_p) by "reduces to the identity and the formal parameter has
 valuation >= 2".  It never consults decompose_point's F-component path,
-and it adds points by the affine chord-tangent law on PadicNumber
-coordinates below (embed_point, qp_add, t_parameter, ...), which the
-library does not use: decompose_point forms F by a Jacobian chord on
-integers mod p^N.
+and it adds points by the affine chord-tangent law below (embed_point,
+qp_add, t_parameter, ...), which the library does not use: decompose_point
+forms F by a Jacobian chord on integers mod p^N.  The law computes on the
+oracle's PadicNumber, the library's output value with interval-style
+arithmetic added, and its square roots come from the oracle's newton_lift,
+a Hensel lift of a simple root of any integer polynomial.
 The division-polynomial oracle expands psi_m as an integer polynomial by
 the classical recurrence, whose roots the library's torsion lifts must be.
 The point-count oracle tries every (x, y) in F_p^2.
@@ -26,10 +28,11 @@ interpreter can import this module as ``oracles``.
 """
 
 from eczero.localpoints import QpPoint, lift_p_torsion
-from eczero.arith import cornacchia, double_and_add, require_curve_prime
+from eczero.arith import cornacchia, double_and_add, is_prime, require_curve_prime
 from eczero.errors import DomainError, InternalConsistencyError, PrecisionExhaustedError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, point_at_x
-from eczero.padic import DEFAULT_PRECISION, PadicNumber, newton_lift
+from eczero import padic
+from eczero.padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, _require, pval
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from functools import partial
@@ -88,6 +91,170 @@ def generator_oracle(curve: Curve, height: int) -> QPoint | None:
     return next((P for P in point_search_oracle(curve, height) if torsion_order_oracle(curve, P) is None), None)
 
 
+# --- p-adic arithmetic, for the affine group law -----------------------------
+#
+# The library's PadicNumber is an output value without arithmetic.  The
+# oracle's subclass adds interval-style arithmetic: every operation returns
+# the precision its operands justify (addition may lose relative digits on
+# cancellation, multiplication keeps the minimum), and a result certified to
+# fewer than MIN_RELATIVE_PRECISION digits raises PrecisionExhaustedError.
+# Library outputs enter it through as_oracle.
+
+
+class NonSimpleRootError(DomainError):
+    """Root-lifting started at a root where the derivative vanishes."""
+
+
+class PadicNumber(padic.PadicNumber):
+    """A library PadicNumber with + - * /, agrees_with and truncate."""
+
+    def truncate(self, abs_precision: int) -> "PadicNumber":
+        """The same value re-certified at a smaller absolute precision."""
+        if abs_precision > self.abs_precision:
+            raise PrecisionExhaustedError("cannot truncate upward")
+        if self.is_zero or self.valuation >= abs_precision:
+            return PadicNumber.zero(self.p, abs_precision)
+        n = abs_precision - self.valuation
+        return PadicNumber(self.p, self.valuation, self.unit % self.p**n, n)
+
+    def _check(self, other) -> "PadicNumber":
+        if isinstance(other, (int, Fraction)):
+            return _coerce_exact(other, self.p, self.abs_precision + abs(self.valuation) + 4)
+        if not isinstance(other, padic.PadicNumber):
+            raise DomainError(f"cannot combine PadicNumber with {type(other).__name__}")
+        if other.p != self.p:
+            raise DomainError("mixed residue characteristics")
+        return as_oracle(other)
+
+    def __neg__(self):
+        if self.is_zero:
+            return self
+        return PadicNumber(self.p, self.valuation, (-self.unit) % self.p**self.precision, self.precision)
+
+    def __add__(self, other):
+        other = self._check(other)
+        va = 0 if self.is_zero else self.valuation
+        vb = 0 if other.is_zero else other.valuation
+        s = max(0, -min(va, vb))
+        if s:
+            # clear denominators: add p^s * x and shift back, exactly
+            return (self.shift(s) + other.shift(s)).shift(-s)
+        abs_prec = min(self.abs_precision, other.abs_precision)
+        if abs_prec <= 0:
+            raise PrecisionExhaustedError("sum carries no certified digits")
+        total = self.residue_mod(abs_prec) + other.residue_mod(abs_prec)
+        return _make(self.p, total, abs_prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self._check(other))
+
+    def __rsub__(self, other):
+        return (-self) + self._check(other)
+
+    def __mul__(self, other):
+        other = self._check(other)
+        if self.is_zero or other.is_zero:
+            # 0 mod p^k times a value of valuation v is 0 mod p^(k+v)
+            k = self.valuation if self.is_zero else other.valuation
+            v = other.valuation if self.is_zero else self.valuation
+            return PadicNumber.zero(self.p, k + v)
+        n = min(self.precision, other.precision)
+        _require(n, self.p)
+        return PadicNumber(
+            self.p,
+            self.valuation + other.valuation,
+            self.unit * other.unit % self.p**n,
+            n,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._check(other)
+        if other.is_zero:
+            raise PrecisionExhaustedError(
+                f"division by a value indistinguishable from 0 mod p^{other.valuation}"
+            )
+        if self.is_zero:
+            k = self.valuation - other.valuation
+            if k < 1:
+                raise PrecisionExhaustedError("quotient carries no certified digits")
+            return PadicNumber.zero(self.p, k)
+        n = min(self.precision, other.precision)
+        _require(n, self.p)
+        mod = self.p**n
+        return PadicNumber(
+            self.p,
+            self.valuation - other.valuation,
+            self.unit * pow(other.unit, -1, mod) % mod,
+            n,
+        )
+
+    def __rtruediv__(self, other):
+        return self._check(other) / self
+
+    def agrees_with(self, other: "PadicNumber") -> bool:
+        """True when the two values coincide at their shared precision."""
+        other = self._check(other)
+        va = 0 if self.is_zero else self.valuation
+        vb = 0 if other.is_zero else other.valuation
+        s = max(0, -min(va, vb))
+        a, b = self.shift(s), other.shift(s)
+        k = min(a.abs_precision, b.abs_precision)
+        if k <= 0:
+            raise PrecisionExhaustedError("values share no certified digits")
+        return a.residue_mod(k) == b.residue_mod(k)
+
+
+def as_oracle(z: padic.PadicNumber) -> PadicNumber:
+    """A library PadicNumber as the same value with the oracle's arithmetic."""
+    return PadicNumber(z.p, z.valuation, z.unit, z.precision)
+
+
+def _make(p: int, residue: int, abs_prec: int) -> PadicNumber:
+    return as_oracle(padic._make(p, residue, abs_prec))
+
+
+def _coerce_exact(value, p: int, abs_prec: int) -> PadicNumber:
+    # exact integers/rationals enter at whatever precision the context needs
+    q = Fraction(value)
+    if q == 0:
+        return PadicNumber.zero(p, max(abs_prec, 1))
+    v = pval(q.numerator, p) - pval(q.denominator, p)
+    rel = max(abs_prec - v, MIN_RELATIVE_PRECISION)
+    return PadicNumber.from_fraction(q, p, rel)
+
+
+def newton_lift(f: list[int], r0: int, p: int, precision: int) -> PadicNumber:
+    """The unique root r = r0 (mod p) of f in Z_p, to absolute precision N.
+
+    Requires Hensel's simple-root condition: f(r0) = 0 and f'(r0) != 0
+    modulo p.  Precision doubles each Newton step.  N must be at least
+    MIN_RELATIVE_PRECISION, the fewest digits a PadicNumber may carry;
+    a smaller N raises DomainError.
+    """
+    if not is_prime(p):
+        raise DomainError("newton_lift requires a prime p")
+    if precision < MIN_RELATIVE_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_RELATIVE_PRECISION}")
+    fprime = poly_deriv(f)
+    r0 %= p
+    if poly_eval(f, r0, p) != 0:
+        raise DomainError(f"{r0} is not a root of f modulo {p}")
+    if poly_eval(fprime, r0, p) == 0:
+        raise NonSimpleRootError("f'(r0) = 0 mod p: Hensel's condition fails")
+    x = r0
+    k = 1
+    while k < precision:
+        k = min(2 * k, precision)
+        mod = p**k
+        d = poly_eval(fprime, x, mod)
+        x = (x - poly_eval(f, x, mod) * pow(d, -1, mod)) % mod
+    return _make(p, x % p**precision, precision)
+
+
 # --- the affine group law on E(Q_p), for the decomposition oracle -----------
 
 
@@ -108,14 +275,14 @@ def on_curve(curve: Curve, point: QpPoint) -> bool:
     """Check y^2 = x^3 + ax + b at the precision the coordinates carry."""
     if point.is_identity:
         return True
-    x, y = point.x, point.y
+    x, y = as_oracle(point.x), as_oracle(point.y)
     return (y * y - (x * x * x + x * curve.a + curve.b)).is_zero
 
 
 def qp_neg(point: QpPoint) -> QpPoint:
     if point.is_identity:
         return point
-    return QpPoint(point.x, -point.y)
+    return QpPoint(point.x, -as_oracle(point.y))
 
 
 def qp_add(curve: Curve, P: QpPoint, Q: QpPoint) -> QpPoint:
@@ -124,6 +291,7 @@ def qp_add(curve: Curve, P: QpPoint, Q: QpPoint) -> QpPoint:
         return Q
     if Q.is_identity:
         return P
+    P, Q = (QpPoint(as_oracle(R.x), as_oracle(R.y)) for R in (P, Q))
     dx = Q.x - P.x
     if dx.is_zero:
         dy = Q.y - P.y
@@ -183,7 +351,7 @@ def t_parameter(curve: Curve, point: QpPoint, p: int) -> PadicNumber:
         raise DomainError("the identity has no formal parameter")
     if not reduce_point(curve, point, p).is_identity:
         raise DomainError("point is not in the kernel of reduction")
-    t = -(point.x / point.y)
+    t = -(as_oracle(point.x) / point.y)
     if t.is_zero or t.valuation < 1:
         raise InternalConsistencyError("formal parameter must have valuation >= 1")
     return t
@@ -335,6 +503,23 @@ def poly_degree(u: Poly) -> int:
     while d > 0 and u[d] == 0:
         d -= 1
     return d
+
+
+def poly_eval(u: list[int], x, mod: int | None = None):
+    """u(x) by Horner's rule, coefficients in ascending order; reduced mod `mod` if given."""
+    acc = 0
+    for c in reversed(u):
+        acc = acc * x + c
+        if mod is not None:
+            acc %= mod
+    return acc
+
+
+def poly_deriv(u: list[int]) -> list[int]:
+    """Formal derivative, coefficients in ascending order; [0] for a constant."""
+    if len(u) <= 1:
+        return [0]
+    return [i * c for i, c in enumerate(u)][1:]
 
 
 class _DivisionPolynomials:

