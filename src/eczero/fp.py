@@ -4,11 +4,12 @@ Counting has two routes.  For p <= 229 a sweep reads `arith.squares_mod`.
 Above Mestre's bound, 229 < p <= 2^40, a curve with the j-invariant of one
 of the nine class-number-one maximal orders O_D starts from its CM orders
 (Cornacchia's 4p = u^2 + |D| v^2 and `arith.unit_orbit`), any other curve
-from the Hasse interval.  The walk's points cut either set, then the
-quadratic twist's points cut the mirrored orders; E or its twist always
-has a point that leaves one.  If more are left, the sweep decides for
-p <= 2^16 and an InternalConsistencyError is raised above, so the
-returned order is always exact and no sweep runs past 2^16 steps.
+from the Hasse interval, which each point cuts to the multiples of its
+kill step.  The walk's points cut either set, then the quadratic twist's
+points cut the mirrored orders; E or its twist always has a point that
+leaves one.  If more are left, the sweep decides for p <= 2^16 and an
+InternalConsistencyError is raised above, so the returned order is
+always exact and no sweep runs past 2^16 steps.
 """
 
 from __future__ import annotations
@@ -155,9 +156,12 @@ def count_points_naive(curve: FpCurve) -> int:
     return total
 
 
-def _kill_values(curve: FpCurve, P, lo: int, width: int) -> range | set[int]:
-    # All n in [lo, lo + width) with [n]P = O.  A small order comes back as
-    # the progression of its multiples, which may hold millions of numbers.
+def _kill_step(curve: FpCurve, P, lo: int, width: int) -> int:
+    # The L whose multiples in [lo, lo + width) are exactly the n there with
+    # [n]P = O.  In the Hasse interval those n are the multiples of ord(P):
+    # a small order is its own step, two hits differ by ord(P), and one hit
+    # n0 is a step too, since 2 n0 lies past the interval.  No hit, which
+    # only a bug can cause, gives 0, whose one multiple 0 lies below it.
     p = curve.p
     add = partial(_add, p, curve.a)
     m = isqrt(width) + 1
@@ -165,35 +169,22 @@ def _kill_values(curve: FpCurve, P, lo: int, width: int) -> range | set[int]:
     R = (None, None)
     for j in range(m):
         if R in table:
-            # Walk revisited a point: ord(P) = j - table[R] (= j, since R
-            # first repeats at the identity).
-            order = j - table[R]
-            return range(lo + (-lo) % order, lo + width, order)
+            return j  # R first repeats at the identity: ord(P) = j
         table[R] = j
         R = add(R, P)
-    hits = set()
-    base = double_and_add(add, lo, P, (None, None))
+    first = 0
+    G = double_and_add(add, lo, P, (None, None))
     stride = double_and_add(add, m, P, (None, None))
-    G = base
-    i = 0
-    while i * m < width:
-        # [lo + i*m + j]P = O  <=>  [j]P = -G
-        negG = (G[0], (-G[1]) % p) if G[0] is not None else G
-        j = table.get(negG)
-        if j is not None and i * m + j < width:
-            hits.add(lo + i * m + j)
+    for i in range(0, width, m):
+        # [lo + i + j]P = O  <=>  [j]P = -G; a hit past the interval is
+        # still the next multiple of ord(P), so it needs no test
+        j = table.get(G if G[0] is None else (G[0], -G[1] % p))
+        if j is not None:
+            if first:
+                return lo + i + j - first
+            first = lo + i + j
         G = add(G, stride)
-        i += 1
-    return hits
-
-
-def _intersect(u: range | set[int], v: range | set[int], lo: int, width: int) -> range | set[int]:
-    # Every range here holds all multiples of its step in [lo, lo + width).
-    if isinstance(u, range) and isinstance(v, range):
-        step = lcm(u.step, v.step)
-        return range(lo + (-lo) % step, lo + width, step)
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    return {n for n in small if n in big}
+    return first
 
 
 def _walk_points(curve: FpCurve):
@@ -202,11 +193,12 @@ def _walk_points(curve: FpCurve):
     return islice(((P.x, P.y) for P in points if P is not None), _ORDER_POINTS)
 
 
-def _kill_cut(curve: FpCurve, P, cands: range | set[int]) -> range | set[int]:
-    # The candidates n with [n]P = O, from P's kill set in the Hasse interval.
+def _kill_cut(curve: FpCurve, P, cands: range) -> range:
+    # The candidates n with [n]P = O: the multiples of both steps, or none.
     s = isqrt(4 * curve.p)
     lo, width = curve.p + 1 - s, 2 * s + 1
-    return _intersect(cands, _kill_values(curve, P, lo, width), lo, width)
+    step = lcm(cands.step, _kill_step(curve, P, lo, width))
+    return range(lo + (-lo) % step, lo + width, step) if step else range(0)
 
 
 def _multiple_cut(curve: FpCurve, P, cands: set[int]) -> set[int]:
@@ -225,7 +217,7 @@ def _multiple_cut(curve: FpCurve, P, cands: set[int]) -> set[int]:
 
 def _order_candidates(curve: FpCurve, cands: range | set[int]) -> range | set[int]:
     # Cut by each walked point until at most one candidate is left: a range
-    # (the Hasse interval) by kill sets, a set (CM orders) by shared multiples.
+    # (the Hasse interval) by kill steps, a set (CM orders) by shared multiples.
     cut = _kill_cut if isinstance(cands, range) else _multiple_cut
     points = _walk_points(curve)
     while len(cands) > 1 and (P := next(points, None)) is not None:
@@ -262,9 +254,10 @@ def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
 def count_points_bsgs(curve: FpCurve) -> int:
     """|E(F_p)| from the whole Hasse interval, whatever j(E) is.
 
-    The curve's and then its quadratic twist's points cut the interval by
-    baby-step/giant-step kill sets; if more than one order is left, the
-    sweep decides for p <= 2^16 and InternalConsistencyError is raised above.
+    The curve's and then its quadratic twist's points cut the interval to
+    the multiples of their baby-step/giant-step kill steps; if more than one
+    order is left, the sweep decides for p <= 2^16 and InternalConsistencyError
+    is raised above.
     """
     s = isqrt(4 * curve.p)
     return _resolve(curve, range(curve.p + 1 - s, curve.p + 2 + s))
@@ -283,33 +276,37 @@ def _cm_disc(curve: FpCurve) -> int | None:
     return None
 
 
-def _cm_traces(D: int, p: int) -> set[int] | None:
-    # Every trace of a norm-p element of O_D, or None if Cornacchia finds
-    # no representation 4p = u^2 + |D| v^2.
+def _cm_traces(D: int, p: int) -> set[int]:
+    # Every trace of a norm-p element of O_D, at a prime p split in it.  O_D
+    # has class number one, so p is a norm: 4p = u^2 + |D| v^2 always has a
+    # solution, and Cornacchia finding none is a bug.
     uv = cornacchia(-D, p)
-    return None if uv is None else {t for u, _ in unit_orbit(-D, *uv) for t in (u, -u)}
+    if uv is None:
+        raise InternalConsistencyError(f"Cornacchia found no 4p = u^2 + {-D} v^2 at the split prime {p}")
+    return {t for u, _ in unit_orbit(-D, *uv) for t in (u, -u)}
 
 
 def _cm_orders(curve: FpCurve) -> set[int] | None:
-    # The orders a curve with j(E) = j_D can have, or None without such a D
-    # or a Cornacchia representation.  An inert p makes E supersingular, so
-    # a_p = 0 (Deuring, p >= 5).  At a split p, E is ordinary with
-    # End(E) = O_D, so Frobenius is a norm-p element of O_D.
+    # The orders a curve with j(E) = j_D can have, or None without such a D.
+    # An inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
+    # split p, E is ordinary with End(E) = O_D, so Frobenius is a norm-p
+    # element of O_D.
     D = _cm_disc(curve)
     if D is None:
         return None
     p = curve.p
     traces = {0} if kronecker_symbol(D, p) == -1 else _cm_traces(D, p)
-    return None if traces is None else {p + 1 - t for t in traces}
+    return {p + 1 - t for t in traces}
 
 
 def count_points(curve: FpCurve) -> int:
     """Exact group order |E(F_p)| including the identity.
 
     The sweep counts for p <= 229.  Up to 2^40 a curve with the j-invariant
-    of a class-number-one maximal order is resolved from its CM orders, any
-    other curve from the Hasse interval (count_points_bsgs), both with the
-    twist and the same fallback.  Larger p raise UnsupportedModulusError.
+    of a class-number-one maximal order is resolved from its CM orders and
+    never reaches count_points_bsgs, any other curve from the Hasse interval
+    (count_points_bsgs); both routes use the twist and the same fallback.
+    Larger p raise UnsupportedModulusError.
     """
     p = curve.p
     if p <= _NAIVE_LIMIT:

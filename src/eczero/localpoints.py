@@ -12,9 +12,9 @@ from [p]P = [p]F without lifting T0.
 F is one Jacobian chord of P and -T0 from Z = 1, on integers modulo p^N
 with N = precision + 4, the lift's precision.  Its Z is x(T0) - x(P), and
 F = (X/Z^2, Y/Z^3) with X and Y units, so t_valuation = v_p(x(P) - x(T0)).
-Only the reported coordinates become PadicNumbers, with N - v(Z) digits.
-Fewer than MIN_RELATIVE_PRECISION digits, or Z = 0 modulo p^N, raise
-PrecisionExhaustedError.  A point already in E_1 is its own formal part,
+Only the reported coordinates become PadicNumbers; F's carry N - v(Z)
+digits, and fewer than MIN_RELATIVE_PRECISION of them, or Z = 0 modulo p^N,
+raise PrecisionExhaustedError.  A point already in E_1 is its own formal part,
 with t_valuation = v_p(den x) / 2.
 
 Torsion lifting and formal_t_valuation share one kernel, [p] of an
@@ -47,7 +47,7 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, is_anomalous
-from .padic import DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, PadicNumber, _make, pval
+from .padic import DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, PadicNumber, _make, _require, pval
 from .rational import Curve, QPoint, _minimal_with_scale, torsion_order
 
 _RETRY_FACTOR = 2
@@ -254,7 +254,7 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     precision = 2
     while True:
         _, _, Z = _p_times(minimal, p, *_residues(point, p**precision), precision)
-        vz = pval(Z, p, cap=precision)
+        vz = pval(Z, p) if Z else precision
         if vz < precision:
             return vz - 1
         precision *= 2
@@ -310,6 +310,7 @@ def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decompo
         # and Y = -R^3 are units: x(F) = X/Z^2 and y(F) = Y/Z^3 with Z = p^m u,
         # both known to work - m digits
         tval = pval(Z, p)
+        _require(work - tval, p)
         inv = pow(Z // p**tval, -1, mod)
         formal = QpPoint(
             _make(p, X * inv * inv, work - tval).shift(-2 * tval),

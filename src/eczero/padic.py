@@ -7,8 +7,9 @@ precision k; comparisons against it are explicit via ``is_zero``.
 
 The local layer computes on integers modulo p^N and reports its results
 as PadicNumbers; there is no arithmetic on them.  ``_make`` turns a residue
-into a value, and a value certified to fewer than ``MIN_RELATIVE_PRECISION``
-digits raises ``PrecisionExhaustedError`` instead of flowing on as noise.
+into a value with every digit the residue certifies.  ``_require`` raises
+``PrecisionExhaustedError`` for fewer than ``MIN_RELATIVE_PRECISION`` digits,
+where a caller's digits may be noise rather than a short certified answer.
 """
 
 from __future__ import annotations
@@ -30,20 +31,16 @@ GUARD_DIGITS = 8
 MAX_DIGITS = MAX_PRECISION + GUARD_DIGITS
 
 
-def pval(n: int, p: int, cap: int | None = None) -> int:
-    """v_p(n) for n != 0 and p >= 2; with a cap, min(v_p(n), cap) and v(0) = cap."""
+def pval(n: int, p: int) -> int:
+    """v_p(n) for n != 0 and p >= 2."""
     if p < 2:
         raise DomainError(f"valuation needs p >= 2, got {p}")
     if n == 0:
-        if cap is None:
-            raise DomainError("valuation of exact zero is infinite")
-        return cap
+        raise DomainError("valuation of exact zero is infinite")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-        if cap is not None and v >= cap:
-            return cap
     return v
 
 
@@ -61,8 +58,6 @@ class PadicNumber:
     @property
     def abs_precision(self) -> int:
         """Exponent k such that the value is known modulo p^k."""
-        if self.is_zero:
-            return self.valuation
         return self.valuation + self.precision
 
     @classmethod
@@ -106,8 +101,6 @@ class PadicNumber:
 
     def digits(self) -> list[int]:
         """Base-p digits of the unit part, least significant first."""
-        if self.is_zero:
-            return []
         out = []
         u = self.unit
         for _ in range(self.precision):
@@ -134,5 +127,4 @@ def _make(p: int, residue: int, abs_prec: int) -> PadicNumber:
         return PadicNumber.zero(p, abs_prec)
     v = pval(residue, p)
     n = abs_prec - v
-    _require(n, p)
     return PadicNumber(p, v, (residue // p**v) % p**n, n)

@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LOCAL = "src/eczero/localpoints.py"
 PADIC = "src/eczero/padic.py"
 QUAD = "src/eczero/quadfields.py"
+FP = "src/eczero/fp.py"
+ARITH = "src/eczero/arith.py"
 TIMEOUT = 300
 
 # (file, old text, new text, test node ids)
@@ -55,6 +57,29 @@ MUTANTS = [
     # the bound on the anomalous-residue loop
     (QUAD, "    if p > RESIDUE_LIMIT:", "    if p > 10 * RESIDUE_LIMIT:",
      ["tests/test_quadfields.py::test_anomalous_residues_refuse_p_past_the_limit_at_once"]),
+    # order resolution: the kill step, its cut, the CM cut and the twist's mirror
+    (FP, "    step = lcm(cands.step, _kill_step(curve, P, lo, width))",
+     "    step = max(cands.step, _kill_step(curve, P, lo, width))",
+     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    (FP, "                return lo + i + j - first", "                return lo + i + j",
+     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    (FP, "    return range(lo + (-lo) % step, lo + width, step) if step else range(0)",
+     "    return range(lo + (-lo) % step, lo + width, step)",
+     ["tests/test_fp.py::test_a_walk_without_hits_ends_in_the_fallback"]),
+    (FP, "((t, T), (-t, negT))", "((t, negT), (-t, T))",
+     ["tests/test_fp.py::test_cm_route_matches_naive_on_sweep_curves_to_2_12"]),
+    (FP, "{2 * p + 2 - n for n in cands}", "{2 * p + 1 - n for n in cands}",
+     ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
+    (FP, "for t in (u, -u)}", "for t in (u,)}",
+     ["tests/test_fp.py::test_cm_traces_are_every_frobenius_trace_of_O_D"]),
+    # the number-theory kernels under it
+    (ARITH, "((u + 3 * v) // 2, abs(u - v) // 2)", "((u + v) // 2, abs(u - v) // 2)",
+     ["tests/test_arith.py::test_unit_orbit_members_are_representations_with_one_orbit"]),
+    (ARITH, "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+     "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)",
+     ["tests/test_arith.py::test_is_prime_large_composites"]),
+    (ARITH, "        r = pow(a, (p + 1) // 4, p)", "        r = pow(a, (p - 1) // 4, p)",
+     ["tests/test_arith.py::test_sqrt_mod_p_examples"]),
 ]
 
 

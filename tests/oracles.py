@@ -214,7 +214,11 @@ def as_oracle(z: padic.PadicNumber) -> PadicNumber:
 
 
 def _make(p: int, residue: int, abs_prec: int) -> PadicNumber:
-    return as_oracle(padic._make(p, residue, abs_prec))
+    # every value the oracle's arithmetic makes keeps the digit floor
+    z = padic._make(p, residue, abs_prec)
+    if not z.is_zero:
+        _require(z.precision, p)
+    return as_oracle(z)
 
 
 def _coerce_exact(value, p: int, abs_prec: int) -> PadicNumber:

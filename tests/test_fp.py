@@ -329,17 +329,36 @@ def test_small_order_points_near_2_40_stay_small(ab):
                 assert fp_scalar_mul(E, order, P).is_identity
 
 
-def test_kill_set_intersection_matches_set_intersection():
-    # A small order's kill set is kept as the progression of its multiples
-    # in [lo, lo + width); intersecting must agree with the sets it stands for.
-    lo, width = 1000, 127
-    rng = random.Random(4)
-    for _ in range(300):
-        steps = (rng.randint(1, 40), rng.randint(1, 40))
-        u, v = (range(lo + (-lo) % k, lo + width, k) for k in steps)
-        hits = set(rng.sample(range(lo, lo + width), rng.randint(0, 12)))
-        for x, y in ((u, v), (u, hits), (hits, v), (hits, set(v))):
-            assert set(eczero.fp._intersect(x, y, lo, width)) == set(x) & set(y)
+def test_kill_step_multiples_are_the_kill_set():
+    # In the Hasse interval the n with [n]P = O are exactly the multiples of
+    # _kill_step's L, checked by brute force at every prime in (229, 1500) on
+    # the first walked point of three seeded curves and of y^2 = x^3 - 2 and
+    # y^2 = x^3 - 4x.  There x = 0 gives order 3 where (-2|p) = 1 and order
+    # 2 always, so each of the three ways to an L is taken: a small order,
+    # one hit, and the difference of two.  _kill_cut must then keep exactly
+    # the candidates in that set, from the multiples of 2, 3 or 4.
+    rng = random.Random(1500)
+    kinds, smalls = set(), set()
+    for p in range(231, 1500, 2):
+        if not is_prime(p):
+            continue
+        s = isqrt(4 * p)
+        lo, width = p + 1 - s, 2 * s + 1
+        cases = [(_random_curve(rng, p), None) for _ in range(3)]
+        cases += [(FpCurve(p, 0, -2), 3), (FpCurve(p, -4, 0), 2)]
+        for curve, small in cases:
+            P = next(eczero.fp._walk_points(curve))
+            L = eczero.fp._kill_step(curve, P, lo, width)
+            kill = {n for n in range(lo, lo + width) if fp_scalar_mul(curve, n, FpPoint(*P)).is_identity}
+            assert {n for n in range(lo, lo + width) if n % L == 0} == kill, (curve, P)
+            for k in (2, 3, 4):
+                cands = range(lo + (-lo) % k, lo + width, k)
+                assert set(eczero.fp._kill_cut(curve, P, cands)) == set(cands) & kill, (curve, P, k)
+            kinds.add("small" if L <= isqrt(width) else "one hit" if L >= lo else "two hits")
+            if small and P[0] == 0:
+                assert L == small, curve
+                smalls.add(small)
+    assert kinds == {"small", "one hit", "two hits"} and smalls == {2, 3}
 
 
 def _ambiguous(curve, cands):
@@ -371,6 +390,17 @@ def test_ambiguous_bsgs_raises_above_2_16(monkeypatch):
     for curve in _AMBIGUOUS_LARGE:
         with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
             count_points(curve)
+
+
+def test_a_walk_without_hits_ends_in_the_fallback(monkeypatch):
+    # No kill step (0, which only a bug gives) leaves no candidate, so the
+    # count ends in the sweep up to 2^16 and in an error above, never in a
+    # TypeError.
+    monkeypatch.setattr(eczero.fp, "_kill_step", lambda curve, P, lo, width: 0)
+    small, large = _AMBIGUOUS_SMALL[0], _AMBIGUOUS_LARGE[0]
+    assert count_points(small) == count_points_naive(small)
+    with pytest.raises(InternalConsistencyError, match="left 0 candidate orders"):
+        count_points(large)
 
 
 # CM route: curves whose j-invariant is that of a class-number-one maximal
@@ -528,10 +558,13 @@ def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
     assert calls == []
 
 
-def test_cm_route_falls_back_to_bsgs_without_cornacchia(monkeypatch):
+def test_cm_route_raises_without_cornacchia(monkeypatch):
+    # O_D has class number one, so a split p is a norm and Cornacchia always
+    # finds 4p = u^2 + |D| v^2: finding none is a bug, raised as such, and
+    # the curve is not sent to BSGS.
     curve = FpCurve(65537, -4, 0)  # 65537 = 1 mod 4 splits in Q(i)
-    expected = count_points(curve)
     calls = _spy_bsgs(monkeypatch)
     monkeypatch.setattr(eczero.fp, "cornacchia", lambda d, p: None)
-    assert count_points(curve) == expected
-    assert calls == [curve]
+    with pytest.raises(InternalConsistencyError, match="split prime 65537"):
+        count_points(curve)
+    assert calls == []

@@ -249,6 +249,17 @@ def test_lift_re_solves_y_in_full_after_x_moves():
         assert _p_times(curve, 5, x, y, precision)[2] % 5**precision == 0
 
 
+def test_lift_returns_a_coordinate_near_0_with_its_certified_digits():
+    # x(T0) = 15757*13^4 + O(13^8), so at precision 6 it carries 2 digits
+    # past its valuation; each is certified, so the lift returns them
+    curve, target = Curve(6625, -8518), FpPoint(0, 6)
+    T0 = lift_p_torsion(curve, 13, target, 6)
+    T0_hi = lift_p_torsion(curve, 13, target, 8)
+    assert (T0.x.valuation, T0.x.precision) == (4, 2)
+    assert T0.x.residue_mod(6) == T0_hi.x.residue_mod(6)
+    assert T0.y.residue_mod(6) == T0_hi.y.residue_mod(6)
+
+
 def test_lift_p_torsion_preconditions():
     with pytest.raises(DomainError):
         lift_p_torsion(E, 7, FpPoint.identity(), 12)

@@ -190,7 +190,6 @@ def test_newton_lift_root_invariants():
 
 def test_pval():
     assert pval(49, 7) == 2
-    assert pval(0, 7, cap=9) == 9
     with pytest.raises(DomainError):
         pval(0, 7)
 
