@@ -213,8 +213,9 @@ def double_and_add(add, k: int, P, zero):
     """[k]P for k >= 0 in the group with addition `add` and identity `zero`.
 
     Right-to-left binary method: popcount(k) additions and bit_length(k) - 1
-    doublings, none after the top bit.  The F_p, Q and Q_p scalar
-    multiplications all run this one loop.
+    doublings, none after the top bit.  The F_p and Q scalar
+    multiplications and the local layer's Jacobian [p] mod p^N all run
+    this one loop.
     """
     R = zero
     while k:

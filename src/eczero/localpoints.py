@@ -9,13 +9,17 @@ valuation of the formal parameter t = -x/y of F (1 versus >= 2) is the
 decision bit consumed by the verdict layer; formal_t_valuation reads it
 from [p]P = [p]F without lifting T0.
 
-F is one Jacobian chord of P and -T0 from Z = 1, on integers modulo p^N
-with N = precision + 4, the lift's precision.  Its Z is x(T0) - x(P), and
-F = (X/Z^2, Y/Z^3) with X and Y units, so t_valuation = v_p(x(P) - x(T0)).
-Only the reported coordinates become PadicNumbers; F's carry N - v(Z)
-digits, and fewer than MIN_RELATIVE_PRECISION of them, or Z = 0 modulo p^N,
-raise PrecisionExhaustedError.  A point already in E_1 is its own formal part,
-with t_valuation = v_p(den x) / 2.
+P is read as its Jacobian triple (m, n, e), x = m/e^2 and y = n/e^3, which
+is exact on the integral minimal model.  A point already in E_1 is its own
+formal part: F is (m, n, e), exactly, with t_valuation = v_p(e).
+Otherwise F is one Jacobian chord of (m, n, e) and (x(T0), -y(T0), 1) on
+integers modulo p^N, with N = precision + 4, the lift's precision.  Its Z
+is e^3 (x(T0) - x(P)) with e a unit, so t_valuation = v_p(x(P) - x(T0)).
+Either way F = (X/Z^2, Y/Z^3) with X and Y units and Z = p^t u, and one
+reporter turns it into PadicNumbers: X u^-2 and Y u^-3 to d digits, shifted
+by -2t and -3t.  d is precision + GUARD_DIGITS for the exact triple and
+N - t for the chord; fewer than MIN_RELATIVE_PRECISION digits, or Z = 0
+modulo p^N, raise PrecisionExhaustedError.
 
 Torsion lifting and formal_t_valuation share one kernel, [p] of an
 integral point in Jacobian coordinates modulo p^N (_p_times), and one split
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 
 from .arith import double_and_add, require_curve_prime
 from .errors import (
@@ -201,8 +206,7 @@ def _p_times(curve: Curve, p: int, x: int, y: int, precision: int) -> tuple[int,
 class Decomposition:
     """P = F + T0 with F in the kernel of reduction and [p]T0 = O.
 
-    ``t_valuation`` is the valuation of the formal parameter of F, and
-    ``formal_nontrivial`` is the t_valuation == 1 criterion.
+    ``t_valuation`` is the valuation of the formal parameter of F.
     """
 
     p: int
@@ -210,8 +214,12 @@ class Decomposition:
     torsion: QpPoint
     formal: QpPoint
     t_valuation: int
-    formal_nontrivial: bool
     precision: int
+
+    @property
+    def formal_nontrivial(self) -> bool:
+        """The t_valuation == 1 criterion."""
+        return self.t_valuation == 1
 
 
 def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAULT_PRECISION) -> Decomposition:
@@ -231,44 +239,39 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     if precision < 1:
         raise DomainError(f"decomposition needs precision >= 1, got {precision}")
     _require_bounded(precision)
-    minimal, point = _on_minimal_model(curve, point, p)
+    minimal, P = _on_minimal_model(curve, point, p)
     try:
-        return _decompose(minimal, point, p, precision)
+        return _decompose(minimal, P, p, precision)
     except PrecisionExhaustedError:
-        return _decompose(minimal, point, p, _RETRY_FACTOR * precision)
+        return _decompose(minimal, P, p, _RETRY_FACTOR * precision)
 
 
 def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     """decompose_point(curve, point, p).t_valuation, without lifting T0.
 
-    A point in E_1 is its own formal part: v_p(den x) / 2.  Otherwise [p]P =
-    [p]F, so v(Z) of Jacobian [p]P mod p^N decides, as the module docstring
-    says: 1 raises SplitHypothesisError, and v(Z) < N gives v(Z) - 1.  N
-    doubles from 2 until v(Z) < N, which ends because P has infinite order.
-    Other errors are decompose_point's.
+    A point (m/e^2, n/e^3) in E_1 is its own formal part: v_p(e).
+    Otherwise [p]P = [p]F, so v(Z) of Jacobian [p]P mod p^N decides, as the
+    module docstring says: 1 raises SplitHypothesisError, and v(Z) < N gives
+    v(Z) - 1.  N doubles from 2 until v(Z) < N, which ends because P has
+    infinite order.  Other errors are decompose_point's.
     """
-    minimal, point = _on_minimal_model(curve, point, p)
-    xd = point.x.denominator
-    if xd % p == 0:
-        return pval(xd, p) // 2
+    minimal, (m, n, e) = _on_minimal_model(curve, point, p)
+    if e % p == 0:
+        return pval(e, p)
     precision = 2
     while True:
-        _, _, Z = _p_times(minimal, p, *_residues(point, p**precision), precision)
+        u = pow(e, -1, p**precision)
+        _, _, Z = _p_times(minimal, p, m * u * u, n * u**3, precision)
         vz = pval(Z, p) if Z else precision
         if vz < precision:
             return vz - 1
         precision *= 2
 
 
-def _residues(point: QPoint, mod: int) -> tuple[int, int]:
-    """The coordinates of a p-integral point modulo `mod`, a power of p."""
-    return (point.x.numerator * pow(point.x.denominator, -1, mod) % mod,
-            point.y.numerator * pow(point.y.denominator, -1, mod) % mod)
-
-
-def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, QPoint]:
-    """The model minimal at p, checked anomalous, and the point moved onto it
-    and certified of infinite order."""
+def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, tuple[int, int, int]]:
+    """The model minimal at p, checked anomalous, and the point moved onto it,
+    certified of infinite order, as its Jacobian triple (m, n, e): on an
+    integral model x = m/e^2 and y = n/e^3 in lowest terms, exactly."""
     require_curve_prime(p)
     minimal, scale = _minimal_with_scale(curve, p)
     _require_anomalous(minimal, p)
@@ -282,49 +285,40 @@ def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, QPoin
     order = torsion_order(minimal, point)
     if order is not None:
         raise DomainError(f"point has finite order {order}; decomposition needs infinite order")
-    return minimal, point
+    return minimal, (point.x.numerator, point.y.numerator, isqrt(point.x.denominator))
 
 
-def _decompose(minimal: Curve, point: QPoint, p: int, precision: int) -> Decomposition:
-    xd = point.x.denominator
-    if xd % p == 0:
-        # P is in E_1, so it is its own formal part
-        work = precision + GUARD_DIGITS
+def _decompose(minimal: Curve, P: tuple[int, int, int], p: int, precision: int) -> Decomposition:
+    m, n, e = P
+    if e % p == 0:
+        # P is in E_1, so it is its own formal part, and its triple is exact
         bar, torsion = FpPoint.identity(), QpPoint.identity()
-        formal = QpPoint(PadicNumber.from_fraction(point.x, p, work), PadicNumber.from_fraction(point.y, p, work))
-        tval = pval(xd, p) // 2
+        X, Y, Z = P
+        tval, digits = pval(e, p), precision + GUARD_DIGITS
     else:
-        # F = P - T0 by one Jacobian chord from Z = 1: Z(F) = x(T0) - x(P)
+        # F = P - T0 by one Jacobian chord: Z(F) = e^3 (x(T0) - x(P))
         work = precision + 4
         if work < MIN_LIFT_PRECISION:
             raise DomainError(f"decomposition outside E_1 needs precision >= {MIN_LIFT_PRECISION - 4}, got {precision}")
-        bar = FpPoint(*_residues(point, p))
+        bar = FpPoint(m * pow(e, -2, p) % p, n * pow(e, -3, p) % p)
         x0, y0 = _lift_torsion(minimal, p, bar, work)
         mod = p**work
-        x, y = _residues(point, mod)
         torsion = QpPoint(_make(p, x0, work), _make(p, y0, work))
-        X, Y, Z = _jacobian_add(minimal.a % mod, mod, (x, y, 1), (x0, -y0 % mod, 1))
+        X, Y, Z = _jacobian_add(minimal.a % mod, mod, P, (x0, -y0 % mod, 1))
         if not Z:
             raise PrecisionExhaustedError("formal component vanished at working precision")
-        # mod p the chord has H = Z = 0 and R = -y0 - y = -2y, a unit, so X = R^2
-        # and Y = -R^3 are units: x(F) = X/Z^2 and y(F) = Y/Z^3 with Z = p^m u,
-        # both known to work - m digits
+        # mod p the chord has H = Z = 0 and R = -2n, a unit, so X = R^2 and
+        # Y = -R^3 are units, and F is known to work - v(Z) digits
         tval = pval(Z, p)
-        _require(work - tval, p)
-        inv = pow(Z // p**tval, -1, mod)
-        formal = QpPoint(
-            _make(p, X * inv * inv, work - tval).shift(-2 * tval),
-            _make(p, Y * inv**3, work - tval).shift(-3 * tval),
-        )
-    return Decomposition(
-        p=p,
-        bar_point=bar,
-        torsion=torsion,
-        formal=formal,
-        t_valuation=tval,
-        formal_nontrivial=(tval == 1),
-        precision=precision,
+        digits = work - tval
+    # F = (X/Z^2, Y/Z^3) with X and Y units and Z = p^tval u
+    _require(digits, p)
+    inv = pow(Z // p**tval, -1, p**digits)
+    formal = QpPoint(
+        _make(p, X * inv * inv, digits).shift(-2 * tval),
+        _make(p, Y * inv**3, digits).shift(-3 * tval),
     )
+    return Decomposition(p=p, bar_point=bar, torsion=torsion, formal=formal, t_valuation=tval, precision=precision)
 
 
 # --- serialization helpers (CLI / survey reports) --------------------------

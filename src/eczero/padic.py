@@ -1,9 +1,11 @@
 """Fixed-precision p-adic values: the output form of the local layer.
 
 A nonzero value is (valuation, unit, precision): it equals
-unit * p^valuation modulo p^(valuation + precision), with the unit coprime
-to p.  Zero is a distinct sentinel "0 mod p^k" carrying only the absolute
-precision k; comparisons against it are explicit via ``is_zero``.
+unit * p^valuation modulo p^(valuation + precision), with precision >= 1 and
+the unit prime to p and in [1, p^precision).  Zero is a distinct sentinel
+"0 mod p^k" carrying only the absolute precision k, as valuation k and
+precision 0; comparisons against it are explicit via ``is_zero``.  The
+constructor raises DomainError for a value that breaks these invariants.
 
 The local layer computes on integers modulo p^N and reports its results
 as PadicNumbers; there is no arithmetic on them.  ``_make`` turns a residue
@@ -50,6 +52,11 @@ class PadicNumber:
     valuation: int
     unit: int
     precision: int
+
+    def __post_init__(self):
+        p, u, n = self.p, self.unit, self.precision
+        if not (u == n == 0 or n >= 1 and 0 < u < p**n and u % p):
+            raise DomainError(f"unit {u} at precision {n} is neither 0 at precision 0 nor prime to {p} in [1, {p}^{n})")
 
     @property
     def is_zero(self) -> bool:

@@ -205,12 +205,12 @@ class ReductionKind(enum.Enum):
 @dataclass(frozen=True)
 class ReductionType:
     kind: ReductionKind
-    anomalous: bool = False
     trace: int | None = None
 
-    def __post_init__(self):
-        if self.anomalous and self.kind is not ReductionKind.GOOD_ORDINARY:
-            raise DomainError("anomalous reduction is necessarily good ordinary")
+    @property
+    def anomalous(self) -> bool:
+        """|E(F_p)| = p: good ordinary with trace 1."""
+        return self.kind is ReductionKind.GOOD_ORDINARY and self.trace == 1
 
     def __str__(self):
         extra = ", anomalous" if self.anomalous else ""
@@ -231,7 +231,7 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
         ap = trace_of_frobenius(reduced)
         if ap % p == 0:
             return ReductionType(ReductionKind.GOOD_SUPERSINGULAR, trace=ap)
-        return ReductionType(ReductionKind.GOOD_ORDINARY, anomalous=(ap == 1), trace=ap)
+        return ReductionType(ReductionKind.GOOD_ORDINARY, trace=ap)
     if minimal.c4 % p != 0:
         if kronecker_symbol(-minimal.c6, p) == 1:
             return ReductionType(ReductionKind.SPLIT_MULTIPLICATIVE)

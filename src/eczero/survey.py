@@ -31,7 +31,7 @@ from .rational import (
     search_rows,
     torsion_order,
 )
-from .verdicts import HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict, verified
+from .verdicts import Conclusion, HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict, verified
 
 DEFAULT_HEIGHT = 10**4
 
@@ -41,7 +41,9 @@ PROXY_NOTE = (
     "computed rank/generator data must be ingested to replicate one"
 )
 
-CSV_HEADER = "n,label,good_p,anomalous,splits,generator,formal_nontrivial,verdicts"
+# The CSV row is the JSON row (SurveyRow.to_dict) read through these keys.
+CSV_COLUMNS = ("n", "label", "good_p", "anomalous", "splits", "generator", "formal_nontrivial", "verdicts")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -81,22 +83,19 @@ class SurveyRow:
     splits: bool | None = None
     generator_status: str = "unknown"  # found | ingested | unknown
     generator: QPoint | None = None
-    formal_nontrivial: bool | None = None  # None = not run
-    t_valuation: int | None = None
+    t_valuation: int | None = None  # None = not run
     verdicts: tuple = ()
     error: str | None = None
     curve_a: int | None = None
     curve_b: int | None = None
 
+    @property
+    def formal_nontrivial(self) -> bool | None:
+        return None if self.t_valuation is None else self.t_valuation == 1
+
     def to_dict(self) -> dict:
-        gen = None
-        if self.generator is not None and not self.generator.is_identity:
-            gen = [
-                self.generator.x.numerator,
-                self.generator.x.denominator,
-                self.generator.y.numerator,
-                self.generator.y.denominator,
-            ]
+        g = self.generator
+        gen = None if g is None or g.is_identity else [g.x.numerator, g.x.denominator, g.y.numerator, g.y.denominator]
         return {
             "n": self.n,
             "label": self.label,
@@ -191,7 +190,7 @@ def ingest_curves(path) -> IngestResult:
                     source=obj.get("source"),
                 )
             )
-        except (IngestError, DomainError) as exc:
+        except DomainError as exc:
             rejected.append((lineno, str(exc)))
     return IngestResult(records=tuple(records), rejected=tuple(rejected))
 
@@ -270,7 +269,6 @@ def build_row(
             splits=splits,
             generator_status=status,
             generator=gen,
-            formal_nontrivial=None if tval is None else tval == 1,
             t_valuation=tval,
             verdicts=tuple(names),
             **base,
@@ -282,7 +280,7 @@ def build_row(
 
 
 def aggregate_rows(rows) -> dict:
-    eligible = [r for r in rows if r.error is None and r.good_p and r.anomalous and r.splits]
+    eligible = [r for r in rows if Conclusion.MIDDLE_TERM_ZP_SQUARED.value in r.verdicts]
     ran = [r for r in eligible if r.formal_nontrivial is not None]
     nontrivial = sum(1 for r in ran if r.formal_nontrivial)
     unknown = sum(1 for r in eligible if r.generator_status == "unknown")
@@ -337,6 +335,8 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
     return str(value)
 
 
@@ -346,17 +346,7 @@ def emit_report(rows, aggregate: dict, format: str = "csv") -> str:
         out = io.StringIO()
         out.write(CSV_HEADER + "\n")
         csv.writer(out, lineterminator="\n").writerows(
-            [
-                _csv_cell(r.n),
-                _csv_cell(r.label),
-                _csv_cell(r.good_p),
-                _csv_cell(r.anomalous),
-                _csv_cell(r.splits),
-                r.generator_status,
-                _csv_cell(r.formal_nontrivial),
-                ";".join(r.verdicts),
-            ]
-            for r in rows
+            [_csv_cell(row[c]) for c in CSV_COLUMNS] for row in (r.to_dict() for r in rows)
         )
         agg = " ".join(
             f"{k}={aggregate[k]}"

@@ -92,10 +92,13 @@ CITATIONS: dict[Conclusion, str] = {
 @dataclass(frozen=True)
 class Verdict:
     conclusion: Conclusion
-    citation: str
     hypotheses_used: tuple[str, ...]
     level: int | None = None
     conditional: bool = False
+
+    @property
+    def citation(self) -> str:
+        return CITATIONS[self.conclusion]
 
     @property
     def name(self) -> str:
@@ -115,7 +118,6 @@ class Verdict:
 def _verdict(conclusion: Conclusion, used: list[tuple[str, str]], level: int | None = None) -> Verdict:
     return Verdict(
         conclusion=conclusion,
-        citation=CITATIONS[conclusion],
         hypotheses_used=tuple(f"{name} ({prov})" for name, prov in used),
         level=level,
         conditional=any(prov != VERIFIED for _, prov in used),

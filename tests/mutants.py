@@ -28,6 +28,8 @@ PADIC = "src/eczero/padic.py"
 QUAD = "src/eczero/quadfields.py"
 FP = "src/eczero/fp.py"
 ARITH = "src/eczero/arith.py"
+RATIONAL = "src/eczero/rational.py"
+SURVEY = "src/eczero/survey.py"
 TIMEOUT = 300
 
 # (file, old text, new text, test node ids)
@@ -46,14 +48,30 @@ MUTANTS = [
      ["tests/test_localpoints.py"]),
     (LOCAL, "(x0, -y0 % mod, 1)", "(x0, y0 % mod, 1)",
      ["tests/test_localpoints.py"]),
+    # the formal part's one reporter: a point in E_1 keeps GUARD_DIGITS past the precision
+    (LOCAL, "tval, digits = pval(e, p), precision + GUARD_DIGITS", "tval, digits = pval(e, p), precision",
+     ["tests/test_padic.py::test_from_fraction_converts_what_decompose_reports_at_the_bound"]),
     # the output value: its precision floor and bound, and shift
     (PADIC, "        if not 1 <= precision <= MAX_DIGITS:", "        if not precision <= MAX_DIGITS:",
      ["tests/test_padic.py"]),
     (PADIC, "MAX_DIGITS = MAX_PRECISION + GUARD_DIGITS", "MAX_DIGITS = MAX_PRECISION",
-     ["tests/test_cli.py::test_decompose_converts_an_e1_point_at_the_precision_bound"]),
+     ["tests/test_padic.py::test_from_fraction_converts_what_decompose_reports_at_the_bound"]),
     (PADIC, "        return replace(self, valuation=self.valuation + s)",
      "        return replace(self, valuation=self.valuation - s)",
      ["tests/test_localpoints.py"]),
+    # the reported values' single sources: the CSV's verdict join, the
+    # eligibility verdict and the anomalous trace
+    (SURVEY, '        return ";".join(value)', '        return ",".join(value)',
+     ["tests/test_survey.py::test_csv_rows_are_json_rows_read_through_the_columns"]),
+    (SURVEY, "Conclusion.MIDDLE_TERM_ZP_SQUARED.value in r.verdicts", "Conclusion.UNCONDITIONAL_EXACTNESS.value in r.verdicts",
+     ["tests/test_survey.py::test_csv_rows_are_json_rows_read_through_the_columns"]),
+    (RATIONAL, "and self.trace == 1", "and self.trace == -1",
+     ["tests/test_rational.py"]),
+    # the search's real-locus start and torsion certification's early stop
+    (RATIONAL, "            hi = mid\n    return lo", "            hi = mid\n    return lo + 1",
+     ["tests/test_rational.py::test_point_search_on_the_real_locus_matches_brute_force"]),
+    (RATIONAL, "        if Q.x.denominator != 1 or Q.y.denominator != 1:", "        if False:",
+     ["tests/test_rational.py::test_torsion_order_stops_at_the_first_non_integral_multiple"]),
     # the bound on the anomalous-residue loop
     (QUAD, "    if p > RESIDUE_LIMIT:", "    if p > 10 * RESIDUE_LIMIT:",
      ["tests/test_quadfields.py::test_anomalous_residues_refuse_p_past_the_limit_at_once"]),
@@ -80,6 +98,8 @@ MUTANTS = [
      ["tests/test_arith.py::test_is_prime_large_composites"]),
     (ARITH, "        r = pow(a, (p + 1) // 4, p)", "        r = pow(a, (p - 1) // 4, p)",
      ["tests/test_arith.py::test_sqrt_mod_p_examples"]),
+    (ARITH, "        x0 = p - x0", "        x0 = x0",
+     ["tests/test_arith.py::test_cornacchia_identity_and_minimality"]),
 ]
 
 

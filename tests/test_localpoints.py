@@ -471,6 +471,19 @@ def test_decompose_rescales_nonminimal_models():
     assert dec.formal_nontrivial is True
 
 
+def test_decompose_on_a_nonminimal_model_matches_the_minimal_one():
+    # y^2 = x^3 - 2 * 7^6 is y^2 = x^3 - 2 scaled by u = 7; a point outside
+    # E_1 and one in E_1 (its triple is F itself) decompose as on the minimal model
+    E_big = Curve(0, -2 * 7**6)
+    for P, t_valuation in ((P35, 1), (q_scalar_mul(E, 7, P35), 2)):
+        P_big = QPoint(P.x * 49, P.y * 343)
+        assert E_big.contains(P_big)
+        for precision in (2, 16):
+            dec = decompose_point(E_big, P_big, 7, precision)
+            assert dec == decompose_point(E, P, 7, precision) and dec.t_valuation == t_valuation
+        assert formal_t_valuation(E_big, P_big, 7) == t_valuation
+
+
 def test_decompose_rejects_torsion_point_naming_its_order():
     # (0, 0) on the Tate normal forms y^2 - y = x^3 - x^2 (order 5, anomalous
     # at 5) and y^2 - xy - 4y = x^3 - 4x^2 (order 7, anomalous at 7)

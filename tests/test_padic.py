@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from eczero import padic
 from eczero.errors import DomainError, PrecisionExhaustedError
-from eczero.padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, pval
+from eczero.localpoints import QpPoint, decompose_point
+from eczero.padic import DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, MIN_RELATIVE_PRECISION, pval
+from eczero.rational import Curve, QPoint, q_scalar_mul
 
 from oracles import NonSimpleRootError, PadicNumber, newton_lift, outcomes_within
 
@@ -211,3 +214,25 @@ def test_p_adic_entry_points_reject_p_below_2_without_hanging():
              "PadicNumber.from_fraction(3, 7, 0)", "PadicNumber.from_fraction(3, 7, -1)",
              "PadicNumber.from_int(3, 7, MAX_DIGITS + 1)", "PadicNumber.from_fraction(Fraction(1, 7), 7, 10**9)"]
     assert outcomes_within(setup, calls) == ["DomainError"] * len(calls)
+
+
+def test_constructor_refuses_values_that_break_the_invariants():
+    # a unit divisible by p, a zero with digits, a unit outside [1, p^precision)
+    # and a nonzero value without digits
+    for args in ((7, 0, 14, 3), (7, 3, 0, 5), (7, 0, -1, 3), (7, 0, 7**3 + 1, 3), (7, 0, 3, 0), (7, 0, 3, -1)):
+        with pytest.raises(DomainError):
+            padic.PadicNumber(*args)
+    # the extremes that keep them
+    assert [padic.PadicNumber(7, v, u, n).digits() for v, u, n in ((3, 0, 0), (-2, 1, 1), (0, 7**3 - 1, 3))] == [
+        [], [1], [6, 6, 6]]
+
+
+def test_from_fraction_converts_what_decompose_reports_at_the_bound():
+    # a point in E_1 is its own formal part, reported with GUARD_DIGITS past
+    # the precision asked for, so from_fraction converts up to MAX_DIGITS
+    E = Curve(0, -2)
+    P7 = q_scalar_mul(E, 7, QPoint.from_pair(3, 5))
+    dec = decompose_point(E, P7, 7, MAX_PRECISION)
+    digits = MAX_PRECISION + GUARD_DIGITS
+    assert dec.formal == QpPoint(padic.PadicNumber.from_fraction(P7.x, 7, digits),
+                                 padic.PadicNumber.from_fraction(P7.y, 7, digits))

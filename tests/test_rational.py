@@ -413,6 +413,24 @@ def test_torsion_order_on_points_of_every_order():
             Q = q_add(E, Q, T)
 
 
+def test_torsion_order_stops_at_the_first_non_integral_multiple(monkeypatch):
+    # on y^2 = x^3 - 2, (3, 5) has 2P = (129/100, -383/1000): one addition
+    # certifies it, and a non-integral point needs none
+    E, P = Curve(0, -2), QPoint.from_pair(3, 5)
+    P2 = q_scalar_mul(E, 2, P)
+    assert P2 == QPoint(Fraction(129, 100), Fraction(-383, 1000))
+    adds = []
+    real = eczero.rational.q_add
+
+    def counted(curve, Q, R):
+        adds.append(Q)
+        return real(curve, Q, R)
+
+    monkeypatch.setattr(eczero.rational, "q_add", counted)
+    assert torsion_order(E, P) is None and adds == [P]
+    assert torsion_order(E, P2) is None and adds == [P]
+
+
 def test_torsion_order_on_criterion_9_search_hits():
     for n in range(-200, 201):
         E = Curve(0, -2 + 7 * n)

@@ -14,6 +14,7 @@ from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import ImagQuadField
 from eczero.rational import Curve, QPoint, naive_point_search
 from eczero.survey import (
+    CSV_COLUMNS,
     CSV_HEADER,
     FamilySpec,
     IngestRecord,
@@ -229,6 +230,41 @@ def test_emit_csv_quotes_labels(tmp_path):
     assert table[0] == CSV_HEADER.split(",")
     assert [len(cells) for cells in table[1:-1]] == [8, 8, 8]
     assert [cells[1] for cells in table[1:-1]] == labels
+
+
+def _csv_cell(value):
+    # the report's cell for a JSON value, written out independently
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return ";".join(value) if isinstance(value, list) else str(value)
+
+
+def test_csv_rows_are_json_rows_read_through_the_columns():
+    # every row shape: singular n, domain error, unknown, found with three
+    # verdicts, ingested; eligible and not
+    K3 = ImagQuadField(-3)
+    rows, _ = scan_family(FamilySpec(0, 0, 0, 1, -3, 3, 7, -3, height=50))
+    rows += [
+        build_row(Curve(0, -9, label="n=-1 of y^2 = x^3 - 2 + 7n"), 7, K3, 100),
+        build_row(Curve(0, -2, label="E0,ingested"), 7, K3, 10, ingested_generator=QPoint.from_pair(3, 5)),
+        build_row(Curve(0, -2, label="off"), 7, K3, 10, ingested_generator=QPoint.from_pair(1, 1)),
+    ]
+    agg = aggregate_rows(rows)
+    shapes = {(r.error is not None, r.generator_status, len(r.verdicts)) for r in rows}
+    assert {(True, "unknown", 0), (False, "unknown", 0), (False, "unknown", 2), (False, "found", 3),
+            (False, "found", 0), (False, "ingested", 3)} <= shapes
+    assert any(r.n is not None and r.error and r.error.startswith("singular") for r in rows)
+    table = list(csv.reader(io.StringIO(emit_report(rows, agg, "csv"))))
+    payload = json.loads(emit_report(rows, agg, "json"))
+    assert table[0] == list(CSV_COLUMNS)
+    assert table[1:-1] == [[_csv_cell(row[c]) for c in CSV_COLUMNS] for row in payload["rows"]]
+    eligible = [row for row in payload["rows"] if "MiddleTermZpSquared" in row["verdicts"]]
+    assert agg["eligible"] == payload["aggregate"]["eligible"] == len(eligible) == 3
+    # the rule fires exactly where the row's flags say it may
+    assert eligible == [row for row in payload["rows"]
+                        if row["error"] is None and row["good_p"] and row["anomalous"] and row["splits"]]
 
 
 def test_emit_csv_empty():

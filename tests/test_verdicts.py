@@ -156,7 +156,7 @@ def test_brauer_middle_term_classifies_for_itself():
     # y^2 = x^3 + 1 is ordinary but not anomalous at the split prime 7.  A
     # caller's anomalous type fires the rule only on its word, never as
     # fully verified; the type for_pair computes fires nothing.
-    fake = ReductionType(ReductionKind.GOOD_ORDINARY, anomalous=True, trace=1)
+    fake = ReductionType(ReductionKind.GOOD_ORDINARY, trace=1)
     h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake))
     out = brauer_middle_term_verdict(h, K3, cm_asserted=True)
     assert [v.conclusion for v in out] == [
