@@ -21,9 +21,9 @@ from .arith import cornacchia
 from .errors import DomainError, InternalConsistencyError
 from .fp import FpPoint
 from .localpoints import (
-    MAX_PRECISION, decompose_point, decomposition_to_dict, formal_t_valuation, lift_p_torsion, qppoint_to_dict,
+    DEFAULT_PRECISION, MAX_PRECISION, decompose_point, decomposition_to_dict, formal_t_valuation, lift_p_torsion,
+    qppoint_to_dict,
 )
-from .padic import DEFAULT_PRECISION
 from .quadfields import (
     CLASS_NUMBER_ONE_DISCS,
     ImagQuadField,

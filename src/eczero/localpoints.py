@@ -13,8 +13,9 @@ P is read as its Jacobian triple (m, n, e), x = m/e^2 and y = n/e^3, which
 is exact on the integral minimal model.  A point already in E_1 is its own
 formal part: F is (m, n, e), exactly, with t_valuation = v_p(e).
 Otherwise F is one Jacobian chord of (m, n, e) and (x(T0), -y(T0), 1) on
-integers modulo p^N, with N = precision + 4, the lift's precision.  Its Z
-is e^3 (x(T0) - x(P)) with e a unit, so t_valuation = v_p(x(P) - x(T0)).
+integers modulo p^N, with N = precision + MIN_RELATIVE_PRECISION the lift's
+precision, so F keeps MIN_RELATIVE_PRECISION digits whenever t <= precision.
+Its Z is e^3 (x(T0) - x(P)) with e a unit, so t_valuation = v_p(x(P) - x(T0)).
 Either way F = (X/Z^2, Y/Z^3) with X and Y units and Z = p^t u, and one
 reporter turns it into PadicNumbers: X u^-2 and Y u^-3 to d digits, shifted
 by -2t and -3t.  d is precision + GUARD_DIGITS for the exact triple and
@@ -35,11 +36,23 @@ so each step works modulo p^k with k doubling, and y is re-solved from x
 on integers modulo p^k by Hensel.  The lift stops at k = precision + 1
 with Z = 0 modulo p^k, i.e. v(Z) >= precision + 1, which certifies every
 one of its precision digits.
+
+Every coordinate is reported as a PadicNumber, the layer's output value.
+A nonzero value is (valuation, unit, precision): it equals
+unit * p^valuation modulo p^(valuation + precision), with precision >= 1 and
+the unit prime to p and in [1, p^precision).  Zero is a distinct sentinel
+"0 mod p^k" carrying only the absolute precision k, as valuation k and
+precision 0; comparisons against it are explicit via ``is_zero``.  The
+constructor raises DomainError for a value that breaks these invariants.
+There is no arithmetic on it: ``_make`` turns a residue into a value with
+every digit the residue certifies, and ``_require`` raises
+PrecisionExhaustedError for fewer than MIN_RELATIVE_PRECISION digits, where
+a caller's digits may be noise rather than a short certified answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import isqrt
@@ -52,11 +65,103 @@ from .errors import (
     SplitHypothesisError,
 )
 from .fp import FpCurve, FpPoint, is_anomalous
-from .padic import DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, PadicNumber, _make, _require, pval
 from .rational import Curve, QPoint, _minimal_with_scale, torsion_order
 
+DEFAULT_PRECISION = 16
+MIN_RELATIVE_PRECISION = 4
+# The largest precision a caller may ask of the local layer.  A lift's time
+# grows about as N^2 at N digits: ~0.5 s at p = 223 and N = 1024 on one Xeon vCPU.
+MAX_PRECISION = 1024
+# decompose_point reports a point in E_1 with this many digits past the
+# precision asked for.
+GUARD_DIGITS = 8
 _RETRY_FACTOR = 2
 MIN_LIFT_PRECISION = 6
+
+
+def pval(n: int, p: int) -> int:
+    """v_p(n) for n != 0 and p >= 2."""
+    if p < 2:
+        raise DomainError(f"valuation needs p >= 2, got {p}")
+    if n == 0:
+        raise DomainError("valuation of exact zero is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@dataclass(frozen=True)
+class PadicNumber:
+    p: int
+    valuation: int
+    unit: int
+    precision: int
+
+    def __post_init__(self):
+        p, u, n = self.p, self.unit, self.precision
+        if not (u == n == 0 or n >= 1 and 0 < u < p**n and u % p):
+            raise DomainError(f"unit {u} at precision {n} is neither 0 at precision 0 nor prime to {p} in [1, {p}^{n})")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.unit == 0
+
+    @property
+    def abs_precision(self) -> int:
+        """Exponent k such that the value is known modulo p^k."""
+        return self.valuation + self.precision
+
+    @classmethod
+    def zero(cls, p: int, abs_precision: int) -> "PadicNumber":
+        return cls(p, abs_precision, 0, 0)
+
+    def residue_mod(self, k: int) -> int:
+        """The value modulo p^k (p-integral values only, k <= abs_precision)."""
+        if k > self.abs_precision:
+            raise PrecisionExhaustedError(
+                f"value certified only mod p^{self.abs_precision}, asked mod p^{k}"
+            )
+        if self.is_zero or self.valuation >= k:
+            return 0
+        if self.valuation < 0:
+            raise DomainError("residue of a non-integral value is undefined")
+        return self.unit * self.p**self.valuation % self.p**k
+
+    def shift(self, s: int) -> "PadicNumber":
+        """Exact multiplication by p^s."""
+        return replace(self, valuation=self.valuation + s)
+
+    def digits(self) -> list[int]:
+        """Base-p digits of the unit part, least significant first."""
+        out = []
+        u = self.unit
+        for _ in range(self.precision):
+            u, r = divmod(u, self.p)
+            out.append(r)
+        return out
+
+    def __str__(self):
+        if self.is_zero:
+            return f"O({self.p}^{self.valuation})"
+        return f"{self.unit}*{self.p}^{self.valuation} + O({self.p}^{self.abs_precision})"
+
+
+def _require(n: int, p: int):
+    if n < MIN_RELATIVE_PRECISION:
+        raise PrecisionExhaustedError(
+            f"result would carry {n} < {MIN_RELATIVE_PRECISION} certified {p}-adic digits"
+        )
+
+
+def _make(p: int, residue: int, abs_prec: int) -> PadicNumber:
+    residue %= p**abs_prec
+    if residue == 0:
+        return PadicNumber.zero(p, abs_prec)
+    v = pval(residue, p)
+    n = abs_prec - v
+    return PadicNumber(p, v, (residue // p**v) % p**n, n)
 
 
 @dataclass(frozen=True)
@@ -297,9 +402,10 @@ def _decompose(minimal: Curve, P: tuple[int, int, int], p: int, precision: int) 
         tval, digits = pval(e, p), precision + GUARD_DIGITS
     else:
         # F = P - T0 by one Jacobian chord: Z(F) = e^3 (x(T0) - x(P))
-        work = precision + 4
+        work = precision + MIN_RELATIVE_PRECISION
         if work < MIN_LIFT_PRECISION:
-            raise DomainError(f"decomposition outside E_1 needs precision >= {MIN_LIFT_PRECISION - 4}, got {precision}")
+            least = MIN_LIFT_PRECISION - MIN_RELATIVE_PRECISION
+            raise DomainError(f"decomposition outside E_1 needs precision >= {least}, got {precision}")
         bar = FpPoint(m * pow(e, -2, p) % p, n * pow(e, -3, p) % p)
         x0, y0 = _lift_torsion(minimal, p, bar, work)
         mod = p**work

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -139,14 +140,23 @@ def parse_generator(raw) -> tuple[Fraction, Fraction]:
     return Fraction(xn, xd), Fraction(yn, yd)
 
 
+def _printable(n: int, limit: int) -> bool:
+    """Whether str(n) keeps within `limit` digits, 0 meaning no limit; since
+    8^limit < 10^limit, an n of at most 3 * limit bits needs no power of ten."""
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
+
+
 def ingest_curves(path) -> IngestResult:
     """Parse a line-delimited curve file; invalid rows are reported, not fatal.
 
     Each line is a JSON object with label, A/B or a1..a6, and optional
-    gen = [x_num, x_den, y_num, y_den], rank, source.
+    gen = [x_num, x_den, y_num, y_den], rank, source.  A record whose short
+    model or generator holds an integer str() cannot print is rejected, since
+    its report row could not be written.
     """
     records = []
     rejected = []
+    limit = sys.get_int_max_str_digits()
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -156,6 +166,9 @@ def ingest_curves(path) -> IngestResult:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             rejected.append((lineno, f"parse error: {exc.msg} at column {exc.colno}"))
+            continue
+        except ValueError as exc:  # an integer literal past the digit limit
+            rejected.append((lineno, f"parse error: {exc}"))
             continue
         try:
             if not isinstance(obj, dict):
@@ -176,6 +189,9 @@ def ingest_curves(path) -> IngestResult:
                     gen = long_point_to_short(ai, *parse_generator(obj["gen"]))
             else:
                 raise IngestError("record needs A,B or a1..a6")
+            values = (curve.a, curve.b) if gen is None else (curve.a, curve.b, gen.x, gen.y)
+            if not all(_printable(n, limit) for q in values for n in (q.numerator, q.denominator)):
+                raise IngestError(f"short model or generator has an integer of more than {limit} digits")
             if gen is not None and not curve.contains(gen):
                 raise IngestError(f"generator {gen} is not on the curve")
             rank = obj.get("rank")

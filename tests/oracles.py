@@ -13,9 +13,10 @@ valuation >= 2".  It never consults decompose_point's F-component path,
 and it adds points by the affine chord-tangent law below (embed_point,
 qp_add, t_parameter, ...), which the library does not use: decompose_point
 forms F by a Jacobian chord on integers mod p^N.  The law computes on the
-oracle's PadicNumber, the library's output value with interval-style
-arithmetic added, and its square roots come from the oracle's newton_lift,
-a Hensel lift of a simple root of any integer polynomial.
+oracle's PadicNumber, the library's output value with exact conversion and
+interval-style arithmetic added, and its square roots come from the
+oracle's newton_lift, a Hensel lift of a simple root of any integer
+polynomial.
 The division-polynomial oracle expands psi_m as an integer polynomial by
 the classical recurrence, whose roots the library's torsion lifts must be.
 The point-count oracle tries every (x, y) in F_p^2.
@@ -27,12 +28,13 @@ call that loops forever fails its test instead of stalling the suite; the
 interpreter can import this module as ``oracles``.
 """
 
-from eczero.localpoints import QpPoint, lift_p_torsion
+from eczero import localpoints
+from eczero.localpoints import (
+    DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, MIN_RELATIVE_PRECISION, QpPoint, _require, lift_p_torsion, pval,
+)
 from eczero.arith import cornacchia, double_and_add, is_prime, require_curve_prime
 from eczero.errors import DomainError, InternalConsistencyError, PrecisionExhaustedError
 from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, point_at_x
-from eczero import padic
-from eczero.padic import DEFAULT_PRECISION, MIN_RELATIVE_PRECISION, _require, pval
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from functools import partial
@@ -93,20 +95,44 @@ def generator_oracle(curve: Curve, height: int) -> QPoint | None:
 
 # --- p-adic arithmetic, for the affine group law -----------------------------
 #
-# The library's PadicNumber is an output value without arithmetic.  The
-# oracle's subclass adds interval-style arithmetic: every operation returns
-# the precision its operands justify (addition may lose relative digits on
-# cancellation, multiplication keeps the minimum), and a result certified to
-# fewer than MIN_RELATIVE_PRECISION digits raises PrecisionExhaustedError.
-# Library outputs enter it through as_oracle.
+# The library's PadicNumber is an output value without arithmetic, built only
+# from a residue.  The oracle's subclass adds exact conversion of a rational
+# and interval-style arithmetic: every operation returns the precision its
+# operands justify (addition may lose relative digits on cancellation,
+# multiplication keeps the minimum), and a result certified to fewer than
+# MIN_RELATIVE_PRECISION digits raises PrecisionExhaustedError.  Library
+# outputs enter it through as_oracle.
+
+# decompose_point reports a point in E_1 with GUARD_DIGITS past the precision
+# asked for, and from_fraction converts at most MAX_DIGITS.
+MAX_DIGITS = MAX_PRECISION + GUARD_DIGITS
 
 
 class NonSimpleRootError(DomainError):
     """Root-lifting started at a root where the derivative vanishes."""
 
 
-class PadicNumber(padic.PadicNumber):
-    """A library PadicNumber with + - * /, agrees_with and truncate."""
+class PadicNumber(localpoints.PadicNumber):
+    """A library PadicNumber with from_fraction, + - * /, agrees_with and truncate."""
+
+    @classmethod
+    def from_fraction(cls, q, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
+        """q to `precision` relative digits, 1 <= precision <= MAX_DIGITS."""
+        if p < 2 or not is_prime(p):
+            raise DomainError(f"p-adic numbers need a prime p, got {p}")
+        if not 1 <= precision <= MAX_DIGITS:
+            raise DomainError(f"precision must be between 1 and {MAX_DIGITS}, got {precision}")
+        q = Fraction(q)
+        if q == 0:
+            return cls.zero(p, precision)
+        vn = pval(q.numerator, p)
+        vd = pval(q.denominator, p)
+        num = q.numerator // p**vn
+        den = q.denominator // p**vd
+        mod = p**precision
+        return cls(p, vn - vd, num * pow(den, -1, mod) % mod, precision)
+
+    from_int = from_fraction  # an integer converts as the fraction n/1
 
     def truncate(self, abs_precision: int) -> "PadicNumber":
         """The same value re-certified at a smaller absolute precision."""
@@ -120,7 +146,7 @@ class PadicNumber(padic.PadicNumber):
     def _check(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
             return _coerce_exact(other, self.p, self.abs_precision + abs(self.valuation) + 4)
-        if not isinstance(other, padic.PadicNumber):
+        if not isinstance(other, localpoints.PadicNumber):
             raise DomainError(f"cannot combine PadicNumber with {type(other).__name__}")
         if other.p != self.p:
             raise DomainError("mixed residue characteristics")
@@ -208,14 +234,14 @@ class PadicNumber(padic.PadicNumber):
         return a.residue_mod(k) == b.residue_mod(k)
 
 
-def as_oracle(z: padic.PadicNumber) -> PadicNumber:
+def as_oracle(z: localpoints.PadicNumber) -> PadicNumber:
     """A library PadicNumber as the same value with the oracle's arithmetic."""
     return PadicNumber(z.p, z.valuation, z.unit, z.precision)
 
 
 def _make(p: int, residue: int, abs_prec: int) -> PadicNumber:
     # every value the oracle's arithmetic makes keeps the digit floor
-    z = padic._make(p, residue, abs_prec)
+    z = localpoints._make(p, residue, abs_prec)
     if not z.is_zero:
         _require(z.precision, p)
     return as_oracle(z)

@@ -17,6 +17,8 @@ from eczero.cli import cli
 from eczero.errors import InternalConsistencyError
 from eczero.quadfields import RESIDUE_LIMIT
 
+from test_survey import default_digit_limit, write_overlong_curves  # noqa: F401  (a fixture)
+
 runner = CliRunner()
 
 
@@ -131,8 +133,7 @@ def test_decompose_rejects_precision_below_1():
 def test_decompose_converts_an_e1_point_at_the_precision_bound():
     # a point in E_1 converts with GUARD_DIGITS past --prec, so the
     # conversion's own bound must lie above MAX_PRECISION
-    from eczero.localpoints import MAX_PRECISION
-    from eczero.padic import GUARD_DIGITS
+    from eczero.localpoints import GUARD_DIGITS, MAX_PRECISION
     from eczero.rational import Curve, QPoint, q_scalar_mul
 
     P7 = q_scalar_mul(Curve(0, -2), 7, QPoint.from_pair(3, 5))
@@ -299,6 +300,22 @@ def test_report_pipeline(tmp_path):
     by_label = {r["label"]: r for r in payload["rows"]}
     assert by_label["E0"]["formal_nontrivial"] is True
     assert by_label["quartic"]["anomalous"] is False
+
+
+def test_report_and_scan_reject_integers_they_cannot_print_by_line(tmp_path, default_digit_limit):
+    # a 5000-digit literal once escaped json.loads's handler, and a short
+    # model past 4300 digits once failed only when the report was written
+    f = tmp_path / "curves.jsonl"
+    write_overlong_curves(f)
+    res = run("report", "--input", str(f), "--p", "7", "--disc", "-3", "--json")
+    assert res.exit_code == 0 and res.exception is None
+    assert [r["label"] for r in json.loads(res.stdout)["rows"]] == ["E0"]
+    assert [line.split(":")[0] for line in res.stderr.splitlines()] == ["ingest line 1", "ingest line 2"]
+    family = ["--a0", "0", "--b0", "-2", "--b1", "7", "--p", "7", "--disc", "-3", "--nmin", "0", "--nmax", "0"]
+    res = run("scan", *family, "--ingest", str(f), "--json")
+    assert res.exit_code == 0 and res.exception is None
+    assert json.loads(res.stdout)["rows"][0]["generator"] == "ingested"
+    assert [line.split(":")[0] for line in res.stderr.splitlines()] == ["ingest line 1", "ingest line 2"]
 
 
 @pytest.mark.parametrize("p", [-1, 0, 1, 2, 3, 4, 9, 25])

@@ -21,17 +21,19 @@ from eczero.fp import FpCurve, FpPoint, is_anomalous, point_at_x
 from eczero.localpoints import (
     MAX_PRECISION,
     QpPoint,
+    _make,
     _p_times,
     decompose_point,
     decomposition_to_dict,
     formal_t_valuation,
     lift_p_torsion,
+    pval,
 )
-from eczero.padic import PadicNumber, _make, pval
 from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
 from eczero.survey import find_generator
 
 from oracles import (
+    PadicNumber,
     as_oracle,
     division_polynomial,
     embed_point,

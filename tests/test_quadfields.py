@@ -93,6 +93,7 @@ def test_anomalous_residues_refuse_p_past_the_limit_at_once():
         anomalous_residues_d3(RESIDUE_LIMIT + 1)
     largest = max(anomalous_primes(K3, RESIDUE_LIMIT))
     assert len(anomalous_residues_d3(largest)) == (largest - 1) // 6
+    assert RESIDUE_LIMIT == 10**5  # the bound the README documents
 
 
 def test_anomalous_primes_other_fields():

@@ -2,11 +2,11 @@ import csv
 import io
 import json
 import random
+import sys
 
 import pytest
 
 import eczero.localpoints
-import eczero.padic
 import eczero.survey
 import eczero.verdicts
 from eczero.arith import kronecker_symbol
@@ -73,6 +73,44 @@ def test_ingest_long_model_bad_generator_is_rejected(tmp_path):
     assert [ln for ln, _ in result.rejected] == [1, 3]
     assert "denominators must be positive" in result.rejected[0][1]
     assert "integer entries" in result.rejected[1][1]
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit on the digits str() and int() convert, for the test's duration."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def write_overlong_curves(path):
+    """Two lines with an integer past 4300 digits, one as written and one only
+    once converted to the short model (c6 ~ a2^3), then one valid line."""
+    path.write_text(
+        f'{{"label": "wide", "A": 1{"0" * 4999}, "B": 1}}\n'
+        f'{{"label": "tall", "a1": 0, "a2": {10**1500}, "a3": 0, "a4": 1, "a6": 1}}\n'
+        '{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
+    )
+
+
+def test_ingest_rejects_integers_the_report_cannot_print(tmp_path, default_digit_limit):
+    f = tmp_path / "curves.jsonl"
+    write_overlong_curves(f)
+    # the largest integer str() prints, 4300 nines, is kept, and the smallest
+    # it refuses, 10^4300, is the short x = 36 x of a 4300-digit generator x
+    f.write_text(
+        f.read_text()
+        + f'{{"label": "edge", "A": {"9" * 4300}, "B": 1}}\n'
+        + f'{{"label": "x-edge", "a1": 0, "a2": 0, "a3": 0, "a4": 1, "a6": 1, "gen": [25{"0" * 4298}, 9, 0, 1]}}\n'
+    )
+    result = ingest_curves(f)
+    assert [rec.label for rec in result.records] == ["E0", "edge"]
+    assert result.records[1].curve.a == 10**4300 - 1
+    assert [ln for ln, _ in result.rejected] == [1, 2, 5]
+    assert result.rejected[0][1].startswith("parse error: ")
+    too_long = "short model or generator has an integer of more than 4300 digits"
+    assert [reason for _, reason in result.rejected[1:]] == [too_long, too_long]
 
 
 def test_ingest_empty_file(tmp_path):
@@ -435,7 +473,7 @@ def test_survey_rows_lift_no_torsion(monkeypatch):
         (eczero.localpoints, "lift_p_torsion"),
         (eczero.localpoints, "_lift_torsion"),
         (eczero.localpoints, "_decompose"),
-        (eczero.padic.PadicNumber, "__init__"),
+        (eczero.localpoints.PadicNumber, "__init__"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     assert [survey() for survey in surveys] == expected
