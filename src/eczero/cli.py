@@ -5,12 +5,13 @@ vectors).
 Exit codes: 0 success, 1 domain error (precondition violations, unsupported
 inputs), 2 usage error, 3 internal error (a broken invariant, i.e. a bug).
 Exit codes 1 and 3 write {"error": ...} as JSON to stderr, and so does
-`decompose` for a --prec below 1, which exits 2.
+`decompose` for a --prec below 1, which exits 2.  The command group
+(`_ExitCodes.invoke`) maps DomainError and InternalConsistencyError to 1
+and 3 for every subcommand; click reports usage errors itself.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -46,26 +47,28 @@ from .verdicts import (
     nd_structure_verdict,
     prime_admissibility,
     quartic_verdict,
+    require_tower_level,
 )
 
 
 _HEIGHT_HELP = f"point-search height bound, 1 to {MAX_HEIGHT}"
 _PREC_HELP = f"p-adic digits, at most {MAX_PRECISION}"
+# a curve file must exist and be a file: a directory is a usage error
+_CURVE_FILE = click.Path(exists=True, dir_okay=False)
 
 
-def errors_to_exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ExitCodes(click.Group):
+    """The one place a library error becomes an exit code, for every subcommand."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (DomainError, InternalConsistencyError) as exc:
             print(json.dumps({"error": str(exc)}), file=sys.stderr)
             sys.exit(1 if isinstance(exc, DomainError) else 3)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_ExitCodes)
 @click.version_option(version=__version__, prog_name="eczero")
 def cli():
     """Anomalous primes, reduction types, p-adic decompositions and surveys
@@ -91,7 +94,6 @@ def _parse_gen(spec: str) -> QPoint:
 @click.option("--disc", type=int, required=True, help="field discriminant, e.g. -3")
 @click.option("--bound", type=int, required=True, help="upper bound for p")
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON array")
-@errors_to_exit_codes
 def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
     """Primes p <= bound with 4p = 1 + |D| v^2 (trace-1 split primes)."""
     field = ImagQuadField(disc)
@@ -107,7 +109,6 @@ def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
 @cli.command("anomalous-residues")
 @click.option("--p", "p", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
-@errors_to_exit_codes
 def anomalous_residues_cmd(p: int, as_json: bool):
     """Residues c mod p for which y^2 = x^3 + c has exactly p points."""
     residues = anomalous_residues_d3(p)
@@ -133,7 +134,6 @@ def _reduction_payload(r: ReductionType, p: int) -> dict:
 @click.option("--b", type=int, required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
-@errors_to_exit_codes
 def classify_cmd(a: int, b: int, p: int, as_json: bool):
     """Reduction type of y^2 = x^3 + a x + b at p (model minimized first)."""
     r = reduction_type(Curve(a, b), p)
@@ -146,7 +146,6 @@ def classify_cmd(a: int, b: int, p: int, as_json: bool):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--disc", type=int, default=None, help="restrict the splitting report to one field")
 @click.option("--json", "as_json", is_flag=True)
-@errors_to_exit_codes
 def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
     """Good/ordinary/anomalous report plus compatible CM splitting fields."""
     r = reduction_type(Curve(a, b), p)
@@ -178,7 +177,6 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
 @click.option("--y", "y", type=int, required=True, help="target y mod p")
 @click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True, help=_PREC_HELP)
 @click.option("--json", "as_json", is_flag=True)
-@errors_to_exit_codes
 def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json: bool):
     """p-adic p-torsion point above a special-fiber point of an anomalous curve."""
     T0 = lift_p_torsion(Curve(a, b), p, FpPoint(x, y), prec)
@@ -193,7 +191,6 @@ def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json:
 @click.option("--gen", required=True, help="x_num,x_den,y_num,y_den of the global point")
 @click.option("--prec", type=int, default=DEFAULT_PRECISION, show_default=True, help=_PREC_HELP)
 @click.option("--json", "as_json", is_flag=True)
-@errors_to_exit_codes
 def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
     """Split a global point into formal and special-fiber components at p."""
     if prec < 1:
@@ -229,7 +226,6 @@ def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
 @click.option("--field-degree", type=int, default=1)
 @click.option("--bad-fiber-order", "bad_fiber_orders", type=int, multiple=True)
 @click.option("--json", "as_json", is_flag=True)
-@errors_to_exit_codes
 def verdict_cmd(
     a,
     b,
@@ -257,6 +253,9 @@ def verdict_cmd(
     """
     if (e2_a is None) != (e2_b is None):
         raise click.UsageError("--e2-a and --e2-b must be given together")
+    point = _parse_gen(gen) if gen is not None else None
+    if tower_level is not None:
+        require_tower_level(tower_level)
     e1 = Curve(a, b)
     e2 = Curve(e2_a, e2_b) if e2_a is not None else e1
     record = HypothesisRecord.for_pair(
@@ -280,8 +279,8 @@ def verdict_cmd(
             v = cm_tower_verdict(record, field, tower_level)
             if v is not None:
                 fired.append(v)
-    if gen is not None and brauer:
-        v = global_lift_verdict(formal_t_valuation(e1, _parse_gen(gen), p), brauer[0])
+    if point is not None and brauer:
+        v = global_lift_verdict(formal_t_valuation(e1, point, p), brauer[0])
         if v is not None:
             fired.append(v)
     config = AdmissibilityConfig(
@@ -305,10 +304,17 @@ def verdict_cmd(
     _emit(payload, as_json, lines)
 
 
-def _write_or_echo(text: str, out: str | None):
+def _write_report(rows, aggregate: dict, rejected, fmt: str, out: str | None):
+    """The survey's ingest rejections on stderr, then its report to --out or stdout."""
+    for lineno, reason in rejected:
+        print(f"ingest line {lineno}: {reason}", file=sys.stderr)
+    text = emit_report(rows, aggregate, fmt)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}")
         print(f"wrote {out}", file=sys.stderr)
     else:
         print(text, end="")
@@ -324,19 +330,18 @@ def _write_or_echo(text: str, out: str | None):
 @click.option("--nmin", type=int, required=True)
 @click.option("--nmax", type=int, required=True)
 @click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True, help=_HEIGHT_HELP)
-@click.option("--ingest", "ingest_path", type=click.Path(exists=True), default=None,
+@click.option("--ingest", "ingest_path", type=_CURVE_FILE, metavar="PATH", default=None,
               help="curve file supplying generators, matched by coefficients")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
-@errors_to_exit_codes
 def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out, as_json):
     """Scan the family y^2 = x^3 + (a0 + a1 n) x + (b0 + b1 n) over n."""
     generators = {}
-    ingest_problems = []
+    ingest_problems = ()
     if ingest_path:
         result = ingest_curves(ingest_path)
-        ingest_problems = list(result.rejected)
+        ingest_problems = result.rejected
         by_coeffs = {
             (rec.curve.a, rec.curve.b): rec.generator
             for rec in result.records
@@ -346,40 +351,23 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out,
             key = (a0 + a1 * n, b0 + b1 * n)
             if key in by_coeffs:
                 generators[n] = by_coeffs[key]
-    spec = FamilySpec(
-        a_const=a0,
-        a_slope=a1,
-        b_const=b0,
-        b_slope=b1,
-        n_min=nmin,
-        n_max=nmax,
-        p=p,
-        disc=disc,
-        height=height,
-        generators=generators,
-    )
-    rows, aggregate = scan_family(spec)
-    for lineno, reason in ingest_problems:
-        print(f"ingest line {lineno}: {reason}", file=sys.stderr)
-    _write_or_echo(emit_report(rows, aggregate, "json" if as_json else fmt), out)
+    rows, aggregate = scan_family(FamilySpec(a0, a1, b0, b1, nmin, nmax, p, disc, height, generators))
+    _write_report(rows, aggregate, ingest_problems, "json" if as_json else fmt, out)
 
 
 @cli.command("report")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--input", "input_path", type=_CURVE_FILE, metavar="PATH", required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--disc", type=int, required=True)
 @click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True, help=_HEIGHT_HELP)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
-@errors_to_exit_codes
 def report_cmd(input_path, p, disc, height, fmt, out, as_json):
     """Run the survey pipeline over an ingested curve file."""
     result = ingest_curves(input_path)
     rows, aggregate = survey_records(result.records, p, disc, height)
-    for lineno, reason in result.rejected:
-        print(f"ingest line {lineno}: {reason}", file=sys.stderr)
-    _write_or_echo(emit_report(rows, aggregate, "json" if as_json else fmt), out)
+    _write_report(rows, aggregate, result.rejected, "json" if as_json else fmt, out)
 
 
 def main():

@@ -243,6 +243,15 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
 # ~180 MB at the cap.
 MAX_HEIGHT = 10**6
 
+
+def require_height(height: int) -> None:
+    """Every point search takes a height bound in 1..MAX_HEIGHT; check it before a search or a survey."""
+    if height < 1:
+        raise DomainError("height bound must be >= 1")
+    if height > MAX_HEIGHT:
+        raise DomainError(f"height bound must be <= {MAX_HEIGHT}")
+
+
 # Sieve moduli: 64, 63 = 7*9, 65 = 5*13 and the primes 11 and 17..67 (65
 # covers 13).  A square is a square modulo each, so no point is sieved out.
 _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
@@ -307,10 +316,7 @@ def search_rows(curve: Curve, height: int) -> Iterator[tuple[int, list[QPoint]]]
     and the rows end at e = isqrt(height // R), before the rows with R e^2 >
     height, which hold no point.  When R <= 0 every row reads the box.
     """
-    if height < 1:
-        raise DomainError("height bound must be >= 1")
-    if height > MAX_HEIGHT:
-        raise DomainError(f"height bound must be <= {MAX_HEIGHT}")
+    require_height(height)
     a, b = curve.a, curve.b
     start = _real_locus_start(a, b)
     last = isqrt(height // start) if start > 0 else isqrt(height)

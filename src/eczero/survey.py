@@ -29,6 +29,7 @@ from .rational import (
     curve_from_long_weierstrass,
     long_point_to_short,
     reduction_type,
+    require_height,
     search_rows,
     torsion_order,
 )
@@ -66,6 +67,14 @@ class FamilySpec:
         if self.n_min > self.n_max:
             raise DomainError("empty parameter range")
         require_curve_prime(self.p)
+        require_height(self.height)
+        # A(n) and B(n) are linear in n, so if the report can print n, A(n)
+        # and B(n) at both ends, it can print them for every row
+        limit = sys.get_int_max_str_digits()
+        ends = [(n, self.a_const + self.a_slope * n, self.b_const + self.b_slope * n)
+                for n in (self.n_min, self.n_max)]
+        if not all(_printable(v, limit) for end in ends for v in end):
+            raise DomainError(f"n, A(n) or B(n) has an integer of more than {limit} digits")
 
     def curve(self, n: int) -> Curve:
         return Curve(
@@ -150,16 +159,20 @@ def ingest_curves(path) -> IngestResult:
     """Parse a line-delimited curve file; invalid rows are reported, not fatal.
 
     Each line is a JSON object with label, A/B or a1..a6, and optional
-    gen = [x_num, x_den, y_num, y_den], rank, source.  A record whose short
-    model or generator holds an integer str() cannot print is rejected, since
-    its report row could not be written.
+    gen = [x_num, x_den, y_num, y_den], rank, source.  Each line is decoded
+    as UTF-8 on its own, so a line that is not UTF-8 is rejected alone.  A
+    record whose short model or generator holds an integer str() cannot
+    print is rejected, since its report row could not be written.
     """
     records = []
     rejected = []
     limit = sys.get_int_max_str_digits()
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode().strip()
+        except UnicodeDecodeError as exc:
+            rejected.append((lineno, f"parse error: not UTF-8 ({exc.reason}) at byte {exc.start + 1}"))
+            continue
         if not line or line.startswith("#"):
             continue
         try:
@@ -339,6 +352,7 @@ def survey_records(records, p: int, disc: int, height: int = DEFAULT_HEIGHT):
     """Rows for ingested records, in input order, plus the aggregate."""
     cm_field = ImagQuadField(disc)
     require_curve_prime(p)
+    require_height(height)
     rows = [
         build_row(rec.curve, p, cm_field, height, ingested_generator=rec.generator)
         for rec in records

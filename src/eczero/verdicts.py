@@ -227,6 +227,12 @@ def nd_structure_verdict(h: HypothesisRecord) -> Verdict | None:
     return _verdict(Conclusion.ND_IS_Z_MOD_PN, used, level=n)
 
 
+def require_tower_level(n: int) -> None:
+    """The CM tower rule's level n is a positive integer."""
+    if n < 1:
+        raise DomainError("tower level n must be >= 1")
+
+
 def cm_tower_verdict(h: HypothesisRecord, cm_field: ImagQuadField, n: int) -> Verdict | None:
     """Z/p^n over the p^n-torsion tower field of a CM self-product.
 
@@ -234,8 +240,7 @@ def cm_tower_verdict(h: HypothesisRecord, cm_field: ImagQuadField, n: int) -> Ve
     ordinary reduction of E1 comes from the record, and triviality of the
     Neron-Severi action is derived from the CM assertion.
     """
-    if n < 1:
-        raise DomainError("tower level n must be >= 1")
+    require_tower_level(n)
     if h.prime is None or h.e1_reduction is None or h.prime.value < 5:
         return None
     p, r = h.prime.value, h.e1_reduction.value

@@ -30,6 +30,7 @@ ARITH = "src/eczero/arith.py"
 RATIONAL = "src/eczero/rational.py"
 SURVEY = "src/eczero/survey.py"
 VERDICTS = "src/eczero/verdicts.py"
+CLI = "src/eczero/cli.py"
 TIMEOUT = 300
 
 # (file, old text, new text, test node ids)
@@ -83,6 +84,21 @@ MUTANTS = [
     (SURVEY, 'csv.writer(out, lineterminator="\\n")',
      'csv.writer(out, lineterminator="\\n", quoting=csv.QUOTE_NONE, escapechar="\\\\")',
      ["tests/test_survey.py::test_emit_csv_quotes_labels"]),
+    # the CLI's one error boundary: DomainError exits 1, InternalConsistencyError 3
+    (CLI, "sys.exit(1 if isinstance(exc, DomainError) else 3)", "sys.exit(3 if isinstance(exc, DomainError) else 1)",
+     ["tests/test_cli.py::test_every_subcommand_maps_library_errors_to_exit_codes"]),
+    (CLI, "        except (DomainError, InternalConsistencyError) as exc:", "        except InternalConsistencyError as exc:",
+     ["tests/test_cli.py::test_every_subcommand_maps_library_errors_to_exit_codes"]),
+    # the entry checks: the height's two bounds, the family's two ends and
+    # the curve file's per-line decode
+    (RATIONAL, "    if height < 1:", "    if height < 0:",
+     ["tests/test_cli.py::test_survey_height_outside_the_bound_is_refused_at_entry"]),
+    (RATIONAL, "    if height > MAX_HEIGHT:", "    if height > 2 * MAX_HEIGHT:",
+     ["tests/test_cli.py::test_survey_height_outside_the_bound_is_refused_at_entry"]),
+    (SURVEY, "for n in (self.n_min, self.n_max)]", "for n in (self.n_min,)]",
+     ["tests/test_survey.py::test_family_ends_bound_the_integers_the_report_prints"]),
+    (SURVEY, "            line = raw.decode().strip()", '            line = raw.decode(errors="replace").strip()',
+     ["tests/test_cli.py::test_an_undecodable_curve_file_line_is_rejected_alone"]),
     # the search's sieve alignment, height cap, real-locus start and
     # torsion certification's early stop
     (RATIONAL, "    shift = -height % q", "    shift = height % q",

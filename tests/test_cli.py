@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import eczero
 import eczero.cli
 from eczero.cli import cli
-from eczero.errors import InternalConsistencyError
+from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import RESIDUE_LIMIT
 
 from test_survey import default_digit_limit, write_overlong_curves  # noqa: F401  (a fixture)
@@ -226,6 +226,20 @@ def test_verdict_counts_points_once_per_curve(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verdict_checks_gen_and_tower_level_whatever_fires():
+    # --gen was once parsed only when the middle-term rule fired, and
+    # --tower-level checked only with --cm
+    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7"]
+    for extra in ([], ["--disc", "-3"], ["--disc", "-3", "--cm"]):
+        res = run(*base, *extra, "--gen", "garbage")
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "Error: --gen: invalid literal for int() with base 10: 'garbage'\n" in res.stderr
+        for level in ("0", "-1"):
+            res = run(*base, *extra, "--tower-level", level)
+            assert res.exit_code == 1 and res.stdout == ""
+            assert json.loads(res.stderr) == {"error": "tower level n must be >= 1"}
+
+
 def test_verdict_rejects_half_given_e2():
     for flag in ("--e2-a", "--e2-b"):
         res = run("verdict", "--a", "0", "--b", "-2", "--p", "7", flag, "5")
@@ -259,15 +273,18 @@ def test_scan_json_parses_and_is_deterministic(tmp_path):
     assert payload["aggregate"]["eligible"] == 5
 
 
-def test_scan_height_zero_is_a_row_error():
-    res = run(
-        "scan", "--a0", "0", "--b0", "-2", "--b1", "7", "--p", "7", "--disc", "-3",
-        "--nmin", "0", "--nmax", "1", "--height", "0", "--json",
-    )
-    assert res.exit_code == 0
-    payload = json.loads(res.stdout)
-    assert [(r["generator"], r["error"]) for r in payload["rows"]] == [("unknown", "height bound must be >= 1")] * 2
-    assert payload["aggregate"]["errors"] == 2
+def test_survey_height_outside_the_bound_is_refused_at_entry(tmp_path):
+    # a height the search refuses once made every row an error, which the
+    # CSV, having no error column, showed as a plain "unknown"
+    f = tmp_path / "curves.jsonl"
+    f.write_text('{"label": "E0", "A": 0, "B": -2}\n{"label": "no-coeffs"}\n')
+    family = ["--a0", "0", "--b0", "-2", "--b1", "7", "--p", "7", "--disc", "-3", "--nmin", "0", "--nmax", "1"]
+    for height, message in (("0", "height bound must be >= 1"), ("2000000", "height bound must be <= 1000000")):
+        for args in (["scan", *family, "--ingest", str(f)], ["report", "--input", str(f), "--p", "7", "--disc", "-3"]):
+            res = run(*args, "--height", height)
+            assert res.exit_code == 1 and res.stdout == "", args
+            # one JSON error, and no ingest rejection: no survey ran
+            assert res.stderr.count("\n") == 1 and json.loads(res.stderr) == {"error": message}
 
 
 def test_scan_with_ingested_generators(tmp_path):
@@ -316,6 +333,68 @@ def test_report_and_scan_reject_integers_they_cannot_print_by_line(tmp_path, def
     assert res.exit_code == 0 and res.exception is None
     assert json.loads(res.stdout)["rows"][0]["generator"] == "ingested"
     assert [line.split(":")[0] for line in res.stderr.splitlines()] == ["ingest line 1", "ingest line 2"]
+
+
+def test_scan_refuses_a_family_whose_integers_the_report_cannot_print(default_digit_limit):
+    # A(n) = 10^4000 n at n = 10^400 has 4401 digits; --json once died in str()
+    big, n = "1" + "0" * 4000, "1" + "0" * 400
+    for fmt in ("csv", "json"):
+        res = run("scan", "--a0", "0", "--a1", big, "--b0", "1", "--p", "7", "--disc", "-3",
+                  "--nmin", n, "--nmax", n, "--height", "10", "--format", fmt)
+        assert res.exit_code == 1 and res.stdout == "" and isinstance(res.exception, SystemExit)
+        assert json.loads(res.stderr) == {"error": "n, A(n) or B(n) has an integer of more than 4300 digits"}
+
+
+def test_a_directory_as_curve_file_is_a_usage_error(tmp_path):
+    family = ["--a0", "0", "--b0", "-2", "--p", "7", "--disc", "-3", "--nmin", "0", "--nmax", "0"]
+    for args, option in (
+        (["report", "--input", str(tmp_path), "--p", "7", "--disc", "-3"], "--input"),
+        (["scan", *family, "--ingest", str(tmp_path)], "--ingest"),
+    ):
+        res = run(*args)
+        assert res.exit_code == 2 and res.stdout == "" and isinstance(res.exception, SystemExit)
+        assert f"Invalid value for '{option}': File '{tmp_path}' is a directory." in res.stderr
+
+
+def test_an_unwritable_out_path_is_a_domain_error(tmp_path):
+    f = tmp_path / "curves.jsonl"
+    f.write_text('{"label": "E0", "A": 0, "B": -2}\n')
+    out = tmp_path / "missing" / "x.csv"
+    family = ["--a0", "0", "--b0", "-2", "--p", "7", "--disc", "-3", "--nmin", "0", "--nmax", "0", "--height", "10"]
+    for args in (["scan", *family], ["report", "--input", str(f), "--p", "7", "--disc", "-3"]):
+        res = run(*args, "--out", str(out))
+        assert res.exit_code == 1 and res.stdout == "" and isinstance(res.exception, SystemExit)
+        assert json.loads(res.stderr) == {"error": f"cannot write {out}: No such file or directory"}
+
+
+def test_an_undecodable_curve_file_line_is_rejected_alone(tmp_path):
+    f = tmp_path / "curves.jsonl"
+    f.write_bytes(b'{"label":"ok","A":0,"B":-2}\n{"label":"caf\xe9","A":0,"B":1}\n{"label":"E3","A":0,"B":-2}\n')
+    res = run("report", "--input", str(f), "--p", "7", "--disc", "-3", "--json")
+    assert res.exit_code == 0 and res.exception is None
+    assert [r["label"] for r in json.loads(res.stdout)["rows"]] == ["ok", "E3"]
+    assert res.stderr == "ingest line 2: parse error: not UTF-8 (invalid continuation byte) at byte 14\n"
+
+
+def test_every_subcommand_maps_library_errors_to_exit_codes():
+    # the boundary is the command group's: a command covered without opting in
+    group = type(cli)()
+
+    @group.command("domain")
+    def domain():
+        raise DomainError("bad input")
+
+    @group.command("internal")
+    def internal():
+        raise InternalConsistencyError("broken invariant")
+
+    for name, code, message in (("domain", 1, "bad input"), ("internal", 3, "broken invariant")):
+        res = runner.invoke(group, [name])
+        assert res.exit_code == code and res.stdout == ""
+        assert json.loads(res.stderr) == {"error": message}
+        with pytest.raises(SystemExit) as raised:
+            group.main(args=[name], standalone_mode=False)
+        assert raised.value.code == code
 
 
 @pytest.mark.parametrize("p", [-1, 0, 1, 2, 3, 4, 9, 25])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -165,6 +166,32 @@ def test_height_below_one_is_an_error_not_an_empty_box(height):
     for search in (find_generator, naive_point_search):
         with pytest.raises(DomainError, match="height bound must be >= 1"):
             search(E, height)
+
+
+@pytest.mark.parametrize("height", [0, 10**6 + 1])
+def test_survey_height_is_checked_once_at_entry(height, monkeypatch):
+    # a survey refuses a height the search would refuse, before any row
+    monkeypatch.setattr(eczero.survey, "build_row", lambda *a, **k: pytest.fail("a row was built"))
+    message = "height bound must be >= 1" if height < 1 else "height bound must be <= 1000000"
+    with pytest.raises(DomainError, match=message):
+        _spec(0, 1, height=height)
+    record = IngestRecord(label="E0", curve=Curve(0, -2), generator=None, rank=None, source=None)
+    with pytest.raises(DomainError, match=message):
+        survey_records([record], 7, -3, height)
+
+
+def test_family_ends_bound_the_integers_the_report_prints(default_digit_limit):
+    # A(n) and B(n) are linear in n, so the ends of the range bound every row
+    too_long = re.escape("n, A(n) or B(n) has an integer of more than 4300 digits")
+    big = 10**4000
+    for ends in ((0, 10**400), (-(10**400), 0)):
+        with pytest.raises(DomainError, match=too_long):
+            FamilySpec(0, big, 1, 0, *ends, 7, -3, height=10)
+        with pytest.raises(DomainError, match=too_long):
+            FamilySpec(0, 0, 1, big, *ends, 7, -3, height=10)
+    with pytest.raises(DomainError, match=too_long):
+        FamilySpec(0, 0, 10**4300, 0, 0, 0, 7, -3, height=10)
+    FamilySpec(0, 0, 10**4300 - 1, 0, 0, 0, 7, -3, height=10)  # 4300 nines print
 
 
 def test_scan_family_single_row_matches_oracle():
