@@ -188,6 +188,11 @@ def cornacchia(d: int, p: int) -> tuple[int, int] | None:
         raise DomainError(f"unsupported Cornacchia coefficient d={d}")
     if p == 2 or not is_prime(p):
         raise DomainError("cornacchia requires an odd prime p")
+    return _cornacchia(d, p)
+
+
+def _cornacchia(d: int, p: int) -> tuple[int, int] | None:
+    # cornacchia for a supported d and an odd prime p its caller has checked.
     D = -d
     x0 = sqrt_mod_p(D % p, p)
     if x0 is None:  # (D|p) = -1

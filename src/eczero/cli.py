@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -337,21 +338,15 @@ def _write_report(rows, aggregate: dict, rejected, fmt: str, out: str | None):
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
 def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out, as_json):
     """Scan the family y^2 = x^3 + (a0 + a1 n) x + (b0 + b1 n) over n."""
-    generators = {}
+    spec = FamilySpec(a0, a1, b0, b1, nmin, nmax, p, disc, height)  # checked before the curve file is read
     ingest_problems = ()
     if ingest_path:
         result = ingest_curves(ingest_path)
         ingest_problems = result.rejected
-        by_coeffs = {
-            (rec.curve.a, rec.curve.b): rec.generator
-            for rec in result.records
-            if rec.generator is not None
-        }
-        for n in range(nmin, nmax + 1):
-            key = (a0 + a1 * n, b0 + b1 * n)
-            if key in by_coeffs:
-                generators[n] = by_coeffs[key]
-    rows, aggregate = scan_family(FamilySpec(a0, a1, b0, b1, nmin, nmax, p, disc, height, generators))
+        # the last record with a generator wins for equal coefficients
+        by_coeffs = {(rec.curve.a, rec.curve.b): rec.generator for rec in result.records if rec.generator is not None}
+        spec = replace(spec, generators={n: gen for (a, b), gen in by_coeffs.items() for n in spec.members(a, b)})
+    rows, aggregate = scan_family(spec)
     _write_report(rows, aggregate, ingest_problems, "json" if as_json else fmt, out)
 
 

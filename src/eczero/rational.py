@@ -227,7 +227,7 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
     minimal = _minimal_with_scale(curve, p)[0]
     disc = minimal.discriminant
     if disc % p != 0:
-        reduced = FpCurve(p, minimal.a % p, minimal.b % p)
+        reduced = FpCurve._at_checked_prime(p, minimal.a, minimal.b)
         ap = trace_of_frobenius(reduced)
         if ap % p == 0:
             return ReductionType(ReductionKind.GOOD_SUPERSINGULAR, trace=ap)

@@ -83,6 +83,21 @@ class FamilySpec:
             label=f"n={n}",
         )
 
+    def members(self, a: int, b: int) -> range:
+        """The n in [n_min, n_max] with (A(n), B(n)) = (a, b).
+
+        n is solved from a nonzero slope, so the cost does not grow with the
+        range: at most one n, or the whole range when both slopes are 0.
+        """
+        span = range(self.n_min, self.n_max + 1)
+        if self.a_slope or self.b_slope:
+            const, slope, value = (self.a_const, self.a_slope, a) if self.a_slope else (self.b_const, self.b_slope, b)
+            n, r = divmod(value - const, slope)
+            span = range(n, n + 1) if r == 0 and n in span else range(0)
+        n = span.start
+        fits = span and (self.a_const + self.a_slope * n, self.b_const + self.b_slope * n) == (a, b)
+        return span if fits else range(0)
+
 
 @dataclass(frozen=True)
 class SurveyRow:

@@ -89,14 +89,18 @@ MUTANTS = [
      ["tests/test_cli.py::test_every_subcommand_maps_library_errors_to_exit_codes"]),
     (CLI, "        except (DomainError, InternalConsistencyError) as exc:", "        except InternalConsistencyError as exc:",
      ["tests/test_cli.py::test_every_subcommand_maps_library_errors_to_exit_codes"]),
-    # the entry checks: the height's two bounds, the family's two ends and
-    # the curve file's per-line decode
+    # the entry checks: the height's two bounds, the family's two ends, the
+    # ingested generators' n and the curve file's per-line decode
     (RATIONAL, "    if height < 1:", "    if height < 0:",
      ["tests/test_cli.py::test_survey_height_outside_the_bound_is_refused_at_entry"]),
     (RATIONAL, "    if height > MAX_HEIGHT:", "    if height > 2 * MAX_HEIGHT:",
      ["tests/test_cli.py::test_survey_height_outside_the_bound_is_refused_at_entry"]),
     (SURVEY, "for n in (self.n_min, self.n_max)]", "for n in (self.n_min,)]",
      ["tests/test_survey.py::test_family_ends_bound_the_integers_the_report_prints"]),
+    (SURVEY, "range(n, n + 1) if r == 0 and n in span else range(0)", "range(n, n + 1) if r == 0 else range(0)",
+     ["tests/test_survey.py::test_family_members_are_the_n_with_those_coefficients"]),
+    (SURVEY, "        return span if fits else range(0)", "        return span",
+     ["tests/test_survey.py::test_family_members_are_the_n_with_those_coefficients"]),
     (SURVEY, "            line = raw.decode().strip()", '            line = raw.decode(errors="replace").strip()',
      ["tests/test_cli.py::test_an_undecodable_curve_file_line_is_rejected_alone"]),
     # the search's sieve alignment, height cap, real-locus start and
@@ -120,8 +124,15 @@ MUTANTS = [
     (FP, "    step = lcm(cands.step, _kill_step(curve, P, lo, width))",
      "    step = max(cands.step, _kill_step(curve, P, lo, width))",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
-    (FP, "                return lo + i + j - first", "                return lo + i + j",
+    (FP, "                return n - first", "                return n",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    # the +- baby steps: a giant step's sign, and the orders the baby steps return
+    (FP, "n = c - j if y == G[1] else c + j", "n = c + j if y == G[1] else c - j",
+     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    (FP, "            return 2 * j", "            return j",
+     ["tests/test_fp.py::test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly"]),
+    (FP, "            return hit[0] + j", "            return 2 * j",
+     ["tests/test_fp.py::test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly"]),
     (FP, "    return range(lo + (-lo) % step, lo + width, step) if step else range(0)",
      "    return range(lo + (-lo) % step, lo + width, step)",
      ["tests/test_fp.py::test_a_walk_without_hits_ends_in_the_fallback"]),
@@ -131,6 +142,16 @@ MUTANTS = [
      ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
     (FP, "for t in (u, -u)}", "for t in (u,)}",
      ["tests/test_fp.py::test_cm_traces_are_every_frobenius_trace_of_O_D"]),
+    # one primality test per count: reduction_type's curve, the twist and the
+    # CM route's Cornacchia take the private paths, which keep every other check
+    (RATIONAL, "FpCurve._at_checked_prime(p, minimal.a, minimal.b)", "FpCurve(p, minimal.a, minimal.b)",
+     ["tests/test_fp.py::test_reduction_type_tests_its_prime_once"]),
+    (FP, "FpCurve._at_checked_prime(p, curve.a * g * g, curve.b * g**3)", "FpCurve(p, curve.a * g * g, curve.b * g**3)",
+     ["tests/test_fp.py::test_reduction_type_tests_its_prime_once"]),
+    (FP, "    _cornacchia,\n", "    cornacchia as _cornacchia,\n",
+     ["tests/test_fp.py::test_reduction_type_tests_its_prime_once"]),
+    (FP, "        curve._reduce()\n", "",
+     ["tests/test_fp.py::test_checked_prime_constructor_keeps_every_other_check"]),
     # the number-theory kernels under it
     (ARITH, "((u + 3 * v) // 2, abs(u - v) // 2)", "((u + v) // 2, abs(u - v) // 2)",
      ["tests/test_arith.py::test_unit_orbit_members_are_representations_with_one_orbit"]),

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -299,6 +300,23 @@ def test_scan_with_ingested_generators(tmp_path):
     payload = json.loads(res.stdout)
     assert payload["rows"][0]["generator"] == "ingested"
     assert payload["rows"][0]["formal_nontrivial"] is True
+
+
+def test_scan_checks_the_family_before_reading_the_curve_file(tmp_path):
+    # generators are matched by solving n from each record's (A, B), so
+    # neither a refused family nor a wide range costs time linear in the range
+    f = tmp_path / "gens.jsonl"
+    f.write_text('{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1]}\n'
+                 '{"label": "E1", "A": 0, "B": 5, "gen": [-1, 1, 2, 1]}\n')
+    family = ["--a0", "0", "--b0", "-2", "--disc", "-3", "--nmin", "0"]
+    start = time.perf_counter()
+    res = run("scan", *family, "--b1", "7", "--p", "4", "--nmax", "20000000", "--ingest", str(f))
+    assert time.perf_counter() - start < 0.5
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "p must be a prime >= 5, got 4"}
+    res = run("scan", *family, "--b1", "7", "--p", "7", "--nmax", "2", "--height", "1", "--ingest", str(f), "--json")
+    assert res.exit_code == 0
+    assert [r["generator"] for r in json.loads(res.stdout)["rows"]] == ["ingested", "ingested", "unknown"]
 
 
 def test_report_pipeline(tmp_path):

@@ -1,12 +1,14 @@
 import random
 import re
 import tracemalloc
+from itertools import islice
 from math import isqrt
 
 import pytest
 
 import eczero.fp
-from eczero.arith import CM_J_INVARIANTS, is_prime, kronecker_symbol
+import eczero.arith
+from eczero.arith import CM_J_INVARIANTS, cornacchia, is_prime, kronecker_symbol
 from eczero.errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 from eczero.fp import (
     FpCurve,
@@ -22,6 +24,7 @@ from eczero.fp import (
     trace_of_frobenius,
 )
 from eczero.quadfields import ImagQuadField, is_frobenius_trace
+from eczero.rational import Curve, reduction_type
 
 from oracles import cm_trace_oracle
 
@@ -361,6 +364,56 @@ def test_kill_step_multiples_are_the_kill_set():
     assert kinds == {"small", "one hit", "two hits"} and smalls == {2, 3}
 
 
+def _order_of(curve, P, N):
+    # ord(P) from the group order N: strip each prime factor q while [d/q]P = O
+    d, q, rest = N, 2, N
+    while rest > 1:
+        if rest % q == 0:
+            rest //= q
+            if fp_scalar_mul(curve, d // q, P).is_identity:
+                d //= q
+        else:
+            q += 1
+    return d
+
+
+def test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly():
+    # The baby steps [j]P, 1 <= j <= m, end at the first repeat of x: the
+    # identity at j gives order j, y = 0 gives 2j and [j]P = -[i]P gives
+    # i + j, so every order up to 2m is its own step, and 2m + 1 is left to
+    # the giant steps.  At seeded primes in (229, 2^12), points of each
+    # order d <= 2m + 1 (the identity, order 2, odd and even orders, and
+    # exactly 2m + 1) must give L = d, whose multiples are the n in the
+    # Hasse interval with [n]P = O, found by walking P across it.
+    rng = random.Random(4096)
+    primes = rng.sample([p for p in range(231, 1 << 12, 2) if is_prime(p)], 10)
+    kinds = set()
+    for p in primes:
+        s = isqrt(4 * p)
+        lo, width = p + 1 - s, 2 * s + 1
+        m = isqrt(width // 2) + 1
+        points = {}  # order d -> (curve, a point of order d)
+        while 2 * m + 1 not in points:
+            curve = _random_curve(rng, p)
+            N = count_points_naive(curve)
+            for x, y in islice(eczero.fp._walk_points(curve), 4):
+                e = _order_of(curve, FpPoint(x, y), N)
+                for d in range(1, 2 * m + 2):
+                    if e % d == 0:
+                        points.setdefault(d, (curve, fp_scalar_mul(curve, e // d, FpPoint(x, y))))
+        for d, (curve, P) in points.items():
+            L = eczero.fp._kill_step(curve, (P.x, P.y), lo, width)
+            R, kill = fp_scalar_mul(curve, lo, P), set()
+            for n in range(lo, lo + width):
+                if R.is_identity:
+                    kill.add(n)
+                R = fp_add(curve, R, P)
+            assert L == d, (curve, P, d)
+            assert {n for n in range(lo, lo + width) if n % L == 0} == kill, (curve, P)
+            kinds.add("2m + 1" if d == 2 * m + 1 else "identity" if d == 1 else "two" if d == 2 else d % 2)
+    assert kinds == {"identity", "two", 0, 1, "2m + 1"}
+
+
 def _ambiguous(curve, cands):
     return cands
 
@@ -564,7 +617,62 @@ def test_cm_route_raises_without_cornacchia(monkeypatch):
     # the curve is not sent to BSGS.
     curve = FpCurve(65537, -4, 0)  # 65537 = 1 mod 4 splits in Q(i)
     calls = _spy_bsgs(monkeypatch)
-    monkeypatch.setattr(eczero.fp, "cornacchia", lambda d, p: None)
+    monkeypatch.setattr(eczero.fp, "_cornacchia", lambda d, p: None)
     with pytest.raises(InternalConsistencyError, match="split prime 65537"):
         count_points(curve)
     assert calls == []
+
+
+# One primality test per count: reduction_type tests p, and nothing under it
+# tests p again (the private FpCurve constructor and Cornacchia kernel).
+
+
+def _count_is_prime(monkeypatch):
+    calls = []
+    test = eczero.arith.is_prime
+    monkeypatch.setattr(eczero.arith, "is_prime", lambda n: calls.append(n) or test(n))
+    return calls
+
+
+@pytest.mark.parametrize("ab, p, route", [
+    ((3, 7), 1000003, "hasse"),
+    ((0, 1), 1000003, "cm split"),
+    ((0, 1), 1000037, "cm inert"),
+    ((1, 0), 233, "twist"),
+])
+def test_reduction_type_tests_its_prime_once(monkeypatch, ab, p, route):
+    expected = reduction_type(Curve(*ab), p)
+    curve = FpCurve(p, *ab)
+    D = eczero.fp._cm_disc(curve)
+    assert (D is None) == (route == "hasse")
+    if D is not None:
+        assert kronecker_symbol(D, p) == (-1 if route == "cm inert" else 1)
+    twists = []
+    twist = eczero.fp._twist
+    monkeypatch.setattr(eczero.fp, "_twist", lambda c: twists.append(c) or twist(c))
+    calls = _count_is_prime(monkeypatch)
+    assert reduction_type(Curve(*ab), p) == expected
+    assert calls == [p]
+    assert bool(twists) == (route == "twist")
+
+
+def test_checked_prime_constructor_keeps_every_other_check(monkeypatch):
+    calls = _count_is_prime(monkeypatch)
+    curve = FpCurve._at_checked_prime(233, -1, 240)
+    assert calls == []
+    assert curve == FpCurve(233, -1, 240) and (curve.a, curve.b) == (232, 7)
+    with pytest.raises(DomainError, match="singular"):
+        FpCurve._at_checked_prime(233, 230, 235)  # x^3 - 3x + 2 = (x - 1)^2 (x + 2) mod 233
+
+
+@pytest.mark.parametrize("p", [1000001, 3215031751])
+def test_a_composite_p_still_raises_at_every_public_entry(p):
+    # 3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7
+    with pytest.raises(DomainError):
+        reduction_type(Curve(3, 7), p)
+    with pytest.raises(DomainError):
+        FpCurve(p, 3, 7)
+    with pytest.raises(DomainError):
+        cornacchia(3, p)
+    with pytest.raises(DomainError):
+        count_points(FpCurve(p, 0, 1))

@@ -194,6 +194,18 @@ def test_family_ends_bound_the_integers_the_report_prints(default_digit_limit):
     FamilySpec(0, 0, 10**4300 - 1, 0, 0, 0, 7, -3, height=10)  # 4300 nines print
 
 
+def test_family_members_are_the_n_with_those_coefficients():
+    # members(a, b) solves n from a nonzero slope; checked by brute force on
+    # families with A, B, both or neither moving, for every (a, b) they reach
+    # and for near misses
+    for slopes in ((0, 7), (3, 0), (-2, 5), (4, -6), (0, 0)):
+        spec = FamilySpec(1, slopes[0], -2, slopes[1], -4, 5, 7, -3, height=10)
+        reached = {(spec.a_const + spec.a_slope * n, spec.b_const + spec.b_slope * n) for n in range(-6, 8)}
+        for a, b in reached | {(a + 1, b) for a, b in reached} | {(a, b - 1) for a, b in reached}:
+            brute = [n for n in range(-4, 6) if (1 + slopes[0] * n, -2 + slopes[1] * n) == (a, b)]
+            assert list(spec.members(a, b)) == brute, (slopes, a, b)
+
+
 def test_scan_family_single_row_matches_oracle():
     spec = _spec(0, 0, generators={0: QPoint.from_pair(3, 5)})
     rows, agg = scan_family(spec)
