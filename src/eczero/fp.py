@@ -8,7 +8,10 @@ from the Hasse interval, which each point cuts to the multiples of its
 kill step.  A kill step comes from baby-step/giant-step with +- baby
 steps (Shanks-Mestre; Cohen, GTM 138, Sec. 7.4): the baby steps [j]P,
 j <= m ~ sqrt(width / 2), are keyed by x, so each giant step of 2m + 1
-tests [c]P = [j]P and [c]P = -[j]P at once.  The walk's points cut either
+tests [c]P = [j]P and [c]P = -[j]P at once.  Both walks add their steps
+in blocks that double, and each block takes one field inversion
+(Montgomery's simultaneous inversion, _add_many), about 2 log2(m) in all
+where one addition at a time takes 2m.  The walk's points cut either
 set, then the quadratic twist's points cut the mirrored orders; E or its
 twist always has a point that leaves one.  If more are left, the sweep
 decides for p <= 2^16 and an InternalConsistencyError is raised above, so
@@ -16,7 +19,8 @@ the returned order is always exact and no sweep runs past 2^16 steps.
 
 A count tests its prime once: FpCurve tests p when it is built, and
 reduction_type, which tests p itself, builds its curve, the twist and the
-CM route's Cornacchia call through private paths that skip that test.
+CM route's Cornacchia call through private paths that skip that test; the
+local layer's entries and anomalous_residues_d3 build theirs the same way.
 """
 
 from __future__ import annotations
@@ -135,6 +139,43 @@ def _add(p: int, a: int, P, Q):
     return (x3, y3)
 
 
+def _add_many(p: int, a: int, pairs: list) -> list:
+    # [_add(p, a, P, Q) for P, Q in pairs] with one field inversion for the
+    # whole list (Montgomery's trick; Cohen, GTM 138, Alg. 10.3.4): the
+    # forward pass multiplies up the slopes' denominators, the product is
+    # inverted once, and the backward pass peels each 1/den off it.  An
+    # identity operand or P = -Q needs no denominator.
+    slopes = []  # (num, den, product of the dens before it), or None
+    acc = 1
+    for (x1, y1), (x2, y2) in pairs:
+        if x1 is None or x2 is None:
+            slopes.append(None)
+            continue
+        if x1 != x2:
+            num, den = y2 - y1, x2 - x1
+        elif (y1 + y2) % p:
+            num, den = 3 * x1 * x1 + a, 2 * y1
+        else:
+            slopes.append(None)
+            continue
+        slopes.append((num, den, acc))
+        acc = acc * den % p
+    inv = pow(acc, -1, p)  # 1 / (the dens so far), as the pass walks back
+    out = []
+    for (P, Q), slope in zip(reversed(pairs), reversed(slopes)):
+        if slope is None:
+            out.append(Q if P[0] is None else P if Q[0] is None else (None, None))
+            continue
+        num, den, before = slope
+        lam = num * before * inv % p
+        inv = inv * den % p
+        x1, y1 = P
+        x3 = (lam * lam - x1 - Q[0]) % p
+        out.append((x3, (lam * (x1 - x3) - y1) % p))
+    out.reverse()
+    return out
+
+
 def fp_neg(curve: FpCurve, point: FpPoint) -> FpPoint:
     if point.is_identity:
         return point
@@ -188,34 +229,56 @@ def _kill_step(curve: FpCurve, P, lo: int, width: int) -> int:
     # centre.  The first repeat among them gives any order up to 2m: the
     # identity at j gives j (O is in the table as [0]P), y = 0 gives 2j, and
     # [j]P = -[i]P gives i + j ([j]P = [i]P would have met O at j - i).
-    p = curve.p
-    add = partial(_add, p, curve.a)
+    #
+    # Both walks grow in blocks that double, one _add_many each: the next
+    # block is every point so far plus [len]P (baby steps) or [len] stride
+    # (giant steps, whose addend is doubled in the same call).  Each block
+    # is scanned in order before the next one is built.
+    p, a = curve.p, curve.a
     m = isqrt(width // 2) + 1
     table: dict[int | None, tuple] = {None: (0, None)}  # x([j]P) -> (j, y([j]P))
-    R = P
-    for j in range(1, m + 1):
-        if (hit := table.get(R[0])) is not None:
-            return hit[0] + j
-        if R[1] == 0:
-            return 2 * j
-        table[R[0]] = (j, R[1])
-        R = add(R, P)
-    # ord(P) > 2m now, so a window [c - m, c + m] holds at most one hit
+    babies, block = [], [P]
+    while True:
+        for j, R in enumerate(block, len(babies) + 1):
+            if (hit := table.get(R[0])) is not None:
+                return hit[0] + j
+            if R[1] == 0:
+                return 2 * j
+            table[R[0]] = (j, R[1])
+        babies += block
+        if len(babies) == m:
+            break
+        block = _add_many(p, a, [(B, babies[-1]) for B in babies[: m - len(babies)]])
+    # ord(P) > 2m now, so a window [c - m, c + m] holds at most one hit.  The
+    # stride [2m + 1]P is 2 [m]P + P, and with lo + m = q (2m + 1) + r - m,
+    # 0 <= r <= 2m, the first centre's [lo + m]P is [q] stride plus the baby
+    # step [r - m]P or the negative of [m - r]P.
+    stride = _add(p, a, _add(p, a, babies[-1], babies[-1]), P)
+    q, r = divmod(lo + 2 * m, 2 * m + 1)
+    G = double_and_add(partial(_add, p, a), q, stride, (None, None))
+    if r != m:
+        x, y = babies[abs(r - m) - 1]
+        G = _add(p, a, G, (x, y if r > m else -y % p))
     first = 0
-    G = double_and_add(add, lo + m, P, (None, None))
-    stride = double_and_add(add, 2 * m + 1, P, (None, None))
-    for c in range(lo + m, lo + m + width, 2 * m + 1):
-        # [c - j]P = O if [c]P = [j]P, [c + j]P = O if [c]P = -[j]P; a hit
-        # past the interval is still the next multiple of ord(P), so it
-        # needs no test
-        if (hit := table.get(G[0])) is not None:
-            j, y = hit
-            n = c - j if y == G[1] else c + j
-            if first:
-                return n - first
-            first = n
-        G = add(G, stride)
-    return first
+    centres = range(lo + m, lo + m + width, 2 * m + 1)
+    giants, block, addend = [], [G], stride  # addend: [len(giants)] stride after each scan
+    while True:
+        for c, G in zip(centres[len(giants):], block):
+            # [c - j]P = O if [c]P = [j]P, [c + j]P = O if [c]P = -[j]P; a
+            # hit past the interval is still the next multiple of ord(P), so
+            # it needs no test
+            if (hit := table.get(G[0])) is not None:
+                j, y = hit
+                n = c - j if y == G[1] else c + j
+                if first:
+                    return n - first
+                first = n
+        giants += block
+        if len(giants) == len(centres):
+            return first
+        *block, addend = _add_many(
+            p, a, [(G, addend) for G in giants[: len(centres) - len(giants)]] + [(addend, addend)]
+        )
 
 
 def _walk_points(curve: FpCurve):
@@ -289,9 +352,10 @@ def count_points_bsgs(curve: FpCurve) -> int:
     the multiples of their kill steps.  A point's kill step takes baby steps
     [j]P, j <= m ~ sqrt(width / 2), keyed by x, and giant steps of 2m + 1
     that each test both signs, about sqrt(2) fewer group operations than a
-    plain table; the baby steps alone give any order up to 2m.  If more
-    than one order is left, the sweep decides for p <= 2^16 and
-    InternalConsistencyError is raised above.
+    plain table; the baby steps alone give any order up to 2m.  Both walks
+    add their steps in blocks that double, with one field inversion per
+    block.  If more than one order is left, the sweep decides for
+    p <= 2^16 and InternalConsistencyError is raised above.
     """
     s = isqrt(4 * curve.p)
     return _resolve(curve, range(curve.p + 1 - s, curve.p + 2 + s))

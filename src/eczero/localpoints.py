@@ -184,9 +184,10 @@ class QpPoint:
 
 
 def _require_anomalous(curve: Curve, p: int) -> FpCurve:
+    # p is a prime its caller has tested, so the reduction skips that test
     if curve.discriminant % p == 0:
         raise DomainError(f"model has bad reduction at {p}")
-    reduced = FpCurve(p, curve.a % p, curve.b % p)
+    reduced = FpCurve._at_checked_prime(p, curve.a, curve.b)
     if not is_anomalous(reduced):
         raise DomainError(f"reduction at {p} is not anomalous")
     return reduced

@@ -87,10 +87,11 @@ def anomalous_residues_d3(p: int) -> list[int]:
     k = (p - 1) // 6
     anomalous_class: dict[int, bool] = {}
     residues = []
+    # is_frobenius_trace has tested p, so each class's curve skips that test
     for c in range(1, p):
         key = pow(c, k, p)
         if key not in anomalous_class:
-            anomalous_class[key] = is_anomalous(FpCurve(p, 0, c))
+            anomalous_class[key] = is_anomalous(FpCurve._at_checked_prime(p, 0, c))
         if anomalous_class[key]:
             residues.append(c)
     if len(residues) != k:

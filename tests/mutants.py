@@ -126,6 +126,20 @@ MUTANTS = [
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
     (FP, "                return n - first", "                return n",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    # batched additions: the backward pass's running inverse and prefix
+    # product, and the kill step's stride, first centre and giant addend
+    (FP, "        inv = inv * den % p\n", "",
+     ["tests/test_fp.py::test_add_many_is_add_elementwise"]),
+    (FP, "        lam = num * before * inv % p", "        lam = num * inv % p",
+     ["tests/test_fp.py::test_add_many_is_add_elementwise"]),
+    (FP, "    stride = _add(p, a, _add(p, a, babies[-1], babies[-1]), P)", "    stride = _add(p, a, babies[-1], babies[-1])",
+     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    (FP, "(x, y if r > m else -y % p)", "(x, -y % p if r > m else y)",
+     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    (FP, "+ [(addend, addend)]", "+ [(addend, stride)]",
+     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    (FP, "(B, babies[-1]) for B in babies", "(B, babies[0]) for B in babies",
+     ["tests/test_fp.py::test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly"]),
     # the +- baby steps: a giant step's sign, and the orders the baby steps return
     (FP, "n = c - j if y == G[1] else c + j", "n = c + j if y == G[1] else c - j",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
@@ -152,6 +166,10 @@ MUTANTS = [
      ["tests/test_fp.py::test_reduction_type_tests_its_prime_once"]),
     (FP, "        curve._reduce()\n", "",
      ["tests/test_fp.py::test_checked_prime_constructor_keeps_every_other_check"]),
+    (LOCAL, "FpCurve._at_checked_prime(p, curve.a, curve.b)", "FpCurve(p, curve.a, curve.b)",
+     ["tests/test_fp.py::test_local_and_residue_entries_test_their_prime_once"]),
+    (QUAD, "FpCurve._at_checked_prime(p, 0, c)", "FpCurve(p, 0, c)",
+     ["tests/test_fp.py::test_local_and_residue_entries_test_their_prime_once"]),
     # the number-theory kernels under it
     (ARITH, "((u + 3 * v) // 2, abs(u - v) // 2)", "((u + v) // 2, abs(u - v) // 2)",
      ["tests/test_arith.py::test_unit_orbit_members_are_representations_with_one_orbit"]),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import tracemalloc
@@ -23,8 +24,9 @@ from eczero.fp import (
     point_at_x,
     trace_of_frobenius,
 )
-from eczero.quadfields import ImagQuadField, is_frobenius_trace
-from eczero.rational import Curve, reduction_type
+from eczero.localpoints import decompose_point, formal_t_valuation, lift_p_torsion
+from eczero.quadfields import ImagQuadField, anomalous_residues_d3, is_frobenius_trace
+from eczero.rational import Curve, QPoint, reduction_type
 
 from oracles import cm_trace_oracle
 
@@ -364,6 +366,40 @@ def test_kill_step_multiples_are_the_kill_set():
     assert kinds == {"small", "one hit", "two hits"} and smalls == {2, 3}
 
 
+def test_add_many_is_add_elementwise():
+    # _add_many is _add with one inversion per list.  At seeded primes from 5
+    # to 2^40, lists that mix chords with the identity on either side, P = Q,
+    # P = -Q and a 2-torsion point doubled to O, in a shuffled order, must
+    # give _add's result at every position, alone or together.
+    rng = random.Random(2727)
+    add, add_many = eczero.fp._add, eczero.fp._add_many
+    O = (None, None)
+    assert add_many(5, 1, []) == []
+    for bits in range(3, 41):
+        p = rng.randrange(max(5, 1 << (bits - 1)), 1 << bits)
+        while not is_prime(p):
+            p = rng.randrange(max(5, 1 << (bits - 1)), 1 << bits)
+        while True:  # y^2 = x^3 + a x + b through (x0, 0)
+            x0, a = rng.randrange(p), rng.randrange(p)
+            b = -(x0**3 + a * x0) % p
+            if (4 * a**3 + 27 * b**2) % p:
+                break
+        curve = FpCurve(p, a, b)
+        points = []
+        while len(points) < 6:
+            P = point_at_x(curve, rng.randrange(p))
+            if P is not None and P.y:
+                points.append((P.x, P.y))
+        T, P = (x0, 0), points[0]
+        pairs = [(O, P), (P, O), (O, O), (P, P), (P, (P[0], p - P[1])), (T, T), (T, P), (P, T)]
+        pairs += [(R, S) for R in points for S in points if R != S]
+        rng.shuffle(pairs)
+        expected = [add(p, curve.a, R, S) for R, S in pairs]
+        assert add_many(p, curve.a, pairs) == expected, p
+        assert [add_many(p, curve.a, [pair])[0] for pair in pairs] == expected, p
+        assert expected.count(O) >= 3 and add(p, curve.a, T, T) == O
+
+
 def _order_of(curve, P, N):
     # ord(P) from the group order N: strip each prime factor q while [d/q]P = O
     d, q, rest = N, 2, N
@@ -665,6 +701,29 @@ def test_checked_prime_constructor_keeps_every_other_check(monkeypatch):
         FpCurve._at_checked_prime(233, 230, 235)  # x^3 - 3x + 2 = (x - 1)^2 (x + 2) mod 233
 
 
+# The local layer and the residue table test p once too: each entry calls
+# require_curve_prime, and the curves it reduces and counts skip that test.
+_ENTRIES_AT_A_TESTED_PRIME = {
+    "anomalous_residues_d3": (anomalous_residues_d3, 96661),
+    "lift_p_torsion": (lambda p: lift_p_torsion(Curve(0, -2), p, FpPoint(3, 5), 16), 7),
+    "decompose_point": (lambda p: decompose_point(Curve(0, 5), QPoint.from_pair(-1, 2), p, 16), 7),
+    "formal_t_valuation": (lambda p: formal_t_valuation(Curve(0, 5), QPoint.from_pair(-1, 2), p), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES_AT_A_TESTED_PRIME))
+def test_local_and_residue_entries_test_their_prime_once(monkeypatch, name):
+    # 8911 = 7 * 11 * 13 * 89 is a Carmichael number, 1 mod 6
+    entry, p = _ENTRIES_AT_A_TESTED_PRIME[name]
+    expected = entry(p)
+    calls = _count_is_prime(monkeypatch)
+    assert entry(p) == expected
+    assert calls == [p]
+    for composite in (8911, 3215031751):
+        with pytest.raises(DomainError):
+            entry(composite)
+
+
 @pytest.mark.parametrize("p", [1000001, 3215031751])
 def test_a_composite_p_still_raises_at_every_public_entry(p):
     # 3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7
@@ -676,3 +735,33 @@ def test_a_composite_p_still_raises_at_every_public_entry(p):
         cornacchia(3, p)
     with pytest.raises(DomainError):
         count_points(FpCurve(p, 0, 1))
+
+
+# sha256 of the lines "p,a,b,N" of _pinned_count_lines, pinned from a kill
+# step that added one step at a time, so batched additions keep every count.
+COUNT_PIN_SHA256 = "1e8b307acea02cc49195546a13f841462d27debf17f3f1d2b2b1f7509c3e9995"
+
+
+def _pinned_count_lines():
+    # One seeded prime of each bit size from 9 to 40, and at each the six
+    # trace-sweep curves (where nonsingular) and one random curve.
+    rng = random.Random(2740)
+    for bits in range(9, 41):
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        while not is_prime(p):
+            p += 2
+        assert p.bit_length() == bits
+        models = [ab for ab in SWEEP_CURVES if (4 * ab[0] ** 3 + 27 * ab[1] ** 2) % p]
+        while True:
+            ab = rng.randrange(p), rng.randrange(p)
+            if (4 * ab[0] ** 3 + 27 * ab[1] ** 2) % p:
+                break
+        for a, b in models + [ab]:
+            curve = FpCurve(p, a, b)
+            yield f"{p},{curve.a},{curve.b},{count_points(curve)}\n"
+
+
+def test_counts_at_every_bit_size_match_the_pin():
+    lines = list(_pinned_count_lines())
+    assert len(lines) == 224
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == COUNT_PIN_SHA256
