@@ -214,8 +214,7 @@ def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--e2-a", type=int, default=None, help="second curve (defaults to the first)")
 @click.option("--e2-b", type=int, default=None)
-@click.option("--disc", type=int, default=None, help="CM field discriminant")
-@click.option("--cm", is_flag=True, help="assert CM by the full ring of integers of --disc")
+@click.option("--disc", type=int, default=None, help="CM field discriminant (j decides CM by O_D)")
 @click.option("--unramified", is_flag=True, help="assert the base field is unramified")
 @click.option("--torsion-level", type=int, default=None, help="assert full p^n-torsion level n")
 @click.option("--wild-ramification", is_flag=True, help="assert wild ramification above level n")
@@ -234,7 +233,6 @@ def verdict_cmd(
     e2_a,
     e2_b,
     disc,
-    cm,
     unramified,
     torsion_level,
     wild_ramification,
@@ -249,8 +247,8 @@ def verdict_cmd(
 ):
     """Evaluate every decision rule whose hypotheses are supplied.
 
-    Facts this tool can compute are verified; the flags mark caller
-    assertions, and each emitted verdict lists which is which.
+    Facts this tool can compute are verified (CM by O_D of --disc from j(E1));
+    the flags mark caller assertions, and each emitted verdict lists which is which.
     """
     if (e2_a is None) != (e2_b is None):
         raise click.UsageError("--e2-a and --e2-b must be given together")
@@ -263,6 +261,7 @@ def verdict_cmd(
         e1,
         e2,
         p,
+        cm_field=ImagQuadField(disc) if disc is not None else None,
         base_unramified=unramified or None,
         torsion_level=torsion_level,
         wild_ramification=wild_ramification or None,
@@ -271,15 +270,9 @@ def verdict_cmd(
     )
     fired = [v for v in (divisibility_verdict(record), nd_structure_verdict(record)) if v is not None]
     fired.extend(quartic_verdict(record))
-    field = ImagQuadField(disc) if disc is not None else None
-    brauer = []
-    if field is not None:
-        brauer = brauer_middle_term_verdict(record, field, cm_asserted=cm)
-        fired.extend(brauer)
-        if tower_level is not None and cm:
-            v = cm_tower_verdict(record, field, tower_level)
-            if v is not None:
-                fired.append(v)
+    brauer = brauer_middle_term_verdict(record)
+    tower = cm_tower_verdict(record, tower_level) if tower_level is not None else None
+    fired += brauer + ([tower] if tower is not None else [])
     if point is not None and brauer:
         v = global_lift_verdict(formal_t_valuation(e1, point, p), brauer[0])
         if v is not None:

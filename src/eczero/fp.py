@@ -232,8 +232,8 @@ def _kill_step(curve: FpCurve, P, lo: int, width: int) -> int:
     #
     # Both walks grow in blocks that double, one _add_many each: the next
     # block is every point so far plus [len]P (baby steps) or [len] stride
-    # (giant steps, whose addend is doubled in the same call).  Each block
-    # is scanned in order before the next one is built.
+    # (giant steps; the call also doubles the addend if a block follows).
+    # Each block is scanned in order before the next one is built.
     p, a = curve.p, curve.a
     m = isqrt(width // 2) + 1
     table: dict[int | None, tuple] = {None: (0, None)}  # x([j]P) -> (j, y([j]P))
@@ -276,9 +276,10 @@ def _kill_step(curve: FpCurve, P, lo: int, width: int) -> int:
         giants += block
         if len(giants) == len(centres):
             return first
-        *block, addend = _add_many(
-            p, a, [(G, addend) for G in giants[: len(centres) - len(giants)]] + [(addend, addend)]
-        )
+        rest = len(centres) - len(giants)
+        more = rest > len(giants)  # another block follows this one
+        block = _add_many(p, a, [(G, addend) for G in giants[:rest]] + [(addend, addend)] * more)
+        addend = block.pop() if more else addend
 
 
 def _walk_points(curve: FpCurve):

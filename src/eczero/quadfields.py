@@ -1,6 +1,6 @@
 """Class-number-one imaginary quadratic field bookkeeping.
 
-Splitting tests, the Frobenius-trace test 4p = a^2 + |D| v^2, and
+CM and splitting tests, the Frobenius-trace test 4p = a^2 + |D| v^2, and
 enumeration of anomalous primes (trace-1 representations) and of the
 anomalous residue classes of the cubic-twist family y^2 = x^3 + c.
 """
@@ -13,6 +13,7 @@ from math import isqrt
 from .arith import CM_J_INVARIANTS, is_prime, kronecker_symbol, require_curve_prime
 from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 from .fp import COUNT_LIMIT, FpCurve, is_anomalous
+from .rational import Curve
 
 CLASS_NUMBER_ONE_DISCS = tuple(CM_J_INVARIANTS)
 # The largest p anomalous_residues_d3 takes.  Its time and output grow as p:
@@ -32,6 +33,12 @@ class ImagQuadField:
 
     def __str__(self):
         return f"Q(sqrt({self.D}))"
+
+
+def has_cm(curve: Curve, field: ImagQuadField) -> bool:
+    """True iff E/Q has CM by O_D, i.e. j(E) = 1728 * 4a^3 / (4a^3 + 27b^2) is j_D."""
+    a3 = 4 * curve.a**3
+    return 1728 * a3 == CM_J_INVARIANTS[field.D] * (a3 + 27 * curve.b**2)
 
 
 def splits_completely(field: ImagQuadField, p: int) -> bool:

@@ -22,7 +22,7 @@ from pathlib import Path
 from .arith import require_curve_prime
 from .errors import DomainError, IngestError, InternalConsistencyError
 from .localpoints import formal_t_valuation
-from .quadfields import ImagQuadField, splits_completely
+from .quadfields import ImagQuadField, has_cm, splits_completely
 from .rational import (
     Curve,
     QPoint,
@@ -280,12 +280,12 @@ def build_row(
     """Hypotheses, generator, formal_t_valuation and verdicts for one curve.
 
     The row is labelled by ``curve.label``.  Eligibility is the middle-term
-    rule's: every row that classifies runs ``brauer_middle_term_verdict``, and
-    the formal part's t-valuation is read only when the rule fired and a
-    generator exists.  A DomainError becomes the row's error text; an
-    InternalConsistencyError or ArithmeticError becomes "internal error:
-    <Type>: <message>", so a bug is told apart from a bad input and never
-    aborts the batch.
+    rule's: every row that classifies runs ``brauer_middle_term_verdict``, whose
+    record holds CM by O_D only if j(E) = j_D, and the formal part's
+    t-valuation is read only when the rule fired and a generator exists.  A
+    DomainError becomes the row's error text; an InternalConsistencyError or
+    ArithmeticError becomes "internal error: <Type>: <message>", so a bug is
+    told apart from a bad input and never aborts the batch.
     """
     base = dict(n=n, label=curve.label or "?", curve_a=curve.a, curve_b=curve.b)
     try:
@@ -300,8 +300,9 @@ def build_row(
             status = "found" if gen is not None else "unknown"
 
         # build_row's own reduction type, so points at p are counted once
-        record = HypothesisRecord(prime=verified(p), e1_reduction=verified(r))
-        fired = brauer_middle_term_verdict(record, cm_field, cm_asserted=True)
+        cm = verified(cm_field) if has_cm(curve, cm_field) else None
+        record = HypothesisRecord(prime=verified(p), e1_reduction=verified(r), cm_field=cm)
+        fired = brauer_middle_term_verdict(record)
         names = [v.name for v in fired]
         tval = formal_t_valuation(curve, gen, p) if fired and gen is not None else None
         lifted = global_lift_verdict(tval, fired[0] if fired else None)

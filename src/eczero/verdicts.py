@@ -1,12 +1,13 @@
 """Hypothesis-checked decision rules with citations.
 
-Every rule reads p and the reduction types from one record of named facts
-(classified by HypothesisRecord.for_pair), each fact carrying its
-provenance: "verified" means this package computed it, "asserted" means
-the caller supplied it (Galois-theoretic inputs beyond desk-scale
-computation), "derived" means it follows mechanically from an asserted
-fact.  A rule reports the provenance its facts carry and marks verified
-only what it computes itself (splitting, p mod 4, coprimality).  Rules
+Every rule reads p, the reduction types and CM from one record of named
+facts (classified by HypothesisRecord.for_pair), each fact carrying its
+provenance: "verified" means this package computed it (CM by O_D too, which
+j(E) = j_D decides over Q), "asserted" means the caller supplied it
+(Galois-theoretic inputs beyond desk-scale computation), "derived" means it
+follows mechanically from an unverified fact.  A rule reports the provenance
+its facts carry and marks verified only what it computes itself (splitting,
+p mod 4, coprimality) or what follows from verified facts alone.  Rules
 fire only when every required fact is present and favorable; a silent
 None/empty result is *not* a refutation, the results are one-directional.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .arith import is_prime
 from .errors import DomainError
-from .quadfields import ImagQuadField, splits_completely
+from .quadfields import ImagQuadField, has_cm, splits_completely
 from .rational import Curve, ReductionKind, ReductionType, reduction_type
 
 VERIFIED = "verified"
@@ -136,6 +137,7 @@ class HypothesisRecord:
     wild_ramification: Fact | None = None
     trivial_ns_action: Fact | None = None
     surface_good_reduction: Fact | None = None
+    cm_field: Fact | None = None  # its value is the field K with CM by O_K
 
     @classmethod
     def for_pair(
@@ -149,8 +151,10 @@ class HypothesisRecord:
         wild_ramification: bool | None = None,
         trivial_ns_action: bool | None = None,
         surface_good_reduction: bool | None = None,
+        cm_field: ImagQuadField | None = None,
     ) -> "HypothesisRecord":
-        """Verify the computable facts (E2 classified only if it differs from E1), assert the rest."""
+        """Verify the computable facts (E2 classified only if it differs from E1;
+        CM by O_D of cm_field recorded only if j(E1) = j_D), assert the rest."""
         if p < 2 or not is_prime(p):
             raise DomainError(f"{p} is not prime")
         r1 = reduction_type(e1, p) if p >= 5 else None
@@ -166,6 +170,7 @@ class HypothesisRecord:
             surface_good_reduction=None
             if surface_good_reduction is None
             else asserted(surface_good_reduction),
+            cm_field=verified(cm_field) if cm_field is not None and has_cm(e1, cm_field) else None,
         )
 
 
@@ -233,42 +238,42 @@ def require_tower_level(n: int) -> None:
         raise DomainError("tower level n must be >= 1")
 
 
-def cm_tower_verdict(h: HypothesisRecord, cm_field: ImagQuadField, n: int) -> Verdict | None:
+def cm_tower_verdict(h: HypothesisRecord, n: int) -> Verdict | None:
     """Z/p^n over the p^n-torsion tower field of a CM self-product.
 
-    CM by the full ring of integers is the caller's assertion; good
-    ordinary reduction of E1 comes from the record, and triviality of the
-    Neron-Severi action is derived from the CM assertion.
+    CM by the full ring of integers and good ordinary reduction of E1 come
+    from the record; triviality of the Neron-Severi action follows from the
+    CM fact, verified with it or derived from its assertion.
     """
     require_tower_level(n)
-    if h.prime is None or h.e1_reduction is None or h.prime.value < 5:
+    cm = h.cm_field
+    if cm is None or h.prime is None or h.e1_reduction is None or h.prime.value < 5:
         return None
     p, r = h.prime.value, h.e1_reduction.value
     if r.kind is not ReductionKind.GOOD_ORDINARY:
         return None
     used = [
         (f"p = {p} odd", h.prime.provenance),
-        (f"CM by the full ring of integers of {cm_field}", ASSERTED),
+        (f"CM by the full ring of integers of {cm.value}", cm.provenance),
         (f"good ordinary reduction at {p} (trace {r.trace})", h.e1_reduction.provenance),
-        ("trivial Neron-Severi Galois action", DERIVED),
+        ("trivial Neron-Severi Galois action", VERIFIED if cm.provenance == VERIFIED else DERIVED),
         (f"base extended to the p^{n}-torsion tower field", ASSERTED),
     ]
     return _verdict(Conclusion.ND_IS_Z_MOD_PN, used, level=n)
 
 
-def brauer_middle_term_verdict(
-    h: HypothesisRecord, cm_field: ImagQuadField, cm_asserted: bool = False
-) -> list[Verdict]:
+def brauer_middle_term_verdict(h: HypothesisRecord) -> list[Verdict]:
     """The (Z/p)^2 middle term and Brauer vanishing at an anomalous split prime.
 
-    Reads p >= 5 and E1's anomalous (hence good) reduction type from the
-    record; p not dividing the minimal discriminant stands in for conductor
-    coprimality.  The rule verifies that p splits in the CM field; the CM
-    hypothesis itself must be asserted by the caller.
+    Reads p >= 5, E1's anomalous (hence good) reduction type and CM by the
+    full ring of integers of a field K from the record, and fires nothing
+    without them; p not dividing the minimal discriminant stands in for
+    conductor coprimality.  The rule verifies that p splits in K.
     """
-    if not cm_asserted or h.prime is None or h.e1_reduction is None:
+    cm = h.cm_field
+    if cm is None or h.prime is None or h.e1_reduction is None:
         return []
-    p, r = h.prime.value, h.e1_reduction.value
+    p, r, cm_field = h.prime.value, h.e1_reduction.value, cm.value
     if p < 5 or not r.anomalous or not splits_completely(cm_field, p):
         return []
     used = [
@@ -276,7 +281,7 @@ def brauer_middle_term_verdict(
         (f"{p} splits completely in {cm_field}", VERIFIED),
         (f"good reduction at {p} (p coprime to the minimal discriminant)", h.e1_reduction.provenance),
         (f"anomalous reduction: |E(F_{p})| = {p}", h.e1_reduction.provenance),
-        (f"CM by the full ring of integers of {cm_field}", ASSERTED),
+        (f"CM by the full ring of integers of {cm_field}", cm.provenance),
     ]
     return [
         _verdict(Conclusion.MIDDLE_TERM_ZP_SQUARED, used),
@@ -288,15 +293,17 @@ def global_lift_verdict(t_valuation: int | None, prior: Verdict | None) -> Verdi
     """Unconditional exactness from a nontrivial formal component, i.e. one
     whose formal parameter has t-valuation 1.
 
-    One-directional: a trivial formal component yields no conclusion.
+    t_valuation must come from formal_t_valuation or decompose_point, which
+    certify infinite order; the middle term is verified only if the prior
+    verdict is.  One-directional: a trivial formal component yields no conclusion.
     """
     if t_valuation != 1 or prior is None:
         return None
     if prior.conclusion is not Conclusion.MIDDLE_TERM_ZP_SQUARED:
         return None
     used = [
-        ("middle term (Z/p)^2 established", VERIFIED),
-        ("global point of infinite order", ASSERTED),
+        ("middle term (Z/p)^2 established", DERIVED if prior.conditional else VERIFIED),
+        ("global point of infinite order", VERIFIED),
         ("formal component nontrivial (t-valuation 1)", VERIFIED),
     ]
     return _verdict(Conclusion.UNCONDITIONAL_EXACTNESS, used)

@@ -70,6 +70,23 @@ MUTANTS = [
     # a verdict is conditional when any hypothesis it used is asserted
     (VERDICTS, "conditional=any(prov != VERIFIED", "conditional=all(prov != VERIFIED",
      ["tests/test_verdicts.py::test_divisibility_fires"]),
+    # CM by O_D is j(E) = j_D: the j_D lookup, the 1728 factor and the
+    # comparison; the record holds it only when E1 passes, and what follows
+    # from a fact is verified only if that fact is
+    (QUAD, "CM_J_INVARIANTS[field.D]", "CM_J_INVARIANTS[-3]",
+     ["tests/test_quadfields.py::test_has_cm_holds_for_the_own_maximal_order_only"]),
+    (QUAD, "    return 1728 * a3 ==", "    return a3 ==",
+     ["tests/test_quadfields.py::test_has_cm_holds_for_the_own_maximal_order_only"]),
+    (QUAD, "    return 1728 * a3 == CM_J_INVARIANTS", "    return 1728 * a3 != CM_J_INVARIANTS",
+     ["tests/test_quadfields.py::test_has_cm_holds_for_the_own_maximal_order_only"]),
+    (VERDICTS, "if cm_field is not None and has_cm(e1, cm_field) else None", "if cm_field is not None else None",
+     ["tests/test_verdicts.py::test_for_pair_verifies_cm_from_j_of_e1"]),
+    (SURVEY, "cm = verified(cm_field) if has_cm(curve, cm_field) else None", "cm = verified(cm_field)",
+     ["tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
+    (VERDICTS, "VERIFIED if cm.provenance == VERIFIED else DERIVED", "DERIVED",
+     ["tests/test_verdicts.py::test_cm_tower_verdict"]),
+    (VERDICTS, "DERIVED if prior.conditional else VERIFIED", "VERIFIED",
+     ["tests/test_verdicts.py::test_global_lift_verdict"]),
     # one bad row or record never aborts a batch, and the CSV quotes its cells
     (SURVEY, "    except (InternalConsistencyError, ArithmeticError) as exc:", "    except InternalConsistencyError as exc:",
      ["tests/test_survey.py::test_internal_error_in_one_row_does_not_abort_scan"]),
@@ -136,8 +153,11 @@ MUTANTS = [
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
     (FP, "(x, y if r > m else -y % p)", "(x, -y % p if r > m else y)",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
-    (FP, "+ [(addend, addend)]", "+ [(addend, stride)]",
+    (FP, "+ [(addend, addend)] * more", "+ [(addend, stride)] * more",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    # the giant addend is doubled only while another block will read it
+    (FP, "        more = rest > len(giants)", "        more = rest > 0",
+     ["tests/test_fp.py::test_kill_step_makes_no_unused_addition"]),
     (FP, "(B, babies[-1]) for B in babies", "(B, babies[0]) for B in babies",
      ["tests/test_fp.py::test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly"]),
     # the +- baby steps: a giant step's sign, and the orders the baby steps return

@@ -142,23 +142,24 @@ def test_criterion_8_verdict_matrix():
     ]
     both = {Conclusion.MIDDLE_TERM_ZP_SQUARED, Conclusion.BRAUER_P_VANISHES}
     for curve, field, p in triples:
-        record = HypothesisRecord.for_pair(curve, curve, p)
-        out = brauer_middle_term_verdict(record, field, cm_asserted=True)
+        record = HypothesisRecord.for_pair(curve, curve, p, cm_field=field)
+        out = brauer_middle_term_verdict(record)
         assert {v.conclusion for v in out} == both
 
     # single-hypothesis ablations must refuse
     E, K3 = Curve(0, -2), ImagQuadField(-3)
     ablations = [
-        (E, K3, 7, False),  # CM not asserted
-        (E, K3, 5, True),  # 5 does not split in Q(sqrt(-3))
-        (E, K3, 13, True),  # splits but not anomalous (a_13 != 1)
-        (Curve(7, 49), K3, 7, True),  # bad reduction at 7
-        (E, K3, 3, True),  # p < 5
-        (Curve(-1056, 13552), ImagQuadField(-11), 11, True),  # no trace-1 option
+        (Curve(3, -2), K3, 7),  # curve without CM by O_D (j = 864), anomalous at the split 7
+        (E, ImagQuadField(-19), 7),  # wrong field: 7 splits in Q(sqrt(-19)), but j = 0
+        (E, K3, 5),  # 5 does not split in Q(sqrt(-3))
+        (E, K3, 13),  # splits but not anomalous (a_13 != 1)
+        (Curve(7, 49), K3, 7),  # bad reduction at 7
+        (E, K3, 3),  # p < 5
+        (Curve(-1056, 13552), ImagQuadField(-11), 11),  # no trace-1 option
     ]
-    for curve, field, p, cm in ablations:
-        record = HypothesisRecord.for_pair(curve, curve, p)
-        assert brauer_middle_term_verdict(record, field, cm_asserted=cm) == []
+    for curve, field, p in ablations:
+        record = HypothesisRecord.for_pair(curve, curve, p, cm_field=field)
+        assert brauer_middle_term_verdict(record) == []
     _ok(8, "verdict engine fires exactly on the three family triples and refuses all ablations")
 
 

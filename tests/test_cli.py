@@ -162,17 +162,30 @@ def test_local_commands_refuse_precision_past_the_bound():
 def test_verdict_json_fires_rules():
     res = run(
         "verdict", "--a", "0", "--b", "-2", "--p", "7",
-        "--disc", "-3", "--cm", "--gen", "3,1,5,1", "--json",
+        "--disc", "-3", "--gen", "3,1,5,1", "--json",
     )
     assert res.exit_code == 0
     payload = json.loads(res.output)
     names = [v["conclusion"] for v in payload["verdicts"]]
     assert names == ["MiddleTermZpSquared", "BrauerPVanishes", "UnconditionalExactness"]
+    assert all(not v["conditional"] for v in payload["verdicts"])
+    assert "CM by the full ring of integers of Q(sqrt(-3)) (verified)" in payload["verdicts"][0]["hypotheses"]
     assert payload["admissibility"]["admissible"] is True
-    # ablation: no --cm
-    res2 = run("verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--json")
-    names2 = [v["conclusion"] for v in json.loads(res2.output)["verdicts"]]
-    assert "MiddleTermZpSquared" not in names2
+    # ablations: no field, the wrong field, and a curve without CM (j = 864),
+    # anomalous at the split 7; the last two also run the CM tower rule
+    for extra in (["--a", "0", "--b", "-2"], ["--a", "0", "--b", "-2", "--disc", "-19", "--tower-level", "1"],
+                  ["--a", "3", "--b", "-2", "--disc", "-3", "--tower-level", "1"]):
+        res2 = run("verdict", *extra, "--p", "7", "--gen", "3,1,5,1", "--json")
+        assert res2.exit_code == 0, (extra, res2.output)
+        assert json.loads(res2.output)["verdicts"] == [], extra
+
+
+def test_verdict_has_no_cm_option():
+    # CM by O_D is verified from j(E1); it is not the caller's to assert
+    res = run("verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--cm")
+    assert res.exit_code == 2
+    assert "No such option '--cm'" in res.output
+    assert "--cm" not in run("verdict", "--help").output
 
 
 def test_verdict_has_no_precision_option():
@@ -197,7 +210,7 @@ def test_verdict_gen_lifts_no_torsion(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     res = run(
         "verdict", "--a", "0", "--b", "-2", "--p", "7",
-        "--disc", "-3", "--cm", "--gen", "3,1,5,1", "--json",
+        "--disc", "-3", "--gen", "3,1,5,1", "--json",
     )
     assert res.exit_code == 0, res.output
     names = [v["conclusion"] for v in json.loads(res.output)["verdicts"]]
@@ -217,7 +230,7 @@ def test_verdict_counts_points_once_per_curve(monkeypatch):
     calls = []
     real = eczero.fp.count_points
     monkeypatch.setattr(eczero.fp, "count_points", lambda c: calls.append(c) or real(c))
-    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--cm", "--tower-level", "1"]
+    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--tower-level", "1"]
     res = run(*base)
     assert res.exit_code == 0 and "NdIsZmodPn(1)" in res.stdout
     assert len(calls) == 1
@@ -229,9 +242,9 @@ def test_verdict_counts_points_once_per_curve(monkeypatch):
 
 def test_verdict_checks_gen_and_tower_level_whatever_fires():
     # --gen was once parsed only when the middle-term rule fired, and
-    # --tower-level checked only with --cm
+    # --tower-level checked only when the CM tower rule could run
     base = ["verdict", "--a", "0", "--b", "-2", "--p", "7"]
-    for extra in ([], ["--disc", "-3"], ["--disc", "-3", "--cm"]):
+    for extra in ([], ["--disc", "-3"], ["--disc", "-19"]):
         res = run(*base, *extra, "--gen", "garbage")
         assert res.exit_code == 2 and res.stdout == ""
         assert "Error: --gen: invalid literal for int() with base 10: 'garbage'\n" in res.stderr
@@ -259,6 +272,20 @@ def test_scan_csv_and_roundtrip(tmp_path):
     assert lines[0].startswith("n,label,good_p")
     assert len(lines) == 5  # header + 3 rows + footer
     assert lines[-1].startswith("# aggregate ")
+
+
+def test_scan_fires_no_cm_rule_for_the_wrong_field():
+    # y^2 = x^3 - 2 + 7n has j = 0, so CM by O_{-3}; 7 splits in Q(sqrt(-19))
+    # too, but the curves have no CM by O_{-19}
+    family = ["scan", "--a0", "0", "--b0", "-2", "--b1", "7", "--p", "7", "--nmin", "0", "--nmax", "3",
+              "--height", "100", "--json"]
+    wrong = json.loads(run(*family, "--disc", "-19").output)
+    right = json.loads(run(*family, "--disc", "-3").output)
+    assert [r["splits"] for r in wrong["rows"]] == [True] * 4
+    assert [r["verdicts"] for r in wrong["rows"]] == [[]] * 4
+    assert all(r["error"] is None and r["t_valuation"] is None for r in wrong["rows"])
+    assert wrong["aggregate"]["eligible"] == 0
+    assert right["aggregate"]["eligible"] == 4
 
 
 def test_scan_json_parses_and_is_deterministic(tmp_path):
@@ -559,7 +586,7 @@ _VERDICT_CURVES = [
     (7, 49, -3, "0,1,-7,1"),
 ]
 _VERDICT_PRIMES = (2, 3, 5, 7, 9, 13, 43, 223, 1000033)
-VERDICT_MATRIX_SHA256 = "4e5850b5e47900f23b47d22864de6b4df271850d32ebd580e47c1da2cee239a4"
+VERDICT_MATRIX_SHA256 = "8b089a9acf3da0d355e070d31cb16c50cf9d35386ab6306d6730b6fc9885ef35"
 
 
 def _verdict_flag_sets(disc, gen):
@@ -569,8 +596,8 @@ def _verdict_flag_sets(disc, gen):
         [],
         ["--unramified", "--surface-good-reduction"],
         ["--torsion-level", "2", "--wild-ramification", "--trivial-ns"],
-        ["--disc", d, "--cm"],
-        ["--disc", d, "--cm", "--tower-level", "1", *gen_args],
+        ["--disc", d],
+        ["--disc", d, "--tower-level", "1", *gen_args],
         ["--disc", d, "--tower-level", "3"],
         ["--e2-a", "0", "--e2-b", "1", "--unramified", "--deg-phi", "2",
          "--field-degree", "3", "--bad-fiber-order", "5"],

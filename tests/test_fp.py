@@ -400,6 +400,36 @@ def test_add_many_is_add_elementwise():
         assert expected.count(O) >= 3 and add(p, curve.a, T, T) == O
 
 
+def test_kill_step_makes_no_unused_addition(monkeypatch):
+    # A point of prime order N near p has one hit in the Hasse interval, so
+    # its kill step walks every baby and every giant step.  The baby blocks
+    # add the m - 1 steps after P; the giant blocks add the giant steps after
+    # the first, and each giant block but the last also doubles its addend
+    # for the next one.  One more addition would be one nothing reads.
+    rng = random.Random(6969)
+    real, sizes = eczero.fp._add_many, []
+    monkeypatch.setattr(eczero.fp, "_add_many", lambda p, a, pairs: sizes.append(len(pairs)) or real(p, a, pairs))
+    for bits in (9, 12, 16, 20, 24):
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        while not is_prime(p):
+            p += 2
+        while True:
+            curve = _random_curve(rng, p)
+            N = count_points(curve)
+            if is_prime(N):
+                break
+        s = isqrt(4 * p)
+        lo, width = p + 1 - s, 2 * s + 1
+        m = isqrt(width // 2) + 1
+        giants = len(range(lo + m, lo + m + width, 2 * m + 1))
+        sizes.clear()
+        assert eczero.fp._kill_step(curve, next(eczero.fp._walk_points(curve)), lo, width) == N
+        baby_calls, giant_calls = (m - 1).bit_length(), (giants - 1).bit_length()
+        assert giant_calls >= 2 and len(sizes) == baby_calls + giant_calls, p
+        assert sum(sizes[:baby_calls]) == m - 1, p
+        assert sum(sizes[baby_calls:]) == (giants - 1) + (giant_calls - 1), p
+
+
 def _order_of(curve, P, N):
     # ord(P) from the group order N: strip each prime factor q while [d/q]P = O
     d, q, rest = N, 2, N

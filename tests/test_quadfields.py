@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,15 +12,54 @@ from eczero.quadfields import (
     ImagQuadField,
     anomalous_primes,
     anomalous_residues_d3,
+    has_cm,
     is_frobenius_trace,
     splits_completely,
 )
+
+from eczero.rational import Curve
 
 from oracles import count_points_oracle, outcomes_within
 
 K3 = ImagQuadField(-3)
 K11 = ImagQuadField(-11)
 K19 = ImagQuadField(-19)
+
+
+# One curve for each of the 13 rational CM j-invariants, keyed by the
+# discriminant of its endomorphism ring, with that j (Cox, Primes of the Form
+# x^2 + ny^2, Sec. 13): nine maximal orders, then the four of conductor 2, 2,
+# 3 and 2 (D = -12, -16, -27, -28), whose fields already have a j_D.
+CM_CURVES = {
+    -3: (0, 1, 0),
+    -4: (1, 0, 1728),
+    -7: (-35, -98, -3375),
+    -8: (-30, 56, 8000),
+    -11: (-264, 1694, -32768),
+    -19: (-152, 722, -884736),
+    -43: (-3440, 77658, -884736000),
+    -67: (-29480, 1948226, -147197952000),
+    -163: (-8697680, 9873093538, -262537412640768000),
+    -12: (-15, 22, 54000),
+    -16: (-11, -14, 287496),
+    -27: (-120, 506, -12288000),
+    -28: (-595, 5586, 16581375),
+}
+
+
+def test_has_cm_holds_for_the_own_maximal_order_only():
+    # j(E) = j_D decides CM by O_D over Q: each curve, its quadratic twists
+    # and its rescaled models pass for their own maximal order and for no
+    # other field, and the four non-maximal orders pass for none.
+    assert len(CM_CURVES) == 13 and len({j for _, _, j in CM_CURVES.values()}) == 13
+    for D, (a, b, j) in CM_CURVES.items():
+        for d, u in ((1, 1), (-1, 1), (5, 1), (1, 3), (-7, 2)):
+            curve = Curve(a * d * d * u**4, b * d**3 * u**6)
+            assert Fraction(1728 * 4 * curve.a**3, 4 * curve.a**3 + 27 * curve.b**2) == j
+            passes = [K for K in CLASS_NUMBER_ONE_DISCS if has_cm(curve, ImagQuadField(K))]
+            assert passes == ([D] if D in CLASS_NUMBER_ONE_DISCS else []), (D, d, u)
+    for curve in (Curve(3, -2), Curve(7, 49), Curve(-1, 1), Curve(1, 1)):
+        assert not any(has_cm(curve, ImagQuadField(K)) for K in CLASS_NUMBER_ONE_DISCS), curve
 
 
 def test_field_validation():

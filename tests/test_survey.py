@@ -412,7 +412,7 @@ def test_build_row_classifies_reduction_once(monkeypatch):
 def test_row_eligibility_is_the_middle_term_rule(monkeypatch):
     # No second eligibility test: a rule that fires nothing leaves every row
     # without verdicts or t-valuation, and no row fails.
-    def fires_nothing(record, cm_field, cm_asserted=False):
+    def fires_nothing(record):
         return []
 
     monkeypatch.setattr(eczero.survey, "brauer_middle_term_verdict", fires_nothing)
@@ -441,6 +441,22 @@ def test_survey_row_label_is_the_record_label(tmp_path):
     assert rows[0].verdicts == rows[1].verdicts == (
         "MiddleTermZpSquared", "BrauerPVanishes", "UnconditionalExactness",
     )
+
+
+def test_rows_fire_the_cm_rules_only_on_curves_with_cm():
+    # y^2 = x^3 + 3x + b is good, anomalous and split at 7 for these b, but
+    # j != 0, so it has no CM by O_{-3}: no rule fires.  On b = -9 the rule
+    # once fired on an assumed CM and the row then failed its torsion lift.
+    K3 = ImagQuadField(-3)
+    for b in (-2, -16, -23, -30, -9):
+        row = build_row(Curve(3, b), 7, K3, 1000)
+        assert row.error is None, (b, row.error)
+        assert (row.good_p, row.anomalous, row.splits) == (True, True, True), b
+        assert row.verdicts == () and row.t_valuation is None, b
+    records = [IngestRecord(str(c), c, None, None, None) for c in (Curve(3, -2), Curve(0, -2))]
+    rows, agg = survey_records(records, 7, -3, 1000)
+    assert [r.verdicts for r in rows] == [(), ("MiddleTermZpSquared", "BrauerPVanishes", "UnconditionalExactness")]
+    assert agg["eligible"] == 1
 
 
 def test_emit_report_rejects_unknown_format():

@@ -38,8 +38,8 @@ def record_for(e1, e2, p, **kw):
     return HypothesisRecord.for_pair(e1, e2, p, **kw)
 
 
-def self_record(curve, p):
-    return record_for(curve, curve, p)
+def self_record(curve, p, field=None):
+    return record_for(curve, curve, p, cm_field=field)
 
 
 def test_divisibility_fires():
@@ -110,15 +110,32 @@ def test_fact_rejects_unknown_provenance():
 
 
 def test_cm_tower_verdict():
-    h7 = self_record(E_CUBIC, 7)
-    v = cm_tower_verdict(h7, K3, 1)
+    h7 = self_record(E_CUBIC, 7, K3)
+    v = cm_tower_verdict(h7, 1)
     assert v is not None and v.level == 1
-    assert v.conditional
-    assert cm_tower_verdict(h7, K3, 2).level == 2
+    assert v.conditional  # the tower field is an assertion
+    assert "CM by the full ring of integers of Q(sqrt(-3)) (verified)" in v.hypotheses_used
+    assert "trivial Neron-Severi Galois action (verified)" in v.hypotheses_used
+    assert cm_tower_verdict(h7, 2).level == 2
     # 5 is supersingular for this curve: no ordinary route
-    assert cm_tower_verdict(self_record(E_CUBIC, 5), K3, 1) is None
+    assert cm_tower_verdict(self_record(E_CUBIC, 5, K3), 1) is None
+    # no CM fact: no field named, the wrong field, or a curve without CM
+    assert cm_tower_verdict(self_record(E_CUBIC, 7), 1) is None
+    assert cm_tower_verdict(self_record(E_CUBIC, 7, K19), 1) is None
+    assert cm_tower_verdict(self_record(Curve(3, -2), 7, K3), 1) is None
     with pytest.raises(DomainError):
-        cm_tower_verdict(h7, K3, 0)
+        cm_tower_verdict(h7, 0)
+
+
+def test_for_pair_verifies_cm_from_j_of_e1():
+    assert self_record(E_CUBIC, 7, K3).cm_field == verified(K3)
+    assert self_record(E_D19, 43, K19).cm_field == verified(K19)
+    assert self_record(E_CUBIC, 7).cm_field is None
+    assert self_record(E_CUBIC, 7, K19).cm_field is None
+    assert self_record(Curve(3, -2), 7, K3).cm_field is None
+    # E1 decides: a CM E2 lends E1 nothing
+    assert record_for(Curve(3, -2), E_CUBIC, 7, cm_field=K3).cm_field is None
+    assert record_for(E_CUBIC, Curve(3, -2), 7, cm_field=K3).cm_field == verified(K3)
 
 
 def test_brauer_middle_term_fires_on_the_three_families():
@@ -127,29 +144,35 @@ def test_brauer_middle_term_fires_on_the_three_families():
         (E_D11, K11, 223),
         (E_D19, K19, 43),
     ):
-        out = brauer_middle_term_verdict(self_record(curve, p), field, cm_asserted=True)
+        out = brauer_middle_term_verdict(self_record(curve, p, field))
         assert {v.conclusion for v in out} == {
             Conclusion.MIDDLE_TERM_ZP_SQUARED,
             Conclusion.BRAUER_P_VANISHES,
         }
         for v in out:
             assert v.citation == CITATIONS[v.conclusion]
-            assert v.conditional  # CM is asserted
+            assert not v.conditional  # j(E) = j_D verifies CM
+            assert f"CM by the full ring of integers of {field} (verified)" in v.hypotheses_used
 
 
 def test_brauer_middle_term_ablations():
-    # missing CM assertion
-    assert brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3) == []
+    # no CM fact: no field named
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 7)) == []
+    # curve without CM by O_D: y^2 = x^3 + 3x - 2 is anomalous at the split 7, j = 864
+    assert self_record(Curve(3, -2), 7).e1_reduction.value.anomalous
+    assert brauer_middle_term_verdict(self_record(Curve(3, -2), 7, K3)) == []
+    # wrong field: 7 splits in Q(sqrt(-19)), but j(E_CUBIC) = 0 is j_{-3}
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 7, K19)) == []
     # non-split prime: 4*11 = 1 + 11 v^2 has no solution and 11 is inert-ish
-    assert brauer_middle_term_verdict(self_record(E_D11, 11), K11, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(E_D11, 11, K11)) == []
     # split but not anomalous: p = 13 splits in Q(sqrt(-3)) but a_13 != 1
-    assert brauer_middle_term_verdict(self_record(E_CUBIC, 13), K3, cm_asserted=True) == []
-    # bad reduction at p
-    assert brauer_middle_term_verdict(self_record(Curve(7, 49), 7), K3, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 13, K3)) == []
+    # bad reduction at p (and j = 6912/193, no CM either)
+    assert brauer_middle_term_verdict(self_record(Curve(7, 49), 7, K3)) == []
     # p < 5
-    assert brauer_middle_term_verdict(self_record(E_CUBIC, 3), K3, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(E_CUBIC, 3, K3)) == []
     # no reduction type in the record
-    assert brauer_middle_term_verdict(HypothesisRecord(prime=verified(7)), K3, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(HypothesisRecord(prime=verified(7), cm_field=verified(K3))) == []
 
 
 def test_brauer_middle_term_classifies_for_itself():
@@ -157,8 +180,8 @@ def test_brauer_middle_term_classifies_for_itself():
     # caller's anomalous type fires the rule only on its word, never as
     # fully verified; the type for_pair computes fires nothing.
     fake = ReductionType(ReductionKind.GOOD_ORDINARY, trace=1)
-    h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake))
-    out = brauer_middle_term_verdict(h, K3, cm_asserted=True)
+    h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake), cm_field=verified(K3))
+    out = brauer_middle_term_verdict(h)
     assert [v.conclusion for v in out] == [
         Conclusion.MIDDLE_TERM_ZP_SQUARED,
         Conclusion.BRAUER_P_VANISHES,
@@ -167,15 +190,18 @@ def test_brauer_middle_term_classifies_for_itself():
         assert v.conditional
         assert "anomalous reduction: |E(F_7)| = 7 (asserted)" in v.hypotheses_used
         assert "good reduction at 7 (p coprime to the minimal discriminant) (asserted)" in v.hypotheses_used
-    assert brauer_middle_term_verdict(self_record(Curve(0, 1), 7), K3, cm_asserted=True) == []
+    assert brauer_middle_term_verdict(self_record(Curve(0, 1), 7, K3)) == []
 
 
 def test_rules_report_the_record_provenance():
     # a caller-asserted fact keeps its provenance in every rule that reads it
     fake = ReductionType(ReductionKind.GOOD_ORDINARY, trace=3)
-    h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake))
-    v = cm_tower_verdict(h, K3, 1)
+    h = HypothesisRecord(prime=verified(7), e1_reduction=asserted(fake), cm_field=asserted(K3))
+    v = cm_tower_verdict(h, 1)
     assert "good ordinary reduction at 7 (trace 3) (asserted)" in v.hypotheses_used
+    # a hand-asserted CM fact stays asserted, and what follows from it is derived
+    assert "CM by the full ring of integers of Q(sqrt(-3)) (asserted)" in v.hypotheses_used
+    assert "trivial Neron-Severi Galois action (derived)" in v.hypotheses_used
     h13 = HypothesisRecord(prime=asserted(13), base_unramified=asserted(True))
     assert quartic_verdict(h13)[0].hypotheses_used[0] == "p = 13 = 1 (mod 4) (asserted)"
     with pytest.raises(DomainError):
@@ -195,7 +221,7 @@ def test_brauer_agrees_with_anomalous_and_split_sample():
         p = rng.choice([7, 11, 13, 19, 31, 37, 43, 61, 223])
         c = rng.randrange(1, p)
         curve = Curve(0, c)
-        fires = bool(brauer_middle_term_verdict(self_record(curve, p), K3, cm_asserted=True))
+        fires = bool(brauer_middle_term_verdict(self_record(curve, p, K3)))
         expected = splits_completely(K3, p) and is_anomalous(FpCurve(p, 0, c % p))
         assert fires == expected
         count += 1
@@ -203,17 +229,30 @@ def test_brauer_agrees_with_anomalous_and_split_sample():
 
 
 def test_global_lift_verdict():
-    prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3, cm_asserted=True)[0]
+    prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7, K3))[0]
     dec = decompose_point(E_CUBIC, QPoint.from_pair(3, 5), 7, 16)
     v = global_lift_verdict(dec.t_valuation, prior)
     assert v is not None and v.conclusion is Conclusion.UNCONDITIONAL_EXACTNESS
+    # decompose_point certified infinite order; the prior is fully verified
+    assert not v.conditional
+    assert v.hypotheses_used == (
+        "middle term (Z/p)^2 established (verified)",
+        "global point of infinite order (verified)",
+        "formal component nontrivial (t-valuation 1) (verified)",
+    )
+    # a conditional prior makes the middle term derived, and the verdict conditional
+    h = dataclasses.replace(self_record(E_CUBIC, 7), cm_field=asserted(K3))
+    conditional_prior = brauer_middle_term_verdict(h)[0]
+    assert conditional_prior.conditional
+    v = global_lift_verdict(dec.t_valuation, conditional_prior)
+    assert v.conditional and v.hypotheses_used[0] == "middle term (Z/p)^2 established (derived)"
     # trivial formal part: no conclusion, not a disproof
     dec19 = decompose_point(Curve(0, -2 + 7 * 19), QPoint.from_pair(5, -16), 7, 16)
     assert dec19.formal_nontrivial is False
     assert global_lift_verdict(dec19.t_valuation, prior) is None
     # missing or wrong prior verdict
     assert global_lift_verdict(dec.t_valuation, None) is None
-    wrong_prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7), K3, cm_asserted=True)[1]
+    wrong_prior = brauer_middle_term_verdict(self_record(E_CUBIC, 7, K3))[1]
     assert global_lift_verdict(dec.t_valuation, wrong_prior) is None
 
 
