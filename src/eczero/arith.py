@@ -39,7 +39,12 @@ SUPPORTED_CORNACCHIA_D = frozenset(-D for D in CM_J_INVARIANTS)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Deterministic primality test for 0 <= n < 2**64.
+
+    Trial division by the primes up to 59 decides every n < 61^2, since a
+    composite below 61^2 has a prime factor of at most 59; Miller-Rabin with
+    a witness set exact below 2^64 decides the rest.
+    """
     if n < 0 or n >= 1 << 64:
         raise UnsupportedModulusError(f"is_prime supports 0 <= n < 2^64, got {n}")
     if n < 2:
@@ -49,6 +54,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
+    if n < 61 * 61:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -247,8 +247,9 @@ def verdict_cmd(
 ):
     """Evaluate every decision rule whose hypotheses are supplied.
 
-    Facts this tool can compute are verified (CM by O_D of --disc from j(E1));
-    the flags mark caller assertions, and each emitted verdict lists which is which.
+    Facts this tool can compute are verified (CM by O_D of --disc from j(E1),
+    recorded only when E2 is E1); the flags mark caller assertions, and each
+    emitted verdict lists which is which.
     """
     if (e2_a is None) != (e2_b is None):
         raise click.UsageError("--e2-a and --e2-b must be given together")

@@ -358,13 +358,15 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     A point (m/e^2, n/e^3) in E_1 is its own formal part: v_p(e).
     Otherwise [p]P = [p]F, so v(Z) of Jacobian [p]P mod p^N decides, as the
     module docstring says: 1 raises SplitHypothesisError, and v(Z) < N gives
-    v(Z) - 1.  N doubles from 2 until v(Z) < N, which ends because P has
-    infinite order.  Other errors are decompose_point's.
+    v(Z) - 1.  N doubles from 4 until v(Z) < N, which ends because P has
+    infinite order; a pass at N = 2 could not end it, since v(Z) >= 2 there
+    reads as v(Z) = N.  So a t-valuation of 1 or 2 costs one [p].  Other
+    errors are decompose_point's.
     """
     minimal, (m, n, e) = _on_minimal_model(curve, point, p)
     if e % p == 0:
         return pval(e, p)
-    precision = 2
+    precision = 4
     while True:
         u = pow(e, -1, p**precision)
         _, _, Z = _p_times(minimal, p, m * u * u, n * u**3, precision)

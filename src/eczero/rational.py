@@ -61,13 +61,15 @@ class Curve:
     def c6(self) -> int:
         return -864 * self.b
 
-    def rhs(self, x: Fraction) -> Fraction:
-        return x * x * x + self.a * x + self.b
-
     def contains(self, point: "QPoint") -> bool:
+        """y^2 = x^3 + a x + b, on integers: with x = xn/xd and y = yn/yd,
+        yn^2 xd^3 = yd^2 (xn^3 + a xn xd^2 + b xd^3).  O is on every curve."""
         if point.is_identity:
             return True
-        return point.y * point.y == self.rhs(point.x)
+        xn, xd = point.x.numerator, point.x.denominator
+        yn, yd = point.y.numerator, point.y.denominator
+        xd2 = xd * xd
+        return yn * yn * xd2 * xd == yd * yd * (xn * xn * xn + self.a * xn * xd2 + self.b * xd2 * xd)
 
     def __str__(self):
         name = f"[{self.label}] " if self.label else ""
@@ -139,20 +141,34 @@ _TORSION_BOUND = 12
 def torsion_order(curve: Curve, P: QPoint) -> int | None:
     """Order of P if it is finite, None if P has infinite order.
 
-    Walks P, 2P, ..., 12P with one addition per step and returns the first
-    k with kP = O.  On an integral short model every torsion point has
-    integral coordinates (Nagell-Lutz; Silverman, AEC VIII.7), so the walk
-    stops with None at the first multiple with a non-integral coordinate;
-    by Mazur it also stops with None after 12 integral multiples none of
-    which is O.  The answer is the smallest m <= 12 with [m]P = O.
+    On an integral short model every torsion point has integral coordinates
+    (Nagell-Lutz; Silverman, AEC VIII.7), so a non-integral P returns None.
+    An integral P is walked P, 2P, ..., 12P on integers, one chord or
+    tangent a step: with (k-1)P and P integral, kP is integral exactly when
+    the slope is an integer, so the walk returns None at the first slope
+    that is not, k at the first vertical chord (kP = O), and None after 12
+    multiples none of which is O (Mazur).  The answer is the smallest
+    m <= 12 with [m]P = O.
     """
-    Q = P
-    for k in range(1, _TORSION_BOUND + 1):
-        if Q.is_identity:
-            return k
-        if Q.x.denominator != 1 or Q.y.denominator != 1:
+    if P.is_identity:
+        return 1
+    if P.x.denominator != 1 or P.y.denominator != 1:
+        return None
+    x0, y0 = P.x.numerator, P.y.numerator
+    x, y = x0, y0
+    for k in range(2, _TORSION_BOUND + 1):
+        # (x, y) is (k-1)P, integral and not O
+        if x == x0:
+            if y == -y0:
+                return k
+            num, den = 3 * x * x + curve.a, 2 * y
+        else:
+            num, den = y - y0, x - x0
+        lam, r = divmod(num, den)
+        if r:
             return None
-        Q = q_add(curve, Q, P)
+        x3 = lam * lam - x - x0
+        x, y = x3, lam * (x - x3) - y
     return None
 
 

@@ -154,7 +154,8 @@ class HypothesisRecord:
         cm_field: ImagQuadField | None = None,
     ) -> "HypothesisRecord":
         """Verify the computable facts (E2 classified only if it differs from E1;
-        CM by O_D of cm_field recorded only if j(E1) = j_D), assert the rest."""
+        CM by O_D of cm_field recorded only for a self-product E2 = E1 with
+        j(E1) = j_D, the only pair the CM rules speak about), assert the rest."""
         if p < 2 or not is_prime(p):
             raise DomainError(f"{p} is not prime")
         r1 = reduction_type(e1, p) if p >= 5 else None
@@ -170,7 +171,7 @@ class HypothesisRecord:
             surface_good_reduction=None
             if surface_good_reduction is None
             else asserted(surface_good_reduction),
-            cm_field=verified(cm_field) if cm_field is not None and has_cm(e1, cm_field) else None,
+            cm_field=verified(cm_field) if cm_field is not None and e2 == e1 and has_cm(e1, cm_field) else None,
         )
 
 

@@ -188,6 +188,17 @@ def test_verdict_has_no_cm_option():
     assert "--cm" not in run("verdict", "--help").output
 
 
+def test_verdict_fires_the_cm_rules_on_a_self_product_only():
+    # the CM rules speak about E x E: a second curve that is not E1 (here
+    # j = 864, without CM) fires none of them, and one equal to E1 all three
+    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--tower-level", "1", "--json"]
+    cm_rules = ["MiddleTermZpSquared", "BrauerPVanishes", "NdIsZmodPn(1)"]
+    for e2, expected in ((["--e2-a", "3", "--e2-b", "-2"], []), (["--e2-a", "0", "--e2-b", "-2"], cm_rules), ([], cm_rules)):
+        res = run(*base, *e2)
+        assert res.exit_code == 0, (e2, res.output)
+        assert [v["conclusion"] for v in json.loads(res.output)["verdicts"]] == expected, e2
+
+
 def test_verdict_has_no_precision_option():
     # --gen is decided on [p]P by formal_t_valuation, which needs no precision
     res = run("verdict", "--a", "0", "--b", "-2", "--p", "7", "--prec", "16")

@@ -423,6 +423,26 @@ def test_decompose_point_counts_points_once(monkeypatch):
     assert formal_t_valuation(E, P35, 7) == 1 and len(counted) == 4
 
 
+def test_formal_t_valuation_decides_a_t_valuation_up_to_2_with_one_p_times(monkeypatch):
+    # points outside E_1 at 7 with t-valuation 1 and 2, and one above no
+    # 7-adic torsion point: [7]P modulo 7^4 decides each, so none pays a pass
+    # modulo 7^2 that could not end
+    calls = []
+    real = eczero.localpoints._p_times
+    monkeypatch.setattr(eczero.localpoints, "_p_times", lambda *args: calls.append(args[-1]) or real(*args))
+    for curve, point, expected in (
+        (E, P35, 1),
+        (Curve(0, 12), QPoint.from_pair(-2, -2), 2),
+        (Curve(3, 5), QPoint.from_pair(-1, -1), "refused"),
+    ):
+        calls.clear()
+        assert _t_valuation_or_refusal(formal_t_valuation, curve, point, 7) == expected, (curve, point)
+        assert calls == [4], (curve, point)
+    # a point in E_1 reads v_7(e) and needs no [p]
+    calls.clear()
+    assert formal_t_valuation(E, q_scalar_mul(E, 7, P35), 7) == 2 and calls == []
+
+
 def test_decompose_preconditions():
     with pytest.raises(DomainError):
         decompose_point(Curve(-4, 0), QPoint.from_pair(0, 0), 13, 16)

@@ -1,21 +1,32 @@
 """Property tests: group laws over F_p and Q, the Jacobian chord modulo p^N
 and the affine p-adic group law against the rational one, the certified
 precision of the oracle's PadicNumber arithmetic, the generator search against brute
-force, and the start of the real locus the search sieves."""
+force, the start of the real locus the search sieves, the on-curve test
+against Fraction arithmetic, and torsion orders against the oracle."""
 
 import operator
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from eczero.errors import DomainError, PrecisionExhaustedError
 from eczero.fp import FpCurve, FpPoint, count_points, fp_add, fp_neg, point_at_x
 from eczero.localpoints import QpPoint, _jacobian_add
-from eczero.rational import Curve, QPoint, _real_locus_start, q_add, q_neg, q_scalar_mul
+from eczero.rational import (
+    Curve,
+    QPoint,
+    _real_locus_start,
+    curve_from_long_weierstrass,
+    long_point_to_short,
+    q_add,
+    q_neg,
+    q_scalar_mul,
+    torsion_order,
+)
 from eczero.survey import find_generator
 
-from oracles import PadicNumber, embed_point, generator_oracle, qp_add
+from oracles import PadicNumber, embed_point, generator_oracle, qp_add, torsion_order_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -217,3 +228,85 @@ def test_real_locus_start_has_no_point_below_it(data, kind):
     else:
         # f increases up to -sqrt(-a/3), and R is the last integer of that branch at or below r1
         assert f(R + 1) > 0 or R + 1 > -(isqrt(-a) + 1), (a, b, R)
+
+
+@st.composite
+def rational_points(draw):
+    """A point of q_points, which is mostly not integral, or that point with
+    x or y moved off the curve by a fraction of any denominator, so x may
+    have a denominator that is not a square."""
+    curve, points = draw(q_points())
+    P = draw(st.sampled_from(points))
+    if P.is_identity:
+        reject()
+    shift = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 50)))
+    move = draw(st.sampled_from(("none", "x", "y")))
+    if move == "x":
+        return curve, QPoint(P.x + shift, P.y)
+    return curve, QPoint(P.x, P.y + shift) if move == "y" else P
+
+
+@PROPERTY
+@given(rational_points())
+def test_contains_is_the_curve_equation_over_fractions(case):
+    curve, P = case
+    assert curve.contains(P) == (P.y**2 == P.x**3 + curve.a * P.x + curve.b)
+
+
+# Kubert's Tate normal forms y^2 + (1 - c)xy - by = x^3 - bx^2: (b, c) as
+# functions of t, with (0, 0) of order N wherever the curve is nonsingular
+# (Kubert 1976, Table 3)
+KUBERT = {
+    4: lambda t: (t, 0),
+    5: lambda t: (t, t),
+    6: lambda t: (t + t * t, t),
+    7: lambda t: (t**3 - t * t, t * t - t),
+    8: lambda t: ((2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t),
+    9: lambda t: (t * t * (t - 1) * (t * t - t + 1), t * t * (t - 1)),
+    10: lambda t: (
+        t**3 * (t - 1) * (2 * t - 1) / (t * t - 3 * t + 1) ** 2,
+        -t * (t - 1) * (2 * t - 1) / (t * t - 3 * t + 1),
+    ),
+    12: lambda t: (
+        t * (2 * t - 1) * (2 * t * t - 2 * t + 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 4,
+        -t * (2 * t - 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 3,
+    ),
+}
+
+
+def _torsion_point(order: int, t: Fraction) -> tuple[Curve, QPoint]:
+    """An integral short model with a point of the given order, from t."""
+    if order == 1:
+        return Curve(t.numerator, t.denominator), QPoint.identity()
+    if order == 2:
+        # (0, 0) on y^2 = x (x^2 + r x + s)
+        ai = [0, t.numerator, 0, t.denominator, 0]
+    elif order == 3:
+        # (0, 0) on y^2 + a1 xy + a3 y = x^3
+        ai = [t.numerator, 0, t.denominator, 0, 0]
+    else:
+        b, c = (Fraction(v) for v in KUBERT[order](t))
+        # (x, y) -> (x u^2, y u^3) scales a_i by u^i and keeps (0, 0)
+        u = b.denominator * c.denominator
+        ai = [int(v) for v in ((1 - c) * u, -b * u * u, -b * u**3, 0, 0)]
+    return curve_from_long_weierstrass(ai), long_point_to_short(ai, 0, 0)
+
+
+@PROPERTY
+@given(
+    st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)),
+    st.integers(-15, 15),
+    st.integers(1, 6),
+    st.integers(1, 13),
+)
+def test_torsion_order_matches_the_oracle_on_every_mazur_order(order, num, den, k):
+    # [k]T has order order / gcd(k, order); the oracle multiplies over Q
+    t = Fraction(num, den)
+    try:
+        curve, T = _torsion_point(order, t)
+    except (DomainError, ZeroDivisionError):
+        reject()
+    assert curve.contains(T)
+    assert torsion_order(curve, T) == torsion_order_oracle(curve, T) == order
+    Q = q_scalar_mul(curve, k, T)
+    assert torsion_order(curve, Q) == torsion_order_oracle(curve, Q) == order // gcd(k, order)

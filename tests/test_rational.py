@@ -414,21 +414,21 @@ def test_torsion_order_on_points_of_every_order():
 
 
 def test_torsion_order_stops_at_the_first_non_integral_multiple(monkeypatch):
-    # on y^2 = x^3 - 2, (3, 5) has 2P = (129/100, -383/1000): one addition
-    # certifies it, and a non-integral point needs none
+    # on y^2 = x^3 - 2, (3, 5) has 2P = (129/100, -383/1000): one step, the
+    # tangent slope 27/10, certifies it, and a non-integral point needs none
     E, P = Curve(0, -2), QPoint.from_pair(3, 5)
     P2 = q_scalar_mul(E, 2, P)
     assert P2 == QPoint(Fraction(129, 100), Fraction(-383, 1000))
-    adds = []
-    real = eczero.rational.q_add
+    slopes = []
 
-    def counted(curve, Q, R):
-        adds.append(Q)
-        return real(curve, Q, R)
+    def counted(num, den):
+        slopes.append(Fraction(num, den))
+        return divmod(num, den)
 
-    monkeypatch.setattr(eczero.rational, "q_add", counted)
-    assert torsion_order(E, P) is None and adds == [P]
-    assert torsion_order(E, P2) is None and adds == [P]
+    # a module global shadows the builtin the walk calls once per step
+    monkeypatch.setattr(eczero.rational, "divmod", counted, raising=False)
+    assert torsion_order(E, P) is None and slopes == [Fraction(27, 10)]
+    assert torsion_order(E, P2) is None and slopes == [Fraction(27, 10)]
 
 
 def test_torsion_order_on_criterion_9_search_hits():

@@ -133,9 +133,11 @@ def test_for_pair_verifies_cm_from_j_of_e1():
     assert self_record(E_CUBIC, 7).cm_field is None
     assert self_record(E_CUBIC, 7, K19).cm_field is None
     assert self_record(Curve(3, -2), 7, K3).cm_field is None
-    # E1 decides: a CM E2 lends E1 nothing
+    # CM is recorded for a self-product only: a CM E2 lends E1 nothing, and
+    # a CM E1 paired with another curve is no CM self-product
     assert record_for(Curve(3, -2), E_CUBIC, 7, cm_field=K3).cm_field is None
-    assert record_for(E_CUBIC, Curve(3, -2), 7, cm_field=K3).cm_field == verified(K3)
+    assert record_for(E_CUBIC, Curve(3, -2), 7, cm_field=K3).cm_field is None
+    assert record_for(E_CUBIC, Curve(E_CUBIC.a, E_CUBIC.b), 7, cm_field=K3).cm_field == verified(K3)
 
 
 def test_brauer_middle_term_fires_on_the_three_families():
