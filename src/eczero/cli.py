@@ -8,54 +8,40 @@ Exit codes 1 and 3 write {"error": ...} as JSON to stderr, and so does
 `decompose` for a --prec below 1, which exits 2.  The command group
 (`_ExitCodes.invoke`) maps DomainError and InternalConsistencyError to 1
 and 3 for every subcommand; click reports usage errors itself.
+
+Importing this module loads click, `eczero.bounds` (the option defaults and
+help text) and `eczero.errors` only.  Each command imports the layers it
+runs when it runs, so `classify` never loads the survey, the verdicts or the
+local layer.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .arith import cornacchia
+from .bounds import DEFAULT_HEIGHT, DEFAULT_PRECISION, MAX_HEIGHT, MAX_PRECISION
 from .errors import DomainError, InternalConsistencyError
-from .fp import FpPoint
-from .localpoints import (
-    DEFAULT_PRECISION, MAX_PRECISION, decompose_point, decomposition_to_dict, formal_t_valuation, lift_p_torsion,
-    qppoint_to_dict,
-)
-from .quadfields import (
-    CLASS_NUMBER_ONE_DISCS,
-    ImagQuadField,
-    anomalous_primes,
-    anomalous_residues_d3,
-    is_frobenius_trace,
-    splits_completely,
-)
-from .rational import MAX_HEIGHT, Curve, QPoint, ReductionType, reduction_type
-from .survey import (
-    DEFAULT_HEIGHT, FamilySpec, emit_report, ingest_curves, parse_generator, scan_family, survey_records,
-)
-from .verdicts import (
-    AdmissibilityConfig,
-    HypothesisRecord,
-    brauer_middle_term_verdict,
-    cm_tower_verdict,
-    divisibility_verdict,
-    global_lift_verdict,
-    nd_structure_verdict,
-    prime_admissibility,
-    quartic_verdict,
-    require_tower_level,
-)
+
+if TYPE_CHECKING:
+    from .rational import QPoint, ReductionType
 
 
 _HEIGHT_HELP = f"point-search height bound, 1 to {MAX_HEIGHT}"
 _PREC_HELP = f"p-adic digits, at most {MAX_PRECISION}"
 # a curve file must exist and be a file: a directory is a usage error
 _CURVE_FILE = click.Path(exists=True, dir_okay=False)
+_OUT_FILE = click.Path()
+
+
+def _dumps(obj, **kwargs) -> str:
+    """JSON text; json is imported here, since a call that prints text needs none."""
+    import json
+
+    return json.dumps(obj, **kwargs)
 
 
 class _ExitCodes(click.Group):
@@ -65,7 +51,7 @@ class _ExitCodes(click.Group):
         try:
             return super().invoke(ctx)
         except (DomainError, InternalConsistencyError) as exc:
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            print(_dumps({"error": str(exc)}), file=sys.stderr)
             sys.exit(1 if isinstance(exc, DomainError) else 3)
 
 
@@ -78,13 +64,15 @@ def cli():
 
 def _emit(payload: dict, as_json: bool, text_lines):
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
 def _parse_gen(spec: str) -> QPoint:
+    from .rational import QPoint, parse_generator
+
     try:
         return QPoint(*parse_generator([int(t) for t in spec.split(",")]))
     except (ValueError, DomainError) as exc:
@@ -97,10 +85,13 @@ def _parse_gen(spec: str) -> QPoint:
 @click.option("--json", "as_json", is_flag=True, help="emit a JSON array")
 def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
     """Primes p <= bound with 4p = 1 + |D| v^2 (trace-1 split primes)."""
+    from .arith import cornacchia
+    from .quadfields import ImagQuadField, anomalous_primes
+
     field = ImagQuadField(disc)
     primes = anomalous_primes(field, bound)
     if as_json:
-        print(json.dumps(primes))
+        print(_dumps(primes))
         return
     for p in primes:
         u, v = cornacchia(abs(disc), p)
@@ -112,6 +103,8 @@ def anomalous_primes_cmd(disc: int, bound: int, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def anomalous_residues_cmd(p: int, as_json: bool):
     """Residues c mod p for which y^2 = x^3 + c has exactly p points."""
+    from .quadfields import anomalous_residues_d3
+
     residues = anomalous_residues_d3(p)
     _emit(
         {"p": p, "residues": residues, "count": len(residues)},
@@ -137,6 +130,8 @@ def _reduction_payload(r: ReductionType, p: int) -> dict:
 @click.option("--json", "as_json", is_flag=True)
 def classify_cmd(a: int, b: int, p: int, as_json: bool):
     """Reduction type of y^2 = x^3 + a x + b at p (model minimized first)."""
+    from .rational import Curve, reduction_type
+
     r = reduction_type(Curve(a, b), p)
     _emit(_reduction_payload(r, p), as_json, [str(r)])
 
@@ -149,6 +144,9 @@ def classify_cmd(a: int, b: int, p: int, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
     """Good/ordinary/anomalous report plus compatible CM splitting fields."""
+    from .quadfields import CLASS_NUMBER_ONE_DISCS, ImagQuadField, is_frobenius_trace, splits_completely
+    from .rational import Curve, reduction_type
+
     r = reduction_type(Curve(a, b), p)
     discs = [disc] if disc is not None else list(CLASS_NUMBER_ONE_DISCS)
     splits = {D: splits_completely(ImagQuadField(D), p) for D in discs}
@@ -180,6 +178,10 @@ def check_curve_cmd(a: int, b: int, p: int, disc: int | None, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json: bool):
     """p-adic p-torsion point above a special-fiber point of an anomalous curve."""
+    from .fp import FpPoint
+    from .localpoints import lift_p_torsion, qppoint_to_dict
+    from .rational import Curve
+
     T0 = lift_p_torsion(Curve(a, b), p, FpPoint(x, y), prec)
     payload = {"p": p, "precision": prec, "torsion": qppoint_to_dict(T0)}
     _emit(payload, as_json, [f"T0.x = {T0.x}", f"T0.y = {T0.y}", f"[{p}]T0 = O (verified)"])
@@ -194,8 +196,11 @@ def lift_torsion_cmd(a: int, b: int, p: int, x: int, y: int, prec: int, as_json:
 @click.option("--json", "as_json", is_flag=True)
 def decompose_cmd(a: int, b: int, p: int, gen: str, prec: int, as_json: bool):
     """Split a global point into formal and special-fiber components at p."""
+    from .localpoints import decompose_point, decomposition_to_dict
+    from .rational import Curve
+
     if prec < 1:
-        print(json.dumps({"error": f"--prec must be >= 1, got {prec}"}), file=sys.stderr)
+        print(_dumps({"error": f"--prec must be >= 1, got {prec}"}), file=sys.stderr)
         sys.exit(2)
     point = _parse_gen(gen)
     dec = decompose_point(Curve(a, b), point, p, prec)
@@ -251,11 +256,29 @@ def verdict_cmd(
     recorded only when E2 is E1); the flags mark caller assertions, and each
     emitted verdict lists which is which.
     """
+    from .quadfields import ImagQuadField
+    from .rational import Curve
+    from .verdicts import (
+        AdmissibilityConfig,
+        HypothesisRecord,
+        brauer_middle_term_verdict,
+        cm_tower_verdict,
+        divisibility_verdict,
+        global_lift_verdict,
+        nd_structure_verdict,
+        prime_admissibility,
+        quartic_verdict,
+        require_tower_level,
+    )
+
     if (e2_a is None) != (e2_b is None):
         raise click.UsageError("--e2-a and --e2-b must be given together")
     point = _parse_gen(gen) if gen is not None else None
     if tower_level is not None:
         require_tower_level(tower_level)
+    config = AdmissibilityConfig(
+        isogeny_degree=deg_phi, field_degree=field_degree, bad_fiber_orders=tuple(bad_fiber_orders)
+    )
     e1 = Curve(a, b)
     e2 = Curve(e2_a, e2_b) if e2_a is not None else e1
     record = HypothesisRecord.for_pair(
@@ -275,12 +298,11 @@ def verdict_cmd(
     tower = cm_tower_verdict(record, tower_level) if tower_level is not None else None
     fired += brauer + ([tower] if tower is not None else [])
     if point is not None and brauer:
+        from .localpoints import formal_t_valuation
+
         v = global_lift_verdict(formal_t_valuation(e1, point, p), brauer[0])
         if v is not None:
             fired.append(v)
-    config = AdmissibilityConfig(
-        isogeny_degree=deg_phi, field_degree=field_degree, bad_fiber_orders=tuple(bad_fiber_orders)
-    )
     adm = prime_admissibility(record, config)
     payload = {
         "verdicts": [v.to_dict() for v in fired],
@@ -299,11 +321,10 @@ def verdict_cmd(
     _emit(payload, as_json, lines)
 
 
-def _write_report(rows, aggregate: dict, rejected, fmt: str, out: str | None):
-    """The survey's ingest rejections on stderr, then its report to --out or stdout."""
+def _write_report(text: str, rejected, out: str | None):
+    """The survey's ingest rejections on stderr, then its report text to --out or stdout."""
     for lineno, reason in rejected:
         print(f"ingest line {lineno}: {reason}", file=sys.stderr)
-    text = emit_report(rows, aggregate, fmt)
     if out:
         try:
             with open(out, "w") as fh:
@@ -328,20 +349,24 @@ def _write_report(rows, aggregate: dict, rejected, fmt: str, out: str | None):
 @click.option("--ingest", "ingest_path", type=_CURVE_FILE, metavar="PATH", default=None,
               help="curve file supplying generators, matched by coefficients")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT_FILE, default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
 def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out, as_json):
     """Scan the family y^2 = x^3 + (a0 + a1 n) x + (b0 + b1 n) over n."""
+    from .survey import FamilySpec, emit_report, ingest_curves, scan_family
+
     spec = FamilySpec(a0, a1, b0, b1, nmin, nmax, p, disc, height)  # checked before the curve file is read
     ingest_problems = ()
     if ingest_path:
+        from dataclasses import replace
+
         result = ingest_curves(ingest_path)
         ingest_problems = result.rejected
         # the last record with a generator wins for equal coefficients
         by_coeffs = {(rec.curve.a, rec.curve.b): rec.generator for rec in result.records if rec.generator is not None}
         spec = replace(spec, generators={n: gen for (a, b), gen in by_coeffs.items() for n in spec.members(a, b)})
     rows, aggregate = scan_family(spec)
-    _write_report(rows, aggregate, ingest_problems, "json" if as_json else fmt, out)
+    _write_report(emit_report(rows, aggregate, "json" if as_json else fmt), ingest_problems, out)
 
 
 @cli.command("report")
@@ -350,13 +375,15 @@ def scan_cmd(a0, a1, b0, b1, p, disc, nmin, nmax, height, ingest_path, fmt, out,
 @click.option("--disc", type=int, required=True)
 @click.option("--height", type=int, default=DEFAULT_HEIGHT, show_default=True, help=_HEIGHT_HELP)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OUT_FILE, default=None)
 @click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
 def report_cmd(input_path, p, disc, height, fmt, out, as_json):
     """Run the survey pipeline over an ingested curve file."""
+    from .survey import emit_report, ingest_curves, survey_records
+
     result = ingest_curves(input_path)
     rows, aggregate = survey_records(result.records, p, disc, height)
-    _write_report(rows, aggregate, result.rejected, "json" if as_json else fmt, out)
+    _write_report(emit_report(rows, aggregate, "json" if as_json else fmt), result.rejected, out)
 
 
 def main():

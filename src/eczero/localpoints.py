@@ -58,6 +58,7 @@ from functools import partial
 from math import isqrt
 
 from .arith import double_and_add, require_curve_prime
+from .bounds import DEFAULT_PRECISION, MAX_PRECISION
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -67,11 +68,7 @@ from .errors import (
 from .fp import FpCurve, FpPoint, is_anomalous
 from .rational import Curve, QPoint, _minimal_with_scale, torsion_order
 
-DEFAULT_PRECISION = 16
 MIN_RELATIVE_PRECISION = 4
-# The largest precision a caller may ask of the local layer.  A lift's time
-# grows about as N^2 at N digits: ~0.5 s at p = 223 and N = 1024 on one Xeon vCPU.
-MAX_PRECISION = 1024
 # decompose_point reports a point in E_1 with this many digits past the
 # precision asked for.
 GUARD_DIGITS = 8

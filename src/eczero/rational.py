@@ -34,7 +34,8 @@ from functools import lru_cache, partial
 from math import gcd, isqrt
 
 from .arith import double_and_add, kronecker_symbol, require_curve_prime, squares_mod
-from .errors import DomainError
+from .bounds import MAX_HEIGHT
+from .errors import DomainError, IngestError
 from .fp import FpCurve, trace_of_frobenius
 
 @dataclass(frozen=True)
@@ -195,6 +196,17 @@ def long_point_to_short(ai: list[int], x, y) -> QPoint:
     return QPoint(36 * x + 3 * b2, 216 * y + 108 * (a1 * x + a3))
 
 
+def parse_generator(raw) -> tuple[Fraction, Fraction]:
+    """(x, y) from [x_num, x_den, y_num, y_den]: a curve file's gen field or
+    the CLI's --gen."""
+    if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(t, int) for t in raw)):
+        raise IngestError("gen must be [x_num, x_den, y_num, y_den] with integer entries")
+    xn, xd, yn, yd = raw
+    if xd <= 0 or yd <= 0:
+        raise IngestError("gen denominators must be positive")
+    return Fraction(xn, xd), Fraction(yn, yd)
+
+
 def _minimal_with_scale(curve: Curve, p: int) -> tuple[Curve, int]:
     # The model with minimal v_p(discriminant) among u = p^k rescalings, and k.
     a, b = curve.a, curve.b
@@ -253,11 +265,6 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
             return ReductionType(ReductionKind.SPLIT_MULTIPLICATIVE)
         return ReductionType(ReductionKind.NONSPLIT_MULTIPLICATIVE)
     return ReductionType(ReductionKind.ADDITIVE)
-
-
-# The largest search height.  The row cache holds ~180 H bytes at height H:
-# ~180 MB at the cap.
-MAX_HEIGHT = 10**6
 
 
 def require_height(height: int) -> None:

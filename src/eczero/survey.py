@@ -16,10 +16,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .arith import require_curve_prime
+from .bounds import DEFAULT_HEIGHT
 from .errors import DomainError, IngestError, InternalConsistencyError
 from .localpoints import formal_t_valuation
 from .quadfields import ImagQuadField, has_cm, splits_completely
@@ -28,14 +28,13 @@ from .rational import (
     QPoint,
     curve_from_long_weierstrass,
     long_point_to_short,
+    parse_generator,
     reduction_type,
     require_height,
     search_rows,
     torsion_order,
 )
 from .verdicts import Conclusion, HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict, verified
-
-DEFAULT_HEIGHT = 10**4
 
 PROXY_NOTE = (
     "statistic counts curves with a certified infinite-order point found by "
@@ -151,17 +150,6 @@ class IngestRecord:
 class IngestResult:
     records: tuple
     rejected: tuple  # (line number, reason)
-
-
-def parse_generator(raw) -> tuple[Fraction, Fraction]:
-    """(x, y) from [x_num, x_den, y_num, y_den]: a curve file's gen field or
-    the CLI's --gen."""
-    if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(t, int) for t in raw)):
-        raise IngestError("gen must be [x_num, x_den, y_num, y_den] with integer entries")
-    xn, xd, yn, yd = raw
-    if xd <= 0 or yd <= 0:
-        raise IngestError("gen denominators must be positive")
-    return Fraction(xn, xd), Fraction(yn, yd)
 
 
 def _printable(n: int, limit: int) -> bool:

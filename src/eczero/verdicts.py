@@ -158,6 +158,8 @@ class HypothesisRecord:
         j(E1) = j_D, the only pair the CM rules speak about), assert the rest."""
         if p < 2 or not is_prime(p):
             raise DomainError(f"{p} is not prime")
+        if torsion_level is not None:
+            _require_positive(torsion_level, "torsion level n")
         r1 = reduction_type(e1, p) if p >= 5 else None
         r2 = r1 if e2 == e1 or r1 is None else reduction_type(e2, p)
         return cls(
@@ -233,10 +235,15 @@ def nd_structure_verdict(h: HypothesisRecord) -> Verdict | None:
     return _verdict(Conclusion.ND_IS_Z_MOD_PN, used, level=n)
 
 
+def _require_positive(value: int, what: str) -> None:
+    """A level, degree or order the rules read is a positive integer."""
+    if value < 1:
+        raise DomainError(f"{what} must be >= 1")
+
+
 def require_tower_level(n: int) -> None:
     """The CM tower rule's level n is a positive integer."""
-    if n < 1:
-        raise DomainError("tower level n must be >= 1")
+    _require_positive(n, "tower level n")
 
 
 def cm_tower_verdict(h: HypothesisRecord, n: int) -> Verdict | None:
@@ -350,6 +357,12 @@ class AdmissibilityConfig:
     isogeny_degree: int = 1
     field_degree: int = 1
     bad_fiber_orders: tuple[int, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        _require_positive(self.isogeny_degree, "isogeny degree")
+        _require_positive(self.field_degree, "field degree")
+        for order in self.bad_fiber_orders:
+            _require_positive(order, "bad-fiber order")
 
     @property
     def m_constant(self) -> int:

@@ -31,6 +31,8 @@ RATIONAL = "src/eczero/rational.py"
 SURVEY = "src/eczero/survey.py"
 VERDICTS = "src/eczero/verdicts.py"
 CLI = "src/eczero/cli.py"
+BOUNDS = "src/eczero/bounds.py"
+INIT = "src/eczero/__init__.py"
 TIMEOUT = 300
 
 # (file, old text, new text, test node ids)
@@ -112,6 +114,31 @@ MUTANTS = [
      ["tests/test_cli.py::test_every_subcommand_maps_library_errors_to_exit_codes"]),
     (CLI, "        except (DomainError, InternalConsistencyError) as exc:", "        except InternalConsistencyError as exc:",
      ["tests/test_cli.py::test_every_subcommand_maps_library_errors_to_exit_codes"]),
+    # cold start: importing the CLI loads no layer, a command loads only its
+    # own, and each public name is its home module's object, cached on first use
+    (CLI, "from .errors import DomainError, InternalConsistencyError\n",
+     "from .errors import DomainError, InternalConsistencyError\nfrom .survey import scan_family\n",
+     ["tests/test_cli.py::test_imports_load_no_layer"]),
+    (CLI, "    from .rational import QPoint, parse_generator\n", "    from .survey import QPoint, parse_generator\n",
+     ["tests/test_cli.py::test_each_command_loads_only_its_layers"]),
+    (INIT, '"trace_of_frobenius": "fp"', '"trace_of_frobenius": "rational"',
+     ["tests/test_cli.py::test_public_names_are_their_home_modules_objects"]),
+    (INIT, "    globals()[name] = value\n", "",
+     ["tests/test_cli.py::test_public_names_are_their_home_modules_objects"]),
+    (INIT, "    return sorted({*globals(), *__all__})", "    return sorted(globals())",
+     ["tests/test_cli.py::test_imports_load_no_layer"]),
+    # the verdict inputs' refusals below 1: the bound and each call site
+    (VERDICTS, "    if value < 1:\n", "    if value < 0:\n",
+     ["tests/test_verdicts.py::test_levels_degrees_and_orders_below_1_are_refused"]),
+    (VERDICTS, 'require_positive(torsion_level, "torsion level n")', 'require_positive(torsion_level + 1, "torsion level n")',
+     ["tests/test_verdicts.py::test_levels_degrees_and_orders_below_1_are_refused"]),
+    (VERDICTS, 'require_positive(self.isogeny_degree, "isogeny degree")',
+     'require_positive(self.isogeny_degree + 1, "isogeny degree")',
+     ["tests/test_verdicts.py::test_levels_degrees_and_orders_below_1_are_refused"]),
+    (VERDICTS, 'require_positive(self.field_degree, "field degree")', 'require_positive(self.field_degree + 1, "field degree")',
+     ["tests/test_verdicts.py::test_levels_degrees_and_orders_below_1_are_refused"]),
+    (VERDICTS, "        for order in self.bad_fiber_orders:\n", "        for order in self.bad_fiber_orders[:1]:\n",
+     ["tests/test_verdicts.py::test_levels_degrees_and_orders_below_1_are_refused"]),
     # the entry checks: the height's two bounds, the family's two ends, the
     # ingested generators' n and the curve file's per-line decode
     (RATIONAL, "    if height < 1:", "    if height < 0:",
@@ -130,7 +157,7 @@ MUTANTS = [
     # torsion certification's early stop
     (RATIONAL, "    shift = -height % q", "    shift = height % q",
      ["tests/test_rational.py::test_point_search_matches_brute_force"]),
-    (RATIONAL, "MAX_HEIGHT = 10**6", "MAX_HEIGHT = 10**7",
+    (BOUNDS, "MAX_HEIGHT = 10**6", "MAX_HEIGHT = 10**7",
      ["tests/test_rational.py::test_search_height_above_the_cap_raises_before_building_a_row"]),
     (RATIONAL, "            hi = mid\n    return lo", "            hi = mid\n    return lo + 1",
      ["tests/test_rational.py::test_point_search_on_the_real_locus_matches_brute_force"]),

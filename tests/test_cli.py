@@ -1,11 +1,13 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import subprocess
 import sys
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -213,7 +215,6 @@ def test_verdict_gen_lifts_no_torsion(monkeypatch):
         raise AssertionError("verdict --gen reached the torsion lift")
 
     for module, name in (
-        (eczero.cli, "lift_p_torsion"),
         (eczero.localpoints, "lift_p_torsion"),
         (eczero.localpoints, "_lift_torsion"),
         (eczero.localpoints, "_decompose"),
@@ -263,6 +264,22 @@ def test_verdict_checks_gen_and_tower_level_whatever_fires():
             res = run(*base, *extra, "--tower-level", level)
             assert res.exit_code == 1 and res.stdout == ""
             assert json.loads(res.stderr) == {"error": "tower level n must be >= 1"}
+
+
+def test_verdict_refuses_degrees_orders_and_levels_below_1():
+    # each once gave a nonsense admissibility reason or fired nothing
+    base = ["verdict", "--a", "0", "--b", "-2", "--p", "7", "--json"]
+    flags = {
+        "--deg-phi": "isogeny degree",
+        "--field-degree": "field degree",
+        "--bad-fiber-order": "bad-fiber order",
+        "--torsion-level": "torsion level n",
+    }
+    for flag, what in flags.items():
+        for value in ("0", "-7"):
+            res = run(*base, flag, value)
+            assert res.exit_code == 1 and res.stdout == "", (flag, value)
+            assert json.loads(res.stderr) == {"error": f"{what} must be >= 1"}
 
 
 def test_verdict_rejects_half_given_e2():
@@ -539,10 +556,12 @@ def test_in_process_calls_keep_no_stderr_stream_alive(tmp_path):
 
 
 def test_internal_error_exits_3(monkeypatch):
+    import eczero.rational
+
     def broken(curve, p):
         raise InternalConsistencyError("broken invariant")
 
-    monkeypatch.setattr(eczero.cli, "reduction_type", broken)
+    monkeypatch.setattr(eczero.rational, "reduction_type", broken)
     res = run("classify", "--a", "0", "--b", "-2", "--p", "7")
     assert res.exit_code == 3
     assert json.loads(res.stderr) == {"error": "broken invariant"}
@@ -556,6 +575,22 @@ def test_one_version_string():
     res = run("--version")
     assert res.exit_code == 0
     assert res.output == f"eczero, version {version}\n"
+
+
+# sha256 over `eczero --help`, `eczero --version` and each command's --help
+HELP_PIN_SHA256 = "98ff6adf1f1811b673779e80c1d4a6a66512ce2bb7fc18d86ab4128e480f25e9"
+
+
+def test_help_and_version_output_is_pinned():
+    # option defaults and help text are read from eczero.bounds; at a fixed
+    # width, so the terminal cannot move the pin
+    digest = hashlib.sha256()
+    calls = [["--help"], ["--version"]] + [[name, "--help"] for name in sorted(cli.commands)]
+    assert len(calls) == 11
+    for args in calls:
+        res = runner.invoke(cli, args, prog_name="eczero", terminal_width=80)
+        digest.update(f"{args}\n{res.exit_code}\n{res.output}\n".encode())
+    assert digest.hexdigest() == HELP_PIN_SHA256
 
 
 def test_every_public_name_resolves():
@@ -579,11 +614,55 @@ def test_json_flag_everywhere():
         json.loads(res.output)  # parses
 
 
-def test_cli_import_does_not_load_numpy():
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
     src = str(Path(eczero.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import eczero.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    probe = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def _eczero_modules_after(code: str) -> set[str]:
+    return {m for m in _modules_after(code) if m.split(".")[0] == "eczero"}
+
+
+def test_cli_import_does_not_load_numpy():
+    assert "numpy" not in _modules_after("import eczero.cli")
+
+
+def test_imports_load_no_layer():
+    # a public name loads its module on first use; the CLI reads its option
+    # defaults from eczero.bounds
+    assert _eczero_modules_after("import eczero; assert set(eczero.__all__) <= set(dir(eczero))") == {"eczero"}
+    assert _eczero_modules_after("import eczero.cli") == {"eczero", "eczero.cli", "eczero.errors", "eczero.bounds"}
+
+
+def test_each_command_loads_only_its_layers():
+    heavy = {"eczero.survey", "eczero.verdicts", "eczero.localpoints"}
+    unused = {
+        ("anomalous-primes", "--disc", "-3", "--bound", "50"): heavy,
+        ("anomalous-residues", "--p", "7"): heavy,
+        ("classify", "--a", "0", "--b", "-2", "--p", "7"): heavy,
+        ("check-curve", "--a", "0", "--b", "-2", "--p", "7"): heavy,
+        ("decompose", "--a", "0", "--b", "-2", "--p", "7", "--gen", "3,1,5,1"): {"eczero.survey", "eczero.verdicts"},
+        ("verdict", "--a", "0", "--b", "-2", "--p", "7"): {"eczero.survey", "eczero.localpoints"},
+    }
+    for args, modules in unused.items():
+        call = f"from eczero.cli import cli; cli.main(args={list(args)!r}, prog_name='eczero', standalone_mode=False)"
+        assert not _eczero_modules_after(call) & modules, args
+
+
+def test_public_names_are_their_home_modules_objects():
+    # resolved on first access, then cached in the package namespace
+    for name in eczero.__all__:
+        home = importlib.import_module(f"eczero.{eczero._HOME[name]}")
+        value = getattr(eczero, name)
+        assert value is getattr(home, name) and vars(eczero)[name] is value, name
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home.__name__, name  # defined there, not re-exported
+    assert set(eczero.__all__) <= set(dir(eczero))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        eczero.no_such_name
 
 
 # (a, b, CM discriminant, generator or None): the three CM families, the

@@ -92,8 +92,11 @@ def test_nd_structure_ablations():
     for missing in ("torsion_level", "wild_ramification", "trivial_ns_action"):
         kw = {k: v for k, v in base.items() if k != missing}
         assert nd_structure_verdict(record_for(E_CUBIC, E_CUBIC, 7, **kw)) is None
-    for unfavorable in (dict(torsion_level=0), dict(wild_ramification=False), dict(trivial_ns_action=False)):
+    for unfavorable in (dict(wild_ramification=False), dict(trivial_ns_action=False)):
         assert nd_structure_verdict(record_for(E_CUBIC, E_CUBIC, 7, **{**base, **unfavorable})) is None
+    # for_pair refuses a level below 1; a record built directly with one fires nothing
+    h = dataclasses.replace(record_for(E_CUBIC, E_CUBIC, 7, **base), torsion_level=asserted(0))
+    assert nd_structure_verdict(h) is None
     # supersingular factor blocks the rule
     h = record_for(E_CUBIC, E_CUBIC, 5, **base)
     assert nd_structure_verdict(h) is None
@@ -298,6 +301,25 @@ def test_prime_admissibility_config():
     res4 = prime_admissibility(record_for(E_CUBIC, Curve(0, 1), 5))
     assert not res4.admissible
     assert any("condition 2: fail" in r for r in res4.reasons)
+
+
+def test_levels_degrees_and_orders_below_1_are_refused():
+    # a field degree of -1 once passed with "p coprime to -2", an isogeny
+    # degree or bad-fiber order of 0 failed with "p divides ... = 0", and a
+    # torsion level of 0 fired nothing
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="^torsion level n must be >= 1$"):
+            record_for(E_CUBIC, E_CUBIC, 7, torsion_level=n)
+        for kw, what in (
+            (dict(isogeny_degree=n), "isogeny degree"),
+            (dict(field_degree=n), "field degree"),
+            (dict(bad_fiber_orders=(5, n)), "bad-fiber order"),
+        ):
+            with pytest.raises(DomainError, match=f"^{what} must be >= 1$"):
+                AdmissibilityConfig(**kw)
+    # 1 is the least value each accepts
+    assert record_for(E_CUBIC, E_CUBIC, 7, torsion_level=1).torsion_level == asserted(1)
+    assert AdmissibilityConfig(isogeny_degree=1, field_degree=1, bad_fiber_orders=(1,)).m_constant == 6
 
 
 def test_monotonicity_unrelated_facts_do_not_change_verdicts():
