@@ -1,11 +1,15 @@
 """Exact integer and modular arithmetic primitives.
 
-Everything here is pure and deterministic: primality is decided by a
-Miller-Rabin witness set that is exact for the whole 64-bit range,
-square roots / Cornacchia representations are computed with integer
+Everything here is pure and deterministic: primality is decided by
+trial division below 61^2 and above it by Miller-Rabin with the first k
+prime witnesses, k the least with n < psi_k (OEIS A014233; Jaeschke,
+Math. Comp. 61, 1993), which is exact for the whole 64-bit range.
+Square roots / Cornacchia representations are computed with integer
 arithmetic only, and one generic double-and-add serves every group law.
-The residue table, the non-residue search and the unit orbit of
-4p = u^2 + d v^2 have one copy each, shared by every caller.
+The Jacobian addition that runs under it for F_p multiples and for the
+local layer's [p] mod p^N lives here too, beside it.  The residue table,
+the non-residue search and the unit orbit of 4p = u^2 + d v^2 have one
+copy each, shared by every caller.
 """
 
 from __future__ import annotations
@@ -14,8 +18,16 @@ from math import isqrt
 
 from .errors import DomainError, UnsupportedModulusError
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24 (covers 2^64).
+# The first twelve primes as Miller-Rabin witnesses, and psi_k (OEIS A014233;
+# Jaeschke, Math. Comp. 61, 1993): the least odd composite that passes the
+# test to each of the first k of them, so those k decide every n < psi_k.
+# psi_12 ~ 3.2 * 10^23 lies past 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUNDS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461,
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
@@ -42,8 +54,10 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64.
 
     Trial division by the primes up to 59 decides every n < 61^2, since a
-    composite below 61^2 has a prime factor of at most 59; Miller-Rabin with
-    a witness set exact below 2^64 decides the rest.
+    composite below 61^2 has a prime factor of at most 59.  Miller-Rabin
+    decides the rest with the first k prime witnesses, stopping once
+    n < psi_k (A014233): 2 witnesses below 1373653, 4 below 3215031751,
+    5 below 2.15 * 10^12 and all 12 from 3.8 * 10^18 to 2^64.
     """
     if n < 0 or n >= 1 << 64:
         raise UnsupportedModulusError(f"is_prime supports 0 <= n < 2^64, got {n}")
@@ -61,16 +75,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
     return True
 
 
@@ -225,9 +240,9 @@ def double_and_add(add, k: int, P, zero):
     """[k]P for k >= 0 in the group with addition `add` and identity `zero`.
 
     Right-to-left binary method: popcount(k) additions and bit_length(k) - 1
-    doublings, none after the top bit.  The F_p and Q scalar
-    multiplications and the local layer's Jacobian [p] mod p^N all run
-    this one loop.
+    doublings, none after the top bit.  The F_p multiples (on
+    _jacobian_add modulo p), the Q scalar multiplication and the local
+    layer's Jacobian [p] mod p^N all run this one loop.
     """
     R = zero
     while k:
@@ -237,3 +252,41 @@ def double_and_add(add, k: int, P, zero):
         if k:
             P = add(P, P)
     return R
+
+
+# Jacobian coordinates: (X, Y, Z) stands for (X/Z^2, Y/Z^3); Z = 0 is O.
+_JACOBIAN_O = (1, 1, 0)
+
+
+def _jacobian_add(a: int, mod: int, P: tuple[int, int, int], Q: tuple[int, int, int]) -> tuple[int, int, int]:
+    """P + Q on y^2 = x^3 + a x + b modulo `mod`, by the chord or, for two
+    points that agree modulo `mod`, the tangent (Cohen-Frey et al., Handbook
+    of Elliptic and Hyperelliptic Curve Cryptography, 13.2.1).  No inversion:
+    modulo a prime p it is the group law of E(F_p), modulo p^N the local
+    layer's [p]."""
+    X1, Y1, Z1 = P
+    if not Z1:
+        return Q
+    X2, Y2, Z2 = Q
+    if not Z2:
+        return P
+    Z1Z1 = Z1 * Z1 % mod
+    if P != Q:
+        Z2Z2 = Z2 * Z2 % mod
+        U1 = X1 * Z2Z2 % mod
+        S1 = Y1 * Z2 * Z2Z2 % mod
+        H = (X2 * Z1Z1 - U1) % mod
+        R = (Y2 * Z1 * Z1Z1 - S1) % mod
+        if H:
+            HH = H * H % mod
+            HHH = H * HH % mod
+            V = U1 * HH % mod
+            X3 = (R * R - HHH - 2 * V) % mod
+            return X3, (R * (V - X3) - S1 * HHH) % mod, Z1 * Z2 * H % mod
+        if R:
+            return _JACOBIAN_O
+    YY = Y1 * Y1 % mod
+    S = 4 * X1 * YY % mod
+    M = (3 * X1 * X1 + a * Z1Z1 * Z1Z1) % mod
+    X3 = (M * M - 2 * S) % mod
+    return X3, (M * (S - X3) - 8 * YY * YY) % mod, 2 * Y1 * Z1 % mod

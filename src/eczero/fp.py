@@ -4,18 +4,28 @@ Counting has two routes.  For p <= 229 a sweep reads `arith.squares_mod`.
 Above Mestre's bound, 229 < p <= 2^40, a curve with the j-invariant of one
 of the nine class-number-one maximal orders O_D starts from its CM orders
 (Cornacchia's 4p = u^2 + |D| v^2 and `arith.unit_orbit`), any other curve
-from the Hasse interval, which each point cuts to the multiples of its
-kill step.  A kill step comes from baby-step/giant-step with +- baby
-steps (Shanks-Mestre; Cohen, GTM 138, Sec. 7.4): the baby steps [j]P,
-j <= m ~ sqrt(width / 2), are keyed by x, so each giant step of 2m + 1
-tests [c]P = [j]P and [c]P = -[j]P at once.  Both walks add their steps
-in blocks that double, and each block takes one field inversion
-(Montgomery's simultaneous inversion, _add_many), about 2 log2(m) in all
-where one addition at a time takes 2m.  The walk's points cut either
-set, then the quadratic twist's points cut the mirrored orders; E or its
-twist always has a point that leaves one.  If more are left, the sweep
-decides for p <= 2^16 and an InternalConsistencyError is raised above, so
-the returned order is always exact and no sweep runs past 2^16 steps.
+from the Hasse interval, or from its even orders only when
+-(4a^3 + 27b^2) is a non-square mod p: then x^3 + a x + b has exactly one
+root in F_p (Stickelberger's theorem; Swan, Pacific J. Math. 12, 1962), so
+E has a point of order 2, and so has its twist, whose discriminant differs
+by a sixth power.  The candidates are always the multiples of one step L
+in the interval, and each point P cuts them to the multiples of a larger
+one: Q = [L]P walks only the k with L k in the interval, 1/L as many,
+and Q's kill step M leaves the multiples of L M.  A kill step comes from
+baby-step/giant-step with +- baby steps (Shanks-Mestre; Cohen, GTM 138,
+Sec. 7.4): the baby steps [j]Q, j <= m ~ sqrt(width / 2), are keyed by x,
+so each giant step of 2m + 1 tests [c]Q = [j]Q and [c]Q = -[j]Q at once.
+Both walks add their steps in blocks that double, and each block takes
+one field inversion (Montgomery's simultaneous inversion, _add_many),
+about 2 log2(m) in all where one addition at a time takes 2m.  Every
+scalar multiple ([L]P, the first giant step, the CM route's [p + 1]P and
+[|t|]P, fp_scalar_mul) runs double-and-add in Jacobian coordinates
+(`arith._jacobian_add` modulo p) with one inversion at the end.  The
+walk's points cut either set, then the quadratic twist's points cut the
+mirrored orders; E or its twist always has a point that leaves one.  If
+more are left, the sweep decides for p <= 2^16 and an
+InternalConsistencyError is raised above, so the returned order is always
+exact and no sweep runs past 2^16 steps.
 
 A count tests its prime once: FpCurve tests p when it is built, and
 reduction_type, which tests p itself, builds its curve, the twist and the
@@ -28,11 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from math import isqrt, lcm
+from math import isqrt
 
 from .arith import (
+    _JACOBIAN_O,
     CM_J_INVARIANTS,
     _cornacchia,
+    _jacobian_add,
     double_and_add,
     kronecker_symbol,
     least_nonresidue,
@@ -71,7 +83,7 @@ class FpCurve:
     def _reduce(self):
         object.__setattr__(self, "a", self.a % self.p)
         object.__setattr__(self, "b", self.b % self.p)
-        if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
+        if _delta(self) == 0:
             raise DomainError("singular curve: 4a^3 + 27b^2 = 0 mod p")
 
     @classmethod
@@ -94,6 +106,13 @@ class FpCurve:
 
     def __str__(self):
         return f"y^2 = x^3 + {self.a}x + {self.b} over F_{self.p}"
+
+
+def _delta(curve: FpCurve) -> int:
+    # 4a^3 + 27b^2 mod p, the negative of the discriminant of x^3 + a x + b:
+    # zero for a singular curve; its negative is a non-residue exactly when
+    # the cubic has one root in F_p.
+    return (4 * curve.a**3 + 27 * curve.b**2) % curve.p
 
 
 @dataclass(frozen=True)
@@ -176,6 +195,19 @@ def _add_many(p: int, a: int, pairs: list) -> list:
     return out
 
 
+def _mul(p: int, a: int, k: int, P):
+    # [k]P for k >= 0 on tuples, by double-and-add in Jacobian coordinates:
+    # one field inversion at the end where affine steps take one each.
+    if P[0] is None:
+        return P
+    X, Y, Z = double_and_add(partial(_jacobian_add, a, p), k, (P[0], P[1], 1), _JACOBIAN_O)
+    if not Z:
+        return (None, None)
+    w = pow(Z, -1, p)
+    ww = w * w % p
+    return (X * ww % p, Y * ww * w % p)
+
+
 def fp_neg(curve: FpCurve, point: FpPoint) -> FpPoint:
     if point.is_identity:
         return point
@@ -189,10 +221,11 @@ def fp_add(curve: FpCurve, P: FpPoint, Q: FpPoint) -> FpPoint:
 
 
 def fp_scalar_mul(curve: FpCurve, k: int, P: FpPoint) -> FpPoint:
-    """[k]P by double-and-add; [0]P = O and [-k]P = -[k]P."""
+    """[k]P by double-and-add in Jacobian coordinates, with one field
+    inversion; [0]P = O and [-k]P = -[k]P."""
     if k < 0:
         k, P = -k, fp_neg(curve, P)
-    x, y = double_and_add(partial(_add, curve.p, curve.a), k, (P.x, P.y), (None, None))
+    x, y = _mul(curve.p, curve.a, k, (P.x, P.y))
     return FpPoint(x, y)
 
 
@@ -255,7 +288,7 @@ def _kill_step(curve: FpCurve, P, lo: int, width: int) -> int:
     # step [r - m]P or the negative of [m - r]P.
     stride = _add(p, a, _add(p, a, babies[-1], babies[-1]), P)
     q, r = divmod(lo + 2 * m, 2 * m + 1)
-    G = double_and_add(partial(_add, p, a), q, stride, (None, None))
+    G = _mul(p, a, q, stride)
     if r != m:
         x, y = babies[abs(r - m) - 1]
         G = _add(p, a, G, (x, y if r > m else -y % p))
@@ -289,22 +322,31 @@ def _walk_points(curve: FpCurve):
 
 
 def _kill_cut(curve: FpCurve, P, cands: range) -> range:
-    # The candidates n with [n]P = O: the multiples of both steps, or none.
-    s = isqrt(4 * curve.p)
-    lo, width = curve.p + 1 - s, 2 * s + 1
-    step = lcm(cands.step, _kill_step(curve, P, lo, width))
-    return range(lo + (-lo) % step, lo + width, step) if step else range(0)
+    # The candidates n with [n]P = O, where cands is every multiple of its
+    # step L in the Hasse interval [lo, hi].  n = L k has [n]P = O exactly
+    # when [k]Q = O for Q = [L]P, so Q's kill step over k in
+    # [ceil(lo / L), floor(hi / L)], an interval 1/L as wide, leaves the
+    # multiples of L times that step, or none.  Its one-hit rule holds there
+    # too: hi / lo < 2 for p > 229.  Q = O keeps every candidate.
+    p, L = curve.p, cands.step
+    Q = _mul(p, curve.a, L, P)
+    if Q[0] is None:
+        return cands
+    s = isqrt(4 * p)
+    lo, hi = p + 1 - s, p + 1 + s
+    k = -(-lo // L)
+    step = L * _kill_step(curve, Q, k, hi // L - k + 1)
+    return range(lo + (-lo) % step, hi + 1, step) if step else range(0)
 
 
 def _multiple_cut(curve: FpCurve, P, cands: set[int]) -> set[int]:
     # The candidates n with [n]P = O, as [t]P = [p + 1]P for t = p + 1 - n:
     # [p + 1]P once, then [|t|]P once per distinct |t|, since [-t]P = -[t]P.
-    p = curve.p
-    add = partial(_add, p, curve.a)
-    Q = double_and_add(add, p + 1, P, (None, None))
+    p, a = curve.p, curve.a
+    Q = _mul(p, a, p + 1, P)
     kept = set()
     for t in {abs(p + 1 - n) for n in cands}:
-        T = double_and_add(add, t, P, (None, None))
+        T = _mul(p, a, t, P)
         negT = T if T[0] is None else (T[0], -T[1] % p)
         kept |= {p + 1 - s for s, R in ((t, T), (-t, negT)) if R == Q}
     return cands & kept
@@ -347,28 +389,39 @@ def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
 
 
 def count_points_bsgs(curve: FpCurve) -> int:
-    """|E(F_p)| from the whole Hasse interval, whatever j(E) is.
+    """|E(F_p)| from the Hasse interval, whatever j(E) is.
 
-    The curve's and then its quadratic twist's points cut the interval to
-    the multiples of their kill steps.  A point's kill step takes baby steps
-    [j]P, j <= m ~ sqrt(width / 2), keyed by x, and giant steps of 2m + 1
+    When -(4a^3 + 27b^2), the discriminant of x^3 + a x + b, is a
+    non-square mod p, the cubic has exactly one root in F_p
+    (Stickelberger's theorem; Swan, Pacific J. Math. 12, 1962), so E has
+    one point of order 2 and the count starts from the interval's even
+    orders only; its twist's discriminant differs by a sixth power, so the
+    twist's order is even too.  The curve's and then its quadratic twist's
+    points cut the candidates, which are always the multiples of one step
+    L, to the multiples of a larger one.  A point P walks Q = [L]P over the
+    k with L k in the interval, 1/L as many: its kill step takes baby steps
+    [j]Q, j <= m ~ sqrt(width / 2), keyed by x, and giant steps of 2m + 1
     that each test both signs, about sqrt(2) fewer group operations than a
     plain table; the baby steps alone give any order up to 2m.  Both walks
     add their steps in blocks that double, with one field inversion per
-    block.  If more than one order is left, the sweep decides for
-    p <= 2^16 and InternalConsistencyError is raised above.
+    block, and each multiple runs in Jacobian coordinates with one.  If
+    more than one order is left, the sweep decides for p <= 2^16 and
+    InternalConsistencyError is raised above.
     """
-    s = isqrt(4 * curve.p)
-    return _resolve(curve, range(curve.p + 1 - s, curve.p + 2 + s))
+    p = curve.p
+    s = isqrt(4 * p)
+    lo, hi = p + 1 - s, p + 1 + s
+    if kronecker_symbol(-_delta(curve), p) == -1:
+        return _resolve(curve, range(lo + lo % 2, hi + 1, 2))
+    return _resolve(curve, range(lo, hi + 1))
 
 
 def _cm_disc(curve: FpCurve) -> int | None:
     # D with j(E) = j_D mod p, tested as 1728 * 4a^3 = j_D * (4a^3 + 27b^2)
     # so that no inverse is taken.
     p = curve.p
-    a3 = 4 * curve.a**3 % p
-    num = 1728 * a3 % p
-    den = (a3 + 27 * curve.b**2) % p
+    num = 1728 * 4 * curve.a**3 % p
+    den = _delta(curve)
     for D, j in CM_J_INVARIANTS.items():
         if (num - j * den) % p == 0:
             return D

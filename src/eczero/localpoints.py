@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import partial
 from math import isqrt
 
-from .arith import double_and_add, require_curve_prime
+from .arith import _JACOBIAN_O, _jacobian_add, double_and_add, require_curve_prime
 from .bounds import DEFAULT_PRECISION, MAX_PRECISION
 from .errors import (
     DomainError,
@@ -253,40 +253,9 @@ def _lift_torsion(curve: Curve, p: int, target: FpPoint, precision: int) -> tupl
     raise InternalConsistencyError(f"torsion lift above x = {target.x} did not converge in {steps} steps")
 
 
-# Jacobian coordinates: (X, Y, Z) stands for (X/Z^2, Y/Z^3); Z = 0 is O.
-_JACOBIAN_O = (1, 1, 0)
-
-
-def _jacobian_add(a: int, mod: int, P: tuple[int, int, int], Q: tuple[int, int, int]) -> tuple[int, int, int]:
-    """P + Q on y^2 = x^3 + a x + b modulo `mod`, by the chord or, for two
-    points that agree modulo `mod`, the tangent (Cohen-Frey et al., Handbook
-    of Elliptic and Hyperelliptic Curve Cryptography, 13.2.1)."""
-    X1, Y1, Z1 = P
-    if not Z1:
-        return Q
-    X2, Y2, Z2 = Q
-    if not Z2:
-        return P
-    Z1Z1 = Z1 * Z1 % mod
-    if P != Q:
-        Z2Z2 = Z2 * Z2 % mod
-        U1 = X1 * Z2Z2 % mod
-        S1 = Y1 * Z2 * Z2Z2 % mod
-        H = (X2 * Z1Z1 - U1) % mod
-        R = (Y2 * Z1 * Z1Z1 - S1) % mod
-        if H:
-            HH = H * H % mod
-            HHH = H * HH % mod
-            V = U1 * HH % mod
-            X3 = (R * R - HHH - 2 * V) % mod
-            return X3, (R * (V - X3) - S1 * HHH) % mod, Z1 * Z2 * H % mod
-        if R:
-            return _JACOBIAN_O
-    YY = Y1 * Y1 % mod
-    S = 4 * X1 * YY % mod
-    M = (3 * X1 * X1 + a * Z1Z1 * Z1Z1) % mod
-    X3 = (M * M - 2 * S) % mod
-    return X3, (M * (S - X3) - 8 * YY * YY) % mod, 2 * Y1 * Z1 % mod
+# The Jacobian kernel, (X, Y, Z) for (X/Z^2, Y/Z^3) with Z = 0 for O, is
+# arith._jacobian_add, which F_p multiples run modulo p; here it runs
+# modulo p^N.
 
 
 def _p_times(curve: Curve, p: int, x: int, y: int, precision: int) -> tuple[int, int, int]:

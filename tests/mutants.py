@@ -57,8 +57,8 @@ MUTANTS = [
     # the formal part's one reporter: a point in E_1 keeps GUARD_DIGITS past the precision
     (LOCAL, "tval, digits = pval(e, p), precision + GUARD_DIGITS", "tval, digits = pval(e, p), precision",
      ["tests/test_padic.py::test_from_fraction_converts_what_decompose_reports_at_the_bound"]),
-    # the Jacobian doubling under the lift and the chord
-    (LOCAL, "8 * YY * YY", "4 * YY * YY",
+    # the Jacobian doubling under the lift, the chord and the F_p multiples
+    (ARITH, "8 * YY * YY", "4 * YY * YY",
      ["tests/test_localpoints.py::test_jacobian_check_agrees_with_affine_on_every_lift"]),
     # the output value's shift
     (LOCAL, "        return replace(self, valuation=self.valuation + s)",
@@ -176,10 +176,17 @@ MUTANTS = [
      ["tests/test_quadfields.py::test_anomalous_residues_refuse_p_past_the_limit_at_once"]),
     (FP, "COUNT_LIMIT = 1 << 40", "COUNT_LIMIT = 1 << 41",
      ["tests/test_quadfields.py::test_anomalous_primes_refuses_bounds_past_2_40_at_once"]),
-    # order resolution: the kill step, its cut, the CM cut and the twist's mirror
-    (FP, "    step = lcm(cands.step, _kill_step(curve, P, lo, width))",
-     "    step = max(cands.step, _kill_step(curve, P, lo, width))",
-     ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
+    # order resolution: the parity start, the kill step, its cut on the
+    # progression, the CM cut and the twist's mirror
+    (FP, "    if kronecker_symbol(-_delta(curve), p) == -1:", "    if kronecker_symbol(-_delta(curve), p) == 1:",
+     ["tests/test_fp.py::test_hasse_route_starts_from_the_even_orders_exactly_at_a_nonsquare_discriminant"]),
+    (FP, "    step = L * _kill_step(curve, Q, k, hi // L - k + 1)", "    step = _kill_step(curve, Q, k, hi // L - k + 1)",
+     ["tests/test_fp.py::test_kill_cut_walks_only_its_progression"]),
+    (FP, "    Q = _mul(p, curve.a, L, P)", "    Q = P",
+     ["tests/test_fp.py::test_kill_cut_walks_only_its_progression"]),
+    # the Jacobian multiple's identity
+    (FP, "    if not Z:\n        return (None, None)\n", "",
+     ["tests/test_fp.py::test_scalar_mul_matches_the_affine_oracle"]),
     (FP, "                return n - first", "                return n",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
     # batched additions: the backward pass's running inverse and prefix
@@ -206,8 +213,8 @@ MUTANTS = [
      ["tests/test_fp.py::test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly"]),
     (FP, "            return hit[0] + j", "            return 2 * j",
      ["tests/test_fp.py::test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly"]),
-    (FP, "    return range(lo + (-lo) % step, lo + width, step) if step else range(0)",
-     "    return range(lo + (-lo) % step, lo + width, step)",
+    (FP, "    return range(lo + (-lo) % step, hi + 1, step) if step else range(0)",
+     "    return range(lo + (-lo) % step, hi + 1, step)",
      ["tests/test_fp.py::test_a_walk_without_hits_ends_in_the_fallback"]),
     (FP, "((t, T), (-t, negT))", "((t, negT), (-t, T))",
      ["tests/test_fp.py::test_cm_route_matches_naive_on_sweep_curves_to_2_12"]),
@@ -236,6 +243,12 @@ MUTANTS = [
      ["tests/test_arith.py::test_is_prime_matches_trial_division_below_one_million"]),
     (ARITH, "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
      "_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23)",
+     ["tests/test_arith.py::test_is_prime_large_composites"]),
+    # Miller-Rabin stops after k witnesses strictly below psi_k, each bound
+    # paired with its own k
+    (ARITH, "        if n < bound:", "        if n <= bound:",
+     ["tests/test_arith.py::test_is_prime_large_composites"]),
+    (ARITH, "    2047, 1373653, 25326001,", "    1373653, 25326001,",
      ["tests/test_arith.py::test_is_prime_large_composites"]),
     (ARITH, "        r = pow(a, (p + 1) // 4, p)", "        r = pow(a, (p - 1) // 4, p)",
      ["tests/test_arith.py::test_sqrt_mod_p_examples"]),

@@ -81,6 +81,15 @@ def test_is_prime_matches_sympy_near_2_64():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_matches_sympy_around_each_witness_bound():
+    # Miller-Rabin takes k witnesses below psi_k and more from it on: every
+    # n within 200 of each psi_k below 2^64, and the largest prime below it
+    for psi in STRONG_PSEUDOPRIMES:
+        for n in range(psi - 200, psi + 201):
+            assert is_prime(n) == sympy.isprime(n), n
+        assert is_prime(sympy.prevprime(psi)), psi
+
+
 def test_kronecker_symbol_matches_sympy_jacobi():
     rng = random.Random(15)
     # every residue, negative ones included, for small odd n

@@ -28,7 +28,7 @@ from eczero.localpoints import decompose_point, formal_t_valuation, lift_p_torsi
 from eczero.quadfields import ImagQuadField, anomalous_residues_d3, is_frobenius_trace
 from eczero.rational import Curve, QPoint, reduction_type
 
-from oracles import cm_trace_oracle
+from oracles import cm_trace_oracle, fp_scalar_mul_oracle
 
 E7 = FpCurve(7, 0, 5)  # y^2 = x^3 + 5 over F_7, order 7
 
@@ -478,6 +478,130 @@ def test_plus_minus_baby_steps_give_every_order_up_to_2m_exactly():
             assert {n for n in range(lo, lo + width) if n % L == 0} == kill, (curve, P)
             kinds.add("2m + 1" if d == 2 * m + 1 else "identity" if d == 1 else "two" if d == 2 else d % 2)
     assert kinds == {"identity", "two", 0, 1, "2m + 1"}
+
+
+# The cubic's discriminant fixes the parity of the count (Stickelberger;
+# Swan, Pacific J. Math. 12, 1962): where -(4a^3 + 27b^2) is a non-square
+# mod p, x^3 + a x + b has one root, so E(F_p) has one point of order 2.
+
+
+def _nonsquare_disc(curve):
+    return kronecker_symbol(-(4 * curve.a**3 + 27 * curve.b**2), curve.p) == -1
+
+
+def test_a_nonsquare_discriminant_makes_the_count_even():
+    # every nonsingular curve at p = 233 and 239, then a seeded sample of
+    # curves at primes up to 2^12
+    for p in (233, 239):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p:
+                    curve = FpCurve._at_checked_prime(p, a, b)
+                    if _nonsquare_disc(curve):
+                        assert count_points_naive(curve) % 2 == 0, curve
+    rng = random.Random(1962)
+    primes = [p for p in range(5, 1 << 12) if is_prime(p)]
+    parities = set()
+    for _ in range(400):
+        curve = _random_curve(rng, rng.choice(primes))
+        n = count_points_naive(curve)
+        if _nonsquare_disc(curve):
+            assert n % 2 == 0, curve
+        parities.add((_nonsquare_disc(curve), n % 2))
+    assert parities == {(True, 0), (False, 0), (False, 1)}
+
+
+def test_hasse_route_starts_from_the_even_orders_exactly_at_a_nonsquare_discriminant(monkeypatch):
+    # A spy on _resolve: count_points_bsgs hands it the Hasse interval's
+    # even orders when the discriminant is a non-square mod p, else the
+    # whole interval, and the count is exact either way.
+    starts = []
+    resolve = eczero.fp._resolve
+    monkeypatch.setattr(eczero.fp, "_resolve", lambda curve, cands: starts.append(cands) or resolve(curve, cands))
+    rng = random.Random(1993)
+    primes = [p for p in range(231, 1 << 14, 2) if is_prime(p)]
+    kinds = set()
+    for p in rng.sample(primes, 30):
+        s = isqrt(4 * p)
+        lo, hi = p + 1 - s, p + 1 + s
+        for curve in (_random_curve(rng, p), _random_curve(rng, p)):
+            starts.clear()
+            assert count_points_bsgs(curve) == count_points_naive(curve), curve
+            even = _nonsquare_disc(curve)
+            assert starts == [range(lo + lo % 2, hi + 1, 2) if even else range(lo, hi + 1)], curve
+            kinds.add(even)
+    assert kinds == {True, False}
+
+
+def _kill_set(curve, P, lo, hi):
+    # the n in [lo, hi] with [n]P = O, by walking P across the interval
+    R, kill = fp_scalar_mul_oracle(curve, lo, P), set()
+    for n in range(lo, hi + 1):
+        if R.is_identity:
+            kill.add(n)
+        R = fp_add(curve, R, P)
+    return kill
+
+
+def test_kill_cut_walks_only_its_progression():
+    # _kill_cut on the multiples of L in the Hasse interval walks [L]P over
+    # the k with L k in it, and must keep exactly the n there with [n]P = O.
+    # At seeded primes in (230, 5000), walked points of random curves and of
+    # y^2 = x^3 - 4x (order 2 at x = 0), and points of order 2, 3, 4, 6 and
+    # 12 where the group has them, so that [L]P = O is met too.
+    rng = random.Random(5000)
+    primes = rng.sample([p for p in range(231, 5000, 2) if is_prime(p)], 12)
+    branches, orders = set(), set()
+    for p in primes:
+        s = isqrt(4 * p)
+        lo, hi = p + 1 - s, p + 1 + s
+        for curve in (_random_curve(rng, p), _random_curve(rng, p), FpCurve(p, -4, 0)):
+            N = count_points_naive(curve)
+            walked = [FpPoint(*P) for P in islice(eczero.fp._walk_points(curve), 2)]
+            points = list(walked)
+            for P in walked:
+                e = _order_of(curve, P, N)
+                points += [fp_scalar_mul(curve, e // d, P) for d in (2, 3, 4, 6, 12) if e % d == 0]
+            for P in points:
+                kill = _kill_set(curve, P, lo, hi)
+                for L in (1, 2, 3, 4, 6, 12):
+                    cands = range(lo + (-lo) % L, hi + 1, L)
+                    cut = eczero.fp._kill_cut(curve, (P.x, P.y), cands)
+                    assert set(cut) == set(cands) & kill, (curve, P, L)
+                    assert not cut or cut.step % L == 0, (curve, P, L)
+                    branches.add(fp_scalar_mul(curve, L, P).is_identity)
+                orders.add(_order_of(curve, P, N))
+    assert branches == {True, False} and {2, 3, 4, 6, 12} <= orders
+
+
+def test_scalar_mul_matches_the_affine_oracle():
+    # Jacobian [k]P against affine double-and-add, at k = 0, 1, 2, ord(P)
+    # and ord(P) +- 1 and their negatives, on walked points and on the
+    # 2-torsion point (x0, 0) of curves built through it; above 2^16, where
+    # no order is at hand, at random k up to 2^42 of either sign.
+    rng = random.Random(4242)
+    for bits in range(9, 41):
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        while not is_prime(p):
+            p += 2
+        while True:  # y^2 = x^3 + a x + b through (x0, 0)
+            x0, a = rng.randrange(p), rng.randrange(p)
+            b = -(x0**3 + a * x0) % p
+            if (4 * a**3 + 27 * b**2) % p:
+                break
+        curve = FpCurve(p, a, b)
+        points = [FpPoint(x0, 0), FpPoint.identity()]
+        points += [FpPoint(*P) for P in islice(eczero.fp._walk_points(curve), 3)]
+        N = count_points(curve) if bits <= 16 else None
+        for P in points:
+            ks = [0, 1, 2, 3] + [rng.randrange(1 << 42) for _ in range(3)]
+            if N is not None:
+                e = _order_of(curve, P, N)
+                ks += [e - 1, e, e + 1]
+            for k in ks:
+                for signed in (k, -k):
+                    assert fp_scalar_mul(curve, signed, P) == fp_scalar_mul_oracle(curve, signed, P), (curve, P, signed)
+        assert fp_scalar_mul(curve, 2, FpPoint(x0, 0)).is_identity
 
 
 def _ambiguous(curve, cands):
