@@ -3,8 +3,11 @@
 Counting has two routes.  For p <= 229 a sweep reads `arith.squares_mod`.
 Above Mestre's bound, 229 < p <= 2^40, a curve with the j-invariant of one
 of the nine class-number-one maximal orders O_D starts from its CM orders
-(Cornacchia's 4p = u^2 + |D| v^2 and `arith.unit_orbit`), any other curve
-from the Hasse interval, or from its even orders only when
+(Cornacchia's 4p = u^2 + |D| v^2 and `arith.unit_orbit`; p + 1 at an inert
+p).  At a split p, j = 0 (a = 0) and j = 1728 (b = 0) have one CM order,
+read off the sextic or quartic residue symbol of b or -a (Ireland and
+Rosen, GTM 84, Ch. 18, Sec. 3 and 4), and walk no point.  Any other curve
+starts from the Hasse interval, or from its even orders only when
 -(4a^3 + 27b^2) is a non-square mod p: then x^3 + a x + b has exactly one
 root in F_p (Stickelberger's theorem; Swan, Pacific J. Math. 12, 1962), so
 E has a point of order 2, and so has its twist, whose discriminant differs
@@ -29,8 +32,9 @@ exact and no sweep runs past 2^16 steps.
 
 A count tests its prime once: FpCurve tests p when it is built, and
 reduction_type, which tests p itself, builds its curve, the twist and the
-CM route's Cornacchia call through private paths that skip that test; the
-local layer's entries and anomalous_residues_d3 build theirs the same way.
+CM route's Cornacchia call (_norm_form) through private paths that skip
+that test; the local layer's entries and anomalous_residues_d3 build
+theirs the same way.
 """
 
 from __future__ import annotations
@@ -373,7 +377,7 @@ def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
     # which start from the mirrored orders 2p + 2 - n (the Hasse interval
     # mirrors to itself); else the sweep for p <= 2^16 or an error.
     p = curve.p
-    left = _order_candidates(curve, cands)
+    left = _order_candidates(curve, cands) if len(cands) > 1 else cands
     if len(left) > 1:
         mirror = cands if isinstance(cands, range) else {2 * p + 2 - n for n in cands}
         twist = _order_candidates(_twist(curve), mirror)
@@ -428,26 +432,74 @@ def _cm_disc(curve: FpCurve) -> int | None:
     return None
 
 
-def _cm_traces(D: int, p: int) -> set[int]:
-    # Every trace of a norm-p element of O_D, at a prime p split in it.  O_D
-    # has class number one, so p is a norm: 4p = u^2 + |D| v^2 always has a
-    # solution, and Cornacchia finding none is a bug.
+def _norm_form(D: int, p: int) -> tuple[int, int]:
+    # Cornacchia's 4p = u^2 + |D| v^2, u, v >= 0, at a prime p split in O_D.
+    # O_D has class number one, so p is a norm: finding none is a bug.
     uv = _cornacchia(-D, p)
     if uv is None:
         raise InternalConsistencyError(f"Cornacchia found no 4p = u^2 + {-D} v^2 at the split prime {p}")
-    return {t for u, _ in unit_orbit(-D, *uv) for t in (u, -u)}
+    return uv
+
+
+def _cm_traces(D: int, p: int) -> set[int]:
+    # Every trace of a norm-p element of O_D, at a prime p split in it.
+    return {t for u, _ in unit_orbit(-D, *_norm_form(D, p)) for t in (u, -u)}
+
+
+def _sextic_trace(p: int, b: int) -> int:
+    # a_p of y^2 = x^3 + b at p = 1 mod 3 (Ireland and Rosen, GTM 84,
+    # Ch. 18, Sec. 3): N_p = p + 1 + conj(chi) pi + chi conj(pi), so
+    # a_p = -Tr(conj(chi) pi), where p = pi conj(pi) with pi = c + d w
+    # primary (c = 2, d = 0 mod 3; w = (-1 + sqrt(-3)) / 2) and chi is the
+    # sextic residue symbol (4b / pi)_6, the sixth root of unity that is
+    # (4b)^((p - 1) / 6) mod pi.  F_p = Z[w] / pi reads w as -c / d.
+    u, v = _norm_form(-3, p)
+    c, d = (u + v) // 2, v  # pi = (u + v sqrt(-3)) / 2
+    while c % 3 != 2 or d % 3:
+        c, d = c - d, c  # times the unit 1 + w, a primitive sixth root of 1
+    w = -c * pow(d, -1, p) % p
+    chi = pow(4 * b, (p - 1) // 6, p)
+    while chi != 1:  # times conj(1 + w) = -w until conj(chi) pi
+        c, d, chi = d, d - c, chi * -w % p
+    return d - 2 * c  # -Tr(c + d w)
+
+
+def _quartic_trace(p: int, a: int) -> int:
+    # a_p of y^2 = x^3 + a x = x^3 - (-a) x at p = 1 mod 4 (Ireland and
+    # Rosen, GTM 84, Ch. 18, Sec. 4): N_p = p + 1 - conj(chi) pi - chi
+    # conj(pi), so a_p = Tr(conj(chi) pi), where p = pi conj(pi) with
+    # pi = c + d i primary ((c, d) = (1, 0) or (3, 2) mod 4) and chi is the
+    # quartic residue symbol (-a / pi)_4, the fourth root of unity that is
+    # (-a)^((p - 1) / 4) mod pi.  F_p = Z[i] / pi reads i as -c / d.
+    u, v = _norm_form(-4, p)
+    c, d = u // 2, v  # pi = (u + v sqrt(-4)) / 2
+    while (c % 4, d % 4) not in ((1, 0), (3, 2)):
+        c, d = -d, c  # times i
+    i = -c * pow(d, -1, p) % p
+    chi = pow(-a, (p - 1) // 4, p)
+    while chi != 1:  # times conj(i) = -i until conj(chi) pi
+        c, d, chi = d, -c, chi * -i % p
+    return 2 * c  # Tr(c + d i)
 
 
 def _cm_orders(curve: FpCurve) -> set[int] | None:
     # The orders a curve with j(E) = j_D can have, or None without such a D.
     # An inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
     # split p, E is ordinary with End(E) = O_D, so Frobenius is a norm-p
-    # element of O_D.
+    # element of O_D: for j = 0 and j = 1728 the residue symbol picks the
+    # one it is, for the other seven D every unit multiple is a candidate.
     D = _cm_disc(curve)
     if D is None:
         return None
     p = curve.p
-    traces = {0} if kronecker_symbol(D, p) == -1 else _cm_traces(D, p)
+    if kronecker_symbol(D, p) == -1:
+        traces = {0}
+    elif D == -3:
+        traces = {_sextic_trace(p, curve.b)}
+    elif D == -4:
+        traces = {_quartic_trace(p, curve.a)}
+    else:
+        traces = _cm_traces(D, p)
     return {p + 1 - t for t in traces}
 
 
@@ -458,7 +510,9 @@ def count_points(curve: FpCurve) -> int:
     of a class-number-one maximal order is resolved from its CM orders and
     never reaches count_points_bsgs, any other curve from the Hasse interval
     (count_points_bsgs); both routes use the twist and the same fallback.
-    Larger p raise UnsupportedModulusError.
+    At a split p, a curve with j = 0 or j = 1728 has one CM order, from
+    the sextic or quartic residue symbol, so it walks no point and builds
+    no twist.  Larger p raise UnsupportedModulusError.
     """
     p = curve.p
     if p <= _NAIVE_LIMIT:

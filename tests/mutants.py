@@ -222,6 +222,23 @@ MUTANTS = [
      ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
     (FP, "for t in (u, -u)}", "for t in (u,)}",
      ["tests/test_fp.py::test_cm_traces_are_every_frobenius_trace_of_O_D"]),
+    # the residue symbols at j = 0 and j = 1728: the primary associate, the
+    # symbol's exponent and its conjugate
+    (FP, "    while c % 3 != 2 or d % 3:", "    while c % 3 != 1 or d % 3:",
+     ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
+    (FP, "((1, 0), (3, 2))", "((1, 0), (1, 2))",
+     ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
+    (FP, "    chi = pow(4 * b, (p - 1) // 6, p)", "    chi = pow(4 * b, (p - 1) // 3, p)",
+     ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
+    (FP, "    chi = pow(-a, (p - 1) // 4, p)", "    chi = pow(-a, (p - 1) // 2, p)",
+     ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
+    (FP, "        c, d, chi = d, d - c, chi * -w % p", "        c, d, chi = c - d, c, chi * -w % p",
+     ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
+    (FP, "        c, d, chi = d, -c, chi * -i % p", "        c, d, chi = -d, c, chi * -i % p",
+     ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
+    # a single candidate is the order: no point is walked for it
+    (FP, "_order_candidates(curve, cands) if len(cands) > 1 else cands", "_order_candidates(curve, cands)",
+     ["tests/test_fp.py::test_a_split_j_0_or_j_1728_count_walks_no_point"]),
     # one primality test per count: reduction_type's curve, the twist and the
     # CM route's Cornacchia take the private paths, which keep every other check
     (RATIONAL, "FpCurve._at_checked_prime(p, minimal.a, minimal.b)", "FpCurve(p, minimal.a, minimal.b)",

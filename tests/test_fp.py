@@ -272,8 +272,8 @@ def test_bsgs_matches_cm_trace_oracle_up_to_2_40():
     # Above 2^16 no sweep can check BSGS; the j = 0 and j = 1728 traces are
     # read off Cornacchia instead, at primes log-uniform in [2^17, 2^40]
     # that cycle through the four classes of ((-2|p), (-3|p)).  BSGS is
-    # called directly: count_points takes these traces from Cornacchia, so
-    # checking it here would check Cornacchia against itself.
+    # called directly: count_points reads these traces off the residue
+    # symbol, checked against the same oracle below.
     rng = random.Random(2040)
     classes = set()
     for i in range(24):
@@ -609,9 +609,10 @@ def _ambiguous(curve, cands):
 
 
 # Each pair: a curve counted from the Hasse interval, and a CM curve at a
-# split prime, counted from its CM orders.
-_AMBIGUOUS_SMALL = (FpCurve(20011, 3, 7), FpCurve(20011, 0, 1))
-_AMBIGUOUS_LARGE = (FpCurve((1 << 20) + 7, 2, 3), FpCurve(1048589, -4, 0))
+# split prime, counted from its CM orders (the paper's D = -19 and D = -11
+# curves: j = 0 and j = 1728 ones get a single order from the residue symbol).
+_AMBIGUOUS_SMALL = (FpCurve(20011, 3, 7), FpCurve(20011, -152, 722))
+_AMBIGUOUS_LARGE = (FpCurve((1 << 20) + 7, 2, 3), FpCurve(1048589, -1056, 13552))
 
 
 def test_ambiguous_bsgs_falls_back_to_naive_up_to_2_16(monkeypatch):
@@ -619,8 +620,8 @@ def test_ambiguous_bsgs_falls_back_to_naive_up_to_2_16(monkeypatch):
     calls = []
     monkeypatch.setattr(eczero.fp, "count_points_naive", lambda c: calls.append(c) or count_points_naive(c))
     monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
-    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_SMALL] == [None, -3]
-    assert kronecker_symbol(-3, 20011) == 1
+    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_SMALL] == [None, -19]
+    assert kronecker_symbol(-19, 20011) == 1
     assert [count_points(curve) for curve in _AMBIGUOUS_SMALL] == expected
     assert calls == list(_AMBIGUOUS_SMALL)
 
@@ -628,8 +629,8 @@ def test_ambiguous_bsgs_falls_back_to_naive_up_to_2_16(monkeypatch):
 def test_ambiguous_bsgs_raises_above_2_16(monkeypatch):
     monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
-    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_LARGE] == [None, -4]
-    assert kronecker_symbol(-4, 1048589) == 1
+    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_LARGE] == [None, -11]
+    assert kronecker_symbol(-11, 1048589) == 1
     for curve in _AMBIGUOUS_LARGE:
         with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
             count_points(curve)
@@ -779,10 +780,11 @@ def _spy_bsgs(monkeypatch):
 
 
 def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
-    # At p = 233 every walked point of y^2 = x^3 + x is killed by two of the
-    # CM orders; the twist's points leave one, so neither BSGS nor the
-    # sweep runs.
-    small = FpCurve(233, 1, 0)
+    # At p = 269 every walked point of y^2 = x^3 - 4224x + 108416, the
+    # quadratic twist by 2 of the paper's D = -11 curve, is killed by both
+    # CM orders 240 and 300; the twist's points leave one, so neither BSGS
+    # nor the sweep runs.
+    small = FpCurve(269, -4224, 108416)
     expected = count_points_naive(small)
     assert len(eczero.fp._order_candidates(small, eczero.fp._cm_orders(small))) == 2
     calls = _spy_bsgs(monkeypatch)
@@ -790,7 +792,7 @@ def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
     assert count_points(small) == expected
     # Forced: 2t - p - 1 gives the order 2(p + 1 - t), which every point of
     # the true order p + 1 - t survives too.
-    curve = FpCurve((1 << 40) - 87, 0, -2)
+    curve = FpCurve((1 << 40) - 87, -152, 722)
     expected = count_points_bsgs(curve)
     traces = eczero.fp._cm_traces
     monkeypatch.setattr(
@@ -813,6 +815,79 @@ def test_cm_route_raises_without_cornacchia(monkeypatch):
     assert calls == []
 
 
+# j = 0 and j = 1728 at a split p: one order from the sextic or quartic
+# residue symbol (Ireland and Rosen, GTM 84, Ch. 18, Sec. 3 and 4).
+
+
+def _j0_j1728_curves(p):
+    # every y^2 = x^3 + b at p = 1 mod 3 and y^2 = x^3 + a x at p = 1 mod 4
+    if p % 3 == 1:
+        yield from (FpCurve(p, 0, b) for b in range(1, p))
+    if p % 4 == 1:
+        yield from (FpCurve(p, a, 0) for a in range(1, p))
+
+
+def _symbol_trace(curve):
+    if curve.a == 0:
+        return eczero.fp._sextic_trace(curve.p, curve.b)
+    return eczero.fp._quartic_trace(curve.p, curve.a)
+
+
+def test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10():
+    # count_points from p = 233 on, and the kernels themselves below, where
+    # count_points sweeps, on every coefficient of every split p < 2^10.
+    seen = set()
+    for p in range(5, 1 << 10):
+        if not is_prime(p):
+            continue
+        for curve in _j0_j1728_curves(p):
+            if p > 229:
+                assert count_points(curve) == count_points_naive(curve), curve
+            else:
+                assert _symbol_trace(curve) == p + 1 - count_points_naive(curve), curve
+            seen.add((curve.a == 0, p > 229))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_residue_symbol_matches_the_cm_trace_oracle_up_to_2_40():
+    # Above 2^16 no sweep can check the symbol: the oracle cuts Cornacchia's
+    # candidate traces by random points, at split primes log-uniform in
+    # [2^17, 2^40], p = 1 mod 12 or not, on random coefficients.
+    rng = random.Random(1841)
+    classes = set()
+    for i in range(24):
+        want = ((1, 1), (1, 3), (2, 1))[i % 3]  # (p mod 3, p mod 4), one split at least
+        p = int(2 ** (17 + 23 * rng.random()))
+        while not (is_prime(p) and (p % 3, p % 4) == want):
+            p += 1
+        classes.add(want)
+        curves = [FpCurve(p, 0, rng.randrange(1, p))] if p % 3 == 1 else []
+        curves += [FpCurve(p, rng.randrange(1, p), 0)] if p % 4 == 1 else []
+        for curve in curves:
+            assert count_points(curve) == p + 1 - cm_trace_oracle(curve, rng), curve
+    assert len(classes) == 3
+
+
+def _must_not_run(name):
+    def fail(*args):
+        raise AssertionError(f"{name} ran")
+    return fail
+
+
+def test_a_split_j_0_or_j_1728_count_walks_no_point(monkeypatch):
+    # No point is walked, no twist built and no [k]P taken: the symbol gives
+    # the one order, and _resolve returns it as it is.
+    for name in ("_walk_points", "_twist", "_mul", "count_points_bsgs", "count_points_naive"):
+        monkeypatch.setattr(eczero.fp, name, _must_not_run(name))
+    for p in (233, 20011, 65537, 1048589, (1 << 40) - 87, 1099511627609):
+        assert is_prime(p)
+        curves = [FpCurve(p, 0, b) for b in (1, -2, 5)] if p % 3 == 1 else []
+        curves += [FpCurve(p, a, 0) for a in (1, -4, 7)] if p % 4 == 1 else []
+        assert curves, p
+        for curve in curves:
+            assert abs(trace_of_frobenius(curve)) <= isqrt(4 * p), curve
+
+
 # One primality test per count: reduction_type tests p, and nothing under it
 # tests p again (the private FpCurve constructor and Cornacchia kernel).
 
@@ -828,7 +903,7 @@ def _count_is_prime(monkeypatch):
     ((3, 7), 1000003, "hasse"),
     ((0, 1), 1000003, "cm split"),
     ((0, 1), 1000037, "cm inert"),
-    ((1, 0), 233, "twist"),
+    ((-4224, 108416), 269, "twist"),
 ])
 def test_reduction_type_tests_its_prime_once(monkeypatch, ab, p, route):
     expected = reduction_type(Curve(*ab), p)
