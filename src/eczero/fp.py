@@ -2,11 +2,11 @@
 
 Counting has two routes.  For p <= 229 a sweep reads `arith.squares_mod`.
 Above Mestre's bound, 229 < p <= 2^40, a curve with the j-invariant of one
-of the nine class-number-one maximal orders O_D starts from its CM orders
-(Cornacchia's 4p = u^2 + |D| v^2 and `arith.unit_orbit`; p + 1 at an inert
-p).  At a split p, j = 0 (a = 0) and j = 1728 (b = 0) have one CM order,
-read off the sextic or quartic residue symbol of b or -a (Ireland and
-Rosen, GTM 84, Ch. 18, Sec. 3 and 4), and walk no point.  Any other curve
+of the nine class-number-one maximal orders O_D starts from its CM orders:
+p + 1 at an inert p, and at a split p the pair p + 1 -+ u from Cornacchia's
+4p = u^2 + |D| v^2.  For j = 0 (a = 0) and j = 1728 (b = 0) the sextic or
+quartic residue symbol of b or -a (Ireland and Rosen, GTM 84, Ch. 18,
+Sec. 3 and 4) picks the one order, so they walk no point.  Any other curve
 starts from the Hasse interval, or from its even orders only when
 -(4a^3 + 27b^2) is a non-square mod p: then x^3 + a x + b has exactly one
 root in F_p (Stickelberger's theorem; Swan, Pacific J. Math. 12, 1962), so
@@ -19,16 +19,18 @@ baby-step/giant-step with +- baby steps (Shanks-Mestre; Cohen, GTM 138,
 Sec. 7.4): the baby steps [j]Q, j <= m ~ sqrt(width / 2), are keyed by x,
 so each giant step of 2m + 1 tests [c]Q = [j]Q and [c]Q = -[j]Q at once.
 Both walks add their steps in blocks that double, and each block takes
-one field inversion (Montgomery's simultaneous inversion, _add_many),
-about 2 log2(m) in all where one addition at a time takes 2m.  Every
-scalar multiple ([L]P, the first giant step, the CM route's [p + 1]P and
-[|t|]P, fp_scalar_mul) runs double-and-add in Jacobian coordinates
-(`arith._jacobian_add` modulo p) with one inversion at the end.  The
-walk's points cut either set, then the quadratic twist's points cut the
-mirrored orders; E or its twist always has a point that leaves one.  If
-more are left, the sweep decides for p <= 2^16 and an
-InternalConsistencyError is raised above, so the returned order is always
-exact and no sweep runs past 2^16 steps.
+one field inversion (Montgomery's simultaneous inversion in _add_many, the
+one affine addition, which fp_add calls with one pair), about 2 log2(m) in
+all where one addition at a time takes 2m.  The CM pair is cut by
+[p + 1]P = +-[u]P.  Every scalar multiple ([L]P, the first giant step, the
+CM route's [p + 1]P and [u]P, fp_scalar_mul) runs double-and-add in
+Jacobian coordinates (`arith._jacobian_add` modulo p) with one inversion at
+the end.  The walk's points cut either start, then the quadratic twist's
+points cut the mirrored orders 2p + 2 - n; every start with more than one
+candidate is its own mirror, so the twist starts from the same one.  E or
+its twist always has a point that leaves one.  If more are left, the sweep
+decides for p <= 2^16 and an InternalConsistencyError is raised above, so
+the returned order is always exact and no sweep runs past 2^16 steps.
 
 A count tests its prime once: FpCurve tests p when it is built, and
 reduction_type, which tests p itself, builds its curve, the twist and the
@@ -55,7 +57,6 @@ from .arith import (
     require_curve_prime,
     sqrt_mod_p,
     squares_mod,
-    unit_orbit,
 )
 from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
@@ -141,33 +142,13 @@ class FpPoint:
 # Tuple-based kernels; (None, None) is the identity.  FpPoint wraps these.
 
 
-def _add(p: int, a: int, P, Q):
-    if P[0] is None:
-        return Q
-    if Q[0] is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return (None, None)
-        num = (3 * x1 * x1 + a) % p
-        den = 2 * y1 % p
-    else:
-        num = (y2 - y1) % p
-        den = (x2 - x1) % p
-    lam = num * pow(den, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
 def _add_many(p: int, a: int, pairs: list) -> list:
-    # [_add(p, a, P, Q) for P, Q in pairs] with one field inversion for the
-    # whole list (Montgomery's trick; Cohen, GTM 138, Alg. 10.3.4): the
-    # forward pass multiplies up the slopes' denominators, the product is
-    # inverted once, and the backward pass peels each 1/den off it.  An
-    # identity operand or P = -Q needs no denominator.
+    # [P + Q for P, Q in pairs] by chord and tangent, the one affine addition
+    # on F_p, with one field inversion for the whole list (Montgomery's
+    # trick; Cohen, GTM 138, Alg. 10.3.4): the forward pass multiplies up the
+    # slopes' denominators, the product is inverted once, and the backward
+    # pass peels each 1/den off it.  An identity operand or P = -Q needs no
+    # denominator.
     slopes = []  # (num, den, product of the dens before it), or None
     acc = 1
     for (x1, y1), (x2, y2) in pairs:
@@ -220,7 +201,7 @@ def fp_neg(curve: FpCurve, point: FpPoint) -> FpPoint:
 
 def fp_add(curve: FpCurve, P: FpPoint, Q: FpPoint) -> FpPoint:
     """Chord-tangent addition; the identity is neutral."""
-    x, y = _add(curve.p, curve.a, (P.x, P.y), (Q.x, Q.y))
+    [(x, y)] = _add_many(curve.p, curve.a, [((P.x, P.y), (Q.x, Q.y))])
     return FpPoint(x, y)
 
 
@@ -290,12 +271,13 @@ def _kill_step(curve: FpCurve, P, lo: int, width: int) -> int:
     # stride [2m + 1]P is 2 [m]P + P, and with lo + m = q (2m + 1) + r - m,
     # 0 <= r <= 2m, the first centre's [lo + m]P is [q] stride plus the baby
     # step [r - m]P or the negative of [m - r]P.
-    stride = _add(p, a, _add(p, a, babies[-1], babies[-1]), P)
+    [twice] = _add_many(p, a, [(babies[-1], babies[-1])])
+    [stride] = _add_many(p, a, [(twice, P)])
     q, r = divmod(lo + 2 * m, 2 * m + 1)
     G = _mul(p, a, q, stride)
     if r != m:
         x, y = babies[abs(r - m) - 1]
-        G = _add(p, a, G, (x, y if r > m else -y % p))
+        [G] = _add_many(p, a, [(G, (x, y if r > m else -y % p))])
     first = 0
     centres = range(lo + m, lo + m + width, 2 * m + 1)
     giants, block, addend = [], [G], stride  # addend: [len(giants)] stride after each scan
@@ -344,21 +326,18 @@ def _kill_cut(curve: FpCurve, P, cands: range) -> range:
 
 
 def _multiple_cut(curve: FpCurve, P, cands: set[int]) -> set[int]:
-    # The candidates n with [n]P = O, as [t]P = [p + 1]P for t = p + 1 - n:
-    # [p + 1]P once, then [|t|]P once per distinct |t|, since [-t]P = -[t]P.
+    # The orders n of the CM pair p + 1 -+ u with [n]P = O: p + 1 - u where
+    # [p + 1]P = [u]P, and p + 1 + u where [p + 1]P = -[u]P.
     p, a = curve.p, curve.a
-    Q = _mul(p, a, p + 1, P)
-    kept = set()
-    for t in {abs(p + 1 - n) for n in cands}:
-        T = _mul(p, a, t, P)
-        negT = T if T[0] is None else (T[0], -T[1] % p)
-        kept |= {p + 1 - s for s, R in ((t, T), (-t, negT)) if R == Q}
-    return cands & kept
+    u = max(cands) - p - 1
+    Q, T = _mul(p, a, p + 1, P), _mul(p, a, u, P)
+    negT = T if T[0] is None else (T[0], -T[1] % p)
+    return {n for n, R in ((p + 1 - u, T), (p + 1 + u, negT)) if R == Q}
 
 
 def _order_candidates(curve: FpCurve, cands: range | set[int]) -> range | set[int]:
     # Cut by each walked point until at most one candidate is left: a range
-    # (the Hasse interval) by kill steps, a set (CM orders) by shared multiples.
+    # (the Hasse interval) by kill steps, a set (the CM pair) by its multiples.
     cut = _kill_cut if isinstance(cands, range) else _multiple_cut
     points = _walk_points(curve)
     while len(cands) > 1 and (P := next(points, None)) is not None:
@@ -373,14 +352,14 @@ def _twist(curve: FpCurve) -> FpCurve:
 
 
 def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
-    # The one order in `cands` left by the curve's points and its twist's,
-    # which start from the mirrored orders 2p + 2 - n (the Hasse interval
-    # mirrors to itself); else the sweep for p <= 2^16 or an error.
+    # The one order in `cands` left by the curve's points and its twist's;
+    # else the sweep for p <= 2^16 or an error.  The twist's orders are the
+    # mirrored 2p + 2 - n, and every start with more than one candidate (the
+    # Hasse interval, its even orders, the CM pair) is its own mirror.
     p = curve.p
     left = _order_candidates(curve, cands) if len(cands) > 1 else cands
     if len(left) > 1:
-        mirror = cands if isinstance(cands, range) else {2 * p + 2 - n for n in cands}
-        twist = _order_candidates(_twist(curve), mirror)
+        twist = _order_candidates(_twist(curve), cands)
         if len(left) <= len(twist):
             left = [n for n in left if 2 * p + 2 - n in twist]
         else:
@@ -393,31 +372,18 @@ def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
 
 
 def count_points_bsgs(curve: FpCurve) -> int:
-    """|E(F_p)| from the Hasse interval, whatever j(E) is.
+    """|E(F_p)| for p > 229 from the Hasse interval, whatever j(E) is
+    (from its even orders alone when -(4a^3 + 27b^2) is a non-square mod p).
 
-    When -(4a^3 + 27b^2), the discriminant of x^3 + a x + b, is a
-    non-square mod p, the cubic has exactly one root in F_p
-    (Stickelberger's theorem; Swan, Pacific J. Math. 12, 1962), so E has
-    one point of order 2 and the count starts from the interval's even
-    orders only; its twist's discriminant differs by a sixth power, so the
-    twist's order is even too.  The curve's and then its quadratic twist's
-    points cut the candidates, which are always the multiples of one step
-    L, to the multiples of a larger one.  A point P walks Q = [L]P over the
-    k with L k in the interval, 1/L as many: its kill step takes baby steps
-    [j]Q, j <= m ~ sqrt(width / 2), keyed by x, and giant steps of 2m + 1
-    that each test both signs, about sqrt(2) fewer group operations than a
-    plain table; the baby steps alone give any order up to 2m.  Both walks
-    add their steps in blocks that double, with one field inversion per
-    block, and each multiple runs in Jacobian coordinates with one.  If
-    more than one order is left, the sweep decides for p <= 2^16 and
+    The order is exact: where the points of E and its twist leave more than
+    one candidate, the sweep decides for p <= 2^16 and
     InternalConsistencyError is raised above.
     """
     p = curve.p
     s = isqrt(4 * p)
     lo, hi = p + 1 - s, p + 1 + s
-    if kronecker_symbol(-_delta(curve), p) == -1:
-        return _resolve(curve, range(lo + lo % 2, hi + 1, 2))
-    return _resolve(curve, range(lo, hi + 1))
+    step = 2 if kronecker_symbol(-_delta(curve), p) == -1 else 1
+    return _resolve(curve, range(lo + lo % step, hi + 1, step))
 
 
 def _cm_disc(curve: FpCurve) -> int | None:
@@ -439,11 +405,6 @@ def _norm_form(D: int, p: int) -> tuple[int, int]:
     if uv is None:
         raise InternalConsistencyError(f"Cornacchia found no 4p = u^2 + {-D} v^2 at the split prime {p}")
     return uv
-
-
-def _cm_traces(D: int, p: int) -> set[int]:
-    # Every trace of a norm-p element of O_D, at a prime p split in it.
-    return {t for u, _ in unit_orbit(-D, *_norm_form(D, p)) for t in (u, -u)}
 
 
 def _sextic_trace(p: int, b: int) -> int:
@@ -486,21 +447,21 @@ def _cm_orders(curve: FpCurve) -> set[int] | None:
     # The orders a curve with j(E) = j_D can have, or None without such a D.
     # An inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
     # split p, E is ordinary with End(E) = O_D, so Frobenius is a norm-p
-    # element of O_D: for j = 0 and j = 1728 the residue symbol picks the
-    # one it is, for the other seven D every unit multiple is a candidate.
+    # element of O_D.  For j = 0 and j = 1728 the residue symbol picks the
+    # one it is.  For the other seven D, whose only units are +-1, its trace
+    # is u or -u for Cornacchia's 4p = u^2 + |D| v^2: the CM pair.
     D = _cm_disc(curve)
     if D is None:
         return None
     p = curve.p
     if kronecker_symbol(D, p) == -1:
-        traces = {0}
-    elif D == -3:
-        traces = {_sextic_trace(p, curve.b)}
-    elif D == -4:
-        traces = {_quartic_trace(p, curve.a)}
-    else:
-        traces = _cm_traces(D, p)
-    return {p + 1 - t for t in traces}
+        return {p + 1}
+    if D == -3:
+        return {p + 1 - _sextic_trace(p, curve.b)}
+    if D == -4:
+        return {p + 1 - _quartic_trace(p, curve.a)}
+    u = _norm_form(D, p)[0]
+    return {p + 1 - u, p + 1 + u}
 
 
 def count_points(curve: FpCurve) -> int:

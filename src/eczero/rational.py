@@ -196,10 +196,16 @@ def long_point_to_short(ai: list[int], x, y) -> QPoint:
     return QPoint(36 * x + 3 * b2, 216 * y + 108 * (a1 * x + a3))
 
 
+def _is_int(value) -> bool:
+    # An integer of a curve file or --gen: JSON's true and false decode to
+    # bool, which is an int subclass but no integer there.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_generator(raw) -> tuple[Fraction, Fraction]:
     """(x, y) from [x_num, x_den, y_num, y_den]: a curve file's gen field or
     the CLI's --gen."""
-    if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(t, int) for t in raw)):
+    if not (isinstance(raw, list) and len(raw) == 4 and all(_is_int(t) for t in raw)):
         raise IngestError("gen must be [x_num, x_den, y_num, y_den] with integer entries")
     xn, xd, yn, yd = raw
     if xd <= 0 or yd <= 0:

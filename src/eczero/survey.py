@@ -22,19 +22,19 @@ from .arith import require_curve_prime
 from .bounds import DEFAULT_HEIGHT
 from .errors import DomainError, IngestError, InternalConsistencyError
 from .localpoints import formal_t_valuation
-from .quadfields import ImagQuadField, has_cm, splits_completely
+from .quadfields import ImagQuadField, splits_completely
 from .rational import (
     Curve,
     QPoint,
+    _is_int,
     curve_from_long_weierstrass,
     long_point_to_short,
     parse_generator,
-    reduction_type,
     require_height,
     search_rows,
     torsion_order,
 )
-from .verdicts import Conclusion, HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict, verified
+from .verdicts import Conclusion, HypothesisRecord, brauer_middle_term_verdict, global_lift_verdict
 
 PROXY_NOTE = (
     "statistic counts curves with a certified infinite-order point found by "
@@ -191,13 +191,13 @@ def ingest_curves(path) -> IngestResult:
                 raise IngestError("record must be a JSON object")
             label = str(obj.get("label", f"line{lineno}"))
             if "A" in obj and "B" in obj:
-                if not isinstance(obj["A"], int) or not isinstance(obj["B"], int):
+                if not (_is_int(obj["A"]) and _is_int(obj["B"])):
                     raise IngestError("A and B must be integers")
                 curve = Curve(obj["A"], obj["B"], label=label)
                 gen = QPoint(*parse_generator(obj["gen"])) if obj.get("gen") is not None else None
             elif all(f"a{i}" in obj for i in (1, 2, 3, 4, 6)):
                 ai = [obj[f"a{i}"] for i in (1, 2, 3, 4, 6)]
-                if not all(isinstance(t, int) for t in ai):
+                if not all(_is_int(t) for t in ai):
                     raise IngestError("a1..a6 must be integers")
                 curve = curve_from_long_weierstrass(ai, label=label)
                 gen = None
@@ -211,7 +211,7 @@ def ingest_curves(path) -> IngestResult:
             if gen is not None and not curve.contains(gen):
                 raise IngestError(f"generator {gen} is not on the curve")
             rank = obj.get("rank")
-            if rank is not None and not isinstance(rank, int):
+            if rank is not None and not _is_int(rank):
                 raise IngestError("rank must be an integer")
             records.append(
                 IngestRecord(
@@ -267,9 +267,11 @@ def build_row(
 ) -> SurveyRow:
     """Hypotheses, generator, formal_t_valuation and verdicts for one curve.
 
-    The row is labelled by ``curve.label``.  Eligibility is the middle-term
-    rule's: every row that classifies runs ``brauer_middle_term_verdict``, whose
-    record holds CM by O_D only if j(E) = j_D, and the formal part's
+    The row is labelled by ``curve.label``.  Its one record is
+    ``HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)``, which
+    classifies the reduction the row reports and holds CM by O_D only if
+    j(E) = j_D.  Eligibility is the middle-term rule's: every row that
+    classifies runs ``brauer_middle_term_verdict`` on it, and the formal part's
     t-valuation is read only when the rule fired and a generator exists.  A
     DomainError becomes the row's error text; an InternalConsistencyError or
     ArithmeticError becomes "internal error: <Type>: <message>", so a bug is
@@ -277,7 +279,9 @@ def build_row(
     """
     base = dict(n=n, label=curve.label or "?", curve_a=curve.a, curve_b=curve.b)
     try:
-        r = reduction_type(curve, p)
+        require_curve_prime(p)  # for_pair leaves p = 2 and 3 unclassified
+        record = HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)
+        r = record.e1_reduction.value
         splits = splits_completely(cm_field, p)
         if ingested_generator is not None:
             if not curve.contains(ingested_generator):
@@ -286,10 +290,6 @@ def build_row(
         else:
             gen = find_generator(curve, height)
             status = "found" if gen is not None else "unknown"
-
-        # build_row's own reduction type, so points at p are counted once
-        cm = verified(cm_field) if has_cm(curve, cm_field) else None
-        record = HypothesisRecord(prime=verified(p), e1_reduction=verified(r), cm_field=cm)
         fired = brauer_middle_term_verdict(record)
         names = [v.name for v in fired]
         tval = formal_t_valuation(curve, gen, p) if fired and gen is not None else None

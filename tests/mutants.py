@@ -89,8 +89,6 @@ MUTANTS = [
      ["tests/test_verdicts.py::test_for_pair_verifies_cm_from_j_of_e1"]),
     (VERDICTS, "cm_field is not None and e2 == e1 and has_cm", "cm_field is not None and has_cm",
      ["tests/test_verdicts.py::test_for_pair_verifies_cm_from_j_of_e1"]),
-    (SURVEY, "cm = verified(cm_field) if has_cm(curve, cm_field) else None", "cm = verified(cm_field)",
-     ["tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
     (VERDICTS, "VERIFIED if cm.provenance == VERIFIED else DERIVED", "DERIVED",
      ["tests/test_verdicts.py::test_cm_tower_verdict"]),
     (VERDICTS, "DERIVED if prior.conditional else VERIFIED", "VERIFIED",
@@ -153,6 +151,13 @@ MUTANTS = [
      ["tests/test_survey.py::test_family_members_are_the_n_with_those_coefficients"]),
     (SURVEY, "            line = raw.decode().strip()", '            line = raw.decode(errors="replace").strip()',
      ["tests/test_cli.py::test_an_undecodable_curve_file_line_is_rejected_alone"]),
+    # a curve file's integers exclude JSON's true and false, and a survey row
+    # reads its reduction and CM off one for_pair record
+    (RATIONAL, "    return isinstance(value, int) and not isinstance(value, bool)", "    return isinstance(value, int)",
+     ["tests/test_survey.py::test_ingest_rejects_json_booleans_by_line"]),
+    (SURVEY, "record = HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)",
+     "record = HypothesisRecord.for_pair(curve, curve, p)",
+     ["tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
     # the search's sieve alignment, height cap, real-locus start and
     # torsion certification's early stop
     (RATIONAL, "    shift = -height % q", "    shift = height % q",
@@ -176,9 +181,10 @@ MUTANTS = [
      ["tests/test_quadfields.py::test_anomalous_residues_refuse_p_past_the_limit_at_once"]),
     (FP, "COUNT_LIMIT = 1 << 40", "COUNT_LIMIT = 1 << 41",
      ["tests/test_quadfields.py::test_anomalous_primes_refuses_bounds_past_2_40_at_once"]),
-    # order resolution: the parity start, the kill step, its cut on the
-    # progression, the CM cut and the twist's mirror
-    (FP, "    if kronecker_symbol(-_delta(curve), p) == -1:", "    if kronecker_symbol(-_delta(curve), p) == 1:",
+    # order resolution: the parity start, the kill step and its cut on the
+    # progression
+    (FP, "    step = 2 if kronecker_symbol(-_delta(curve), p) == -1 else 1",
+     "    step = 2 if kronecker_symbol(-_delta(curve), p) == 1 else 1",
      ["tests/test_fp.py::test_hasse_route_starts_from_the_even_orders_exactly_at_a_nonsquare_discriminant"]),
     (FP, "    step = L * _kill_step(curve, Q, k, hi // L - k + 1)", "    step = _kill_step(curve, Q, k, hi // L - k + 1)",
      ["tests/test_fp.py::test_kill_cut_walks_only_its_progression"]),
@@ -195,7 +201,7 @@ MUTANTS = [
      ["tests/test_fp.py::test_add_many_is_add_elementwise"]),
     (FP, "        lam = num * before * inv % p", "        lam = num * inv % p",
      ["tests/test_fp.py::test_add_many_is_add_elementwise"]),
-    (FP, "    stride = _add(p, a, _add(p, a, babies[-1], babies[-1]), P)", "    stride = _add(p, a, babies[-1], babies[-1])",
+    (FP, "    [stride] = _add_many(p, a, [(twice, P)])", "    stride = twice",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
     (FP, "(x, y if r > m else -y % p)", "(x, -y % p if r > m else y)",
      ["tests/test_fp.py::test_kill_step_multiples_are_the_kill_set"]),
@@ -216,12 +222,16 @@ MUTANTS = [
     (FP, "    return range(lo + (-lo) % step, hi + 1, step) if step else range(0)",
      "    return range(lo + (-lo) % step, hi + 1, step)",
      ["tests/test_fp.py::test_a_walk_without_hits_ends_in_the_fallback"]),
-    (FP, "((t, T), (-t, negT))", "((t, negT), (-t, T))",
-     ["tests/test_fp.py::test_cm_route_matches_naive_on_sweep_curves_to_2_12"]),
-    (FP, "{2 * p + 2 - n for n in cands}", "{2 * p + 1 - n for n in cands}",
+    # the CM pair p + 1 -+ u: both signs, u read off the pair, the sign of
+    # [u]P each order keeps, and the twist that cuts what E's points leave
+    (FP, "    return {p + 1 - u, p + 1 + u}", "    return {p + 1 - u}",
+     ["tests/test_fp.py::test_cm_orders_give_every_frobenius_trace_of_O_D"]),
+    (FP, "    u = max(cands) - p - 1", "    u = max(cands) - p",
      ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
-    (FP, "for t in (u, -u)}", "for t in (u,)}",
-     ["tests/test_fp.py::test_cm_traces_are_every_frobenius_trace_of_O_D"]),
+    (FP, "((p + 1 - u, T), (p + 1 + u, negT))", "((p + 1 - u, negT), (p + 1 + u, T))",
+     ["tests/test_fp.py::test_cm_route_matches_naive_on_sweep_curves_to_2_12"]),
+    (FP, "        twist = _order_candidates(_twist(curve), cands)", "        twist = cands",
+     ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
     # the residue symbols at j = 0 and j = 1728: the primary associate, the
     # symbol's exponent and its conjugate
     (FP, "    while c % 3 != 2 or d % 3:", "    while c % 3 != 1 or d % 3:",

@@ -20,9 +20,11 @@ polynomial.
 The division-polynomial oracle expands psi_m as an integer polynomial by
 the classical recurrence, whose roots the library's torsion lifts must be.
 The point-count oracle tries every (x, y) in F_p^2.
-The F_p multiple oracle is affine double-and-add on the chord-tangent law
-written out below, one inversion a step, where the library runs Jacobian
-coordinates with one inversion in all.
+The F_p addition oracle is the chord-tangent law written out with one
+inversion a sum, where the library's one affine addition shares one
+inversion across a list; the F_p multiple oracle is affine double-and-add
+on it, where the library runs Jacobian coordinates with one inversion in
+all.
 The CM trace oracle reads the trace of y^2 = x^3 + b or y^2 = x^3 + a x
 off the norm-p elements of Z[zeta_3] or Z[i] that Cornacchia gives, and
 never runs baby-step/giant-step.
@@ -459,31 +461,32 @@ def count_points_oracle(p: int, a: int, b: int) -> int:
     return 1 + sum((y * y - x * x * x - a * x - b) % p == 0 for x in range(p) for y in range(p))
 
 
+def fp_add_oracle(curve: FpCurve, R: FpPoint, S: FpPoint) -> FpPoint:
+    """R + S on E(F_p) by the affine chord and tangent, one inversion each."""
+    p, a = curve.p, curve.a
+    if R.is_identity:
+        return S
+    if S.is_identity:
+        return R
+    if R.x == S.x and (R.y + S.y) % p == 0:
+        return FpPoint.identity()
+    if R.x == S.x:
+        lam = (3 * R.x * R.x + a) * pow(2 * R.y, -1, p) % p
+    else:
+        lam = (S.y - R.y) * pow(S.x - R.x, -1, p) % p
+    x = (lam * lam - R.x - S.x) % p
+    return FpPoint(x, (lam * (R.x - x) - R.y) % p)
+
+
 def fp_scalar_mul_oracle(curve: FpCurve, k: int, P: FpPoint) -> FpPoint:
     """[k]P on E(F_p) by affine double-and-add; [-k]P = [k](-P)."""
-    p, a = curve.p, curve.a
-
-    def add(R, S):
-        if R.is_identity:
-            return S
-        if S.is_identity:
-            return R
-        if R.x == S.x and (R.y + S.y) % p == 0:
-            return FpPoint.identity()
-        if R.x == S.x:
-            lam = (3 * R.x * R.x + a) * pow(2 * R.y, -1, p) % p
-        else:
-            lam = (S.y - R.y) * pow(S.x - R.x, -1, p) % p
-        x = (lam * lam - R.x - S.x) % p
-        return FpPoint(x, (lam * (R.x - x) - R.y) % p)
-
     if k < 0 and not P.is_identity:
-        k, P = -k, FpPoint(P.x, -P.y % p)
+        k, P = -k, FpPoint(P.x, -P.y % curve.p)
     R = FpPoint.identity()
     while k > 0:
         if k & 1:
-            R = add(R, P)
-        P, k = add(P, P), k >> 1
+            R = fp_add_oracle(curve, R, P)
+        P, k = fp_add_oracle(curve, P, P), k >> 1
     return R
 
 

@@ -28,7 +28,7 @@ from eczero.localpoints import decompose_point, formal_t_valuation, lift_p_torsi
 from eczero.quadfields import ImagQuadField, anomalous_residues_d3, is_frobenius_trace
 from eczero.rational import Curve, QPoint, reduction_type
 
-from oracles import cm_trace_oracle, fp_scalar_mul_oracle
+from oracles import cm_trace_oracle, fp_add_oracle, fp_scalar_mul_oracle
 
 E7 = FpCurve(7, 0, 5)  # y^2 = x^3 + 5 over F_7, order 7
 
@@ -367,12 +367,13 @@ def test_kill_step_multiples_are_the_kill_set():
 
 
 def test_add_many_is_add_elementwise():
-    # _add_many is _add with one inversion per list.  At seeded primes from 5
-    # to 2^40, lists that mix chords with the identity on either side, P = Q,
-    # P = -Q and a 2-torsion point doubled to O, in a shuffled order, must
-    # give _add's result at every position, alone or together.
+    # _add_many is the oracle's chord-tangent addition with one inversion per
+    # list.  At seeded primes from 5 to 2^40, lists that mix chords with the
+    # identity on either side, P = Q, P = -Q and a 2-torsion point doubled
+    # to O, in a shuffled order, must give the oracle's sum at every
+    # position, alone or together.
     rng = random.Random(2727)
-    add, add_many = eczero.fp._add, eczero.fp._add_many
+    add_many = eczero.fp._add_many
     O = (None, None)
     assert add_many(5, 1, []) == []
     for bits in range(3, 41):
@@ -394,16 +395,19 @@ def test_add_many_is_add_elementwise():
         pairs = [(O, P), (P, O), (O, O), (P, P), (P, (P[0], p - P[1])), (T, T), (T, P), (P, T)]
         pairs += [(R, S) for R in points for S in points if R != S]
         rng.shuffle(pairs)
-        expected = [add(p, curve.a, R, S) for R, S in pairs]
+        expected = [fp_add_oracle(curve, FpPoint(*R), FpPoint(*S)) for R, S in pairs]
+        expected = [(R.x, R.y) for R in expected]
         assert add_many(p, curve.a, pairs) == expected, p
         assert [add_many(p, curve.a, [pair])[0] for pair in pairs] == expected, p
-        assert expected.count(O) >= 3 and add(p, curve.a, T, T) == O
+        assert expected.count(O) >= 3 and fp_add_oracle(curve, FpPoint(*T), FpPoint(*T)).is_identity
 
 
 def test_kill_step_makes_no_unused_addition(monkeypatch):
     # A point of prime order N near p has one hit in the Hasse interval, so
     # its kill step walks every baby and every giant step.  The baby blocks
-    # add the m - 1 steps after P; the giant blocks add the giant steps after
+    # add the m - 1 steps after P; then one-pair calls build the stride
+    # 2 [m]P + P and, unless the first centre is a multiple of the stride,
+    # add its baby-step offset; the giant blocks add the giant steps after
     # the first, and each giant block but the last also doubles its addend
     # for the next one.  One more addition would be one nothing reads.
     rng = random.Random(6969)
@@ -425,9 +429,11 @@ def test_kill_step_makes_no_unused_addition(monkeypatch):
         sizes.clear()
         assert eczero.fp._kill_step(curve, next(eczero.fp._walk_points(curve)), lo, width) == N
         baby_calls, giant_calls = (m - 1).bit_length(), (giants - 1).bit_length()
-        assert giant_calls >= 2 and len(sizes) == baby_calls + giant_calls, p
+        singles = 2 + ((lo + 2 * m) % (2 * m + 1) != m)
+        assert giant_calls >= 2 and len(sizes) == baby_calls + singles + giant_calls, p
         assert sum(sizes[:baby_calls]) == m - 1, p
-        assert sum(sizes[baby_calls:]) == (giants - 1) + (giant_calls - 1), p
+        assert sizes[baby_calls:baby_calls + singles] == [1] * singles, p
+        assert sum(sizes[baby_calls + singles:]) == (giants - 1) + (giant_calls - 1), p
 
 
 def _order_of(curve, P, N):
@@ -491,14 +497,24 @@ def _nonsquare_disc(curve):
 
 def test_a_nonsquare_discriminant_makes_the_count_even():
     # every nonsingular curve at p = 233 and 239, then a seeded sample of
-    # curves at primes up to 2^12
+    # curves at primes up to 2^12.  At 233 and 239 one curve of each
+    # isomorphism class is swept: (x, y) -> (u^2 x, u^3 y) takes
+    # y^2 = x^3 + a x + b to y^2 = x^3 + u^4 a x + u^6 b, which keeps the
+    # order and scales the discriminant by u^12, a square.
     for p in (233, 239):
+        seen = set()
         for a in range(p):
             for b in range(p):
-                if (4 * a**3 + 27 * b**2) % p:
-                    curve = FpCurve._at_checked_prime(p, a, b)
-                    if _nonsquare_disc(curve):
-                        assert count_points_naive(curve) % 2 == 0, curve
+                if (a, b) in seen or (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                orbit = {(u**4 * a % p, u**6 * b % p) for u in range(1, p)}
+                seen |= orbit
+                curve = FpCurve._at_checked_prime(p, a, b)
+                nonsquare = _nonsquare_disc(curve)
+                assert all(_nonsquare_disc(FpCurve._at_checked_prime(p, *ab)) == nonsquare for ab in orbit), curve
+                if nonsquare:
+                    assert count_points_naive(curve) % 2 == 0, curve
+        assert len(seen) == sum((4 * a**3 + 27 * b**2) % p != 0 for a in range(p) for b in range(p))
     rng = random.Random(1962)
     primes = [p for p in range(5, 1 << 12) if is_prime(p)]
     parities = set()
@@ -659,34 +675,49 @@ def test_cm_j_invariants_are_the_class_number_one_cubes():
     }
 
 
-def test_cm_traces_are_every_frobenius_trace_of_O_D():
-    # The unit orbit of Cornacchia's representation gives every t with
-    # 4p = t^2 + |D| v^2, checked for all nine D at every split prime to 2^11.
+def _j_model(j):
+    """(a, b) of y^2 = x^3 + a x + b with j-invariant j: y^2 = x^3 + 3c x + 2c
+    with c = j / (1728 - j), scaled by (1728 - j)^2 to integers; that formula
+    has no curve at j = 0 or 1728, where y^2 = x^3 + 1 and y^2 = x^3 + x serve."""
+    return {0: (0, 1), 1728: (1, 0)}.get(j, (3 * j * (1728 - j), 2 * j * (1728 - j) ** 2))
+
+
+def test_cm_orders_give_every_frobenius_trace_of_O_D():
+    # At a split p, Frobenius of a j_D model is a norm-p element of O_D, of
+    # trace t with 4p = t^2 + |D| v^2.  For the seven D whose only units are
+    # +-1, the CM pair's traces are every such t; for D = -3 and -4 the
+    # residue symbol's one trace is among them.  Checked for all nine D at
+    # every split prime to 2^11.
     split = 0
     for p in range(231, 2**11, 2):
         if not is_prime(p):
             continue
         bound = isqrt(4 * p)
-        for D in CM_J_INVARIANTS:
-            if kronecker_symbol(D, p) == 1:
-                field = ImagQuadField(D)
-                # is_frobenius_trace reads t only through t^2
-                expected = {s for t in range(bound + 1) if is_frobenius_trace(field, p, t) for s in (t, -t)}
-                assert eczero.fp._cm_traces(D, p) == expected, (D, p)
-                split += 1
+        for D, j in CM_J_INVARIANTS.items():
+            a, b = _j_model(j)
+            if kronecker_symbol(D, p) != 1 or (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            curve = FpCurve(p, a, b)
+            assert eczero.fp._cm_disc(curve) == D, curve
+            field = ImagQuadField(D)
+            # is_frobenius_trace reads t only through t^2
+            expected = {s for t in range(bound + 1) if is_frobenius_trace(field, p, t) for s in (t, -t)}
+            traces = {p + 1 - n for n in eczero.fp._cm_orders(curve)}
+            if D in (-3, -4):
+                assert len(traces) == 1 and traces < expected, curve
+            else:
+                assert traces == expected, curve
+            split += 1
     assert split > 1000
 
 
 def _cm_curves(p, rng):
-    """(D, curve, model) at p: the short model of each j_D and its quadratic
-    twist (model is the curve twisted, or None),
-    one random sextic twist y^2 = x^3 + b and one random quartic twist
-    y^2 = x^3 + a x.  The model is y^2 = x^3 + 3c x + 2c with
-    c = j / (1728 - j), scaled by (1728 - j)^2 to integers; that formula has
-    no curve at j = 0 or 1728, where y^2 = x^3 + 1 and y^2 = x^3 + x serve."""
+    """(D, curve, model) at p: the short model of each j_D (_j_model) and its
+    quadratic twist (model is the curve twisted, or None), one random sextic
+    twist y^2 = x^3 + b and one random quartic twist y^2 = x^3 + a x."""
     out = []
     for D, j in CM_J_INVARIANTS.items():
-        a, b = {0: (0, 1), 1728: (1, 0)}.get(j, (3 * j * (1728 - j), 2 * j * (1728 - j) ** 2))
+        a, b = _j_model(j)
         if (4 * a**3 + 27 * b**2) % p:
             model = FpCurve(p, a, b)
             out += [(D, model, None), (D, _twist_of(model), model)]
@@ -790,16 +821,20 @@ def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
     calls = _spy_bsgs(monkeypatch)
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
     assert count_points(small) == expected
-    # Forced: 2t - p - 1 gives the order 2(p + 1 - t), which every point of
-    # the true order p + 1 - t survives too.
+    # Forced: E's own points cut nothing from its CM pair, so the twist's
+    # points alone must leave the one order.
     curve = FpCurve((1 << 40) - 87, -152, 722)
     expected = count_points_bsgs(curve)
-    traces = eczero.fp._cm_traces
-    monkeypatch.setattr(
-        eczero.fp, "_cm_traces", lambda D, p: {s for t in traces(D, p) for s in (t, 2 * t - p - 1)}
-    )
-    assert len(eczero.fp._order_candidates(curve, eczero.fp._cm_orders(curve))) > 1
+    assert len(eczero.fp._cm_orders(curve)) == 2
+    cut, seen = eczero.fp._order_candidates, []
+
+    def keeps_e(c, cands):
+        seen.append(c)
+        return cands if c == curve else cut(c, cands)
+
+    monkeypatch.setattr(eczero.fp, "_order_candidates", keeps_e)
     assert count_points(curve) == expected
+    assert seen == [curve, eczero.fp._twist(curve)]
     assert calls == []
 
 
@@ -835,17 +870,28 @@ def _symbol_trace(curve):
 
 def test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10():
     # count_points from p = 233 on, and the kernels themselves below, where
-    # count_points sweeps, on every coefficient of every split p < 2^10.
+    # count_points sweeps, on every coefficient of every split p < 2^10,
+    # against one sweep per isomorphism class: (x, y) -> (u^2 x, u^3 y) takes
+    # y^2 = x^3 + b to y^2 = x^3 + u^6 b and y^2 = x^3 + a x to
+    # y^2 = x^3 + u^4 a x, so b^((p - 1)/6) and a^((p - 1)/4) name the class.
+    # Below p = 100 each curve's own sweep must agree with its class's.
     seen = set()
     for p in range(5, 1 << 10):
         if not is_prime(p):
             continue
+        swept = {}
         for curve in _j0_j1728_curves(p):
+            j0 = curve.a == 0
+            key = (j0, pow(curve.b, (p - 1) // 6, p) if j0 else pow(curve.a, (p - 1) // 4, p))
+            if key not in swept:
+                swept[key] = count_points_naive(curve)
+            if p < 100:
+                assert count_points_naive(curve) == swept[key], curve
             if p > 229:
-                assert count_points(curve) == count_points_naive(curve), curve
+                assert count_points(curve) == swept[key], curve
             else:
-                assert _symbol_trace(curve) == p + 1 - count_points_naive(curve), curve
-            seen.add((curve.a == 0, p > 229))
+                assert _symbol_trace(curve) == p + 1 - swept[key], curve
+            seen.add((j0, p > 229))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 

@@ -151,6 +151,32 @@ def test_ingest_rejects_bad_fields_by_line(tmp_path):
     )
 
 
+def test_ingest_rejects_json_booleans_by_line(tmp_path):
+    # bool is an int subclass, so true would pass an isinstance(int) test as
+    # 1 and be printed back as true: every integer field holding it rejects
+    # its line, and the other lines survey as they do without it.
+    good = [
+        '{"label": "E0", "A": 0, "B": -2, "gen": [3, 1, 5, 1], "rank": 1}',
+        '{"label": "long", "a1": 0, "a2": -1, "a3": 1, "a4": 0, "a6": 0, "gen": [0, 1, 0, 1]}',
+    ]
+    long_ai = {"a1": 0, "a2": -1, "a3": 1, "a4": 0, "a6": 0}
+    bad = [({"A": True, "B": 1}, "A and B must be integers"), ({"A": 0, "B": True}, "A and B must be integers")]
+    bad += [({**long_ai, key: True}, "a1..a6 must be integers") for key in long_ai]
+    for i in range(4):
+        gen = [3, 1, 5, 1]
+        gen[i] = True
+        bad.append(({"A": 0, "B": -2, "gen": gen}, "gen must be [x_num, x_den, y_num, y_den] with integer entries"))
+    bad.append(({"A": 0, "B": -2, "rank": True}, "rank must be an integer"))
+    lines = [good[0]] + [json.dumps({"label": f"bool-{i}", **obj}) for i, (obj, _) in enumerate(bad)] + [good[1]]
+    f, clean = tmp_path / "curves.jsonl", tmp_path / "clean.jsonl"
+    f.write_text("\n".join(lines) + "\n")
+    clean.write_text("\n".join(good) + "\n")
+    result, expected = ingest_curves(f), ingest_curves(clean)
+    assert result.rejected == tuple((2 + i, reason) for i, (_, reason) in enumerate(bad))
+    assert result.records == expected.records and len(expected.records) == 2
+    assert survey_records(result.records, 7, -3, 100) == survey_records(expected.records, 7, -3, 100)
+
+
 def test_find_generator():
     gen = find_generator(Curve(0, -2), 100)
     assert gen == QPoint.from_pair(3, 5) or gen == QPoint.from_pair(3, -5)
@@ -389,21 +415,18 @@ def test_build_row_for_ingested_record():
 
 
 def test_build_row_classifies_reduction_once(monkeypatch):
-    # build_row hands its ReductionType to the verdict, so points at p are
+    # build_row's one record (HypothesisRecord.for_pair) classifies the
+    # reduction the row reports and the verdict reads, so points at p are
     # counted once per row.
     expected = build_row(Curve(0, -2), 7, ImagQuadField(-3), height=100)
     calls = []
-    real = eczero.survey.reduction_type
+    real = eczero.verdicts.reduction_type
 
     def counted(curve, p):
         calls.append((curve, p))
         return real(curve, p)
 
-    def must_not_run(curve, p):
-        raise AssertionError("the verdict classified the reduction again")
-
-    monkeypatch.setattr(eczero.survey, "reduction_type", counted)
-    monkeypatch.setattr(eczero.verdicts, "reduction_type", must_not_run)
+    monkeypatch.setattr(eczero.verdicts, "reduction_type", counted)
     row = build_row(Curve(0, -2), 7, ImagQuadField(-3), height=100)
     assert row == expected
     assert row.error is None and len(row.verdicts) == 3
