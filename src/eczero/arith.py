@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import DomainError, UnsupportedModulusError
+from .errors import DomainError, InternalConsistencyError, UnsupportedModulusError
 
 # The first twelve primes as Miller-Rabin witnesses, and psi_k (OEIS A014233;
 # Jaeschke, Math. Comp. 61, 1993): the least odd composite that passes the
@@ -242,8 +242,12 @@ def double_and_add(add, k: int, P, zero):
     Right-to-left binary method: popcount(k) additions and bit_length(k) - 1
     doublings, none after the top bit.  The F_p multiples (on
     _jacobian_add modulo p), the Q scalar multiplication and the local
-    layer's Jacobian [p] mod p^N all run this one loop.
+    layer's Jacobian [p] mod p^N all run this one loop.  Every caller
+    passes k >= 0 by construction, so a negative k, on which k >>= 1 would
+    stay at -1 for ever, raises InternalConsistencyError.
     """
+    if k < 0:
+        raise InternalConsistencyError(f"[k]P needs k >= 0, got {k}")
     R = zero
     while k:
         if k & 1:

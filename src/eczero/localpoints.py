@@ -9,6 +9,13 @@ valuation of the formal parameter t = -x/y of F (1 versus >= 2) is the
 decision bit consumed by the verdict layer; formal_t_valuation reads it
 from [p]P = [p]F without lifting T0.
 
+formal_t_valuation and decompose_point check p and the model minimal at
+p (_checked_minimal, one point count), then the point on that model
+(_onto_minimal).  A
+survey row and ``eczero verdict --gen`` read the t-valuation only after the
+middle-term rule fired on a record that verified the same facts of the same
+model, so they call _t_valuation_at_anomalous, which checks only the point.
+
 P is read as its Jacobian triple (m, n, e), x = m/e^2 and y = n/e^3, which
 is exact on the integral minimal model.  A point already in E_1 is its own
 formal part: F is (m, n, e), exactly, with t_valuation = v_p(e).
@@ -311,7 +318,8 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     if precision < 1:
         raise DomainError(f"decomposition needs precision >= 1, got {precision}")
     _require_bounded(precision)
-    minimal, P = _on_minimal_model(curve, point, p)
+    minimal, scale = _checked_minimal(curve, p)
+    P = _onto_minimal(minimal, scale, point, p)
     try:
         return _decompose(minimal, P, p, precision)
     except PrecisionExhaustedError:
@@ -329,7 +337,24 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     reads as v(Z) = N.  So a t-valuation of 1 or 2 costs one [p].  Other
     errors are decompose_point's.
     """
-    minimal, (m, n, e) = _on_minimal_model(curve, point, p)
+    _checked_minimal(curve, p)
+    return _t_valuation_at_anomalous(curve, point, p)
+
+
+def _t_valuation_at_anomalous(curve: Curve, point: QPoint, p: int) -> int:
+    """formal_t_valuation(curve, point, p) for a caller whose own
+    HypothesisRecord.for_pair(curve, curve, p) fired the middle-term rule.
+
+    That record holds p >= 5 prime and the reduction of curve's model
+    minimal at p, the model _minimal_with_scale gives here too, as verified
+    facts the library computed: good (p does not divide its discriminant)
+    and anomalous (|E(F_p)| = p).  Those are exactly what _checked_minimal
+    tests, so this skips it and counts no point at p.  The point is the
+    caller's, so it is still moved onto the minimal model, checked on it
+    and certified of infinite order by torsion_order before the [p].
+    """
+    minimal, scale = _minimal_with_scale(curve, p)
+    m, n, e = _onto_minimal(minimal, scale, point, p)
     if e % p == 0:
         return pval(e, p)
     precision = 4
@@ -342,13 +367,20 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
         precision *= 2
 
 
-def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, tuple[int, int, int]]:
-    """The model minimal at p, checked anomalous, and the point moved onto it,
-    certified of infinite order, as its Jacobian triple (m, n, e): on an
-    integral model x = m/e^2 and y = n/e^3 in lowest terms, exactly."""
+def _checked_minimal(curve: Curve, p: int) -> tuple[Curve, int]:
+    """The model minimal at p and its scale k (u = p^k), once p is checked a
+    prime >= 5 and the model checked good and anomalous at p."""
     require_curve_prime(p)
     minimal, scale = _minimal_with_scale(curve, p)
     _require_anomalous(minimal, p)
+    return minimal, scale
+
+
+def _onto_minimal(minimal: Curve, scale: int, point: QPoint, p: int) -> tuple[int, int, int]:
+    """The point moved onto the model minimal at p (scale k of
+    _minimal_with_scale), checked on it and certified of infinite order, as
+    its Jacobian triple (m, n, e): on an integral model x = m/e^2 and
+    y = n/e^3 in lowest terms, exactly."""
     if point.is_identity:
         raise DomainError("decomposition needs a nonzero global point")
     if scale:
@@ -359,7 +391,7 @@ def _on_minimal_model(curve: Curve, point: QPoint, p: int) -> tuple[Curve, tuple
     order = torsion_order(minimal, point)
     if order is not None:
         raise DomainError(f"point has finite order {order}; decomposition needs infinite order")
-    return minimal, (point.x.numerator, point.y.numerator, isqrt(point.x.denominator))
+    return point.x.numerator, point.y.numerator, isqrt(point.x.denominator)
 
 
 def _decompose(minimal: Curve, P: tuple[int, int, int], p: int, precision: int) -> Decomposition:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .arith import require_curve_prime
 from .bounds import DEFAULT_HEIGHT
 from .errors import DomainError, IngestError, InternalConsistencyError
-from .localpoints import formal_t_valuation
+from .localpoints import _t_valuation_at_anomalous
 from .quadfields import ImagQuadField, splits_completely
 from .rational import (
     Curve,
@@ -265,14 +265,20 @@ def build_row(
     n: int | None = None,
     ingested_generator: QPoint | None = None,
 ) -> SurveyRow:
-    """Hypotheses, generator, formal_t_valuation and verdicts for one curve.
+    """Hypotheses, generator, formal t-valuation and verdicts for one curve.
 
     The row is labelled by ``curve.label``.  Its one record is
     ``HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)``, which
     classifies the reduction the row reports and holds CM by O_D only if
     j(E) = j_D.  Eligibility is the middle-term rule's: every row that
     classifies runs ``brauer_middle_term_verdict`` on it, and the formal part's
-    t-valuation is read only when the rule fired and a generator exists.  A
+    t-valuation is read only when the rule fired and a generator exists.
+    A firing means the record verified p >= 5 prime and good, anomalous
+    reduction of the model minimal at p: all that formal_t_valuation checks
+    of p and the curve.  So the row calls its kernel
+    ``localpoints._t_valuation_at_anomalous``, which counts no point at p
+    again and still checks the generator on that model and certifies it of
+    infinite order.  A
     DomainError becomes the row's error text; an InternalConsistencyError or
     ArithmeticError becomes "internal error: <Type>: <message>", so a bug is
     told apart from a bad input and never aborts the batch.
@@ -292,7 +298,7 @@ def build_row(
             status = "found" if gen is not None else "unknown"
         fired = brauer_middle_term_verdict(record)
         names = [v.name for v in fired]
-        tval = formal_t_valuation(curve, gen, p) if fired and gen is not None else None
+        tval = _t_valuation_at_anomalous(curve, gen, p) if fired and gen is not None else None
         lifted = global_lift_verdict(tval, fired[0] if fired else None)
         if lifted is not None:
             names.append(lifted.name)

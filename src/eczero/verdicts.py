@@ -301,8 +301,9 @@ def global_lift_verdict(t_valuation: int | None, prior: Verdict | None) -> Verdi
     """Unconditional exactness from a nontrivial formal component, i.e. one
     whose formal parameter has t-valuation 1.
 
-    t_valuation must come from formal_t_valuation or decompose_point, which
-    certify infinite order; the middle term is verified only if the prior
+    t_valuation must come from formal_t_valuation, its kernel
+    localpoints._t_valuation_at_anomalous or decompose_point, which certify
+    infinite order; the middle term is verified only if the prior
     verdict is.  One-directional: a trivial formal component yields no conclusion.
     """
     if t_valuation != 1 or prior is None:

@@ -158,6 +158,19 @@ MUTANTS = [
     (SURVEY, "record = HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)",
      "record = HypothesisRecord.for_pair(curve, curve, p)",
      ["tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
+    # the t-valuation of a row or of `verdict --gen` takes p and the
+    # reduction from the record the middle-term rule fired on, so it counts
+    # no point at p again and runs only when the rule fired
+    (SURVEY, "from .localpoints import _t_valuation_at_anomalous\n",
+     "from .localpoints import formal_t_valuation as _t_valuation_at_anomalous\n",
+     ["tests/test_survey.py::test_rows_count_points_at_p_once"]),
+    (CLI, "        from .localpoints import _t_valuation_at_anomalous\n",
+     "        from .localpoints import formal_t_valuation as _t_valuation_at_anomalous\n",
+     ["tests/test_cli.py::test_verdict_counts_points_once_per_curve"]),
+    (SURVEY, "_t_valuation_at_anomalous(curve, gen, p) if fired and gen is not None else None",
+     "_t_valuation_at_anomalous(curve, gen, p) if gen is not None else None",
+     ["tests/test_cli.py::test_report_output_is_pinned",
+      "tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
     # the search's sieve alignment, height cap, real-locus start and
     # torsion certification's early stop
     (RATIONAL, "    shift = -height % q", "    shift = height % q",
@@ -281,6 +294,9 @@ MUTANTS = [
      ["tests/test_arith.py::test_sqrt_mod_p_examples"]),
     (ARITH, "        x0 = p - x0", "        x0 = x0",
      ["tests/test_arith.py::test_cornacchia_identity_and_minimality"]),
+    # [k]P refuses a negative k instead of looping for ever
+    (ARITH, "    if k < 0:\n        raise InternalConsistencyError", "    if False:\n        raise InternalConsistencyError",
+     ["tests/test_arith.py::test_double_and_add_refuses_a_negative_k"]),
 ]
 
 

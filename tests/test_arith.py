@@ -14,7 +14,7 @@ from eczero.arith import (
     squares_mod,
     unit_orbit,
 )
-from eczero.errors import DomainError
+from eczero.errors import DomainError, InternalConsistencyError
 
 from oracles import outcomes_within
 
@@ -216,3 +216,20 @@ def test_double_and_add_does_no_doubling_after_the_top_bit():
         calls.clear()
         assert double_and_add(add, k, 1, 0) == k
         assert len(calls) == k.bit_length() + bin(k).count("1") - 1, k
+
+
+def test_double_and_add_refuses_a_negative_k():
+    # k >>= 1 stays at -1, so without the guard the loop would never end;
+    # the add below gives up after 64 calls, more than any k < 2^32 needs
+    calls = []
+
+    def add(u, w):
+        calls.append((u, w))
+        if len(calls) > 64:
+            raise AssertionError("double_and_add kept adding for a negative k")
+        return u + w
+
+    for k in (-1, -2, -(1 << 40)):
+        with pytest.raises(InternalConsistencyError, match=f"^\\[k\\]P needs k >= 0, got {k}$"):
+            double_and_add(add, k, 1, 0)
+    assert calls == []

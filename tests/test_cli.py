@@ -20,7 +20,7 @@ from eczero.cli import cli
 from eczero.errors import DomainError, InternalConsistencyError
 from eczero.quadfields import RESIDUE_LIMIT
 
-from test_survey import default_digit_limit, write_overlong_curves  # noqa: F401  (a fixture)
+from test_survey import _seeded_twist_records, default_digit_limit, write_overlong_curves  # noqa: F401  (a fixture)
 
 runner = CliRunner()
 
@@ -250,6 +250,12 @@ def test_verdict_counts_points_once_per_curve(monkeypatch):
     res = run(*base, "--e2-a", "-4", "--e2-b", "0")
     assert res.exit_code == 0
     assert len(calls) == 2
+    # --gen is read after the middle-term rule fired on E1's own record,
+    # which already counted E1's points at p
+    calls.clear()
+    res = run("verdict", "--a", "0", "--b", "-2", "--p", "7", "--disc", "-3", "--gen", "3,1,5,1")
+    assert res.exit_code == 0 and "UnconditionalExactness [fully verified]" in res.stdout
+    assert len(calls) == 1
 
 
 def test_verdict_checks_gen_and_tower_level_whatever_fires():
@@ -765,3 +771,55 @@ def test_decompose_matrix_output_is_pinned():
         )
     assert len(calls) == 150
     assert digest.hexdigest() == DECOMPOSE_MATRIX_SHA256
+
+
+# (p, D, A, B): y^2 = x^3 + A x + B has CM by O_D and is anomalous at p
+_REPORT_CM_CURVES = ((43, -19, -152, 722), (223, -11, -1056, 13552))
+REPORT_PIN_SHA256 = {
+    "csv": "52908aec72341a1b15d710c1715e60fcd1a8cd363aad7d62e3cb6a0429b5fb3c",
+    "json": "50ec7863f33caee08c5abaeec942dda6628351b1bb2b86dc51e2807aae67519f",
+}
+
+
+def _gen_field(point):
+    return [point.x.numerator, point.x.denominator, point.y.numerator, point.y.denominator]
+
+
+def _write_report_pin_curves(path):
+    """Seeded twists anomalous at 43 and 223, one of each in a long model,
+    a twist by a non-residue (not anomalous) at each, an off-curve and a
+    torsion generator, records with no generator and a truncated line."""
+    lines = []
+    for p, _, A, B in _REPORT_CM_CURVES:
+        *short, long = _seeded_twist_records(p, A, B, count=4)
+        (other,) = _seeded_twist_records(p, A, B, count=1, symbol=-1)
+        for rec in (*short, other):
+            lines.append({"label": rec.label, "A": rec.curve.a, "B": rec.curve.b, "gen": _gen_field(rec.generator)})
+        # x = X + 1, y = Y + X: Y^2 + 2XY = X^3 + 2X^2 + (3 + a)X + (1 + a + b)
+        a, b, (x, y) = long.curve.a, long.curve.b, (long.generator.x - 1, long.generator.y)
+        lines.append({"label": f"long {long.label}", "a1": 2, "a2": 2, "a3": 0, "a4": 3 + a, "a6": 1 + a + b,
+                      "gen": [x.numerator, 1, (y - x).numerator, 1]})
+        off = _gen_field(short[0].generator)
+        lines.append({"label": "off-curve", "A": short[0].curve.a, "B": short[0].curve.b,
+                      "gen": off[:2] + [off[2] + 1, 1]})
+        lines.append({"label": f"base {p}", "A": A, "B": B})
+    lines.append({"label": "torsion", "A": 0, "B": 1, "gen": [2, 1, 3, 1]})
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    path.write_text(text + '{"label": "cut", "A": -152, "B": 72\n')
+
+
+def test_report_output_is_pinned(tmp_path):
+    # stdout and stderr of `report` over one seeded curve file at both
+    # anomalous primes, in both formats
+    f = tmp_path / "curves.jsonl"
+    _write_report_pin_curves(f)
+    for fmt in ("csv", "json"):
+        digest = hashlib.sha256()
+        for p, disc, _, _ in _REPORT_CM_CURVES:
+            res = run("report", "--input", str(f), "--p", str(p), "--disc", str(disc), "--format", fmt)
+            assert res.exit_code == 0 and res.exception is None
+            assert [line.split(":")[0] for line in res.stderr.splitlines()] == [
+                "ingest line 6", "ingest line 13", "ingest line 16"]
+            assert res.stdout.count("UnconditionalExactness") >= 1
+            digest.update(f"{p} {disc} {fmt}\n{res.exit_code}\n{res.stdout}\n{res.stderr}\n".encode())
+        assert digest.hexdigest() == REPORT_PIN_SHA256[fmt], fmt

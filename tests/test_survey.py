@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import eczero.fp
 import eczero.localpoints
 import eczero.survey
 import eczero.verdicts
@@ -505,14 +506,14 @@ def test_internal_error_in_one_row_does_not_abort_scan(monkeypatch, error):
     spec = _spec(-3, 3)
     clean, _ = scan_family(spec)
     broken_n = next(r.n for r in clean if r.formal_nontrivial is not None)
-    real = eczero.survey.formal_t_valuation
+    real = eczero.survey._t_valuation_at_anomalous
 
     def t_valuation_or_fail(curve, point, p):
         if curve.b == -2 + 7 * broken_n:
             raise error
         return real(curve, point, p)
 
-    monkeypatch.setattr(eczero.survey, "formal_t_valuation", t_valuation_or_fail)
+    monkeypatch.setattr(eczero.survey, "_t_valuation_at_anomalous", t_valuation_or_fail)
     rows, agg = scan_family(spec)
     assert [r for r in rows if r.n != broken_n] == [r for r in clean if r.n != broken_n]
     (row,) = [r for r in rows if r.n == broken_n]
@@ -520,13 +521,14 @@ def test_internal_error_in_one_row_does_not_abort_scan(monkeypatch, error):
     assert agg["errors"] == 1
 
 
-def _seeded_twist_records(p, A, B, count=6):
-    # twists of a CM curve anomalous at p by d = f(x0), carrying (d x0, d^2)
+def _seeded_twist_records(p, A, B, count=6, symbol=1):
+    # twists of a CM curve anomalous at p by d = f(x0), carrying (d x0, d^2);
+    # with symbol=-1 the twists by a non-residue d, which are not anomalous
     rng, records = random.Random(p), []
     while len(records) < count:
         x0 = rng.randint(-300, 300)
         d = x0**3 + A * x0 + B
-        if d != 0 and kronecker_symbol(d, p) == 1:
+        if d != 0 and kronecker_symbol(d, p) == symbol:
             curve = Curve(A * d * d, B * d**3)
             records.append(IngestRecord(f"d={d}", curve, QPoint.from_pair(d * x0, d * d), None, None))
     return records
@@ -555,6 +557,28 @@ def test_survey_rows_lift_no_torsion(monkeypatch):
     ):
         monkeypatch.setattr(module, name, forbidden)
     assert [survey() for survey in surveys] == expected
+
+
+def test_rows_count_points_at_p_once(monkeypatch):
+    # a row's record counts E(F_p) once, and its t-valuation reads that
+    # record's verified good, anomalous reduction instead of counting again:
+    # at p = 7, at 43 and 223, and at 271 > 229, where a j = 0 curve is
+    # counted by the CM route rather than the sweep
+    surveys = [
+        lambda: scan_family(_spec(0, 1, height=100))[0],
+        lambda: survey_records(_seeded_twist_records(43, -152, 722, count=3), 43, -19)[0],
+        lambda: survey_records(_seeded_twist_records(223, -1056, 13552, count=3), 223, -11)[0],
+        lambda: [build_row(Curve(0, -288), 271, ImagQuadField(-3), 100, ingested_generator=QPoint.from_pair(9, -21))],
+    ]
+    calls = []
+    real = eczero.fp.count_points
+    monkeypatch.setattr(eczero.fp, "count_points", lambda curve: calls.append(curve.p) or real(curve))
+    for survey, p in zip(surveys, (7, 43, 223, 271)):
+        calls.clear()
+        rows = survey()
+        assert all(r.error is None and r.t_valuation is not None for r in rows), p
+        assert "UnconditionalExactness" in rows[0].verdicts
+        assert calls == [p] * len(rows), p
 
 
 def test_family_spec_validation():
