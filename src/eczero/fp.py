@@ -2,11 +2,14 @@
 
 Counting has two routes.  For p <= 229 a sweep reads `arith.squares_mod`.
 Above Mestre's bound, 229 < p <= 2^40, a curve with the j-invariant of one
-of the nine class-number-one maximal orders O_D starts from its CM orders:
-p + 1 at an inert p, and at a split p the pair p + 1 -+ u from Cornacchia's
-4p = u^2 + |D| v^2.  For j = 0 (a = 0) and j = 1728 (b = 0) the sextic or
-quartic residue symbol of b or -a (Ireland and Rosen, GTM 84, Ch. 18,
-Sec. 3 and 4) picks the one order, so they walk no point.  Any other curve
+of the nine class-number-one maximal orders O_D has one CM order and walks
+no point: p + 1 at an inert p, and at a split p, p + 1 - a_p with a_p read
+off Cornacchia's 4p = u^2 + |D| v^2 and residue symbols.  For j = 0
+(a = 0) and j = 1728 (b = 0) the sextic or quartic residue symbol of b or
+-a (Ireland and Rosen, GTM 84, Ch. 18, Sec. 3 and 4) picks a_p; for the
+other seven D, a_p = +-u, and the sign is the quadratic-twist symbol
+(c_D a b | p) times the Hecke character's value at (u + v sqrt(D)) / 2
+(Stark, 1996; Rubin and Silverberg, 2010; _cm_order).  Any other curve
 starts from the Hasse interval, or from its even orders only when
 -(4a^3 + 27b^2) is a non-square mod p: then x^3 + a x + b has exactly one
 root in F_p (Stickelberger's theorem; Swan, Pacific J. Math. 12, 1962), so
@@ -21,16 +24,15 @@ so each giant step of 2m + 1 tests [c]Q = [j]Q and [c]Q = -[j]Q at once.
 Both walks add their steps in blocks that double, and each block takes
 one field inversion (Montgomery's simultaneous inversion in _add_many, the
 one affine addition, which fp_add calls with one pair), about 2 log2(m) in
-all where one addition at a time takes 2m.  The CM pair is cut by
-[p + 1]P = +-[u]P.  Every scalar multiple ([L]P, the first giant step, the
-CM route's [p + 1]P and [u]P, fp_scalar_mul) runs double-and-add in
-Jacobian coordinates (`arith._jacobian_add` modulo p) with one inversion at
-the end.  The walk's points cut either start, then the quadratic twist's
-points cut the mirrored orders 2p + 2 - n; every start with more than one
-candidate is its own mirror, so the twist starts from the same one.  E or
-its twist always has a point that leaves one.  If more are left, the sweep
-decides for p <= 2^16 and an InternalConsistencyError is raised above, so
-the returned order is always exact and no sweep runs past 2^16 steps.
+all where one addition at a time takes 2m.  Every scalar multiple ([L]P,
+the first giant step, fp_scalar_mul) runs double-and-add in Jacobian
+coordinates (`arith._jacobian_add` modulo p) with one inversion at the
+end.  The walk's points cut either start, then the quadratic twist's
+points cut the mirrored orders 2p + 2 - n; both starts are their own
+mirror, so the twist starts from the same one.  E or its twist always has
+a point that leaves one.  If more are left, the sweep decides for
+p <= 2^16 and an InternalConsistencyError is raised above, so the returned
+order is always exact and no sweep runs past 2^16 steps.
 
 A count tests its prime once: FpCurve tests p when it is built, and
 reduction_type, which tests p itself, builds its curve, the twist and the
@@ -325,23 +327,11 @@ def _kill_cut(curve: FpCurve, P, cands: range) -> range:
     return range(lo + (-lo) % step, hi + 1, step) if step else range(0)
 
 
-def _multiple_cut(curve: FpCurve, P, cands: set[int]) -> set[int]:
-    # The orders n of the CM pair p + 1 -+ u with [n]P = O: p + 1 - u where
-    # [p + 1]P = [u]P, and p + 1 + u where [p + 1]P = -[u]P.
-    p, a = curve.p, curve.a
-    u = max(cands) - p - 1
-    Q, T = _mul(p, a, p + 1, P), _mul(p, a, u, P)
-    negT = T if T[0] is None else (T[0], -T[1] % p)
-    return {n for n, R in ((p + 1 - u, T), (p + 1 + u, negT)) if R == Q}
-
-
-def _order_candidates(curve: FpCurve, cands: range | set[int]) -> range | set[int]:
-    # Cut by each walked point until at most one candidate is left: a range
-    # (the Hasse interval) by kill steps, a set (the CM pair) by its multiples.
-    cut = _kill_cut if isinstance(cands, range) else _multiple_cut
+def _order_candidates(curve: FpCurve, cands: range) -> range:
+    # Cut by each walked point's kill step until at most one candidate is left.
     points = _walk_points(curve)
     while len(cands) > 1 and (P := next(points, None)) is not None:
-        cands = cut(curve, P, cands)
+        cands = _kill_cut(curve, P, cands)
     return cands
 
 
@@ -351,13 +341,13 @@ def _twist(curve: FpCurve) -> FpCurve:
     return FpCurve._at_checked_prime(p, curve.a * g * g, curve.b * g**3)
 
 
-def _resolve(curve: FpCurve, cands: range | set[int]) -> int:
+def _resolve(curve: FpCurve, cands: range) -> int:
     # The one order in `cands` left by the curve's points and its twist's;
     # else the sweep for p <= 2^16 or an error.  The twist's orders are the
-    # mirrored 2p + 2 - n, and every start with more than one candidate (the
-    # Hasse interval, its even orders, the CM pair) is its own mirror.
+    # mirrored 2p + 2 - n, and both starts (the Hasse interval and its even
+    # orders) are their own mirror.
     p = curve.p
-    left = _order_candidates(curve, cands) if len(cands) > 1 else cands
+    left = _order_candidates(curve, cands)
     if len(left) > 1:
         twist = _order_candidates(_twist(curve), cands)
         if len(left) <= len(twist):
@@ -443,45 +433,72 @@ def _quartic_trace(p: int, a: int) -> int:
     return 2 * c  # Tr(c + d i)
 
 
-def _cm_orders(curve: FpCurve) -> set[int] | None:
-    # The orders a curve with j(E) = j_D can have, or None without such a D.
-    # An inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
+# c_D for the seven D whose only units are +-1: (c_D a b | p) is the
+# quadratic-twist symbol of _cm_order.  Each was found by search over the
+# squarefree products, of either sign, of the primes dividing
+# 6 D j_D (j_D - 1728): at every split prime 229 < p < 2500, on the short
+# model y^2 = x^3 + 3k x + 2k (1728 - j_D), k = j_D (1728 - j_D), and its
+# twist by a non-residue, exactly c_D and the squarefree part of c_D D
+# (which has the same symbol at a split p) give the sweep's count.  Every
+# prime factor of a c_D is below 229, so the symbol is never 0 above it.
+_CM_TWIST_CLASS = {-7: -10, -8: 35, -11: 14, -19: 2, -43: 105, -67: 23870, -163: 619646335}
+
+
+def _cm_order(curve: FpCurve) -> int | None:
+    # |E(F_p)| for a curve with j(E) = j_D, or None without such a D.  An
+    # inert p makes E supersingular, so a_p = 0 (Deuring, p >= 5).  At a
     # split p, E is ordinary with End(E) = O_D, so Frobenius is a norm-p
-    # element of O_D.  For j = 0 and j = 1728 the residue symbol picks the
-    # one it is.  For the other seven D, whose only units are +-1, its trace
-    # is u or -u for Cornacchia's 4p = u^2 + |D| v^2: the CM pair.
+    # element of O_D.  For j = 0 and j = 1728 the residue symbol picks it.
+    # For the other seven D, whose only units are +-1, it is +-pi with
+    # pi = (u + v sqrt(D)) / 2 for Cornacchia's 4p = u^2 + |D| v^2, so
+    # a_p = +-u, and the sign is read off the Hecke character (Stark,
+    # "Counting points on CM elliptic curves", Rocky Mountain J. Math. 26,
+    # 1996; Rubin and Silverberg, "Choosing the correct elliptic curve in the
+    # CM method", Math. Comp. 79, 2010).  One curve E_D with j = j_D has
+    # Frobenius eps_D(pi) pi, where eps_D is a quadratic character with
+    # eps_D(-pi) = -eps_D(pi), so the product does not depend on the sign of
+    # pi.  For odd |D| it is the one such character mod sqrt(D), where
+    # pi = u / 2: eps_D(pi) = (u / 2 | |D|) = (2u | |D|).  For D = -8 it is
+    # (-2 | u / 2), negated when v = 2 mod 4, a function of pi mod
+    # 4 sqrt(-2).  E is the quadratic twist of E_D by some d, which
+    # multiplies a_p by (d|p); the twist scales (a, b) to (a d^2, b d^3) and
+    # a b by d^5, so (d|p) = (c_D a b | p) for c_D the squarefree class of
+    # a b on E_D (_CM_TWIST_CLASS).
     D = _cm_disc(curve)
     if D is None:
         return None
     p = curve.p
     if kronecker_symbol(D, p) == -1:
-        return {p + 1}
+        return p + 1
     if D == -3:
-        return {p + 1 - _sextic_trace(p, curve.b)}
+        return p + 1 - _sextic_trace(p, curve.b)
     if D == -4:
-        return {p + 1 - _quartic_trace(p, curve.a)}
-    u = _norm_form(D, p)[0]
-    return {p + 1 - u, p + 1 + u}
+        return p + 1 - _quartic_trace(p, curve.a)
+    u, v = _norm_form(D, p)
+    if D == -8:
+        eps = kronecker_symbol(-2, u // 2) * (-1 if v % 4 == 2 else 1)
+    else:
+        eps = kronecker_symbol(2 * u, -D)
+    return p + 1 - kronecker_symbol(_CM_TWIST_CLASS[D] * curve.a * curve.b, p) * eps * u
 
 
 def count_points(curve: FpCurve) -> int:
     """Exact group order |E(F_p)| including the identity.
 
     The sweep counts for p <= 229.  Up to 2^40 a curve with the j-invariant
-    of a class-number-one maximal order is resolved from its CM orders and
-    never reaches count_points_bsgs, any other curve from the Hasse interval
-    (count_points_bsgs); both routes use the twist and the same fallback.
-    At a split p, a curve with j = 0 or j = 1728 has one CM order, from
-    the sextic or quartic residue symbol, so it walks no point and builds
-    no twist.  Larger p raise UnsupportedModulusError.
+    of a class-number-one maximal order has one CM order, read off
+    Cornacchia's 4p = u^2 + |D| v^2 and residue symbols, so it walks no
+    point, builds no twist and never reaches count_points_bsgs; any other
+    curve is counted from the Hasse interval (count_points_bsgs).  Larger p
+    raise UnsupportedModulusError.
     """
     p = curve.p
     if p <= _NAIVE_LIMIT:
         return count_points_naive(curve)
     if p > COUNT_LIMIT:
         raise UnsupportedModulusError(f"point counting supports p <= 2^40, got {p}")
-    orders = _cm_orders(curve)
-    return count_points_bsgs(curve) if orders is None else _resolve(curve, orders)
+    order = _cm_order(curve)
+    return count_points_bsgs(curve) if order is None else order
 
 
 def trace_of_frobenius(curve: FpCurve) -> int:

@@ -278,17 +278,18 @@ def build_row(
     of p and the curve.  So the row calls its kernel
     ``localpoints._t_valuation_at_anomalous``, which counts no point at p
     again and still checks the generator on that model and certifies it of
-    infinite order.  A
-    DomainError becomes the row's error text; an InternalConsistencyError or
-    ArithmeticError becomes "internal error: <Type>: <message>", so a bug is
-    told apart from a bad input and never aborts the batch.
+    infinite order.  A firing also verified that p splits in the field, so
+    the ``splits`` column reads it and tests (D|p) only when the rule did not
+    fire.  A DomainError becomes the row's error text; an
+    InternalConsistencyError or ArithmeticError becomes "internal error:
+    <Type>: <message>", so a bug is told apart from a bad input and never
+    aborts the batch.
     """
     base = dict(n=n, label=curve.label or "?", curve_a=curve.a, curve_b=curve.b)
     try:
         require_curve_prime(p)  # for_pair leaves p = 2 and 3 unclassified
         record = HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)
         r = record.e1_reduction.value
-        splits = splits_completely(cm_field, p)
         if ingested_generator is not None:
             if not curve.contains(ingested_generator):
                 raise DomainError(f"ingested generator is not on {curve}")
@@ -297,6 +298,7 @@ def build_row(
             gen = find_generator(curve, height)
             status = "found" if gen is not None else "unknown"
         fired = brauer_middle_term_verdict(record)
+        splits = bool(fired) or splits_completely(cm_field, p)  # a firing verified (D|p) = 1
         names = [v.name for v in fired]
         tval = _t_valuation_at_anomalous(curve, gen, p) if fired and gen is not None else None
         lifted = global_lift_verdict(tval, fired[0] if fired else None)

@@ -72,6 +72,11 @@ MUTANTS = [
      ["tests/test_survey.py::test_csv_rows_are_json_rows_read_through_the_columns"]),
     (RATIONAL, "and self.trace == 1", "and self.trace == -1",
      ["tests/test_rational.py"]),
+    # a row's splits column reads a firing and tests (D|p) only without one
+    (SURVEY, "splits = bool(fired) or splits_completely(cm_field, p)", "splits = splits_completely(cm_field, p)",
+     ["tests/test_survey.py::test_rows_test_splitting_at_p_once"]),
+    (SURVEY, "splits = bool(fired) or splits_completely(cm_field, p)", "splits = bool(fired)",
+     ["tests/test_survey.py::test_rows_test_splitting_at_p_once"]),
     # a verdict is conditional when any hypothesis it used is asserted
     (VERDICTS, "conditional=any(prov != VERIFIED", "conditional=all(prov != VERIFIED",
      ["tests/test_verdicts.py::test_divisibility_fires"]),
@@ -235,16 +240,21 @@ MUTANTS = [
     (FP, "    return range(lo + (-lo) % step, hi + 1, step) if step else range(0)",
      "    return range(lo + (-lo) % step, hi + 1, step)",
      ["tests/test_fp.py::test_a_walk_without_hits_ends_in_the_fallback"]),
-    # the CM pair p + 1 -+ u: both signs, u read off the pair, the sign of
-    # [u]P each order keeps, and the twist that cuts what E's points leave
-    (FP, "    return {p + 1 - u, p + 1 + u}", "    return {p + 1 - u}",
-     ["tests/test_fp.py::test_cm_orders_give_every_frobenius_trace_of_O_D"]),
-    (FP, "    u = max(cands) - p - 1", "    u = max(cands) - p",
-     ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
-    (FP, "((p + 1 - u, T), (p + 1 + u, negT))", "((p + 1 - u, negT), (p + 1 + u, T))",
-     ["tests/test_fp.py::test_cm_route_matches_naive_on_sweep_curves_to_2_12"]),
+    # the sign rule of the seven D with units +-1: the Hecke character, its
+    # v-term at D = -8, the quadratic-twist symbol and one c_D
+    (FP, "        eps = kronecker_symbol(2 * u, -D)", "        eps = -kronecker_symbol(2 * u, -D)",
+     ["tests/test_fp.py::test_cm_order_matches_the_sweep_on_every_split_prime_to_2_12"]),
+    (FP, "        eps = kronecker_symbol(-2, u // 2) * (-1 if v % 4 == 2 else 1)",
+     "        eps = kronecker_symbol(-2, u // 2)",
+     ["tests/test_fp.py::test_cm_order_matches_the_sweep_on_every_split_prime_to_2_12"]),
+    (FP, "    return p + 1 - kronecker_symbol(_CM_TWIST_CLASS[D] * curve.a * curve.b, p) * eps * u",
+     "    return p + 1 - eps * u",
+     ["tests/test_fp.py::test_cm_order_matches_the_sweep_on_every_split_prime_to_2_12"]),
+    (FP, "-11: 14,", "-11: 7,",
+     ["tests/test_fp.py::test_cm_order_matches_the_sweep_on_every_split_prime_to_2_12"]),
+    # the twist that cuts what E's points leave of the Hasse interval
     (FP, "        twist = _order_candidates(_twist(curve), cands)", "        twist = cands",
-     ["tests/test_fp.py::test_cm_route_resolves_two_survivors_with_the_twist"]),
+     ["tests/test_fp.py::test_hasse_route_resolves_two_survivors_with_the_twist"]),
     # the residue symbols at j = 0 and j = 1728: the primary associate, the
     # symbol's exponent and its conjugate
     (FP, "    while c % 3 != 2 or d % 3:", "    while c % 3 != 1 or d % 3:",
@@ -259,8 +269,9 @@ MUTANTS = [
      ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
     (FP, "        c, d, chi = d, -c, chi * -i % p", "        c, d, chi = -d, c, chi * -i % p",
      ["tests/test_fp.py::test_residue_symbol_matches_the_sweep_on_every_split_curve_below_2_10"]),
-    # a single candidate is the order: no point is walked for it
-    (FP, "_order_candidates(curve, cands) if len(cands) > 1 else cands", "_order_candidates(curve, cands)",
+    # a CM curve has one order: no point is walked for it
+    (FP, "    return count_points_bsgs(curve) if order is None else order",
+     "    return count_points_bsgs(curve) if order is None else _resolve(curve, range(order, order + 2))",
      ["tests/test_fp.py::test_a_split_j_0_or_j_1728_count_walks_no_point"]),
     # one primality test per count: reduction_type's curve, the twist and the
     # CM route's Cornacchia take the private paths, which keep every other check

@@ -37,9 +37,9 @@ from eczero import localpoints
 from eczero.localpoints import (
     DEFAULT_PRECISION, GUARD_DIGITS, MAX_PRECISION, MIN_RELATIVE_PRECISION, QpPoint, _require, lift_p_torsion, pval,
 )
-from eczero.arith import cornacchia, double_and_add, is_prime, require_curve_prime
+from eczero.arith import CM_J_INVARIANTS, cornacchia, double_and_add, is_prime, kronecker_symbol, require_curve_prime
 from eczero.errors import DomainError, InternalConsistencyError, PrecisionExhaustedError
-from eczero.fp import FpCurve, FpPoint, fp_scalar_mul, point_at_x
+from eczero.fp import FpCurve, FpPoint, point_at_x
 from eczero.rational import Curve, QPoint, _minimal_with_scale, q_scalar_mul
 from fractions import Fraction
 from functools import partial
@@ -491,33 +491,31 @@ def fp_scalar_mul_oracle(curve: FpCurve, k: int, P: FpPoint) -> FpPoint:
 
 
 def cm_trace_oracle(curve: FpCurve, rng, tries: int = 64) -> int:
-    """a_p of y^2 = x^3 + b (j = 0) or y^2 = x^3 + a x (j = 1728) over F_p.
+    """a_p of a curve over F_p whose j-invariant is j_D for one of the nine
+    class-number-one D.
 
-    a_p is the trace of a norm-p element: with 4p = u^2 + 3v^2 one of
-    +-u, +-(u + 3v)/2, +-(u - 3v)/2, with 4p = u^2 + 4v^2 one of +-u, +-2v,
-    and 0 where p is inert.  Candidates t with [p + 1 - t]P != O at a
-    random point P are dropped until one is left.
+    a_p is 0 where p is inert in O_D, else the trace of a norm-p element:
+    with 4p = u^2 + |D| v^2 one of +-u, +-(u + 3v)/2, +-(u - 3v)/2 for
+    D = -3, one of +-u, +-2v for D = -4, and +-u for the other seven D,
+    whose only units are +-1.  Candidates t with [p + 1 - t]P != O at a
+    random point P (by affine double-and-add) are dropped until one is left.
     """
-    p = curve.p
-    if curve.a == 0:
-        if p % 3 == 2:
-            return 0
-        u, v = cornacchia(3, p)
-        traces = {u, (u + 3 * v) // 2, (u - 3 * v) // 2}
-    elif curve.b == 0:
-        if p % 4 == 3:
-            return 0
-        u, v = cornacchia(4, p)
-        traces = {u, 2 * v}
-    else:
-        raise DomainError("cm_trace_oracle needs j = 0 or j = 1728")
+    p, a, b = curve.p, curve.a, curve.b
+    j = 1728 * 4 * a**3 * pow(4 * a**3 + 27 * b**2, -1, p) % p
+    D = next((D for D, j_D in CM_J_INVARIANTS.items() if (j_D - j) % p == 0), None)
+    if D is None:
+        raise DomainError("cm_trace_oracle needs the j-invariant of a class-number-one order")
+    if kronecker_symbol(D, p) == -1:
+        return 0
+    u, v = cornacchia(-D, p)
+    traces = {-3: {u, (u + 3 * v) // 2, (u - 3 * v) // 2}, -4: {u, 2 * v}}.get(D, {u})
     candidates = traces | {-t for t in traces}
     for _ in range(tries):
         if len(candidates) == 1:
             return candidates.pop()
         while (P := point_at_x(curve, rng.randrange(p))) is None:
             pass
-        candidates = {t for t in candidates if fp_scalar_mul(curve, p + 1 - t, P).is_identity}
+        candidates = {t for t in candidates if fp_scalar_mul_oracle(curve, p + 1 - t, P).is_identity}
     raise AssertionError(f"{tries} points left traces {sorted(candidates)} for {curve}")
 
 

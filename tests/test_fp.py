@@ -624,32 +624,28 @@ def _ambiguous(curve, cands):
     return cands
 
 
-# Each pair: a curve counted from the Hasse interval, and a CM curve at a
-# split prime, counted from its CM orders (the paper's D = -19 and D = -11
-# curves: j = 0 and j = 1728 ones get a single order from the residue symbol).
-_AMBIGUOUS_SMALL = (FpCurve(20011, 3, 7), FpCurve(20011, -152, 722))
-_AMBIGUOUS_LARGE = (FpCurve((1 << 20) + 7, 2, 3), FpCurve(1048589, -1056, 13552))
+# Curves counted from the Hasse interval, below and above 2^16.  A CM curve
+# has one order, so it is never ambiguous.
+_AMBIGUOUS_SMALL = FpCurve(20011, 3, 7)
+_AMBIGUOUS_LARGE = FpCurve((1 << 20) + 7, 2, 3)
 
 
 def test_ambiguous_bsgs_falls_back_to_naive_up_to_2_16(monkeypatch):
-    expected = [count_points_naive(curve) for curve in _AMBIGUOUS_SMALL]
+    expected = count_points_naive(_AMBIGUOUS_SMALL)
     calls = []
     monkeypatch.setattr(eczero.fp, "count_points_naive", lambda c: calls.append(c) or count_points_naive(c))
     monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
-    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_SMALL] == [None, -19]
-    assert kronecker_symbol(-19, 20011) == 1
-    assert [count_points(curve) for curve in _AMBIGUOUS_SMALL] == expected
-    assert calls == list(_AMBIGUOUS_SMALL)
+    assert eczero.fp._cm_disc(_AMBIGUOUS_SMALL) is None
+    assert count_points(_AMBIGUOUS_SMALL) == expected
+    assert calls == [_AMBIGUOUS_SMALL]
 
 
 def test_ambiguous_bsgs_raises_above_2_16(monkeypatch):
     monkeypatch.setattr(eczero.fp, "_order_candidates", _ambiguous)
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
-    assert [eczero.fp._cm_disc(curve) for curve in _AMBIGUOUS_LARGE] == [None, -11]
-    assert kronecker_symbol(-11, 1048589) == 1
-    for curve in _AMBIGUOUS_LARGE:
-        with pytest.raises(InternalConsistencyError, match=re.escape(str(curve))):
-            count_points(curve)
+    assert eczero.fp._cm_disc(_AMBIGUOUS_LARGE) is None
+    with pytest.raises(InternalConsistencyError, match=re.escape(str(_AMBIGUOUS_LARGE))):
+        count_points(_AMBIGUOUS_LARGE)
 
 
 def test_a_walk_without_hits_ends_in_the_fallback(monkeypatch):
@@ -657,7 +653,7 @@ def test_a_walk_without_hits_ends_in_the_fallback(monkeypatch):
     # count ends in the sweep up to 2^16 and in an error above, never in a
     # TypeError.
     monkeypatch.setattr(eczero.fp, "_kill_step", lambda curve, P, lo, width: 0)
-    small, large = _AMBIGUOUS_SMALL[0], _AMBIGUOUS_LARGE[0]
+    small, large = _AMBIGUOUS_SMALL, _AMBIGUOUS_LARGE
     assert count_points(small) == count_points_naive(small)
     with pytest.raises(InternalConsistencyError, match="left 0 candidate orders"):
         count_points(large)
@@ -684,31 +680,46 @@ def _j_model(j):
 
 def test_cm_orders_give_every_frobenius_trace_of_O_D():
     # At a split p, Frobenius of a j_D model is a norm-p element of O_D, of
-    # trace t with 4p = t^2 + |D| v^2.  For the seven D whose only units are
-    # +-1, the CM pair's traces are every such t; for D = -3 and -4 the
-    # residue symbol's one trace is among them.  Checked for all nine D at
-    # every split prime to 2^11.
+    # trace t with 4p = t^2 + |D| v^2, and the CM order gives its one trace
+    # exactly, as the sweep counts it.  Checked for all nine D at every split
+    # prime to 2^11.
     split = 0
     for p in range(231, 2**11, 2):
         if not is_prime(p):
             continue
-        bound = isqrt(4 * p)
         for D, j in CM_J_INVARIANTS.items():
             a, b = _j_model(j)
             if kronecker_symbol(D, p) != 1 or (4 * a**3 + 27 * b**2) % p == 0:
                 continue
             curve = FpCurve(p, a, b)
             assert eczero.fp._cm_disc(curve) == D, curve
-            field = ImagQuadField(D)
-            # is_frobenius_trace reads t only through t^2
-            expected = {s for t in range(bound + 1) if is_frobenius_trace(field, p, t) for s in (t, -t)}
-            traces = {p + 1 - n for n in eczero.fp._cm_orders(curve)}
-            if D in (-3, -4):
-                assert len(traces) == 1 and traces < expected, curve
-            else:
-                assert traces == expected, curve
+            trace = p + 1 - eczero.fp._cm_order(curve)
+            assert is_frobenius_trace(ImagQuadField(D), p, trace), curve
+            assert trace == p + 1 - count_points_naive(curve), curve
             split += 1
     assert split > 1000
+
+
+def test_cm_order_matches_the_sweep_on_every_split_prime_to_2_12():
+    # The sign rule of the seven D whose only units are +-1, a_p =
+    # (c_D a b | p) eps_D(pi) u, on the j_D model and its twist by a
+    # non-residue (whose a b differs by g^5, so the symbol flips), at every
+    # split prime from 233 to 2^12; v = 2 mod 4 and the other classes of
+    # v mod 4 both occur for D = -8.
+    seen = set()
+    for p in range(233, 2**12, 2):
+        if not is_prime(p):
+            continue
+        g = eczero.arith.least_nonresidue(p)
+        for D, j in CM_J_INVARIANTS.items():
+            a, b = _j_model(j)
+            if D in (-3, -4) or kronecker_symbol(D, p) != 1 or (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            for curve in (FpCurve(p, a, b), FpCurve(p, a * g * g, b * g**3)):
+                assert eczero.fp._cm_order(curve) == count_points_naive(curve), curve
+            if D == -8:
+                seen.add(cornacchia(8, p)[1] % 4 == 2)
+    assert seen == {True, False}
 
 
 def _cm_curves(p, rng):
@@ -810,22 +821,21 @@ def _spy_bsgs(monkeypatch):
     return calls
 
 
-def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
-    # At p = 269 every walked point of y^2 = x^3 - 4224x + 108416, the
-    # quadratic twist by 2 of the paper's D = -11 curve, is killed by both
-    # CM orders 240 and 300; the twist's points leave one, so neither BSGS
-    # nor the sweep runs.
-    small = FpCurve(269, -4224, 108416)
+def test_hasse_route_resolves_two_survivors_with_the_twist(monkeypatch):
+    # At p = 233 every walked point of y^2 = x^3 - 3x - 1 (j = 2304, no CM)
+    # is killed by two orders of the Hasse interval; the twist's points
+    # leave one, so the sweep does not run.
+    small = FpCurve(233, -3, -1)
+    assert eczero.fp._cm_disc(small) is None
     expected = count_points_naive(small)
-    assert len(eczero.fp._order_candidates(small, eczero.fp._cm_orders(small))) == 2
-    calls = _spy_bsgs(monkeypatch)
+    s = isqrt(4 * 233)
+    assert len(eczero.fp._order_candidates(small, range(234 - s, 234 + s + 1))) == 2
     monkeypatch.setattr(eczero.fp, "count_points_naive", _naive_must_not_run)
     assert count_points(small) == expected
-    # Forced: E's own points cut nothing from its CM pair, so the twist's
+    # Forced: E's own points cut nothing from the interval, so the twist's
     # points alone must leave the one order.
-    curve = FpCurve((1 << 40) - 87, -152, 722)
-    expected = count_points_bsgs(curve)
-    assert len(eczero.fp._cm_orders(curve)) == 2
+    curve = FpCurve((1 << 40) - 87, 3, 7)
+    expected = count_points(curve)
     cut, seen = eczero.fp._order_candidates, []
 
     def keeps_e(c, cands):
@@ -835,7 +845,6 @@ def test_cm_route_resolves_two_survivors_with_the_twist(monkeypatch):
     monkeypatch.setattr(eczero.fp, "_order_candidates", keeps_e)
     assert count_points(curve) == expected
     assert seen == [curve, eczero.fp._twist(curve)]
-    assert calls == []
 
 
 def test_cm_route_raises_without_cornacchia(monkeypatch):
@@ -914,6 +923,23 @@ def test_residue_symbol_matches_the_cm_trace_oracle_up_to_2_40():
     assert len(classes) == 3
 
 
+def test_cm_order_matches_the_cm_trace_oracle_up_to_2_40():
+    # Above 2^16 no sweep can check the sign rule: the oracle cuts Cornacchia's
+    # candidate traces by random points, on seeded twists (a d^2, b d^3) of
+    # each j_D model at split primes log-uniform in [2^17, 2^40], for all
+    # nine D.
+    rng = random.Random(3540)
+    for D, j in CM_J_INVARIANTS.items():
+        a, b = _j_model(j)
+        for _ in range(4):
+            p = int(2 ** (17 + 23 * rng.random()))
+            while not (is_prime(p) and kronecker_symbol(D, p) == 1):
+                p += 1
+            d = rng.randrange(1, p)
+            curve = FpCurve(p, a * d * d, b * d**3)
+            assert count_points(curve) == p + 1 - cm_trace_oracle(curve, rng), curve
+
+
 def _must_not_run(name):
     def fail(*args):
         raise AssertionError(f"{name} ran")
@@ -921,17 +947,24 @@ def _must_not_run(name):
 
 
 def test_a_split_j_0_or_j_1728_count_walks_no_point(monkeypatch):
-    # No point is walked, no twist built and no [k]P taken: the symbol gives
-    # the one order, and _resolve returns it as it is.
+    # A CM curve at a split p of any of the nine D walks no point, builds no
+    # twist and takes no [k]P: the residue symbol, or Cornacchia's u and two
+    # symbols, give the one order.
     for name in ("_walk_points", "_twist", "_mul", "count_points_bsgs", "count_points_naive"):
         monkeypatch.setattr(eczero.fp, name, _must_not_run(name))
+    seen = set()
     for p in (233, 20011, 65537, 1048589, (1 << 40) - 87, 1099511627609):
         assert is_prime(p)
         curves = [FpCurve(p, 0, b) for b in (1, -2, 5)] if p % 3 == 1 else []
         curves += [FpCurve(p, a, 0) for a in (1, -4, 7)] if p % 4 == 1 else []
-        assert curves, p
+        for D, j in CM_J_INVARIANTS.items():
+            a, b = _j_model(j)
+            if D not in (-3, -4) and kronecker_symbol(D, p) == 1:
+                curves += [FpCurve(p, a * d * d, b * d**3) for d in (1, 2, 3)]
         for curve in curves:
+            seen.add(eczero.fp._cm_disc(curve))
             assert abs(trace_of_frobenius(curve)) <= isqrt(4 * p), curve
+    assert seen == set(CM_J_INVARIANTS)
 
 
 # One primality test per count: reduction_type tests p, and nothing under it
@@ -949,13 +982,13 @@ def _count_is_prime(monkeypatch):
     ((3, 7), 1000003, "hasse"),
     ((0, 1), 1000003, "cm split"),
     ((0, 1), 1000037, "cm inert"),
-    ((-4224, 108416), 269, "twist"),
+    ((-3, -1), 233, "twist"),
 ])
 def test_reduction_type_tests_its_prime_once(monkeypatch, ab, p, route):
     expected = reduction_type(Curve(*ab), p)
     curve = FpCurve(p, *ab)
     D = eczero.fp._cm_disc(curve)
-    assert (D is None) == (route == "hasse")
+    assert (D is None) == (route in ("hasse", "twist"))
     if D is not None:
         assert kronecker_symbol(D, p) == (-1 if route == "cm inert" else 1)
     twists = []

@@ -581,6 +581,34 @@ def test_rows_count_points_at_p_once(monkeypatch):
         assert calls == [p] * len(rows), p
 
 
+def test_rows_test_splitting_at_p_once(monkeypatch):
+    # (D|p) is tested once per row: a firing of the middle-term rule verified
+    # that p splits, so the splits column reads the firing, and a row where
+    # the rule did not fire (not anomalous, or no CM by the field) tests it
+    # itself.  At p = 7, at 43 and 223 on anomalous and non-anomalous twists,
+    # and at 43 against Q(sqrt(-3)), which the D = -19 twists have no CM by.
+    twists43 = _seeded_twist_records(43, -152, 722, count=3)
+    twists43 += _seeded_twist_records(43, -152, 722, count=3, symbol=-1)
+    surveys = [
+        (lambda: scan_family(_spec(-20, 20, height=100))[0], 7, -3),
+        (lambda: survey_records(twists43, 43, -19)[0], 43, -19),
+        (lambda: survey_records(_seeded_twist_records(223, -1056, 13552, count=3), 223, -11)[0], 223, -11),
+        (lambda: survey_records(twists43, 43, -3)[0], 43, -3),
+    ]
+    calls = []
+    for module in (eczero.survey, eczero.verdicts):
+        real = module.splits_completely
+        monkeypatch.setattr(module, "splits_completely", lambda field, p, real=real: calls.append(p) or real(field, p))
+    fired = set()
+    for survey, p, D in surveys:
+        calls.clear()
+        rows = survey()
+        assert all(r.error is None and r.splits == (kronecker_symbol(D, p) == 1) for r in rows), p
+        assert calls == [p] * len(rows), p
+        fired |= {"MiddleTermZpSquared" in r.verdicts for r in rows}
+    assert fired == {True, False}
+
+
 def test_family_spec_validation():
     with pytest.raises(DomainError):
         FamilySpec(**dict(EN_SPEC, n_min=3, n_max=1))
