@@ -298,11 +298,11 @@ def verdict_cmd(
     tower = cm_tower_verdict(record, tower_level) if tower_level is not None else None
     fired += brauer + ([tower] if tower is not None else [])
     if point is not None and brauer:
-        from .localpoints import _t_valuation_at_anomalous
+        from .localpoints import t_valuation_at
 
-        # the rule fired on e1's own record, which verified p and e1's
-        # reduction; the kernel still checks and certifies the point
-        v = global_lift_verdict(_t_valuation_at_anomalous(e1, point, p), brauer[0])
+        # the rule fired on e1's own record, whose reduction carries e1's
+        # minimal model at p; the kernel still checks and certifies the point
+        v = global_lift_verdict(t_valuation_at(record.e1_reduction.value, point, p), brauer[0])
         if v is not None:
             fired.append(v)
     adm = prime_admissibility(record, config)

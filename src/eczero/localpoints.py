@@ -9,12 +9,12 @@ valuation of the formal parameter t = -x/y of F (1 versus >= 2) is the
 decision bit consumed by the verdict layer; formal_t_valuation reads it
 from [p]P = [p]F without lifting T0.
 
-formal_t_valuation and decompose_point check p and the model minimal at
-p (_checked_minimal, one point count), then the point on that model
-(_onto_minimal).  A
-survey row and ``eczero verdict --gen`` read the t-valuation only after the
-middle-term rule fired on a record that verified the same facts of the same
-model, so they call _t_valuation_at_anomalous, which checks only the point.
+Every entry reads one checked datum, the ReductionType of
+rational.reduction_type(curve, p): it tested p, counted E(F_p) once and
+carries the model minimal at p, its scale and its reduction.  _anomalous
+checks it good and anomalous; t_valuation_at reads the t-valuation off it.
+A survey row and ``eczero verdict --gen`` pass t_valuation_at the datum
+the middle-term rule fired on, so they count no point at p again.
 
 P is read as its Jacobian triple (m, n, e), x = m/e^2 and y = n/e^3, which
 is exact on the integral minimal model.  A point already in E_1 is its own
@@ -64,7 +64,7 @@ from fractions import Fraction
 from functools import partial
 from math import isqrt
 
-from .arith import _JACOBIAN_O, _jacobian_add, double_and_add, require_curve_prime
+from .arith import _JACOBIAN_O, _jacobian_add, double_and_add
 from .bounds import DEFAULT_PRECISION, MAX_PRECISION
 from .errors import (
     DomainError,
@@ -72,8 +72,8 @@ from .errors import (
     PrecisionExhaustedError,
     SplitHypothesisError,
 )
-from .fp import FpCurve, FpPoint, is_anomalous
-from .rational import Curve, QPoint, _minimal_with_scale, torsion_order
+from .fp import FpPoint
+from .rational import Curve, QPoint, ReductionType, reduction_type, torsion_order
 
 MIN_RELATIVE_PRECISION = 4
 # decompose_point reports a point in E_1 with this many digits past the
@@ -187,14 +187,14 @@ class QpPoint:
         return "O" if self.is_identity else f"({self.x}, {self.y})"
 
 
-def _require_anomalous(curve: Curve, p: int) -> FpCurve:
-    # p is a prime its caller has tested, so the reduction skips that test
-    if curve.discriminant % p == 0:
+def _anomalous(r: ReductionType, p: int) -> None:
+    """Refuse r unless reduction_type verified it good and anomalous at p."""
+    if not r.kind.is_good:
         raise DomainError(f"model has bad reduction at {p}")
-    reduced = FpCurve._at_checked_prime(p, curve.a, curve.b)
-    if not is_anomalous(reduced):
+    if not r.anomalous:
         raise DomainError(f"reduction at {p} is not anomalous")
-    return reduced
+    if r.reduced is None or r.reduced.p != p:
+        raise DomainError(f"reduction at {p} carries no model verified by reduction_type at {p}")
 
 
 def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAULT_PRECISION) -> QpPoint:
@@ -208,12 +208,14 @@ def lift_p_torsion(curve: Curve, p: int, target: FpPoint, precision: int = DEFAU
     certified; it raises no PrecisionExhaustedError.
     """
     _require_bounded(precision)
-    require_curve_prime(p)
-    reduced = _require_anomalous(curve, p)
+    r = reduction_type(curve, p)
+    if r.scale:
+        raise DomainError(f"model has bad reduction at {p}")
+    _anomalous(r, p)
     if target.is_identity:
         raise DomainError("target must be a nonzero special-fiber point")
     target = FpPoint(target.x % p, target.y % p)
-    if not reduced.contains(target):
+    if not r.reduced.contains(target):
         raise DomainError(f"{target} is not on the reduction of {curve} mod {p}")
     x, y = _lift_torsion(curve, p, target, precision)
     return QpPoint(_make(p, x, precision), _make(p, y, precision))
@@ -318,12 +320,13 @@ def decompose_point(curve: Curve, point: QPoint, p: int, precision: int = DEFAUL
     if precision < 1:
         raise DomainError(f"decomposition needs precision >= 1, got {precision}")
     _require_bounded(precision)
-    minimal, scale = _checked_minimal(curve, p)
-    P = _onto_minimal(minimal, scale, point, p)
+    r = reduction_type(curve, p)
+    _anomalous(r, p)
+    P = _onto_minimal(r, point, p)
     try:
-        return _decompose(minimal, P, p, precision)
+        return _decompose(r.minimal, P, p, precision)
     except PrecisionExhaustedError:
-        return _decompose(minimal, P, p, _RETRY_FACTOR * precision)
+        return _decompose(r.minimal, P, p, _RETRY_FACTOR * precision)
 
 
 def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
@@ -337,58 +340,45 @@ def formal_t_valuation(curve: Curve, point: QPoint, p: int) -> int:
     reads as v(Z) = N.  So a t-valuation of 1 or 2 costs one [p].  Other
     errors are decompose_point's.
     """
-    _checked_minimal(curve, p)
-    return _t_valuation_at_anomalous(curve, point, p)
+    return t_valuation_at(reduction_type(curve, p), point, p)
 
 
-def _t_valuation_at_anomalous(curve: Curve, point: QPoint, p: int) -> int:
-    """formal_t_valuation(curve, point, p) for a caller whose own
-    HypothesisRecord.for_pair(curve, curve, p) fired the middle-term rule.
+def t_valuation_at(r: ReductionType, point: QPoint, p: int) -> int:
+    """formal_t_valuation(curve, point, p) with r = reduction_type(curve, p).
 
-    That record holds p >= 5 prime and the reduction of curve's model
-    minimal at p, the model _minimal_with_scale gives here too, as verified
-    facts the library computed: good (p does not divide its discriminant)
-    and anomalous (|E(F_p)| = p).  Those are exactly what _checked_minimal
-    tests, so this skips it and counts no point at p.  The point is the
-    caller's, so it is still moved onto the minimal model, checked on it
-    and certified of infinite order by torsion_order before the [p].
+    r must come from reduction_type at this p (a hand-built ReductionType
+    carries no model and raises DomainError), and is checked good and
+    anomalous; no point at p is counted again.  The point is the caller's,
+    so it is still moved onto r's minimal model, checked on it and
+    certified of infinite order before the [p].
     """
-    minimal, scale = _minimal_with_scale(curve, p)
-    m, n, e = _onto_minimal(minimal, scale, point, p)
+    _anomalous(r, p)
+    m, n, e = _onto_minimal(r, point, p)
     if e % p == 0:
         return pval(e, p)
     precision = 4
     while True:
         u = pow(e, -1, p**precision)
-        _, _, Z = _p_times(minimal, p, m * u * u, n * u**3, precision)
+        _, _, Z = _p_times(r.minimal, p, m * u * u, n * u**3, precision)
         vz = pval(Z, p) if Z else precision
         if vz < precision:
             return vz - 1
         precision *= 2
 
 
-def _checked_minimal(curve: Curve, p: int) -> tuple[Curve, int]:
-    """The model minimal at p and its scale k (u = p^k), once p is checked a
-    prime >= 5 and the model checked good and anomalous at p."""
-    require_curve_prime(p)
-    minimal, scale = _minimal_with_scale(curve, p)
-    _require_anomalous(minimal, p)
-    return minimal, scale
-
-
-def _onto_minimal(minimal: Curve, scale: int, point: QPoint, p: int) -> tuple[int, int, int]:
-    """The point moved onto the model minimal at p (scale k of
-    _minimal_with_scale), checked on it and certified of infinite order, as
-    its Jacobian triple (m, n, e): on an integral model x = m/e^2 and
-    y = n/e^3 in lowest terms, exactly."""
+def _onto_minimal(r: ReductionType, point: QPoint, p: int) -> tuple[int, int, int]:
+    """The point moved onto r's minimal model (scaled by u = p^r.scale),
+    checked on it and certified of infinite order, as its Jacobian triple
+    (m, n, e): on an integral model x = m/e^2 and y = n/e^3 in lowest
+    terms, exactly."""
     if point.is_identity:
         raise DomainError("decomposition needs a nonzero global point")
-    if scale:
-        u2 = Fraction(1, p ** (2 * scale))
-        point = QPoint(point.x * u2, point.y * u2 / p**scale)
-    if not minimal.contains(point):
-        raise DomainError(f"{point} is not on {minimal}")
-    order = torsion_order(minimal, point)
+    if r.scale:
+        u2 = Fraction(1, p ** (2 * r.scale))
+        point = QPoint(point.x * u2, point.y * u2 / p**r.scale)
+    if not r.minimal.contains(point):
+        raise DomainError(f"{point} is not on {r.minimal}")
+    order = torsion_order(r.minimal, point)
     if order is not None:
         raise DomainError(f"point has finite order {order}; decomposition needs infinite order")
     return point.x.numerator, point.y.numerator, isqrt(point.x.denominator)

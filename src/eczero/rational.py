@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, isqrt
@@ -238,8 +238,15 @@ class ReductionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ReductionType:
+    """The special fiber at p: its kind, and a_p when good.  reduction_type
+    also keeps the model minimal at p, its scale k (u = p^k) and, when good,
+    its reduction; they take no part in equality, hashing or printing."""
+
     kind: ReductionKind
     trace: int | None = None
+    minimal: Curve | None = field(default=None, compare=False, repr=False)
+    scale: int | None = field(default=None, compare=False, repr=False)
+    reduced: FpCurve | None = field(default=None, compare=False, repr=False)
 
     @property
     def anomalous(self) -> bool:
@@ -258,19 +265,19 @@ def reduction_type(curve: Curve, p: int) -> ReductionType:
     fibers are split iff -c6 is a square mod p; additive otherwise.
     """
     require_curve_prime(p)
-    minimal = _minimal_with_scale(curve, p)[0]
-    disc = minimal.discriminant
-    if disc % p != 0:
+    minimal, scale = _minimal_with_scale(curve, p)
+    if minimal.discriminant % p != 0:
         reduced = FpCurve._at_checked_prime(p, minimal.a, minimal.b)
         ap = trace_of_frobenius(reduced)
-        if ap % p == 0:
-            return ReductionType(ReductionKind.GOOD_SUPERSINGULAR, trace=ap)
-        return ReductionType(ReductionKind.GOOD_ORDINARY, trace=ap)
-    if minimal.c4 % p != 0:
-        if kronecker_symbol(-minimal.c6, p) == 1:
-            return ReductionType(ReductionKind.SPLIT_MULTIPLICATIVE)
-        return ReductionType(ReductionKind.NONSPLIT_MULTIPLICATIVE)
-    return ReductionType(ReductionKind.ADDITIVE)
+        kind = ReductionKind.GOOD_SUPERSINGULAR if ap % p == 0 else ReductionKind.GOOD_ORDINARY
+        return ReductionType(kind, ap, minimal, scale, reduced)
+    if minimal.c4 % p == 0:
+        kind = ReductionKind.ADDITIVE
+    elif kronecker_symbol(-minimal.c6, p) == 1:
+        kind = ReductionKind.SPLIT_MULTIPLICATIVE
+    else:
+        kind = ReductionKind.NONSPLIT_MULTIPLICATIVE
+    return ReductionType(kind, None, minimal, scale, None)
 
 
 def require_height(height: int) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .arith import require_curve_prime
 from .bounds import DEFAULT_HEIGHT
 from .errors import DomainError, IngestError, InternalConsistencyError
-from .localpoints import _t_valuation_at_anomalous
+from .localpoints import t_valuation_at
 from .quadfields import ImagQuadField, splits_completely
 from .rational import (
     Curve,
@@ -272,23 +272,22 @@ def build_row(
     classifies the reduction the row reports and holds CM by O_D only if
     j(E) = j_D.  Eligibility is the middle-term rule's: every row that
     classifies runs ``brauer_middle_term_verdict`` on it, and the formal part's
-    t-valuation is read only when the rule fired and a generator exists.
-    A firing means the record verified p >= 5 prime and good, anomalous
-    reduction of the model minimal at p: all that formal_t_valuation checks
-    of p and the curve.  So the row calls its kernel
-    ``localpoints._t_valuation_at_anomalous``, which counts no point at p
-    again and still checks the generator on that model and certifies it of
-    infinite order.  A firing also verified that p splits in the field, so
-    the ``splits`` column reads it and tests (D|p) only when the rule did not
-    fire.  A DomainError becomes the row's error text; an
-    InternalConsistencyError or ArithmeticError becomes "internal error:
-    <Type>: <message>", so a bug is told apart from a bad input and never
-    aborts the batch.
+    t-valuation is read only when the rule fired and a generator exists,
+    by ``localpoints.t_valuation_at`` from the record's reduction, the
+    checked datum the rule fired on, so no point at p is counted again.  A
+    firing also verified that p splits in the field, so the ``splits``
+    column reads it and tests (D|p) only when the rule did not fire.  The
+    callers test p; the record refuses a p that is not prime, and the row
+    p = 2 and 3, which the record leaves unclassified.  A DomainError
+    becomes the row's error text; an InternalConsistencyError or
+    ArithmeticError becomes "internal error: <Type>: <message>", so a bug
+    is told apart from a bad input and never aborts the batch.
     """
     base = dict(n=n, label=curve.label or "?", curve_a=curve.a, curve_b=curve.b)
     try:
-        require_curve_prime(p)  # for_pair leaves p = 2 and 3 unclassified
         record = HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)
+        if record.e1_reduction is None:
+            raise DomainError(f"p must be a prime >= 5, got {p}")
         r = record.e1_reduction.value
         if ingested_generator is not None:
             if not curve.contains(ingested_generator):
@@ -300,7 +299,7 @@ def build_row(
         fired = brauer_middle_term_verdict(record)
         splits = bool(fired) or splits_completely(cm_field, p)  # a firing verified (D|p) = 1
         names = [v.name for v in fired]
-        tval = _t_valuation_at_anomalous(curve, gen, p) if fired and gen is not None else None
+        tval = t_valuation_at(r, gen, p) if fired and gen is not None else None
         lifted = global_lift_verdict(tval, fired[0] if fired else None)
         if lifted is not None:
             names.append(lifted.name)

@@ -302,7 +302,7 @@ def global_lift_verdict(t_valuation: int | None, prior: Verdict | None) -> Verdi
     whose formal parameter has t-valuation 1.
 
     t_valuation must come from formal_t_valuation, its kernel
-    localpoints._t_valuation_at_anomalous or decompose_point, which certify
+    localpoints.t_valuation_at or decompose_point, which certify
     infinite order; the middle term is verified only if the prior
     verdict is.  One-directional: a trivial formal component yields no conclusion.
     """

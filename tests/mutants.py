@@ -163,19 +163,39 @@ MUTANTS = [
     (SURVEY, "record = HypothesisRecord.for_pair(curve, curve, p, cm_field=cm_field)",
      "record = HypothesisRecord.for_pair(curve, curve, p)",
      ["tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
-    # the t-valuation of a row or of `verdict --gen` takes p and the
-    # reduction from the record the middle-term rule fired on, so it counts
-    # no point at p again and runs only when the rule fired
-    (SURVEY, "from .localpoints import _t_valuation_at_anomalous\n",
-     "from .localpoints import formal_t_valuation as _t_valuation_at_anomalous\n",
+    # the t-valuation of a row or of `verdict --gen` reads the reduction of
+    # the record the middle-term rule fired on, so it counts no point at p
+    # again and runs only when the rule fired
+    (SURVEY, "tval = t_valuation_at(r, gen, p) if fired",
+     "tval = t_valuation_at(HypothesisRecord.for_pair(curve, curve, p).e1_reduction.value, gen, p) if fired",
      ["tests/test_survey.py::test_rows_count_points_at_p_once"]),
-    (CLI, "        from .localpoints import _t_valuation_at_anomalous\n",
-     "        from .localpoints import formal_t_valuation as _t_valuation_at_anomalous\n",
+    (CLI, "t_valuation_at(record.e1_reduction.value, point, p)",
+     "t_valuation_at(HypothesisRecord.for_pair(e1, e1, p).e1_reduction.value, point, p)",
      ["tests/test_cli.py::test_verdict_counts_points_once_per_curve"]),
-    (SURVEY, "_t_valuation_at_anomalous(curve, gen, p) if fired and gen is not None else None",
-     "_t_valuation_at_anomalous(curve, gen, p) if gen is not None else None",
+    (SURVEY, "t_valuation_at(r, gen, p) if fired and gen is not None else None",
+     "t_valuation_at(r, gen, p) if gen is not None else None",
      ["tests/test_cli.py::test_report_output_is_pinned",
       "tests/test_survey.py::test_rows_fire_the_cm_rules_only_on_curves_with_cm"]),
+    # a row leaves p to its callers and refuses the record's unclassified p
+    (SURVEY, "        if record.e1_reduction is None:\n            raise DomainError",
+     "        if False:\n            raise DomainError",
+     ["tests/test_survey.py::test_rows_test_their_prime_three_times"]),
+    # the one local datum: reduction_type keeps it out of equality and
+    # printing, and every local entry checks it before reading it
+    (RATIONAL, "reduced: FpCurve | None = field(default=None, compare=False, repr=False)",
+     "reduced: FpCurve | None = field(default=None, repr=False)",
+     ["tests/test_rational.py::test_reduction_type_keeps_its_datum_out_of_equality_hash_and_print"]),
+    (RATIONAL, "minimal: Curve | None = field(default=None, compare=False, repr=False)",
+     "minimal: Curve | None = field(default=None, compare=False)",
+     ["tests/test_rational.py::test_reduction_type_keeps_its_datum_out_of_equality_hash_and_print"]),
+    (LOCAL, "    if r.scale:\n        raise DomainError", "    if False:\n        raise DomainError",
+     ["tests/test_localpoints.py::test_lift_p_torsion_preconditions"]),
+    (LOCAL, "    _anomalous(r, p)\n    m, n, e = _onto_minimal(r, point, p)\n", "    m, n, e = _onto_minimal(r, point, p)\n",
+     ["tests/test_localpoints.py::test_t_valuation_at_reads_only_the_datum_reduction_type_built"]),
+    (LOCAL, "    _anomalous(r, p)\n    P = _onto_minimal(r, point, p)\n", "    P = _onto_minimal(r, point, p)\n",
+     ["tests/test_localpoints.py::test_decompose_preconditions"]),
+    (LOCAL, "    if r.reduced is None or r.reduced.p != p:", "    if r.reduced is None:",
+     ["tests/test_localpoints.py::test_t_valuation_at_reads_only_the_datum_reduction_type_built"]),
     # the search's sieve alignment, height cap, real-locus start and
     # torsion certification's early stop
     (RATIONAL, "    shift = -height % q", "    shift = height % q",
@@ -283,7 +303,8 @@ MUTANTS = [
      ["tests/test_fp.py::test_reduction_type_tests_its_prime_once"]),
     (FP, "        curve._reduce()\n", "",
      ["tests/test_fp.py::test_checked_prime_constructor_keeps_every_other_check"]),
-    (LOCAL, "FpCurve._at_checked_prime(p, curve.a, curve.b)", "FpCurve(p, curve.a, curve.b)",
+    # lift_p_torsion reads the reduction in its datum instead of reducing again
+    (LOCAL, "    if not r.reduced.contains(target):", "    if not type(r.reduced)(p, curve.a, curve.b).contains(target):",
      ["tests/test_fp.py::test_local_and_residue_entries_test_their_prime_once"]),
     (QUAD, "FpCurve._at_checked_prime(p, 0, c)", "FpCurve(p, 0, c)",
      ["tests/test_fp.py::test_local_and_residue_entries_test_their_prime_once"]),

@@ -28,8 +28,18 @@ from eczero.localpoints import (
     formal_t_valuation,
     lift_p_torsion,
     pval,
+    t_valuation_at,
 )
-from eczero.rational import Curve, QPoint, curve_from_long_weierstrass, long_point_to_short, q_scalar_mul
+from eczero.rational import (
+    Curve,
+    QPoint,
+    ReductionKind,
+    ReductionType,
+    curve_from_long_weierstrass,
+    long_point_to_short,
+    q_scalar_mul,
+    reduction_type,
+)
 from eczero.survey import find_generator
 
 from oracles import (
@@ -404,9 +414,11 @@ def test_formal_t_valuation_refuses_exactly_where_the_torsion_lift_does():
 
 def test_decompose_point_counts_points_once(monkeypatch):
     # the minimal model is checked anomalous once per call, also when the
-    # first attempt runs out of precision and is retried
+    # first attempt runs out of precision and is retried: reduction_type
+    # counts its points once
     counted = []
-    monkeypatch.setattr(eczero.localpoints, "is_anomalous", lambda c: counted.append(c) or is_anomalous(c))
+    real_trace = eczero.rational.trace_of_frobenius
+    monkeypatch.setattr(eczero.rational, "trace_of_frobenius", lambda c: counted.append(c) or real_trace(c))
     expected = decompose_point(E, P35, 7, 16)
     assert len(counted) == 1
     real, attempts = eczero.localpoints._decompose, []
@@ -454,6 +466,23 @@ def test_decompose_preconditions():
         decompose_point(Curve(-7, 7), QPoint.from_pair(1, 1), 7)  # minimal at 7, 7 | disc
     with pytest.raises(DomainError, match=r"^\(3, 6\) is not on y\^2 = x\^3 \+ 0x \+ -2$"):
         decompose_point(E, QPoint.from_pair(3, 6), 7)
+
+
+def test_t_valuation_at_reads_only_the_datum_reduction_type_built():
+    # the kernel reads the minimal model and scale off reduction_type's
+    # result, also for a model rescaled by u = 7, and refuses a datum that
+    # is bad, not anomalous, built by hand or built at another prime
+    r = reduction_type(E, 7)
+    assert t_valuation_at(r, P35, 7) == formal_t_valuation(E, P35, 7) == 1
+    scaled = Curve(0, -2 * 7**6)
+    assert t_valuation_at(reduction_type(scaled, 7), QPoint.from_pair(3 * 7**2, 5 * 7**3), 7) == 1
+    with pytest.raises(DomainError, match="^model has bad reduction at 7$"):
+        t_valuation_at(reduction_type(Curve(-7, 7), 7), QPoint.from_pair(1, 1), 7)
+    with pytest.raises(DomainError, match="^reduction at 13 is not anomalous$"):
+        t_valuation_at(reduction_type(Curve(-4, 0), 13), QPoint.from_pair(0, 0), 13)
+    for datum, p in ((ReductionType(ReductionKind.GOOD_ORDINARY, trace=1), 7), (r, 13)):
+        with pytest.raises(DomainError, match=f"^reduction at {p} carries no model verified by reduction_type at {p}$"):
+            t_valuation_at(datum, P35, p)
 
 
 @pytest.mark.parametrize("precision", [-4, 0, 1])

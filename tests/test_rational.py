@@ -15,6 +15,7 @@ from eczero.rational import (
     Curve,
     QPoint,
     ReductionKind,
+    ReductionType,
     _minimal_with_scale,
     _real_locus_start,
     curve_from_long_weierstrass,
@@ -156,6 +157,24 @@ def test_reduction_type_split_multiplicative_case():
 
 def test_reduction_type_additive():
     assert reduction_type(Curve(5, 25), 5).kind is ReductionKind.ADDITIVE
+
+
+def test_reduction_type_keeps_its_datum_out_of_equality_hash_and_print():
+    # one curve of each kind, and a model rescaled by u = 7 from a minimal
+    # one: the minimal model, scale and reduction that reduction_type keeps
+    # change no comparison and no printed text
+    for curve, p, kind, trace, scale in (
+        (Curve(0, -2), 7, ReductionKind.GOOD_ORDINARY, 1, 0),
+        (Curve(0, -2), 5, ReductionKind.GOOD_SUPERSINGULAR, 0, 0),
+        (Curve(-1, 2), 13, ReductionKind.SPLIT_MULTIPLICATIVE, None, 0),
+        (Curve(-1, 5), 11, ReductionKind.NONSPLIT_MULTIPLICATIVE, None, 0),
+        (Curve(5, 25), 5, ReductionKind.ADDITIVE, None, 0),
+        (Curve(0, -2 * 7**6), 7, ReductionKind.GOOD_ORDINARY, 1, 1),
+    ):
+        r, bare = reduction_type(curve, p), ReductionType(kind, trace)
+        assert (r.minimal, r.scale) == _minimal_with_scale(curve, p)
+        assert (r.reduced is not None) == kind.is_good
+        assert r == bare and hash(r) == hash(bare) and repr(r) == repr(bare) and str(r) == str(bare)
 
 
 def test_anomalous_flag_matches_fp_route():

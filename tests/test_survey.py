@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import eczero.arith
 import eczero.fp
 import eczero.localpoints
 import eczero.survey
@@ -506,14 +507,14 @@ def test_internal_error_in_one_row_does_not_abort_scan(monkeypatch, error):
     spec = _spec(-3, 3)
     clean, _ = scan_family(spec)
     broken_n = next(r.n for r in clean if r.formal_nontrivial is not None)
-    real = eczero.survey._t_valuation_at_anomalous
+    real = eczero.survey.t_valuation_at
 
-    def t_valuation_or_fail(curve, point, p):
-        if curve.b == -2 + 7 * broken_n:
+    def t_valuation_or_fail(r, point, p):
+        if r.minimal.b == -2 + 7 * broken_n:
             raise error
-        return real(curve, point, p)
+        return real(r, point, p)
 
-    monkeypatch.setattr(eczero.survey, "_t_valuation_at_anomalous", t_valuation_or_fail)
+    monkeypatch.setattr(eczero.survey, "t_valuation_at", t_valuation_or_fail)
     rows, agg = scan_family(spec)
     assert [r for r in rows if r.n != broken_n] == [r for r in clean if r.n != broken_n]
     (row,) = [r for r in rows if r.n == broken_n]
@@ -579,6 +580,27 @@ def test_rows_count_points_at_p_once(monkeypatch):
         assert all(r.error is None and r.t_valuation is not None for r in rows), p
         assert "UnconditionalExactness" in rows[0].verdicts
         assert calls == [p] * len(rows), p
+
+
+def test_rows_test_their_prime_three_times(monkeypatch):
+    # a classified row tests p for primality three times: the record's own
+    # test, reduction_type's and one splitting test (the middle-term rule's,
+    # or the splits column's when the rule does not read it), whether the
+    # rule fires or not; the row adds none, since its callers test p.  A
+    # direct call refuses p = 3, which the record leaves unclassified, and a
+    # composite p with the record's text.
+    calls = []
+    real = eczero.arith.is_prime
+    for module in (eczero.arith, eczero.verdicts):
+        monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n) or real(n))
+    K3 = ImagQuadField(-3)
+    for curve, fires in ((Curve(0, -2), True), (Curve(0, 5), True), (Curve(0, 1), False)):
+        calls.clear()
+        row = build_row(curve, 7, K3, 100)
+        assert row.error is None and ("MiddleTermZpSquared" in row.verdicts) == fires, curve
+        assert calls == [7] * 3, curve
+    assert build_row(Curve(0, -2), 3, K3, 100).error == "p must be a prime >= 5, got 3"
+    assert build_row(Curve(0, -2), 9, K3, 100).error == "9 is not prime"
 
 
 def test_rows_test_splitting_at_p_once(monkeypatch):
